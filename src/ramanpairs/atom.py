@@ -79,12 +79,6 @@ class AtomConfig:
                 ("d", "b", self.gamma_db), ("d", "c", self.gamma_dc))
 
 
-@dataclass(frozen=True)
-class DriftMatrix:
-    entries: np.ndarray      # 16x16 complex
-    evaluated_at: float
-
-
 def hamiltonian_lift(h: np.ndarray) -> np.ndarray:
     """Map a 4x4 Hamiltonian (units of hbar) to its action on <sigma_xy>.
 
@@ -104,7 +98,7 @@ def hamiltonian_lift(h: np.ndarray) -> np.ndarray:
 def _decay_generator(atom: AtomConfig) -> np.ndarray:
     """Adjoint dissipator of the radiative channels plus b-c dephasing."""
     gen = np.zeros((16, 16), dtype=complex)
-    rank = {name: i for i, name in enumerate(algebra.LEVELS)}
+    rank = algebra._RANK
     for excited, ground, rate in atom.decay_channels():
         if rate == 0.0:
             continue
@@ -140,7 +134,7 @@ class DriftBuilder:
         self.atom = atom
         self.pump = pump
         self.control = control
-        rank = {name: i for i, name in enumerate(algebra.LEVELS)}
+        rank = algebra._RANK
         delta = np.zeros(4)
         delta[rank["d"]] = -pump.detuning
         delta[rank["a"]] = -control.detuning
@@ -165,11 +159,6 @@ class DriftBuilder:
         if om_c != 0.0:
             m += om_c * self._ctrl_fwd + np.conj(om_c) * self._ctrl_bwd
         return m
-
-
-def drift_matrix(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, t: float) -> DriftMatrix:
-    """The 16x16 drift matrix M(t) of the rotating-frame system."""
-    return DriftMatrix(entries=DriftBuilder(atom, pump, control).entries(t), evaluated_at=float(t))
 
 
 def state_vector(rho: np.ndarray) -> np.ndarray:

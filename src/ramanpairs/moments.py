@@ -83,7 +83,7 @@ def initial_pair_expectation(m: int, n: int, rho0: np.ndarray) -> complex:
     if p is None:
         return 0.0 + 0.0j
     x, v = levels(p)
-    rank = {name: i for i, name in enumerate(algebra.LEVELS)}
+    rank = algebra._RANK
     return complex(np.asarray(rho0, dtype=complex)[rank[v], rank[x]])
 
 
@@ -103,8 +103,7 @@ def _initial_field_term(a: LadderSpec, b: LadderSpec, atom: AtomConfig) -> float
 
 def _commutator_structure(u: str, v: str) -> np.ndarray:
     """Matrix C with (C X)_m = [sigma_uv, X_m] expanded over the operator basis."""
-    rank = {name: i for i, name in enumerate(algebra.LEVELS)}
-    iu, iv = rank[u], rank[v]
+    iu, iv = algebra._RANK[u], algebra._RANK[v]
     c = np.zeros((16, 16), dtype=complex)
     for x in range(4):
         for y in range(4):
@@ -189,7 +188,7 @@ class _NoiseContraction:
                 not np.allclose(diffusion.times, grid.times):
             raise ConfigError("diffusion table grid does not match the propagator grid")
         v = grid.v_inverse
-        g = np.einsum("jmp,jpq,jnq->jmn", v, diffusion.matrices, v)
+        g = v @ diffusion.matrices @ v.transpose(0, 2, 1)
         self.g0 = g[0]
         self.prefix_g = np.cumsum(g, axis=0)
         self.rows = dict(grid.row_cumint)

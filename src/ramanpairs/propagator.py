@@ -3,16 +3,21 @@
 The field-operator solutions need K_r,m(t, s) = int_s^t U_{r,m}(tau, s) dtau
 for the four source rows r in {3, 8, 9, 14} and every grid pair t_i >= s_j.
 Materializing that store scales as O(N^2); instead the build exploits the
-exact flow identity U(t, s) = U(t, 0) V(s) with V(s) = U(s, 0)^{-1}, where V
-solves its own adjoint equation dV/ds = -V M(s).  Row kernels then factor as
+exact flow identity U(t, s) = U(t, 0) V(s) with V(s) = U(s, 0)^{-1}.  Row
+kernels then factor as
 
     K_r(t_i, s_j) = (S_r(t_i) - S_r(s_j)) V(s_j),
 
 with S_r the cumulative trapezoid of row r of U(., 0).  This reproduces the
-direct per-s_j trapezoid quadrature exactly (linearity), costs two 256-state
-ODE solves per scenario, and stays well conditioned over the windows used
-here (decay contrast a few e-foldings at most).  propagate_from still solves
-from an arbitrary grid start directly and backs the composition diagnostics.
+direct per-s_j trapezoid quadrature exactly (linearity).  One 256-state ODE
+solve of U(., 0) per scenario feeds everything: V is its batched 16x16
+inverse and the expectation trajectory is U(t, 0) X(0).
+
+The inverse grows like exp(decay * t), so long windows lose the kernels to
+cancellation without any integrator complaint.  The build therefore checks
+the condition number of U(t_end, 0) and raises IntegrationError past
+MAX_CONDITION.  propagate_from still solves from an arbitrary grid start
+directly and backs the composition diagnostics.
 """
 
 from __future__ import annotations
@@ -20,34 +25,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid, solve_ivp
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from . import algebra
-from .atom import AtomConfig, DriftBuilder, evolve_state
+from .atom import AtomConfig, DriftBuilder, state_vector
+from .atom import evolve_state  # noqa: F401  (perfbench/tracing.py wraps propagator.evolve_state)
 from .errors import ConfigError, IntegrationError
 from .pulses import PulseSpec
 
-QUADRATURES = ("trapezoid", "simpson")
+# Largest condition number of U(t_end, 0) the kernel factorization trusts.
+# Preset scenarios stay below 1e3.  fig2b stretched to t_end 10 reaches 7e8
+# and still meets the Fock oracle to 1.5e-3 in n_k; at t_end 20 it reaches
+# 2e17 and n_k comes out tens of times off.
+MAX_CONDITION = 1e12
 
 
-def _solve_matrix_ode(builder: DriftBuilder, times: np.ndarray, adjoint: bool,
+def _solve_matrix_ode(builder: DriftBuilder, times: np.ndarray,
                       rtol: float, atol: float) -> np.ndarray:
-    """Integrate dU/dt = M(t) U (or dV/dt = -V M(t)) from the identity."""
+    """Integrate dU/dt = M(t) U from the identity at times[0]."""
 
-    if adjoint:
-        def rhs(t, y):
-            return -(y.reshape(16, 16) @ builder.entries(t)).reshape(256)
-    else:
-        def rhs(t, y):
-            return (builder.entries(t) @ y.reshape(16, 16)).reshape(256)
+    def rhs(t, y):
+        return (builder.entries(t) @ y.reshape(16, 16)).reshape(256)
 
     y0 = np.eye(16, dtype=complex).reshape(256)
     sol = solve_ivp(rhs, (times[0], times[-1]), y0, method="RK45",
                     t_eval=times, rtol=rtol, atol=atol)
     if not sol.success:
         t_fail = float(sol.t[-1]) if sol.t.size else float(times[0])
-        label = "adjoint propagator" if adjoint else "propagator"
-        raise IntegrationError(f"{label} integration failed near t = {t_fail:.6g}: {sol.message}",
+        raise IntegrationError(f"propagator integration failed near t = {t_fail:.6g}: {sol.message}",
                                time=t_fail)
     return np.ascontiguousarray(sol.y.T.reshape(len(times), 16, 16))
 
@@ -56,9 +61,11 @@ def _solve_matrix_ode(builder: DriftBuilder, times: np.ndarray, adjoint: bool,
 class PropagatorGrid:
     """Uniform-grid propagator data consumed by the moment assembly.
 
-    times is the uniform grid, state_traj the 16-component expectation
-    trajectory, u_from0[i] = U(t_i, 0), v_inverse[j] = U(s_j, 0)^{-1} and
-    row_cumint[r] the cumulative quadrature S_r of row r of U(., 0).
+    times is the uniform grid and u_from0[i] = U(t_i, 0) the one solved flow.
+    Everything else derives from it: v_inverse[j] = U(s_j, 0)^{-1} by batched
+    inversion, state_traj[i] = U(t_i, 0) X(0) the 16-component expectation
+    trajectory, and row_cumint[r] the cumulative trapezoid S_r of row r of
+    U(., 0).
     """
 
     times: np.ndarray
@@ -67,7 +74,6 @@ class PropagatorGrid:
     u_from0: np.ndarray
     v_inverse: np.ndarray
     row_cumint: dict[int, np.ndarray]
-    quadrature: str = "trapezoid"
 
     @property
     def n_points(self) -> int:
@@ -90,41 +96,34 @@ class PropagatorGrid:
 
 def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                           t_end: float, n_intervals: int,
-                          rtol: float = 1e-9, atol: float = 1e-12,
-                          quadrature: str = "trapezoid") -> PropagatorGrid:
-    """Solve the propagator pair on a uniform grid and accumulate the row kernels."""
+                          rtol: float = 1e-9, atol: float = 1e-12) -> PropagatorGrid:
+    """Solve U(., 0) on a uniform grid and derive the inverse, state and row kernels."""
     if t_end <= 0:
         raise ConfigError(f"t_end must be > 0, got {t_end}")
     if n_intervals < 2:
         raise ConfigError(f"need at least 2 grid intervals, got {n_intervals}")
-    if quadrature not in QUADRATURES:
-        raise ConfigError(f"quadrature must be one of {QUADRATURES}, got {quadrature!r}")
 
     times = np.linspace(0.0, float(t_end), int(n_intervals) + 1)
-    builder = DriftBuilder(atom, pump, control)
-    u_from0 = _solve_matrix_ode(builder, times, adjoint=False, rtol=rtol, atol=atol)
-    v_inverse = _solve_matrix_ode(builder, times, adjoint=True, rtol=rtol, atol=atol)
-    state_traj = evolve_state(atom, pump, control, times, rtol=rtol, atol=atol)
-
-    if quadrature == "trapezoid":
-        def cumint(samples):
-            return cumulative_trapezoid(samples, x=times, axis=0)
-    else:
-        def cumint(samples):
-            # scipy's cumulative_simpson silently drops imaginary parts
-            return (cumulative_simpson(samples.real, x=times, axis=0)
-                    + 1j * cumulative_simpson(samples.imag, x=times, axis=0))
+    u_from0 = _solve_matrix_ode(DriftBuilder(atom, pump, control), times, rtol=rtol, atol=atol)
+    condition = np.linalg.cond(u_from0[-1])
+    if condition > MAX_CONDITION:
+        raise IntegrationError(
+            f"propagator U(t_end, 0) has condition number {condition:.3g} "
+            f"(limit {MAX_CONDITION:.0e}); its inverse cannot carry the kernels "
+            f"over this window, shorten t_end", time=float(times[-1]))
+    v_inverse = np.linalg.inv(u_from0)
+    state_traj = u_from0 @ state_vector(atom.rho0)
 
     row_cumint = {}
     for row in algebra.SOURCE_ROWS:
         samples = u_from0[:, row - 1, :]  # row of U(t_i, 0) over the grid
         row_cumint[row] = np.concatenate(
-            [np.zeros((1, 16), dtype=complex), cumint(samples)])
+            [np.zeros((1, 16), dtype=complex),
+             cumulative_trapezoid(samples, x=times, axis=0)])
 
     return PropagatorGrid(times=times, step=float(times[1] - times[0]),
                           state_traj=state_traj, u_from0=u_from0,
-                          v_inverse=v_inverse, row_cumint=row_cumint,
-                          quadrature=quadrature)
+                          v_inverse=v_inverse, row_cumint=row_cumint)
 
 
 def propagate_from(s_index: int, atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
@@ -141,34 +140,4 @@ def propagate_from(s_index: int, atom: AtomConfig, pump: PulseSpec, control: Pul
     tail = times[s_index:]
     if len(tail) == 1:
         return np.eye(16, dtype=complex)[None, :, :]
-    builder = DriftBuilder(atom, pump, control)
-    return _solve_matrix_ode(builder, tail, adjoint=False, rtol=rtol, atol=atol)
-
-
-class KernelStore:
-    """Lazy view of the kernel store keyed by (source row, t index, s index)."""
-
-    def __init__(self, grid: PropagatorGrid, rows: tuple[int, ...] = algebra.SOURCE_ROWS):
-        self.grid = grid
-        self.rows = tuple(rows)
-
-    def at(self, row: int, i: int, j: int) -> np.ndarray:
-        if j > i:
-            raise ValueError(f"kernel requested for s_j after t_i ({j} > {i})")
-        return self.grid.kernel_at(row, i, j)
-
-    def dense(self, row: int) -> np.ndarray:
-        """Materialize K_row(t_i, s_j) for all i >= j, zero elsewhere.
-
-        Memory grows as n_points^2; intended for small diagnostic grids.
-        """
-        n = self.grid.n_points
-        out = np.zeros((n, n, 16), dtype=complex)
-        for j in range(n):
-            out[j:, j, :] = self.grid.kernel_rows(row, j)[j:]
-        return out
-
-
-def kernels(grid: PropagatorGrid) -> KernelStore:
-    """Kernel store over the grid's source rows."""
-    return KernelStore(grid)
+    return _solve_matrix_ode(DriftBuilder(atom, pump, control), tail, rtol=rtol, atol=atol)

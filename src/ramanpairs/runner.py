@@ -143,24 +143,23 @@ def scenario_table(result: ScenarioResult) -> tuple[list[str], np.ndarray]:
     return cols, np.column_stack(data)
 
 
-def write_scenario_csv(result: ScenarioResult, path) -> None:
-    cols, table = scenario_table(result)
-    lines = _csv_header_lines(result.config)
-    lines.append(",".join(cols))
-    for row in table:
-        lines.append(",".join(_FMT % v for v in row))
+def _write_csv(path, header_lines: list[str], cols: list[str], rows) -> None:
+    """Comment header, column names, then one _FMT-formatted line per row."""
+    lines = [*header_lines, ",".join(cols)]
+    lines.extend(",".join(_FMT % v for v in row) for row in rows)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+def write_scenario_csv(result: ScenarioResult, path) -> None:
+    cols, table = scenario_table(result)
+    _write_csv(path, _csv_header_lines(result.config), cols, table)
 
 
 def write_scan_csv(result: ScanResult, path) -> None:
-    lines = _csv_header_lines(result.config)
     cols = ["value", "peak_g_cs", "min_duan_d", "min_duan_d_optimized", "peak_n_k"]
-    lines.append(",".join(cols))
-    for row in result.rows:
-        lines.append(",".join(_FMT % row[c] for c in cols))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_csv(path, _csv_header_lines(result.config), cols,
+               ([row[c] for c in cols] for row in result.rows))
 
 
 def run_verification(cfg: ScenarioConfig) -> tuple[ScenarioResult, OracleMoments, dict]:
@@ -206,14 +205,9 @@ def write_verification_csv(pipeline: ScenarioResult, oracle: OracleMoments,
         oracle.times, ms.n_k.total[sel].real, oracle.n_k.real,
         ms.n_q.total[sel].real, oracle.n_q.real,
         np.abs(ms.pair.total[sel]), np.abs(oracle.pair)])
-    lines = _csv_header_lines(pipeline.config)
-    for key, value in sorted(report.items()):
-        lines.append(f"# verify.{key} = {value}")
-    lines.append(",".join(cols))
-    for row in table:
-        lines.append(",".join(_FMT % v for v in row))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    header = _csv_header_lines(pipeline.config)
+    header.extend(f"# verify.{key} = {value}" for key, value in sorted(report.items()))
+    _write_csv(path, header, cols, table)
 
 
 def write_manifest(cfg: ScenarioConfig, path, extra: dict | None = None) -> None:

@@ -3,8 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from ramanpairs.algebra import DAGGER0, POPULATION0, idx
-from ramanpairs.atom import (AtomConfig, DriftBuilder, density_matrix, drift_matrix,
-                             evolve_state, state_vector)
+from ramanpairs.atom import AtomConfig, DriftBuilder, density_matrix, evolve_state, state_vector
 from ramanpairs.errors import ConfigError
 from ramanpairs.oracle import atomic_liouvillian
 from ramanpairs.pulses import PulseSpec, off
@@ -14,14 +13,13 @@ from conftest import gauss_pulse, rho_symmetric
 
 def test_free_degenerate_atom_gives_zero_matrix():
     atom = AtomConfig(gamma_ab=0, gamma_ac=0, gamma_db=0, gamma_dc=0, g_k=0, g_q=0)
-    m = drift_matrix(atom, off(), off(), 0.0)
-    assert np.max(np.abs(m.entries)) == 0.0
-    assert m.evaluated_at == 0.0
+    m = DriftBuilder(atom, off(), off()).entries(0.0)
+    assert np.max(np.abs(m)) == 0.0
 
 
 def test_bc_coherence_decay_free_without_dephasing():
     atom = AtomConfig(gamma_bc=0.0)
-    m = drift_matrix(atom, off(), off(), 0.0).entries
+    m = DriftBuilder(atom, off(), off()).entries(0.0)
     row = idx("b", "c") - 1
     assert m[row, row] == pytest.approx(0.0, abs=1e-14)
 
@@ -36,7 +34,7 @@ def test_population_rows_sum_to_zero_random_config():
                            detuning=rng.uniform(-50, 50), chirp=rng.uniform(-100, 100))
         control = PulseSpec(shape="cw", omega_peak=rng.uniform(0, 20),
                             detuning=rng.uniform(-50, 50), phase0=rng.uniform(0, 6))
-        m = drift_matrix(atom, pump, control, rng.uniform(0, 1)).entries
+        m = DriftBuilder(atom, pump, control).entries(rng.uniform(0, 1))
         assert np.max(np.abs(m[POPULATION0, :].sum(axis=0))) < 1e-12
 
 
@@ -45,7 +43,7 @@ def test_conjugate_mirror_symmetry():
     pump = gauss_pulse(omega=8.0, detuning=-3.0, chirp=30.0, phase0=1.1)
     control = PulseSpec(shape="cw", omega_peak=4.0, detuning=2.0, phase0=0.4)
     for t in (0.0, 0.33, 0.8):
-        m = drift_matrix(atom, pump, control, t).entries
+        m = DriftBuilder(atom, pump, control).entries(t)
         assert np.max(np.abs(m[np.ix_(DAGGER0, DAGGER0)] - np.conj(m))) < 1e-12
 
 
@@ -54,7 +52,7 @@ def test_matches_independent_liouvillian_rebuild():
     pump = gauss_pulse(omega=7.0, center=0.4, width=0.2, detuning=-3.0, chirp=2.0, phase0=0.3)
     control = PulseSpec(shape="cw", omega_peak=4.0, detuning=1.5, phase0=-0.7)
     for t in (0.0, 0.37, 1.1):
-        ours = drift_matrix(atom, pump, control, t).entries
+        ours = DriftBuilder(atom, pump, control).entries(t)
         theirs = atomic_liouvillian(atom, pump, control, t)
         assert np.max(np.abs(ours - theirs)) < 1e-13
 

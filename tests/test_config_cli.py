@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ramanpairs.cli import main
 from ramanpairs.config import apply_override, config_hash, describe, parse_config
-from ramanpairs.errors import ConfigError
+from ramanpairs.errors import ConfigError, IntegrationError
 from ramanpairs.presets import PRESET_NAMES, preset
 from ramanpairs.runner import run_scan, run_scenario, write_scenario_csv
 
@@ -224,6 +225,31 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     config_path = tmp_path / "demo.cfg"
     config_path.write_text(GOOD_CONFIG)
     assert main(["run", str(config_path), "--out", str(tmp_path)]) == 3
+
+
+def _fig2b_window(t_end: float, grid_points: int):
+    cfg = preset("fig2b").scenarios[0]
+    return replace(cfg, atom=replace(cfg.atom, g_k=0.01, g_q=0.01),
+                   t_end=t_end, grid_points=grid_points)
+
+
+def test_run_scenario_refuses_ill_conditioned_window():
+    """fig2b stretched to t_end 20 would come out tens of times off the oracle."""
+    with pytest.raises(IntegrationError, match="condition number") as info:
+        run_scenario(_fig2b_window(20.0, 2000))
+    assert info.value.time == 20.0
+    result = run_scenario(_fig2b_window(10.0, 1000))
+    assert np.isfinite(result.peak_n_k())
+
+
+def test_cli_long_window_exits_3_without_csv(tmp_path):
+    text = (GOOD_CONFIG.replace("g_k = 0.08\ng_q = 0.08", "g_k = 0.01\ng_q = 0.01")
+            .replace("t_end = 1.0\ngrid_points = 120", "t_end = 20.0\ngrid_points = 2000"))
+    config_path = tmp_path / "long.cfg"
+    config_path.write_text(text)
+    out_dir = tmp_path / "long_out"
+    assert main(["run", str(config_path), "--out", str(out_dir)]) == 3
+    assert list(out_dir.iterdir()) == []
 
 
 def test_cli_scan_subcommand(tmp_path):
