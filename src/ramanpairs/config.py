@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .atom import AtomConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_tolerances
 from .oracle import OracleConfig
 from .pulses import PulseSpec
 
@@ -95,6 +95,7 @@ class ScenarioConfig:
         bad = [o for o in self.outputs if o not in OUTPUT_GROUPS]
         if bad:
             raise ConfigError(f"[run] outputs: unknown group(s) {bad}, expected from {OUTPUT_GROUPS}")
+        check_tolerances(self.rtol, self.atol, prefix="[run] ")
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
@@ -102,6 +103,13 @@ def _parse_float(section: str, key: str, raw: str) -> float:
         return float(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+
+
+def _parse_int(section: str, key: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
 
 
 def _parse_rho0(items: dict[str, str]) -> np.ndarray:
@@ -190,10 +198,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if key == "outputs":
             run_kwargs["outputs"] = tuple(part.strip() for part in raw.split(",") if part.strip())
         elif key == "grid_points":
-            try:
-                run_kwargs["grid_points"] = int(raw)
-            except ValueError:
-                raise ConfigError(f"[run] grid_points: not an integer: {raw!r}") from None
+            run_kwargs["grid_points"] = _parse_int("run", key, raw)
         elif key == "label":
             run_kwargs["label"] = raw.strip()
         else:
@@ -219,7 +224,7 @@ def parse_config(text: str) -> ScenarioConfig:
             if key not in _VERIFY_KEYS:
                 raise ConfigError(f"[verify] {key}: unknown key")
             if key in ("cutoff_k", "cutoff_q", "dim_cap"):
-                kwargs[key] = int(_parse_float("verify", key, raw))
+                kwargs[key] = _parse_int("verify", key, raw)
             else:
                 kwargs[key] = _parse_float("verify", key, raw)
         try:

@@ -28,9 +28,18 @@ and mirrored for <dA B(0)>.  Dropping these fixed-ordering corrections would
 leave the photon numbers untouched in vacuum but mis-state the pair moment at
 leading order, which the Fock-space verifier resolves unambiguously.
 
-Every s-integral shares the propagator grid (trapezoid).  The double index
-sum is contracted through prefix sums of G_j = V_j 2D(s_j) V_j^T, which gives
-the same quadrature as the direct kernel loop at O(N 16^3) total cost.
+Every s-integral shares the propagator grid (trapezoid).  With the stacked
+source rows S_i = S(t_i), shape (4, 16), the kernels factor as
+K(t_i, s_j) = (S_i - S_j) V_j, so the noise parts of all 16 row pairs are one
+(4, 4) table per grid time,
+
+    N_i = S_i P_i S_i^T - S_i Q_i - L_i S_i^T + T_i,
+
+where P, Q, L and T are the trapezoid-weighted cumulative sums over j <= i of
+G_j, G_j S_j^T, S_j G_j and S_j G_j S_j^T with G_j = V_j 2D(s_j) V_j^T.  The
+back-action integrals of every (row, field piece) pair follow the same way
+from z_j = V_j C_p X_j as S_i sum_j w_j z_j - sum_j w_j S_j z_j.  This is the
+same quadrature as the direct kernel loop at O(N 16^3) total cost.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import ROW_AC, ROW_BD, ROW_CA, ROW_DB, contract, levels
+from .algebra import ROW_AC, ROW_BD, ROW_CA, ROW_DB
 from .atom import AtomConfig, state_vector
 from .errors import ConfigError
 from .noise import DiffusionTable
@@ -56,6 +65,11 @@ class LadderSpec:
     creates: bool
     source_row: int     # 1-based row of the propagator feeding this operator
     phase: complex      # +i for annihilation, -i for creation
+
+    @property
+    def slot(self) -> int:
+        """Position of source_row in the stacked source-row tables."""
+        return algebra.SOURCE_ROWS.index(self.source_row)
 
     def prefactor(self, atom: AtomConfig) -> complex:
         g = atom.g_k if self.mode == "k" else atom.g_q
@@ -75,16 +89,6 @@ def ladder(which: str) -> LadderSpec:
         return LADDERS[which]
     except KeyError:
         raise ConfigError(f"unknown ladder operator {which!r}, expected one of {tuple(LADDERS)}") from None
-
-
-def initial_pair_expectation(m: int, n: int, rho0: np.ndarray) -> complex:
-    """<X_m(0) X_n(0)> from the initial density matrix (1-based indices)."""
-    p = contract(m, n)
-    if p is None:
-        return 0.0 + 0.0j
-    x, v = levels(p)
-    rank = algebra._RANK
-    return complex(np.asarray(rho0, dtype=complex)[rank[v], rank[x]])
 
 
 def _initial_pair_table(rho0: np.ndarray) -> np.ndarray:
@@ -180,70 +184,46 @@ class MomentSeries:
     n_th_q: float
 
 
-class _NoiseContraction:
-    """Prefix-sum tables for the trapezoid s-integration of the noise parts."""
+def _trapezoid_cumsum(terms: np.ndarray) -> np.ndarray:
+    """Cumulative sum over the grid axis with the s = 0 sample at half weight.
 
-    def __init__(self, grid: PropagatorGrid, diffusion: DiffusionTable):
-        if diffusion.matrices.shape[0] != grid.n_points or \
-                not np.allclose(diffusion.times, grid.times):
-            raise ConfigError("diffusion table grid does not match the propagator grid")
-        v = grid.v_inverse
-        g = v @ diffusion.matrices @ v.transpose(0, 2, 1)
-        self.g0 = g[0]
-        self.prefix_g = np.cumsum(g, axis=0)
-        self.rows = dict(grid.row_cumint)
-        self.step = grid.step
-        # per-row contractions with G_j, cumulative in j
-        self.right = {r: np.cumsum(np.einsum("jmn,jn->jm", g, s), axis=0)
-                      for r, s in self.rows.items()}
-        self.left = {r: np.cumsum(np.einsum("jm,jmn->jn", s, g), axis=0)
-                     for r, s in self.rows.items()}
-        self.scalar = {}
-        for ra, sa in self.rows.items():
-            ga = np.einsum("jm,jmn->jn", sa, g)
-            for rb, sb in self.rows.items():
-                self.scalar[ra, rb] = np.cumsum(np.einsum("jn,jn->j", ga, sb))
-
-    def series(self, row_a: int, row_b: int) -> np.ndarray:
-        """h * [sum_{j<=i} f_ij - f_i0 / 2] with f_ij the kernel-diffusion bilinear."""
-        sa = self.rows[row_a]
-        sb = self.rows[row_b]
-        bulk = np.einsum("im,imn,in->i", sa, self.prefix_g - 0.5 * self.g0, sb)
-        bulk -= np.einsum("im,im->i", sa, self.right[row_b])
-        bulk -= np.einsum("in,in->i", self.left[row_a], sb)
-        bulk += self.scalar[row_a, row_b]
-        return self.step * bulk
+    The matching half weight at s = t_i is not needed: every kernel vanishes
+    there, K(t_i, t_i) = 0.
+    """
+    return np.cumsum(terms, axis=0) - 0.5 * terms[0]
 
 
-class _BackactionIntegrals:
-    """Trapezoid series of int_0^t K_row(t,s) . C_p X(s) ds per (row, piece)."""
+def _noise_table(grid: PropagatorGrid, diffusion: DiffusionTable) -> np.ndarray:
+    """h * sum_j w_j K_r(t_i,s_j) 2D(s_j) K_u(t_i,s_j)^T for every slot pair (r, u)."""
+    if diffusion.matrices.shape[0] != grid.n_points or \
+            not np.allclose(diffusion.times, grid.times):
+        raise ConfigError("diffusion table grid does not match the propagator grid")
+    v = grid.v_inverse
+    s = grid.source_cumint
+    s_t = s.transpose(0, 2, 1)
+    g = v @ diffusion.matrices @ v.transpose(0, 2, 1)
+    sg = s @ g
+    p = _trapezoid_cumsum(g)
+    q = _trapezoid_cumsum(g @ s_t)
+    left = _trapezoid_cumsum(sg)
+    t = _trapezoid_cumsum(sg @ s_t)
+    return grid.step * (s @ p @ s_t - s @ q - left @ s_t + t)
 
-    def __init__(self, grid: PropagatorGrid):
-        self.rows = dict(grid.row_cumint)
-        self.step = grid.step
-        self.z = {}       # piece index -> V_j (C_p X_j), shape (n, 16)
-        self.prefix = {}  # piece index -> cumulative sum of z
-        self.mixed = {}   # (row, piece) -> cumulative sum of S_row(s_j) . z_j
-        for p_idx, piece in enumerate(_FIELD_PIECES):
-            y = grid.state_traj @ piece.structure.T
-            z = np.einsum("jmn,jn->jm", grid.v_inverse, y)
-            self.z[p_idx] = z
-            self.prefix[p_idx] = np.cumsum(z, axis=0)
 
-    def series(self, row: int, p_idx: int) -> np.ndarray:
-        key = (row, p_idx)
-        if key not in self.mixed:
-            self.mixed[key] = np.cumsum(
-                np.einsum("jm,jm->j", self.rows[row], self.z[p_idx]))
-        s = self.rows[row]
-        bulk = np.einsum("im,im->i", s, self.prefix[p_idx] - 0.5 * self.z[p_idx][0])
-        return self.step * (bulk - self.mixed[key])
+def _backaction_table(grid: PropagatorGrid) -> np.ndarray:
+    """h * sum_j w_j K_r(t_i,s_j) . C_p X(s_j) for every (slot r, field piece p)."""
+    structures = np.stack([piece.structure for piece in _FIELD_PIECES])
+    cx = np.einsum("pmn,jn->jpm", structures, grid.state_traj)
+    z = cx @ grid.v_inverse.transpose(0, 2, 1)  # z[j, p] = V_j C_p X_j
+    s = grid.source_cumint
+    return grid.step * (s @ _trapezoid_cumsum(z).transpose(0, 2, 1)
+                        - _trapezoid_cumsum(s @ z.transpose(0, 2, 1)))
 
 
 def _backaction_series(a: LadderSpec, b: LadderSpec, atom: AtomConfig,
-                       integrals: _BackactionIntegrals) -> np.ndarray:
+                       table: np.ndarray) -> np.ndarray:
     """Initial-field cross terms <A(0) dB(t)> + <dA(t) B(0)> at leading order."""
-    out = np.zeros(integrals.rows[a.source_row].shape[0], dtype=complex)
+    out = np.zeros(table.shape[0], dtype=complex)
     for p_idx, piece in enumerate(_FIELD_PIECES):
         g_p = atom.g_k if piece.mode == "k" else atom.g_q
         coeff = -1j * g_p
@@ -251,49 +231,48 @@ def _backaction_series(a: LadderSpec, b: LadderSpec, atom: AtomConfig,
         if a.mode == piece.mode:
             weight = _ordered_field_pair(a.creates, piece.creates, n_th)
             if weight != 0.0:
-                out += weight * b.prefactor(atom) * coeff * integrals.series(b.source_row, p_idx)
+                out += weight * b.prefactor(atom) * coeff * table[:, b.slot, p_idx]
         if b.mode == piece.mode:
             weight = _ordered_field_pair(piece.creates, b.creates, n_th)
             if weight != 0.0:
-                out += weight * a.prefactor(atom) * coeff * integrals.series(a.source_row, p_idx)
+                out += weight * a.prefactor(atom) * coeff * table[:, a.slot, p_idx]
     return out
 
 
 def pair_moment(a: LadderSpec, b: LadderSpec, grid: PropagatorGrid,
                 diffusion: DiffusionTable, atom: AtomConfig,
-                _contraction: _NoiseContraction | None = None,
-                _integrals: _BackactionIntegrals | None = None) -> SplitMoment:
+                _noise: np.ndarray | None = None,
+                _backaction: np.ndarray | None = None) -> SplitMoment:
     """<A(t) B(t)> series for two ladder operators, split into parts."""
-    if _contraction is None:
-        _contraction = _NoiseContraction(grid, diffusion)
-    if _integrals is None:
-        _integrals = _BackactionIntegrals(grid)
+    if _noise is None:
+        _noise = _noise_table(grid, diffusion)
+    if _backaction is None:
+        _backaction = _backaction_table(grid)
     c = a.prefactor(atom) * b.prefactor(atom)
-    sa = grid.row_cumint[a.source_row]
-    sb = grid.row_cumint[b.source_row]
+    sa = grid.source_cumint[:, a.slot]
+    sb = grid.source_cumint[:, b.slot]
     ip = _initial_pair_table(atom.rho0)
     boundary = c * np.einsum("im,mn,in->i", sa, ip, sb)
-    noise = c * _contraction.series(a.source_row, b.source_row)
-    return SplitMoment(boundary=boundary, noise=noise,
-                       backaction=_backaction_series(a, b, atom, _integrals),
+    return SplitMoment(boundary=boundary, noise=c * _noise[:, a.slot, b.slot],
+                       backaction=_backaction_series(a, b, atom, _backaction),
                        initial=_initial_field_term(a, b, atom))
 
 
 def single_moment(a: LadderSpec, grid: PropagatorGrid, atom: AtomConfig) -> np.ndarray:
     """<A(t)> series; identically zero when rho0 carries no source coherences."""
     x0 = state_vector(atom.rho0)
-    return a.prefactor(atom) * (grid.row_cumint[a.source_row] @ x0)
+    return a.prefactor(atom) * (grid.source_cumint[:, a.slot] @ x0)
 
 
 def compute_moments(atom: AtomConfig, grid: PropagatorGrid,
                     diffusion: DiffusionTable) -> MomentSeries:
     """Assemble the full moment series consumed by the observables layer."""
-    con = _NoiseContraction(grid, diffusion)
-    integrals = _BackactionIntegrals(grid)
+    noise = _noise_table(grid, diffusion)
+    backaction = _backaction_table(grid)
 
     def pm(name_a, name_b):
         return pair_moment(ladder(name_a), ladder(name_b), grid, diffusion, atom,
-                           _contraction=con, _integrals=integrals)
+                           _noise=noise, _backaction=backaction)
 
     return MomentSeries(
         times=grid.times,

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .atom import AtomConfig
-from .errors import ConfigError, CutoffError, IntegrationError
+from .errors import ConfigError, CutoffError, IntegrationError, check_tolerances
 from .pulses import PulseSpec, rabi
 
 _RANK = {"a": 0, "b": 1, "c": 2, "d": 3}
@@ -47,6 +47,7 @@ class OracleConfig:
         dim = 4 * (self.cutoff_k + 1) * (self.cutoff_q + 1)
         if dim > self.dim_cap:
             raise ConfigError(f"joint dimension {dim} exceeds cap {self.dim_cap}")
+        check_tolerances(self.rtol, self.atol)
 
 
 @dataclass

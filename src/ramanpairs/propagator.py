@@ -1,17 +1,18 @@
-"""Two-time propagator of the drift system and the cumulative source-row kernels.
+"""Two-time propagator of the drift system and the cumulative source-row integrals.
 
 The field-operator solutions need K_r,m(t, s) = int_s^t U_{r,m}(tau, s) dtau
-for the four source rows r in {3, 8, 9, 14} and every grid pair t_i >= s_j.
-Materializing that store scales as O(N^2); instead the build exploits the
-exact flow identity U(t, s) = U(t, 0) V(s) with V(s) = U(s, 0)^{-1}.  Row
-kernels then factor as
+for the four source rows r in algebra.SOURCE_ROWS and every grid pair
+t_i >= s_j.  Materializing that store scales as O(N^2); instead the build
+exploits the exact flow identity U(t, s) = U(t, 0) V(s) with
+V(s) = U(s, 0)^{-1}.  Row kernels then factor as
 
-    K_r(t_i, s_j) = (S_r(t_i) - S_r(s_j)) V(s_j),
+    K(t_i, s_j) = (S(t_i) - S(s_j)) V(s_j),
 
-with S_r the cumulative trapezoid of row r of U(., 0).  This reproduces the
-direct per-s_j trapezoid quadrature exactly (linearity).  One 256-state ODE
-solve of U(., 0) per scenario feeds everything: V is its batched 16x16
-inverse and the expectation trajectory is U(t, 0) X(0).
+with S the cumulative trapezoid of the four source rows of U(., 0), stacked
+into one (n_points, 4, 16) array.  This reproduces the direct per-s_j
+trapezoid quadrature exactly (linearity).  One 256-state ODE solve of U(., 0)
+per scenario feeds everything: V is its batched 16x16 inverse and the
+expectation trajectory is U(t, 0) X(0).
 
 The inverse grows like exp(decay * t), so long windows lose the kernels to
 cancellation without any integrator complaint.  The build therefore checks
@@ -64,8 +65,8 @@ class PropagatorGrid:
     times is the uniform grid and u_from0[i] = U(t_i, 0) the one solved flow.
     Everything else derives from it: v_inverse[j] = U(s_j, 0)^{-1} by batched
     inversion, state_traj[i] = U(t_i, 0) X(0) the 16-component expectation
-    trajectory, and row_cumint[r] the cumulative trapezoid S_r of row r of
-    U(., 0).
+    trajectory, and source_cumint[i, r] the cumulative trapezoid S of the
+    source rows of U(., 0), slot r following algebra.SOURCE_ROWS.
     """
 
     times: np.ndarray
@@ -73,31 +74,25 @@ class PropagatorGrid:
     state_traj: np.ndarray
     u_from0: np.ndarray
     v_inverse: np.ndarray
-    row_cumint: dict[int, np.ndarray]
+    source_cumint: np.ndarray  # (n_points, 4, 16)
 
     @property
     def n_points(self) -> int:
         return len(self.times)
 
-    def kernel_rows(self, row: int, j: int) -> np.ndarray:
-        """K_row(t_i, s_j) for every grid time t_i, shape (n_points, 16).
+    def kernel(self, j: int) -> np.ndarray:
+        """K(t_i, s_j) of the four source rows for every t_i, shape (n_points, 4, 16).
 
         Entries with t_i < s_j are extrapolations with no physical meaning;
         callers only consume i >= j.
         """
-        s = self.row_cumint[row]
-        return (s - s[j]) @ self.v_inverse[j]
-
-    def kernel_at(self, row: int, i: int, j: int) -> np.ndarray:
-        """Single kernel row K_row(t_i, s_j), a 16-vector."""
-        s = self.row_cumint[row]
-        return (s[i] - s[j]) @ self.v_inverse[j]
+        return (self.source_cumint - self.source_cumint[j]) @ self.v_inverse[j]
 
 
 def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                           t_end: float, n_intervals: int,
                           rtol: float = 1e-9, atol: float = 1e-12) -> PropagatorGrid:
-    """Solve U(., 0) on a uniform grid and derive the inverse, state and row kernels."""
+    """Solve U(., 0) on a uniform grid and derive the inverse, state and row integrals."""
     if t_end <= 0:
         raise ConfigError(f"t_end must be > 0, got {t_end}")
     if n_intervals < 2:
@@ -114,16 +109,12 @@ def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     v_inverse = np.linalg.inv(u_from0)
     state_traj = u_from0 @ state_vector(atom.rho0)
 
-    row_cumint = {}
-    for row in algebra.SOURCE_ROWS:
-        samples = u_from0[:, row - 1, :]  # row of U(t_i, 0) over the grid
-        row_cumint[row] = np.concatenate(
-            [np.zeros((1, 16), dtype=complex),
-             cumulative_trapezoid(samples, x=times, axis=0)])
+    rows = u_from0[:, np.asarray(algebra.SOURCE_ROWS) - 1, :]
+    source_cumint = cumulative_trapezoid(rows, x=times, axis=0, initial=0)
 
     return PropagatorGrid(times=times, step=float(times[1] - times[0]),
                           state_traj=state_traj, u_from0=u_from0,
-                          v_inverse=v_inverse, row_cumint=row_cumint)
+                          v_inverse=v_inverse, source_cumint=source_cumint)
 
 
 def propagate_from(s_index: int, atom: AtomConfig, pump: PulseSpec, control: PulseSpec,

@@ -76,6 +76,7 @@ def run_scan(cfg: ScenarioConfig, workers: int = 1,
     if cfg.scan is None:
         raise ConfigError("run_scan needs a [scan] section")
     jobs = [(cfg, value) for value in cfg.scan.values]
+    workers = min(workers, len(jobs))  # a fork pool starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_point, jobs))

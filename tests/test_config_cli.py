@@ -55,6 +55,9 @@ def test_unknown_key_rejected_with_field_message():
         parse_config(GOOD_CONFIG + "\n[laser]\npower = 1\n")
     with pytest.raises(ConfigError, match=r"\[atom\] rho_xz"):
         parse_config(GOOD_CONFIG.replace("rho_bb", "rho_xz"))
+    for line in ("cutoff_k = 3.7", "dim_cap = 1e3"):
+        with pytest.raises(ConfigError, match=rf"\[verify\] {line.split()[0]}: not an integer"):
+            parse_config(GOOD_CONFIG + "\n[verify]\n" + line + "\n")
 
 
 def test_coherence_keys_fill_hermitian_pair():
@@ -72,6 +75,14 @@ def test_run_validation():
         parse_config(GOOD_CONFIG.replace("t_end = 1.0", "t_end = -2"))
     with pytest.raises(ConfigError, match="outputs"):
         parse_config(GOOD_CONFIG + "outputs = gcs, wigner\n")
+    for line in ("atol = -1", "rtol = nan", "rtol = 0", "atol = inf"):
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=rf"\[run\] {key}"):
+            parse_config(GOOD_CONFIG + line + "\n")
+    for line in ("atol = -1", "rtol = nan"):
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=rf"\[verify\] {key}"):
+            parse_config(GOOD_CONFIG + "\n[verify]\n" + line + "\n")
 
 
 def test_scan_section_validation():
@@ -188,6 +199,31 @@ def test_run_scan_parallel_matches_serial():
     assert serial.rows == parallel.rows
 
 
+def test_run_scan_caps_pool_at_scan_values(monkeypatch):
+    """A fork pool starts all its workers at once; two values need no more than two."""
+    from ramanpairs import runner
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+    cfg = parse_config(GOOD_CONFIG + "\n[scan]\nparameter = both.width\nvalues = 0.2, 0.1\n")
+    assert len(run_scan(cfg, workers=64).rows) == 2
+    assert sizes == [2]
+
+
 def test_cli_run_and_manifest(tmp_path):
     config_path = tmp_path / "demo.cfg"
     config_path.write_text(GOOD_CONFIG)
@@ -212,6 +248,12 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
     assert main(["run", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)]) == 2
     assert main(["preset", "fig99", "--out", str(tmp_path)]) == 2
+    good = tmp_path / "good.cfg"
+    good.write_text(GOOD_CONFIG)
+    for tol in ("-1", "nan"):
+        assert main(["run", str(good), "--out", str(tmp_path), "--tol", tol]) == 2
+    bad.write_text(GOOD_CONFIG + "atol = -1\n")
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):

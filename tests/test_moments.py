@@ -4,8 +4,8 @@ import pytest
 from ramanpairs.algebra import idx
 from ramanpairs.atom import AtomConfig
 from ramanpairs.errors import ConfigError
-from ramanpairs.moments import (compute_moments, initial_pair_expectation, ladder,
-                                pair_moment, single_moment)
+from ramanpairs.moments import (_initial_pair_table, compute_moments, ladder, pair_moment,
+                                single_moment)
 from ramanpairs.noise import DiffusionTable, diffusion_table
 from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.pulses import PulseSpec, off
@@ -13,12 +13,14 @@ from ramanpairs.pulses import PulseSpec, off
 from conftest import gauss_pulse, rho_symmetric
 
 
-def test_initial_pair_expectation_examples():
+def test_initial_pair_table_examples():
+    """<X_m(0) X_n(0)> read from the 0-based initial pair table."""
     rho_c = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
-    assert initial_pair_expectation(idx("c", "a"), idx("a", "c"), rho_c) == 1.0
-    assert initial_pair_expectation(idx("c", "a"), idx("b", "c"), rho_c) == 0.0
-    rho_no_d = rho_symmetric()
-    assert initial_pair_expectation(idx("d", "b"), idx("b", "d"), rho_no_d) == 0.0
+    table = _initial_pair_table(rho_c)
+    assert table[idx("c", "a") - 1, idx("a", "c") - 1] == 1.0
+    assert table[idx("c", "a") - 1, idx("b", "c") - 1] == 0.0
+    table = _initial_pair_table(rho_symmetric())
+    assert table[idx("d", "b") - 1, idx("b", "d") - 1] == 0.0
 
 
 def test_ladder_table():
@@ -142,11 +144,12 @@ def test_noise_part_equals_direct_double_loop():
     grid, diffusion, ms = _pipeline(atom, pump, pump, t_end=0.6, n=80)
     c = ladder("a_k_dag").prefactor(atom) * ladder("a_k").prefactor(atom)
     h = grid.step
+    slot_a, slot_b = ladder("a_k_dag").slot, ladder("a_k").slot
     for i in (25, 80):
         acc = 0.0 + 0.0j
         for j in range(i + 1):
-            ka = grid.kernel_at(14, i, j)
-            kb = grid.kernel_at(8, i, j)
+            kernel = grid.kernel(j)[i]
+            ka, kb = kernel[slot_a], kernel[slot_b]
             weight = 0.5 if j in (0, i) else 1.0
             acc += weight * (ka @ diffusion.matrices[j] @ kb)
         assert ms.n_k.noise[i] == pytest.approx(c * h * acc, rel=1e-12, abs=1e-18)

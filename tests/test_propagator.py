@@ -58,9 +58,8 @@ def test_grid_build_invariants():
                 for j in (10, 75, 150))
     assert worst < 1e-7
     # kernels vanish on the diagonal
-    for row in SOURCE_ROWS:
-        for j in (0, 60, 150):
-            assert np.max(np.abs(grid.kernel_at(row, j, j))) < 1e-12
+    for j in (0, 60, 150):
+        assert np.max(np.abs(grid.kernel(j)[j])) < 1e-12
 
 
 def test_state_traj_matches_evolve_state():
@@ -80,7 +79,7 @@ def test_free_evolution_kernel_is_linear_in_time():
     for i, j in ((40, 10), (100, 0), (77, 77)):
         expected = np.zeros(16)
         expected[row - 1] = grid.times[i] - grid.times[j]
-        assert np.allclose(grid.kernel_at(row, i, j), expected, atol=1e-12)
+        assert np.allclose(grid.kernel(j)[i, SOURCE_ROWS.index(row)], expected, atol=1e-12)
 
 
 def test_kernels_match_direct_row_integration():
@@ -93,14 +92,15 @@ def test_kernels_match_direct_row_integration():
     j = 20
     u_tail = propagate_from(j, atom, pump, control, grid.times)
     h = grid.step
-    for row in SOURCE_ROWS:
+    kernel = grid.kernel(j)
+    for slot, row in enumerate(SOURCE_ROWS):
         samples = u_tail[:, row - 1, :]
         direct = np.zeros((n + 1, 16), dtype=complex)
         acc = np.zeros(16, dtype=complex)
         for i in range(j + 1, n + 1):
             acc = acc + 0.5 * h * (samples[i - j] + samples[i - j - 1])
             direct[i] = acc
-        fast = grid.kernel_rows(row, j)
+        fast = kernel[:, slot]
         assert np.max(np.abs(fast[j:] - direct[j:])) < 1e-7
 
 
@@ -113,8 +113,9 @@ def test_kernel_conjugation_mirror():
     control = gauss_pulse(omega=10.0, center=0.5, width=1.0 / 15.0)
     grid = build_propagator_grid(atom, pump, control, 1.0, 80)
     for j in (0, 30):
-        k_db = grid.kernel_rows(14, j)
-        k_bd = grid.kernel_rows(8, j)
+        kernel = grid.kernel(j)
+        k_db = kernel[:, SOURCE_ROWS.index(14)]
+        k_bd = kernel[:, SOURCE_ROWS.index(8)]
         assert np.max(np.abs(k_db[j:] - np.conj(k_bd[j:, DAGGER0]))) < 1e-10
 
 
@@ -128,11 +129,7 @@ def test_kernel_quadrature_richardson_ratio():
     for n in (120, 240):
         grid = build_propagator_grid(atom, pump, control, 1.5, n, **tight)
         step = 960 // n
-        worst = 0.0
-        for row in SOURCE_ROWS:
-            diff = np.abs(grid.row_cumint[row] - ref.row_cumint[row][::step])
-            worst = max(worst, diff.max())
-        errors[n] = worst
+        errors[n] = np.abs(grid.source_cumint - ref.source_cumint[::step]).max()
     ratio = errors[120] / errors[240]
     assert 2.7 < ratio < 5.5
 
