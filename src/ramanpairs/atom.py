@@ -145,19 +145,23 @@ class DriftBuilder:
             h[rank[x], rank[y]] = -1.0  # interaction enters with a minus sign
             return hamiltonian_lift(h)
 
-        self._pump_fwd = unit("d", "c")
-        self._pump_bwd = unit("c", "d")
-        self._ctrl_fwd = unit("a", "b")
-        self._ctrl_bwd = unit("b", "a")
+        # rows match the coefficients (Omega_p, Omega_c, conj Omega_p, conj Omega_c)
+        self._drives = np.stack([unit("d", "c"), unit("a", "b"),
+                                 unit("c", "d"), unit("b", "a")]).reshape(4, 256)
 
-    def entries(self, t: float) -> np.ndarray:
+    @property
+    def constant(self) -> bool:
+        """True when M does not depend on time: both drives cw and unchirped."""
+        return all(spec.shape == "cw" and spec.chirp == 0.0
+                   for spec in (self.pump, self.control))
+
+    def entries(self, t) -> np.ndarray:
+        """M(t) at a scalar time, shape (16, 16), or at an array of n times, (n, 16, 16)."""
         om_p = rabi(self.pump, t)
         om_c = rabi(self.control, t)
-        m = self._static.copy()
-        if om_p != 0.0:
-            m += om_p * self._pump_fwd + np.conj(om_p) * self._pump_bwd
-        if om_c != 0.0:
-            m += om_c * self._ctrl_fwd + np.conj(om_c) * self._ctrl_bwd
+        coeffs = np.array([om_p, om_c, np.conj(om_p), np.conj(om_c)])
+        m = (coeffs.T @ self._drives).reshape(coeffs.shape[1:] + (16, 16))
+        m += self._static
         return m
 
 

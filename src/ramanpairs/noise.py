@@ -25,16 +25,25 @@ from .pulses import PulseSpec
 
 
 def diffusion_matrix(m_entries: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Raw ordered 16x16 diffusion table 2D_mn at one time."""
+    """Raw ordered diffusion table 2D_mn.
+
+    Takes M and X at one time, (16, 16) and (16,), or stacked over n times,
+    (n, 16, 16) and (n, 16), and returns (16, 16) or (n, 16, 16).
+    """
     x = np.asarray(x, dtype=complex)
     m = np.asarray(m_entries, dtype=complex)
 
-    valid = CONTRACT0 >= 0
-    # gather X at contracted indices, zero where the product vanishes
-    x_contracted = np.where(valid, x[np.where(valid, CONTRACT0, 0)], 0.0)
-    mx = m @ x
-    drift_of_product = np.where(valid, mx[np.where(valid, CONTRACT0, 0)], 0.0)
-    return drift_of_product - m @ x_contracted - x_contracted @ m.T
+    vanishing = CONTRACT0 < 0
+    gather = np.where(vanishing, 0, CONTRACT0)
+    # gather X and the drift velocity M X at contracted indices, zero where
+    # the product vanishes, then subtract the two drift terms in place
+    x_contracted = x[..., gather]
+    x_contracted[..., vanishing] = 0.0
+    d2 = (m @ x[..., None])[..., 0][..., gather]
+    d2[..., vanishing] = 0.0
+    d2 -= m @ x_contracted
+    d2 -= x_contracted @ np.swapaxes(m, -1, -2)
+    return d2
 
 
 def normal_ordered(d2: np.ndarray) -> np.ndarray:
@@ -57,9 +66,7 @@ class DiffusionTable:
 
 def diffusion_table(grid: PropagatorGrid, atom: AtomConfig,
                     pump: PulseSpec, control: PulseSpec) -> DiffusionTable:
-    """Evaluate the Einstein-relation table at every grid time."""
+    """Evaluate the Einstein-relation table at every grid time in one batched call."""
     builder = DriftBuilder(atom, pump, control)
-    mats = np.empty((grid.n_points, 16, 16), dtype=complex)
-    for i, t in enumerate(grid.times):
-        mats[i] = diffusion_matrix(builder.entries(t), grid.state_traj[i])
-    return DiffusionTable(times=grid.times, matrices=mats)
+    return DiffusionTable(times=grid.times,
+                          matrices=diffusion_matrix(builder.entries(grid.times), grid.state_traj))

@@ -48,6 +48,13 @@ class OracleConfig:
         if dim > self.dim_cap:
             raise ConfigError(f"joint dimension {dim} exceeds cap {self.dim_cap}")
         check_tolerances(self.rtol, self.atol)
+        # a NaN leak_tol would switch the truncation guard off (every comparison is False)
+        if not np.isfinite(self.leak_tol) or self.leak_tol <= 0:
+            raise ConfigError(f"leak_tol: must be finite and > 0, got {self.leak_tol}")
+        for key in ("g_k", "g_q"):
+            value = getattr(self, key)
+            if not np.isfinite(value) or value < 0:
+                raise ConfigError(f"{key}: must be finite and >= 0, got {value}")
 
 
 @dataclass

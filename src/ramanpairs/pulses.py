@@ -82,12 +82,12 @@ def rabi(spec: PulseSpec, t):
     Accepts a scalar or array time; rejects non-finite input.
     """
     t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
+    if not np.isfinite(t_arr).all():
         raise ValueError("time must be finite")
     tau = t_arr - spec.chirp_origin
     phase = spec.phase0 + spec.chirp * tau * tau
     value = spec.omega_peak * envelope(spec, t_arr) * np.exp(-1j * phase)
-    return value if np.ndim(t) else complex(value)
+    return value if t_arr.ndim else complex(value)
 
 
 def instantaneous_detuning(spec: PulseSpec, t):

@@ -57,6 +57,17 @@ def test_matches_independent_liouvillian_rebuild():
         assert np.max(np.abs(ours - theirs)) < 1e-13
 
 
+def test_entries_over_times_equal_stacked_scalar_calls():
+    atom = AtomConfig(gamma_bc=0.3, rho0=rho_symmetric())
+    pump = gauss_pulse(omega=9.0, center=0.4, width=0.12, detuning=-2.5, chirp=60.0)
+    control = gauss_pulse(omega=7.0, center=0.5, width=0.15, detuning=1.5, chirp=-40.0)
+    builder = DriftBuilder(atom, pump, control)
+    times = np.linspace(0.0, 1.5, 151)
+    table = builder.entries(times)
+    assert table.shape == (151, 16, 16)
+    assert np.array_equal(table, np.stack([builder.entries(t) for t in times]))
+
+
 def test_state_vector_roundtrip():
     rho = rho_symmetric()
     rho[1, 2] = 0.2 - 0.1j

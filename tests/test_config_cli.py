@@ -79,7 +79,8 @@ def test_run_validation():
         key = line.split()[0]
         with pytest.raises(ConfigError, match=rf"\[run\] {key}"):
             parse_config(GOOD_CONFIG + line + "\n")
-    for line in ("atol = -1", "rtol = nan"):
+    for line in ("atol = -1", "rtol = nan", "leak_tol = nan", "leak_tol = -1", "leak_tol = 0",
+                 "g_k = nan", "g_q = -0.5", "g_q = inf"):
         key = line.split()[0]
         with pytest.raises(ConfigError, match=rf"\[verify\] {key}"):
             parse_config(GOOD_CONFIG + "\n[verify]\n" + line + "\n")
@@ -254,6 +255,9 @@ def test_cli_config_error_exit_code(tmp_path):
         assert main(["run", str(good), "--out", str(tmp_path), "--tol", tol]) == 2
     bad.write_text(GOOD_CONFIG + "atol = -1\n")
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    for line in ("leak_tol = nan", "g_k = -0.5"):
+        bad.write_text(GOOD_CONFIG + "\n[verify]\n" + line + "\n")
+        assert main(["verify", str(bad), "--out", str(tmp_path)]) == 2
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):

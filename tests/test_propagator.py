@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from ramanpairs.algebra import SOURCE_ROWS, idx
 from ramanpairs.atom import AtomConfig, DriftBuilder, evolve_state
+from ramanpairs.config import apply_override
 from ramanpairs.errors import ConfigError
+from ramanpairs.presets import PRESET_NAMES, preset
 from ramanpairs.propagator import build_propagator_grid, propagate_from
 from ramanpairs.pulses import PulseSpec, off
 
@@ -30,6 +33,70 @@ def test_constant_drive_matches_matrix_exponential():
     # time-translation invariance of the cw flow
     u_mid = propagate_from(12, atom, pump, control, times)
     assert np.max(np.abs(u_mid[8] - u[8])) < 1e-8
+
+
+def test_constant_drive_on_uneven_grid_matches_matrix_exponential():
+    """Powers of one step map need a uniform grid; an uneven one is integrated."""
+    atom = AtomConfig(rho0=rho_symmetric())
+    pump = PulseSpec(shape="cw", omega_peak=6.0, detuning=2.0)
+    control = PulseSpec(shape="cw", omega_peak=3.0, detuning=-1.0)
+    times = 1.2 * np.linspace(0.0, 1.0, 25) ** 2
+    u = propagate_from(0, atom, pump, control, times)
+    m = DriftBuilder(atom, pump, control).entries(0.0)
+    for i in (8, 16, 24):
+        assert np.max(np.abs(u[i] - expm(m * times[i]))) < 1e-8
+
+
+def _tight_flow(builder, times):
+    """Independent reference for U(t, 0): DOP853 at rtol 1e-12."""
+
+    def rhs(t, y):
+        return (builder.entries(t) @ y.reshape(16, 16)).reshape(256)
+
+    sol = solve_ivp(rhs, (times[0], times[-1]), np.eye(16, dtype=complex).reshape(256),
+                    method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return sol.y.T.reshape(len(times), 16, 16)
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig7d"])
+def test_constant_drive_grid_matches_tight_solve(name):
+    cfg = preset(name).scenarios[0]
+    builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
+    assert builder.constant
+    grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, 200)
+    reference = _tight_flow(builder, grid.times)
+    assert np.max(np.abs(grid.u_from0 - reference)) < 1e-9 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("pump, control", [
+    (PulseSpec("cw", 5.0, detuning=-50.0, chirp=20.0), PulseSpec("cw", 10.0)),
+    (PulseSpec("cw", 5.0), PulseSpec("cw", 10.0, chirp=-0.5)),
+    (gauss_pulse(omega=10.0), PulseSpec("cw", 10.0)),
+    (off(), gauss_pulse(omega=10.0, detuning=-2.0)),
+])
+def test_time_dependent_drive_grid_matches_tight_solve(pump, control):
+    atom = AtomConfig(rho0=rho_symmetric())
+    builder = DriftBuilder(atom, pump, control)
+    assert not builder.constant
+    grid = build_propagator_grid(atom, pump, control, 3.0, 200)
+    reference = _tight_flow(builder, grid.times)
+    assert np.max(np.abs(grid.u_from0 - reference)) < 1e-7 * np.max(np.abs(reference))
+
+
+def test_constant_drive_presets():
+    """A wrong classification would write a silently wrong CSV."""
+    constant = set()
+    for name in PRESET_NAMES:
+        chosen = preset(name)
+        if chosen.kind == "scan":
+            scan = chosen.scan.scan
+            cfgs = [apply_override(chosen.scan, scan.parameter, v) for v in scan.values]
+        else:
+            cfgs = chosen.scenarios
+        constant.update(cfg.label for cfg in cfgs
+                        if DriftBuilder(cfg.atom, cfg.pump, cfg.control).constant)
+    assert constant == {"fig2a", "fig5_cw", "fig7a", "fig7c", "fig7d"}
 
 
 def test_composition_residual_small():
