@@ -1,43 +1,45 @@
 """Equal-time field-operator moments split into boundary, noise and back-action parts.
 
-Each ladder operator solves as
+Slot r of algebra.SOURCE_ROWS is the ladder operator A_r fed by that source
+row: a_q^dag, a_k, a_q, a_k^dag for |a><c|, |b><d|, |c><a|, |d><b|.  Each solves as
 
-    op(t) = op(0) + c sum_m [ K_m(t, 0) X_m(0) + int_0^t K_m(t, s) F_m(s) ds ]
+    A_r(t) = A_r(0) + c_r sum_m [ K_rm(t, 0) X_m(0) + int_0^t K_rm(t, s) F_m(s) ds ]
 
-with the coupling prefactor c and kernel row listed in the ladder table below.
-A product <A(t) B(t)> therefore decomposes into
+with c_r = +i g for annihilation and -i g for creation.  Every product
+<A_r(t) A_u(t)> decomposes into four parts, each formed for all 16 ordered
+slot pairs at once as an (n_points, 4, 4) table:
 
-    boundary   : c_A c_B  sum_mn K^A_m(t,0) K^B_n(t,0) <X_m(0) X_n(0)>
-    noise      : c_A c_B  int_0^t sum_mn K^A_m(t,s) K^B_n(t,s) 2D_mn(s) ds
-    backaction : the initial-field cross terms <A(0) dB(t)> + <dA(t) B(0)>
-    initial    : the surviving free-field term (thermal occupation, if any),
+    boundary   : c_r c_u  sum_mn K_rm(t,0) K_un(t,0) <X_m(0) X_n(0)>
+    noise      : c_r c_u  int_0^t sum_mn K_rm(t,s) K_un(t,s) 2D_mn(s) ds
+    backaction : the initial-field cross terms <A_r(0) dA_u(t)> + <dA_r(t) A_u(0)>
+    initial    : F[r, u] = <A_r(0) A_u(0)>, n_th for a^dag a, n_th + 1 for a a^dag,
 
 because initial operators are uncorrelated with later noise and the initial
-modes are statistically independent and unsqueezed.  One ordered rule covers
-all eight moments; no per-moment hand derivation.
+modes are statistically independent and unsqueezed.  MomentSeries picks its
+six moments and the two means c_r S(t) X(0) out of these tables.
 
-The backaction part exists because the atomic operators inside dB carry,
-at first order in the couplings, products of initial field operators with
-atomic structure matrices C_p (the commutators of the four field-coupling
-terms with the operator basis).  Pairing those against A(0) leaves ordered
-vacuum/thermal factors <a a^dag> = n_th + 1 and <a^dag a> = n_th, so
+The backaction part exists because the atomic operators inside dA_u carry,
+at first order in the couplings, products A_p(0) C_p X of initial field
+operators with atomic structure matrices C_p: the commutator with the
+conjugate of source row p, the atomic operator that multiplies A_p(0) in the
+interaction.  Pairing those against A_r(0) leaves the initial field table, so
 
-    <A(0) dB(t)> = sum_p <A(0) p(0)> c_B (-i g_p) int_0^t K^B(t,s) . C_p X(s) ds
+    <A_r(0) dA_u(t)> = sum_p F[r, p] c_u (-i g_p) int_0^t K_u(t,s) . C_p X(s) ds
 
-and mirrored for <dA B(0)>.  Dropping these fixed-ordering corrections would
+and mirrored for <dA_r A_u(0)>.  Dropping these fixed-ordering corrections would
 leave the photon numbers untouched in vacuum but mis-state the pair moment at
 leading order, which the Fock-space verifier resolves unambiguously.
 
 Every s-integral shares the propagator grid (trapezoid).  With the stacked
 source rows S_i = S(t_i), shape (4, 16), the kernels factor as
-K(t_i, s_j) = (S_i - S_j) V_j, so the noise parts of all 16 row pairs are one
+K(t_i, s_j) = (S_i - S_j) V_j, so the noise parts of all 16 slot pairs are one
 (4, 4) table per grid time,
 
     N_i = S_i P_i S_i^T - S_i Q_i - L_i S_i^T + T_i,
 
 where P, Q, L and T are the trapezoid-weighted cumulative sums over j <= i of
 G_j, G_j S_j^T, S_j G_j and S_j G_j S_j^T with G_j = V_j 2D(s_j) V_j^T.  The
-back-action integrals of every (row, field piece) pair follow the same way
+back-action integrals of every (slot u, structure p) pair follow the same way
 from z_j = V_j C_p X_j as S_i sum_j w_j z_j - sum_j w_j S_j z_j.  This is the
 same quadrature as the direct kernel loop at O(N 16^3) total cost.
 """
@@ -49,46 +51,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import ROW_AC, ROW_BD, ROW_CA, ROW_DB
 from .atom import AtomConfig, state_vector
 from .errors import ConfigError
 from .noise import DiffusionTable
 from .propagator import PropagatorGrid
 
-
-@dataclass(frozen=True)
-class LadderSpec:
-    """One field ladder operator: which mode, creation or not, kernel row."""
-
-    which: str          # "a_k", "a_k_dag", "a_q", "a_q_dag"
-    mode: str           # "k" or "q"
-    creates: bool
-    source_row: int     # 1-based row of the propagator feeding this operator
-    phase: complex      # +i for annihilation, -i for creation
-
-    @property
-    def slot(self) -> int:
-        """Position of source_row in the stacked source-row tables."""
-        return algebra.SOURCE_ROWS.index(self.source_row)
-
-    def prefactor(self, atom: AtomConfig) -> complex:
-        g = atom.g_k if self.mode == "k" else atom.g_q
-        return self.phase * g
-
-
-LADDERS = {
-    "a_k": LadderSpec("a_k", "k", False, ROW_BD, 1j),
-    "a_k_dag": LadderSpec("a_k_dag", "k", True, ROW_DB, -1j),
-    "a_q": LadderSpec("a_q", "q", False, ROW_CA, 1j),
-    "a_q_dag": LadderSpec("a_q_dag", "q", True, ROW_AC, -1j),
-}
-
-
-def ladder(which: str) -> LadderSpec:
-    try:
-        return LADDERS[which]
-    except KeyError:
-        raise ConfigError(f"unknown ladder operator {which!r}, expected one of {tuple(LADDERS)}") from None
+# Slots of the ladder operators, in algebra.SOURCE_ROWS order.
+AQ_DAG, AK, AQ, AK_DAG = range(4)
+_CREATES = np.array([True, False, False, True])
+_MODE_K = np.array([False, True, False, True])
+# DAGGER_SLOT[r] is the slot of A_r^dag.
+DAGGER_SLOT = tuple(algebra.SOURCE_ROWS.index(algebra.dagger(row)) for row in algebra.SOURCE_ROWS)
 
 
 def _initial_pair_table(rho0: np.ndarray) -> np.ndarray:
@@ -97,12 +70,13 @@ def _initial_pair_table(rho0: np.ndarray) -> np.ndarray:
     return np.where(valid, x0[np.where(valid, algebra.CONTRACT0, 0)], 0.0)
 
 
-def _initial_field_term(a: LadderSpec, b: LadderSpec, atom: AtomConfig) -> float:
-    """Thermal free-field contribution surviving in <A(0) B(0)>."""
-    if a.mode != b.mode or a.creates == b.creates:
-        return 0.0  # cross-mode or squeezing moment, independent unsqueezed modes
-    n_th = atom.n_th_k if a.mode == "k" else atom.n_th_q
-    return n_th if a.creates else n_th + 1.0
+def _slot_factors(atom: AtomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-slot coupling g_r, prefactor c_r and initial field table F[r, u]."""
+    g = np.where(_MODE_K, atom.g_k, atom.g_q)
+    n_th = np.where(_MODE_K, atom.n_th_k, atom.n_th_q)
+    field = np.zeros((4, 4))
+    field[range(4), DAGGER_SLOT] = np.where(_CREATES, n_th, n_th + 1.0)
+    return g, np.where(_CREATES, -1j, 1j) * g, field
 
 
 def _commutator_structure(u: str, v: str) -> np.ndarray:
@@ -119,28 +93,9 @@ def _commutator_structure(u: str, v: str) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True)
-class _FieldPiece:
-    """One field-coupling term of the interaction, a_p(0) or a_p^dag(0) times C_p."""
-
-    mode: str
-    creates: bool
-    structure: np.ndarray
-
-
-_FIELD_PIECES = (
-    _FieldPiece("k", False, _commutator_structure("d", "b")),
-    _FieldPiece("k", True, _commutator_structure("b", "d")),
-    _FieldPiece("q", False, _commutator_structure("a", "c")),
-    _FieldPiece("q", True, _commutator_structure("c", "a")),
-)
-
-
-def _ordered_field_pair(left_creates: bool, right_creates: bool, n_th: float) -> float:
-    """<l r> for two ladder operators of one initially thermal mode."""
-    if left_creates == right_creates:
-        return 0.0
-    return n_th if left_creates else n_th + 1.0
+# C_r: commutator with the atomic operator that multiplies A_r(0) in the coupling.
+_STRUCTURES = np.stack([_commutator_structure(*algebra.levels(algebra.dagger(row)))
+                        for row in algebra.SOURCE_ROWS])
 
 
 @dataclass
@@ -211,79 +166,47 @@ def _noise_table(grid: PropagatorGrid, diffusion: DiffusionTable) -> np.ndarray:
 
 
 def _backaction_table(grid: PropagatorGrid) -> np.ndarray:
-    """h * sum_j w_j K_r(t_i,s_j) . C_p X(s_j) for every (slot r, field piece p)."""
-    structures = np.stack([piece.structure for piece in _FIELD_PIECES])
-    cx = np.einsum("pmn,jn->jpm", structures, grid.state_traj)
+    """h * sum_j w_j K_r(t_i,s_j) . C_p X(s_j) for every slot r and structure p."""
+    cx = np.einsum("pmn,jn->jpm", _STRUCTURES, grid.state_traj)
     z = cx @ grid.v_inverse.transpose(0, 2, 1)  # z[j, p] = V_j C_p X_j
     s = grid.source_cumint
     return grid.step * (s @ _trapezoid_cumsum(z).transpose(0, 2, 1)
                         - _trapezoid_cumsum(s @ z.transpose(0, 2, 1)))
 
 
-def _backaction_series(a: LadderSpec, b: LadderSpec, atom: AtomConfig,
-                       table: np.ndarray) -> np.ndarray:
-    """Initial-field cross terms <A(0) dB(t)> + <dA(t) B(0)> at leading order."""
-    out = np.zeros(table.shape[0], dtype=complex)
-    for p_idx, piece in enumerate(_FIELD_PIECES):
-        g_p = atom.g_k if piece.mode == "k" else atom.g_q
-        coeff = -1j * g_p
-        n_th = atom.n_th_k if piece.mode == "k" else atom.n_th_q
-        if a.mode == piece.mode:
-            weight = _ordered_field_pair(a.creates, piece.creates, n_th)
-            if weight != 0.0:
-                out += weight * b.prefactor(atom) * coeff * table[:, b.slot, p_idx]
-        if b.mode == piece.mode:
-            weight = _ordered_field_pair(piece.creates, b.creates, n_th)
-            if weight != 0.0:
-                out += weight * a.prefactor(atom) * coeff * table[:, a.slot, p_idx]
-    return out
-
-
-def pair_moment(a: LadderSpec, b: LadderSpec, grid: PropagatorGrid,
-                diffusion: DiffusionTable, atom: AtomConfig,
-                _noise: np.ndarray | None = None,
-                _backaction: np.ndarray | None = None) -> SplitMoment:
-    """<A(t) B(t)> series for two ladder operators, split into parts."""
-    if _noise is None:
-        _noise = _noise_table(grid, diffusion)
-    if _backaction is None:
-        _backaction = _backaction_table(grid)
-    c = a.prefactor(atom) * b.prefactor(atom)
-    sa = grid.source_cumint[:, a.slot]
-    sb = grid.source_cumint[:, b.slot]
-    ip = _initial_pair_table(atom.rho0)
-    boundary = c * np.einsum("im,mn,in->i", sa, ip, sb)
-    return SplitMoment(boundary=boundary, noise=c * _noise[:, a.slot, b.slot],
-                       backaction=_backaction_series(a, b, atom, _backaction),
-                       initial=_initial_field_term(a, b, atom))
-
-
-def single_moment(a: LadderSpec, grid: PropagatorGrid, atom: AtomConfig) -> np.ndarray:
-    """<A(t)> series; identically zero when rho0 carries no source coherences."""
-    x0 = state_vector(atom.rho0)
-    return a.prefactor(atom) * (grid.source_cumint[:, a.slot] @ x0)
+def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionTable):
+    """Boundary, noise and backaction (n_points, 4, 4) tables, F and the (n_points, 4) means."""
+    g, c, field = _slot_factors(atom)
+    cc = np.outer(c, c)
+    s = grid.source_cumint
+    boundary = cc * (s @ _initial_pair_table(atom.rho0) @ s.transpose(0, 2, 1))
+    noise = cc * _noise_table(grid, diffusion)
+    t = _backaction_table(grid) * (-1j * g)
+    # [r, u]: c_u sum_p F[r, p] T[u, p] + c_r sum_p T[r, p] F[p, u]
+    backaction = c * (field @ t.transpose(0, 2, 1)) + c[:, None] * (t @ field)
+    means = c * (s @ state_vector(atom.rho0))
+    return boundary, noise, backaction, field, means
 
 
 def compute_moments(atom: AtomConfig, grid: PropagatorGrid,
                     diffusion: DiffusionTable) -> MomentSeries:
     """Assemble the full moment series consumed by the observables layer."""
-    noise = _noise_table(grid, diffusion)
-    backaction = _backaction_table(grid)
+    boundary, noise, backaction, field, means = _moment_tables(atom, grid, diffusion)
 
-    def pm(name_a, name_b):
-        return pair_moment(ladder(name_a), ladder(name_b), grid, diffusion, atom,
-                           _noise=noise, _backaction=backaction)
+    def split(r: int, u: int) -> SplitMoment:
+        return SplitMoment(boundary[:, r, u], noise[:, r, u], backaction[:, r, u],
+                           float(field[r, u]))
 
     return MomentSeries(
         times=grid.times,
-        pair=pm("a_q", "a_k"),
-        cross=pm("a_q", "a_k_dag"),
-        n_k=pm("a_k_dag", "a_k"),
-        n_q=pm("a_q_dag", "a_q"),
-        square_k=pm("a_k", "a_k"),
-        square_q=pm("a_q", "a_q"),
-        mean_k=single_moment(ladder("a_k"), grid, atom),
-        mean_q=single_moment(ladder("a_q"), grid, atom),
+        pair=split(AQ, AK),
+        cross=split(AQ, AK_DAG),
+        n_k=split(AK_DAG, AK),
+        n_q=split(AQ_DAG, AQ),
+        square_k=split(AK, AK),
+        square_q=split(AQ, AQ),
+        mean_k=means[:, AK],
+        mean_q=means[:, AQ],
         n_th_k=atom.n_th_k,
         n_th_q=atom.n_th_q,
     )

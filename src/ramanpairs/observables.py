@@ -70,13 +70,13 @@ def _centered_total(ms: MomentSeries):
     return n_k, n_q, pair
 
 
-def cauchy_schwarz(ms: MomentSeries, floor: float = CS_FLOOR):
-    """g_cs series plus the defined-flags where the denominator is above floor."""
+def cauchy_schwarz(ms: MomentSeries):
+    """g_cs series plus the defined-flags where the denominator is above CS_FLOOR."""
     n_k, n_q, pair, cross, sq_k, sq_q = _linear_family(ms)
     num = np.abs(pair) ** 2 + np.abs(cross) ** 2 + n_k * n_q
     den = np.sqrt((np.abs(sq_k) ** 2 + 2.0 * n_k**2)
                   * (np.abs(sq_q) ** 2 + 2.0 * n_q**2))
-    defined = den > floor
+    defined = den > CS_FLOOR
     g = np.full_like(den, np.nan)
     np.divide(num, den, out=g, where=defined)
     return g, defined
@@ -112,27 +112,26 @@ def relate_check(ms: MomentSeries):
     return residual, certified, g2, phi
 
 
-def noise_fractions(ms: MomentSeries, floor: float = FRACTION_FLOOR):
-    """Noise share of the emitted photon numbers, NaN below the floor."""
+def noise_fractions(ms: MomentSeries):
+    """Noise share of the emitted photon numbers, NaN below FRACTION_FLOOR."""
 
     def fraction(split):
         boundary = split.boundary.real
         noise = split.noise.real
         total = boundary + noise
         out = np.full_like(total, np.nan)
-        ok = total > floor
+        ok = total > FRACTION_FLOOR
         np.divide(noise, total, out=out, where=ok)
         return np.clip(out, 0.0, 1.0, out=out)
 
     return fraction(ms.n_k), fraction(ms.n_q)
 
 
-def assemble_observables(ms: MomentSeries, cs_floor: float = CS_FLOOR,
-                         fraction_floor: float = FRACTION_FLOOR) -> ObservableSeries:
-    g_cs, cs_defined = cauchy_schwarz(ms, floor=cs_floor)
+def assemble_observables(ms: MomentSeries) -> ObservableSeries:
+    g_cs, cs_defined = cauchy_schwarz(ms)
     duan_d, duan_opt = duan(ms)
     residual, certified, g2, phi = relate_check(ms)
-    frac_k, frac_q = noise_fractions(ms, floor=fraction_floor)
+    frac_k, frac_q = noise_fractions(ms)
     return ObservableSeries(
         times=ms.times,
         n_k=ms.n_k.total.real,

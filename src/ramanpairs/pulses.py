@@ -89,13 +89,3 @@ def rabi(spec: PulseSpec, t):
     value = spec.omega_peak * envelope(spec, t_arr) * np.exp(-1j * phase)
     return value if t_arr.ndim else complex(value)
 
-
-def instantaneous_detuning(spec: PulseSpec, t):
-    """Diagnostic carrier detuning including the chirp sweep, detuning + 2 alpha (t - t_ref).
-
-    The drift matrix never consumes this; it sees the complex phase from
-    :func:`rabi` instead.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    value = spec.detuning + 2.0 * spec.chirp * (t_arr - spec.chirp_origin)
-    return value if np.ndim(t) else float(value)

@@ -47,7 +47,6 @@ class ScanResult:
     config: ScenarioConfig
     values: tuple[float, ...]
     rows: list[dict]
-    results: list[ScenarioResult] | None = None
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -66,8 +65,7 @@ def _scan_point(args) -> ScenarioResult:
     return run_scenario(apply_override(cfg, cfg.scan.parameter, value))
 
 
-def run_scan(cfg: ScenarioConfig, workers: int = 1,
-             keep_series: bool = False) -> ScanResult:
+def run_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
     """One scenario run per scan value, summarized per row.
 
     Points execute concurrently when workers > 1; rows always come back in
@@ -88,8 +86,7 @@ def run_scan(cfg: ScenarioConfig, workers: int = 1,
              "min_duan_d_optimized": float(np.min(res.observables.duan_d_optimized)),
              "peak_n_k": res.peak_n_k()}
             for value, res in zip(cfg.scan.values, results)]
-    return ScanResult(config=cfg, values=cfg.scan.values, rows=rows,
-                      results=results if keep_series else None)
+    return ScanResult(config=cfg, values=cfg.scan.values, rows=rows)
 
 
 _MOMENT_COLUMNS = (
@@ -170,10 +167,7 @@ def run_verification(cfg: ScenarioConfig) -> tuple[ScenarioResult, OracleMoments
     oracle_cfg = cfg.verify
     # the verifier picks its own small couplings; everything else is shared
     atom = replace(cfg.atom, g_k=oracle_cfg.g_k, g_q=oracle_cfg.g_q)
-    pipeline = run_scenario(
-        ScenarioConfig(atom=atom, pump=cfg.pump, control=cfg.control, t_end=cfg.t_end,
-                       grid_points=cfg.grid_points, outputs=cfg.outputs,
-                       rtol=cfg.rtol, atol=cfg.atol, label=cfg.label))
+    pipeline = run_scenario(replace(cfg, atom=atom, scan=None, verify=None))
     stride = max(1, cfg.grid_points // 40)
     times_cmp = pipeline.times[::stride]
     oracle = oracle_moments(atom, cfg.pump, cfg.control, times_cmp, oracle_cfg)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ramanpairs.algebra import idx
+from ramanpairs.algebra import SOURCE_ROWS, idx
 from ramanpairs.atom import AtomConfig
 from ramanpairs.errors import ConfigError
-from ramanpairs.moments import (_initial_pair_table, compute_moments, ladder, pair_moment,
-                                single_moment)
+from ramanpairs.moments import (AK, AK_DAG, AQ, AQ_DAG, DAGGER_SLOT, _STRUCTURES,
+                                _commutator_structure, _initial_pair_table, _moment_tables,
+                                _slot_factors, compute_moments)
 from ramanpairs.noise import DiffusionTable, diffusion_table
 from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.pulses import PulseSpec, off
@@ -23,13 +24,24 @@ def test_initial_pair_table_examples():
     assert table[idx("d", "b") - 1, idx("b", "d") - 1] == 0.0
 
 
-def test_ladder_table():
-    assert ladder("a_k_dag").source_row == 14 and ladder("a_k_dag").phase == -1j
-    assert ladder("a_k").source_row == 8 and ladder("a_k").phase == 1j
-    assert ladder("a_q").source_row == 9 and ladder("a_q").phase == 1j
-    assert ladder("a_q_dag").source_row == 3 and ladder("a_q_dag").phase == -1j
-    with pytest.raises(ConfigError):
-        ladder("b_k")
+def test_slot_table():
+    """Slot r is the ladder fed by SOURCE_ROWS[r]: a_q^dag (3), a_k (8), a_q (9), a_k^dag (14)."""
+    assert SOURCE_ROWS == (3, 8, 9, 14)
+    assert (AQ_DAG, AK, AQ, AK_DAG) == (0, 1, 2, 3)
+    assert DAGGER_SLOT == (2, 3, 0, 1)
+    atom = AtomConfig(g_k=0.3, g_q=0.7, n_th_k=0.2, n_th_q=0.05, rho0=rho_symmetric())
+    g, c, field = _slot_factors(atom)
+    assert np.array_equal(g, [0.7, 0.3, 0.7, 0.3])
+    assert np.array_equal(c, [-0.7j, 0.3j, 0.7j, -0.3j])
+    expected = np.zeros((4, 4))
+    expected[AK_DAG, AK] = 0.2            # <a_k^dag a_k> = n_th_k
+    expected[AK, AK_DAG] = 1.2            # <a_k a_k^dag> = n_th_k + 1
+    expected[AQ_DAG, AQ] = 0.05
+    expected[AQ, AQ_DAG] = 1.05
+    assert np.array_equal(field, expected)
+    # each structure is the commutator with the operator multiplying A_r(0) in the coupling
+    for slot, (u, v) in ((AQ_DAG, "ca"), (AK, "db"), (AQ, "ac"), (AK_DAG, "bd")):
+        assert np.array_equal(_STRUCTURES[slot], _commutator_structure(u, v))
 
 
 def _pipeline(atom, pump, control, t_end=1.0, n=150):
@@ -68,12 +80,15 @@ def test_coupling_scaling_is_exactly_quadratic():
     for lam, g in (("g", 0.05), ("2g", 0.10)):
         atom = AtomConfig(g_k=g, g_q=g, rho0=rho)
         runs[lam] = _pipeline(atom, pump, control)[2]
-    for attr in ("pair", "n_k", "n_q"):
+    runs["2g_k"] = _pipeline(AtomConfig(g_k=0.10, g_q=0.05, rho0=rho), pump, control)[2]
+    # every part, back-action included, is bilinear in the two couplings
+    for attr, factor, factor_k in (("pair", 4.0, 2.0), ("n_k", 4.0, 4.0), ("n_q", 4.0, 1.0)):
         small = getattr(runs["g"], attr).total
-        big = getattr(runs["2g"], attr).total
         scale = np.abs(small).max()
         assert scale > 0.0, attr
-        assert np.max(np.abs(big - 4.0 * small)) < 1e-9 * scale
+        for lam, f in (("2g", factor), ("2g_k", factor_k)):
+            big = getattr(runs[lam], attr).total
+            assert np.max(np.abs(big - f * small)) < 1e-9 * scale, (attr, lam)
     # conversion and squeezing moments vanish by the loop selection rules
     # (the atom keeps a which-path record), at every coupling strength
     for run in runs.values():
@@ -88,11 +103,18 @@ def test_hermiticity_pairing():
     rho[3, 1] = np.conj(rho[1, 3])
     rho[1, 1] = 0.45
     rho[3, 3] = 0.05
-    atom = AtomConfig(rho0=rho)
+    atom = AtomConfig(g_k=0.1, g_q=0.06, n_th_k=0.2, n_th_q=0.05, rho0=rho)
     pump = gauss_pulse(omega=6.0, center=0.4, width=0.15, detuning=-1.0, phase0=0.4)
     grid, diffusion, ms = _pipeline(atom, pump, PulseSpec(shape="cw", omega_peak=3.0))
-    reversed_dagger = pair_moment(ladder("a_k_dag"), ladder("a_q_dag"), grid, diffusion, atom)
-    assert np.max(np.abs(ms.pair.total - np.conj(reversed_dagger.total))) < 1e-10
+    boundary, noise, backaction, field, _ = _moment_tables(atom, grid, diffusion)
+    total = boundary + noise + backaction + field
+    assert np.max(np.abs(total[:, AQ, AK])) > 1e-6
+    for r in range(4):
+        for u in range(4):
+            # <A_r A_u> = conj <A_u^dag A_r^dag>
+            mirror = np.conj(total[:, DAGGER_SLOT[u], DAGGER_SLOT[r]])
+            assert np.max(np.abs(total[:, r, u] - mirror)) < 1e-10, (r, u)
+    assert np.array_equal(ms.pair.total, total[:, AQ, AK])
 
 
 def test_split_additivity_is_bitwise():
@@ -130,8 +152,8 @@ def test_single_moment_matches_decaying_coherence_integral():
     rho[3, 1] = 0.01
     atom = AtomConfig(gamma_ab=0.6, gamma_ac=0.9, gamma_db=0.8, gamma_dc=1.2, rho0=rho)
     pump = PulseSpec(shape="cw", omega_peak=0.0, detuning=-3.0)
-    grid, _, _ = _pipeline(atom, pump, off(), t_end=1.5, n=400)
-    mean_k = single_moment(ladder("a_k"), grid, atom)
+    grid, _, ms = _pipeline(atom, pump, off(), t_end=1.5, n=400)
+    mean_k = ms.mean_k
     # sigma_bd rotates at delta_b - delta_d = +Delta_p in this frame
     lam = -0.5 * (atom.gamma_db + atom.gamma_dc) + 1j * pump.detuning
     expected = 1j * atom.g_k * 0.01 * (np.exp(lam * grid.times) - 1.0) / lam
@@ -142,9 +164,10 @@ def test_noise_part_equals_direct_double_loop():
     atom = AtomConfig(rho0=rho_symmetric())
     pump = gauss_pulse(omega=6.0, center=0.3, width=0.12)
     grid, diffusion, ms = _pipeline(atom, pump, pump, t_end=0.6, n=80)
-    c = ladder("a_k_dag").prefactor(atom) * ladder("a_k").prefactor(atom)
+    _, prefactor, _ = _slot_factors(atom)
+    slot_a, slot_b = AK_DAG, AK
+    c = prefactor[slot_a] * prefactor[slot_b]
     h = grid.step
-    slot_a, slot_b = ladder("a_k_dag").slot, ladder("a_k").slot
     for i in (25, 80):
         acc = 0.0 + 0.0j
         for j in range(i + 1):
@@ -172,4 +195,4 @@ def test_grid_mismatch_rejected():
     bad = DiffusionTable(times=other_grid.times,
                          matrices=np.zeros((61, 16, 16), dtype=complex))
     with pytest.raises(ConfigError):
-        pair_moment(ladder("a_q"), ladder("a_k"), grid, bad, atom)
+        compute_moments(atom, grid, bad)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ramanpairs.errors import ConfigError
-from ramanpairs.pulses import PulseSpec, instantaneous_detuning, off, rabi
+from ramanpairs.pulses import PulseSpec, off, rabi
 
 
 def test_gaussian_peak_value():
@@ -54,18 +54,12 @@ def test_chirp_sign_conjugates():
     assert np.allclose(rabi(minus, t), np.conj(rabi(plus, t)), atol=1e-13)
 
 
-def test_instantaneous_detuning_examples():
-    assert instantaneous_detuning(PulseSpec(shape="cw", omega_peak=1.0), 3.0) == 0.0
-    assert instantaneous_detuning(
-        PulseSpec(shape="cw", omega_peak=1.0, chirp=1.0), 1.0) == pytest.approx(2.0)
-    spec = PulseSpec(shape="cw", omega_peak=1.0, detuning=-100.0)
-    assert instantaneous_detuning(spec, 0.3) == pytest.approx(-100.0)
-
-
 def test_chirp_origin_shifts_reference():
     spec = PulseSpec(shape="cw", omega_peak=1.0, chirp=10.0, chirp_origin=0.5)
-    assert instantaneous_detuning(spec, 0.5) == pytest.approx(0.0)
     assert rabi(spec, 0.5) == pytest.approx(1.0 + 0.0j)
+    # the quadratic phase is stationary at the origin: -alpha (t - t_ref)^2 on either side
+    assert rabi(spec, 0.6) == pytest.approx(np.exp(-0.1j))
+    assert rabi(spec, 0.4) == pytest.approx(np.exp(-0.1j))
 
 
 def test_validation_errors():
