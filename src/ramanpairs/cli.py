@@ -127,10 +127,7 @@ def main(argv=None) -> int:
             for key in ("n_k_max_rel_err", "n_q_max_rel_err", "abs_pair_max_rel_err"):
                 print(f"  {key} = {report[key]:.3e}")
 
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an unusable config or output path
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, CutoffError) as exc:

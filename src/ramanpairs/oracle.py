@@ -7,11 +7,14 @@ Hamiltonian
     H = -Delta_c |a><a| - Delta_p |d><d|
         - [Omega_p(t)|d><c| + Omega_c(t)|a><b| + g_k a_k |d><b| + g_q a_q |a><c| + h.c.]
 
-plus the same radiative Lindblad channels as the drift matrix.  Moments come
-out by direct trace, with no kernel machinery or noise tables anywhere in
-this code path, so agreement with the moments pipeline certifies the whole
-kernel construction.  The Hamiltonian and dissipators are assembled from raw
-level projectors on purpose; the drift matrix lift is not reused.
+plus the same radiative Lindblad channels as the drift matrix.  `_liouvillian`
+builds this generator once, from raw level projectors (the drift-matrix lift is
+not reused), as five sparse superoperators on vec(rho) that are affine in the
+drives: L(t) = L0 + Omega_p L_p + Omega_p* L_p' + Omega_c L_c + Omega_c* L_c'.
+Moments come out by direct trace of the reduced field and atom states, with no
+kernel machinery or noise tables in this code path, so agreement with the
+moments pipeline certifies the whole kernel construction.  At cutoff 0 and
+g = 0 the same build is the atom's own generator, `atomic_liouvillian`.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .atom import AtomConfig
@@ -75,22 +79,18 @@ class OracleMoments:
     top_layer_q: np.ndarray
 
 
-def _destroy(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        a[n - 1, n] = np.sqrt(n)
-    return a
+def _field_ops(dim_k: int, dim_q: int) -> tuple[sparse.csr_array, sparse.csr_array]:
+    """Annihilators a_k, a_q on the Stokes (dim_k) x anti-Stokes (dim_q) space."""
+    def destroy(dim):
+        return sparse.diags_array(np.sqrt(np.arange(1.0, dim)), offsets=1)
+
+    return (sparse.kron(destroy(dim_k), sparse.eye_array(dim_q), format="csr"),
+            sparse.kron(sparse.eye_array(dim_k), destroy(dim_q), format="csr"))
 
 
 def _thermal(dim: int, n_th: float) -> np.ndarray:
-    if n_th <= 0:
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return rho
-    ratio = n_th / (1.0 + n_th)
-    weights = ratio ** np.arange(dim)
-    weights /= weights.sum()
-    return np.diag(weights).astype(complex)
+    weights = (n_th / (1.0 + n_th)) ** np.arange(dim)  # vacuum at n_th = 0, as 0**0 = 1
+    return np.diag(weights / weights.sum()).astype(complex)
 
 
 def _level_op(x: str, y: str) -> np.ndarray:
@@ -110,6 +110,45 @@ def _decay_ops(atom: AtomConfig) -> list[tuple[float, np.ndarray]]:
     return ops
 
 
+def _liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, dim_k: int,
+                 dim_q: int, g_k: float, g_q: float) -> list[sparse.csr_array]:
+    """[L0, L_p, L_p', L_c, L_c'], weighted by 1, Omega_p, Omega_p*, Omega_c, Omega_c*.
+
+    Superoperators on the row-major vec(rho) of atom x Stokes (dim_k) x
+    anti-Stokes (dim_q), through vec(A rho B) = (A kron B^T) vec(rho).  L0
+    holds the detunings, the g_k, g_q couplings and every Lindblad channel.
+    """
+    eye_f = sparse.eye_array(dim_k * dim_q)
+    eye = sparse.eye_array(4 * dim_k * dim_q)
+
+    def sig(x, y):
+        return sparse.kron(_level_op(x, y), eye_f)
+
+    def plus_hc(op):
+        return op + op.conj().T
+
+    def commutator(h):  # rho -> -i [h, rho]
+        return -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
+
+    a_k, a_q = (sparse.kron(sparse.eye_array(4), a) for a in _field_ops(dim_k, dim_q))
+    l0 = commutator(-control.detuning * sig("a", "a") - pump.detuning * sig("d", "d")
+                    - g_k * plus_hc(a_k @ sig("d", "b")) - g_q * plus_hc(a_q @ sig("a", "c")))
+    for rate, op in _decay_ops(atom):
+        jump = sparse.kron(op, eye_f)
+        number = jump.conj().T @ jump
+        l0 = l0 + rate * (sparse.kron(jump, jump.conj())
+                          - 0.5 * (sparse.kron(number, eye) + sparse.kron(eye, number.T)))
+    drives = [commutator(-sig(x, y)) for x, y in ("dc", "cd", "ab", "ba")]
+    return [piece.tocsr() for piece in (l0, *drives)]
+
+
+def _coefficients(pump: PulseSpec, control: PulseSpec, t: float) -> tuple[complex, ...]:
+    """Weights of the `_liouvillian` pieces at time t."""
+    om_p = rabi(pump, t)
+    om_c = rabi(control, t)
+    return 1.0, om_p, np.conj(om_p), om_c, np.conj(om_c)
+
+
 def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                    times: np.ndarray, cfg: OracleConfig | None = None) -> OracleMoments:
     """Integrate the joint master equation and trace out the listed moments.
@@ -123,58 +162,33 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     times = np.asarray(times, dtype=float)
     dim_k = cfg.cutoff_k + 1
     dim_q = cfg.cutoff_q + 1
-    dim = 4 * dim_k * dim_q
+    dim_f = dim_k * dim_q
+    # one mat-vec with the pieces stacked row-wise, then their weighted sum
+    stacked = sparse.vstack(_liouvillian(atom, pump, control, dim_k, dim_q, cfg.g_k, cfg.g_q))
 
-    def embed(op4):
-        return np.kron(np.kron(op4, np.eye(dim_k)), np.eye(dim_q))
-
-    a_k = np.kron(np.kron(np.eye(4), _destroy(dim_k)), np.eye(dim_q))
-    a_q = np.kron(np.kron(np.eye(4), np.eye(dim_k)), _destroy(dim_q))
-
-    sig = {(x, y): embed(_level_op(x, y)) for x in _RANK for y in _RANK}
-
-    h_static = (-control.detuning) * sig["a", "a"] + (-pump.detuning) * sig["d", "d"] \
-        - cfg.g_k * (a_k @ sig["d", "b"] + a_k.conj().T @ sig["b", "d"]) \
-        - cfg.g_q * (a_q @ sig["a", "c"] + a_q.conj().T @ sig["c", "a"])
-    h_pump = -sig["d", "c"]
-    h_ctrl = -sig["a", "b"]
-
-    jumps = [(rate, embed(op), embed(op).conj().T @ embed(op))
-             for rate, op in _decay_ops(atom)]
+    def rhs(t, y):
+        return np.asarray(_coefficients(pump, control, t)) @ (stacked @ y).reshape(5, -1)
 
     rho0 = np.kron(np.kron(atom.rho0, _thermal(dim_k, atom.n_th_k)),
                    _thermal(dim_q, atom.n_th_q))
-
-    def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        om_p = rabi(pump, t)
-        om_c = rabi(control, t)
-        h = h_static + om_p * h_pump + np.conj(om_p) * h_pump.conj().T \
-            + om_c * h_ctrl + np.conj(om_c) * h_ctrl.conj().T
-        drho = -1j * (h @ rho - rho @ h)
-        for rate, op, opdag_op in jumps:
-            drho += rate * (op @ rho @ op.conj().T
-                            - 0.5 * (opdag_op @ rho + rho @ opdag_op))
-        return drho.reshape(-1)
-
     sol = solve_ivp(rhs, (times[0], times[-1]), rho0.reshape(-1), method="RK45",
                     t_eval=times, rtol=cfg.rtol, atol=cfg.atol)
     if not sol.success:
         t_fail = float(sol.t[-1]) if sol.t.size else float(times[0])
         raise IntegrationError(f"oracle integration failed near t = {t_fail:.6g}: {sol.message}",
                                time=t_fail)
-    rhos = sol.y.T.reshape(len(times), dim, dim)
+    rhos = sol.y.T.reshape(len(times), 4, dim_f, 4, dim_f)
+    rho_atom = np.einsum("tifjf->tij", rhos)
+    rho_field = np.einsum("tiaib->tab", rhos)
 
     def expect(op):
-        return np.einsum("tij,ji->t", rhos, op)
+        return np.einsum("tij,ji->t", rho_field, op)
 
-    n_k = expect(a_k.conj().T @ a_k).real
-    n_q = expect(a_q.conj().T @ a_q).real
-
-    proj_top_k = np.kron(np.kron(np.eye(4), np.diag(np.eye(dim_k)[-1])), np.eye(dim_q))
-    proj_top_q = np.kron(np.kron(np.eye(4), np.eye(dim_k)), np.diag(np.eye(dim_q)[-1]))
-    top_k = expect(proj_top_k).real
-    top_q = expect(proj_top_q).real
+    a_k, a_q = (a.toarray() for a in _field_ops(dim_k, dim_q))
+    n_k = expect(a_k.T @ a_k).real
+    n_q = expect(a_q.T @ a_q).real
+    top_k = expect(np.kron(np.diag(np.eye(dim_k)[-1]), np.eye(dim_q))).real
+    top_q = expect(np.kron(np.eye(dim_k), np.diag(np.eye(dim_q)[-1]))).real
 
     for label, top, n in (("Stokes", top_k, n_k), ("anti-Stokes", top_q, n_q)):
         scale = max(float(np.max(n)), 1e-300)
@@ -185,21 +199,17 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                 f"{cfg.leak_tol:.0e} of the peak photon number {scale:.3e}; "
                 f"increase the cutoff")
 
-    atom_traj = np.empty((len(times), 16), dtype=complex)
-    for m, (x, y) in enumerate((x, y) for x in "abcd" for y in "abcd"):
-        atom_traj[:, m] = expect(sig[x, y])
-
     return OracleMoments(
         times=times,
         pair=expect(a_q @ a_k),
-        cross=expect(a_q @ a_k.conj().T),
+        cross=expect(a_q @ a_k.T),
         n_k=n_k.astype(complex),
         n_q=n_q.astype(complex),
         square_k=expect(a_k @ a_k),
         square_q=expect(a_q @ a_q),
         mean_k=expect(a_k),
         mean_q=expect(a_q),
-        atom_traj=atom_traj,
+        atom_traj=rho_atom.transpose(0, 2, 1).reshape(len(times), 16),  # <sigma_xy> = rho[y, x]
         top_layer_k=top_k,
         top_layer_q=top_q,
     )
@@ -207,30 +217,13 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
 
 def atomic_liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                        t: float) -> np.ndarray:
-    """Independent rebuild of the generator of d<sigma_xy>/dt at time t, g = 0.
+    """Generator of d<sigma_xy>/dt at time t, g = 0: the oracle's build at cutoff 0.
 
-    Applies the adjoint master equation to every basis operator |u><v| and
-    reads off the expansion coefficients, so it shares no code with the
-    drift-matrix lift.  Used to cross-check the drift assembly.
+    Shares no code with the drift-matrix lift; used to cross-check the drift
+    assembly.  X_m = <sigma_xy> = rho[y, x] with m = 4x + y, so the generator
+    on vec(rho) is conjugated by the transpose permutation.
     """
-    h4 = np.zeros((4, 4), dtype=complex)
-    h4[_RANK["a"], _RANK["a"]] = -control.detuning
-    h4[_RANK["d"], _RANK["d"]] = -pump.detuning
-    om_p = rabi(pump, t)
-    om_c = rabi(control, t)
-    h4 += -om_p * _level_op("d", "c") - np.conj(om_p) * _level_op("c", "d")
-    h4 += -om_c * _level_op("a", "b") - np.conj(om_c) * _level_op("b", "a")
-
-    ops = _decay_ops(atom)
-    gen_t = np.zeros((16, 16), dtype=complex)
-    for col in range(16):
-        u, v = divmod(col, 4)
-        basis = np.zeros((4, 4), dtype=complex)
-        basis[u, v] = 1.0  # sigma_uv = |u><v|
-        out = 1j * (h4 @ basis - basis @ h4)
-        for rate, op in ops:
-            out += rate * (op.conj().T @ basis @ op
-                           - 0.5 * (op.conj().T @ op @ basis + basis @ op.conj().T @ op))
-        # out[x, y] is the sigma_xy coefficient of d sigma_uv / dt
-        gen_t[:, col] = out.reshape(16)
-    return gen_t.T.copy()
+    pieces = _liouvillian(atom, pump, control, 1, 1, 0.0, 0.0)
+    gen = sum(c * piece for c, piece in zip(_coefficients(pump, control, t), pieces))
+    perm = np.arange(16).reshape(4, 4).T.reshape(-1)
+    return gen.toarray()[np.ix_(perm, perm)]

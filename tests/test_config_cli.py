@@ -249,6 +249,10 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
     assert main(["run", str(tmp_path / "missing.cfg"), "--out", str(tmp_path)]) == 2
     assert main(["preset", "fig99", "--out", str(tmp_path)]) == 2
+    assert main(["run", str(tmp_path), "--out", str(tmp_path)]) == 2  # IsADirectoryError
+    taken = tmp_path / "taken.txt"
+    taken.write_text("")
+    assert main(["preset", "fig2b", "--out", str(taken)]) == 2  # FileExistsError
     good = tmp_path / "good.cfg"
     good.write_text(GOOD_CONFIG)
     for tol in ("-1", "nan"):

@@ -1,13 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from ramanpairs.atom import AtomConfig, evolve_state
+from ramanpairs.config import apply_override
 from ramanpairs.errors import ConfigError, CutoffError
 from ramanpairs.moments import compute_moments
 from ramanpairs.noise import diffusion_table
-from ramanpairs.oracle import OracleConfig, oracle_moments
+from ramanpairs.oracle import OracleConfig, _liouvillian, oracle_moments
+from ramanpairs.presets import PRESET_NAMES, preset
 from ramanpairs.propagator import build_propagator_grid
-from ramanpairs.pulses import PulseSpec
+from ramanpairs.pulses import PulseSpec, rabi
+from ramanpairs.runner import run_verification
 
 from conftest import gauss_pulse, rho_symmetric
 
@@ -103,3 +109,53 @@ def test_joint_trace_and_moment_agreement_small_window():
                             ("square_q", ms.square_q.total[sel], out.square_q)):
         scale = max(np.abs(orc).max(), 1e-12)
         assert np.max(np.abs(pipe - orc)) < 0.02 * scale, name
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_preset_agrees_with_oracle(name):
+    """Each preset's last scenario (or first scan value) meets the oracle at g = 0.01."""
+    chosen = preset(name)
+    if chosen.kind == "scan":
+        scan = chosen.scan.scan
+        cfg = apply_override(chosen.scan, scan.parameter, scan.values[0])
+    else:
+        cfg = chosen.scenarios[-1]
+    _, _, report = run_verification(replace(cfg, scan=None, verify=OracleConfig()))
+    assert report["n_k_points"] > 0
+    for key in ("n_k_max_rel_err", "n_q_max_rel_err", "abs_pair_max_rel_err"):
+        assert report[key] < 0.05, key  # the gate of acceptance criterion 7
+
+
+RATE = st.floats(min_value=0.0, max_value=3.0)
+REAL = st.floats(min_value=-20.0, max_value=20.0)
+
+
+# no explain phase: it reruns a failing example a thousand times, minutes at dim 64
+@settings(max_examples=30, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(rates=st.tuples(RATE, RATE, RATE, RATE, RATE), detunings=st.tuples(REAL, REAL),
+       chirps=st.tuples(REAL, REAL), phases=st.tuples(REAL, REAL),
+       couplings=st.tuples(RATE, RATE), cutoffs=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       t=st.floats(min_value=0.0, max_value=2.0), seed=st.integers(0, 2**32 - 1))
+def test_liouvillian_keeps_trace_and_hermiticity(rates, detunings, chirps, phases, couplings,
+                                                 cutoffs, t, seed):
+    atom = AtomConfig(*rates)
+    pump = PulseSpec(shape="gaussian", omega_peak=8.0, center=0.7, width=0.3,
+                     detuning=detunings[0], chirp=chirps[0], phase0=phases[0])
+    control = PulseSpec(shape="cw", omega_peak=5.0, detuning=detunings[1],
+                        chirp=chirps[1], phase0=phases[1])
+    dim_k, dim_q = cutoffs[0] + 1, cutoffs[1] + 1
+    l0, l_p, l_p_conj, l_c, l_c_conj = _liouvillian(atom, pump, control, dim_k, dim_q, *couplings)
+    om_p, om_c = rabi(pump, t), rabi(control, t)
+    gen = l0 + om_p * l_p + np.conj(om_p) * l_p_conj + om_c * l_c + np.conj(om_c) * l_c_conj
+
+    dim = 4 * dim_k * dim_q
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = x + x.conj().T
+    drho = (gen @ rho.reshape(-1)).reshape(dim, dim)
+    scale = float(np.abs(drho).max()) + 1.0
+    trace = abs(complex(np.trace(drho)))
+    antihermitian = float(np.abs(drho - drho.conj().T).max())
+    assert trace < 1e-12 * dim * scale
+    assert antihermitian < 1e-12 * scale
