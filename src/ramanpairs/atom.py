@@ -18,7 +18,7 @@ dropped (lowest order in the photon couplings), so M carries no g_k, g_q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -66,8 +66,7 @@ class AtomConfig:
     rho0: np.ndarray = field(default_factory=lambda: _RHO0_DEFAULT.copy())
 
     def __post_init__(self):
-        for name in ("gamma_ab", "gamma_ac", "gamma_db", "gamma_dc", "gamma_bc",
-                     "g_k", "g_q", "n_th_k", "n_th_q"):
+        for name in (f.name for f in fields(self) if f.name != "rho0"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
                 raise ConfigError(f"atom field {name} must be finite and >= 0, got {value!r}")

@@ -124,8 +124,10 @@ def main(argv=None) -> int:
             write_manifest(cfg, out_dir / f"{cfg.label}_verify.manifest.json",
                            extra={"verification": {k: repr(v) for k, v in report.items()}})
             print(f"wrote {csv_path}")
-            for key in ("n_k_max_rel_err", "n_q_max_rel_err", "abs_pair_max_rel_err"):
-                print(f"  {key} = {report[key]:.3e}")
+            for name in ("n_k", "n_q", "abs_pair"):
+                points = report[f"{name}_points"]
+                error = f"{report[f'{name}_max_rel_err']:.3e}" if points else "n/a"
+                print(f"  {name}_max_rel_err = {error} ({points} points compared)")
 
     except (ConfigError, OSError) as exc:  # OSError: an unusable config or output path
         print(f"configuration error: {exc}", file=sys.stderr)

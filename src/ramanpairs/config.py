@@ -28,10 +28,14 @@ typo cannot silently fall back to a default.  Example:
     parameter = both.width
     values = 0.2, 0.1, 0.0667
 
-Initial-state keys: populations rho_aa..rho_dd plus optional coherences
-rho_xy given as complex literals ("0.1+0.2j"); the conjugate element is
-filled in automatically.  Omitted populations default to the atom resting in
-level c.
+The keys of a section are the fields of its dataclass (`SECTIONS`), read by
+the field's type; `[run]` holds the scalar fields of `ScenarioConfig` itself.
+Parsing, `describe` and the scannable paths of `apply_override` all derive
+from those fields.  The one addition is the initial state in `[atom]`:
+populations rho_aa..rho_dd plus optional coherences rho_xy given as complex
+literals ("0.1+0.2j"); the conjugate element is filled in automatically, and
+a given rho_yx must equal conj(rho_xy).  Omitted populations default to the
+atom resting in level c.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ import configparser
 import hashlib
 import io
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
+from typing import get_type_hints
 
 import numpy as np
 
@@ -52,14 +58,6 @@ OUTPUT_GROUPS = ("gcs", "duan", "moments", "noise_split", "relate")
 
 _LEVELS = ("a", "b", "c", "d")
 
-_ATOM_FLOAT_KEYS = ("gamma_ab", "gamma_ac", "gamma_db", "gamma_dc", "gamma_bc",
-                    "g_k", "g_q", "n_th_k", "n_th_q")
-_PULSE_FLOAT_KEYS = ("omega_peak", "center", "width", "detuning", "chirp",
-                     "phase0", "chirp_origin")
-_RUN_KEYS = ("t_end", "grid_points", "outputs", "rtol", "atol", "label")
-_SCAN_KEYS = ("parameter", "values")
-_VERIFY_KEYS = ("cutoff_k", "cutoff_q", "g_k", "g_q", "dim_cap", "rtol", "atol", "leak_tol")
-
 
 @dataclass(frozen=True)
 class ScanSpec:
@@ -68,9 +66,9 @@ class ScanSpec:
 
     def __post_init__(self):
         if not self.values:
-            raise ConfigError("[scan] values: must be non-empty")
+            raise ConfigError("values: must be non-empty")
         if not all(np.isfinite(v) for v in self.values):
-            raise ConfigError("[scan] values: all entries must be finite")
+            raise ConfigError("values: all entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -96,24 +94,42 @@ class ScenarioConfig:
         if bad:
             raise ConfigError(f"[run] outputs: unknown group(s) {bad}, expected from {OUTPUT_GROUPS}")
         check_tolerances(self.rtol, self.atol, prefix="[run] ")
+        # the label names the output files, so it must stay inside the output directory
+        if self.label in ("", ".", "..") or any(sep in self.label for sep in "/\\"):
+            raise ConfigError(f"[run] label: must be a file name without '/' or '\\' and "
+                              f"not empty, '.' or '..', got {self.label!r}")
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from None
+# INI section -> dataclass whose fields are the section's keys.
+SECTIONS = {"atom": AtomConfig, "pump": PulseSpec, "control": PulseSpec,
+            "run": ScenarioConfig, "scan": ScanSpec, "verify": OracleConfig}
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from None
+def _split(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+# Field type -> (reader of the INI text, what the reader expects).  Tuples are
+# comma-separated lists, in the file and in `describe`.
+_TYPES = {
+    float: (float, "a number"),
+    int: (int, "an integer"),
+    str: (str.strip, "a string"),
+    tuple[str, ...]: (_split, "a list"),
+    tuple[float, ...]: (lambda raw: tuple(map(float, _split(raw))), "a list of numbers"),
+}
+
+
+@cache
+def _keys(cls) -> dict[str, object]:
+    """Key -> type of every field of cls that has an INI reader."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if hints[f.name] in _TYPES}
 
 
 def _parse_rho0(items: dict[str, str]) -> np.ndarray:
     rho = np.zeros((4, 4), dtype=complex)
+    given = {}
     seen_population = False
     for key, raw in items.items():
         pair = key[len("rho_"):]
@@ -130,6 +146,11 @@ def _parse_rho0(items: dict[str, str]) -> np.ndarray:
             rho[i, i] = value.real
             seen_population = True
         else:
+            mirror = f"rho_{pair[::-1]}"
+            if mirror in given and abs(given[mirror] - np.conj(value)) > 1e-12:
+                raise ConfigError(f"[atom] {mirror}, {key}: conflicting coherences, "
+                                  f"{key} must equal conj({mirror}) within 1e-12")
+            given[key] = value
             rho[i, j] = value
             rho[j, i] = np.conj(value)
     if not seen_population:
@@ -137,36 +158,29 @@ def _parse_rho0(items: dict[str, str]) -> np.ndarray:
     return rho
 
 
-def _build_atom(items: dict[str, str]) -> AtomConfig:
-    kwargs = {}
-    rho_items = {}
-    for key, raw in items.items():
-        if key in _ATOM_FLOAT_KEYS:
-            kwargs[key] = _parse_float("atom", key, raw)
-        elif key.startswith("rho_"):
+def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
+    """Constructor keywords of the section's dataclass, each read by its field type."""
+    keys, kwargs, rho_items = _keys(SECTIONS[section]), {}, {}
+    for key, raw in parser.items(section):
+        if section == "atom" and key.startswith("rho_"):
             rho_items[key] = raw
-        else:
-            raise ConfigError(f"[atom] {key}: unknown key")
+            continue
+        if key not in keys:
+            raise ConfigError(f"[{section}] {key}: unknown key")
+        read, expected = _TYPES[keys[key]]
+        try:
+            kwargs[key] = read(raw)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: not {expected}: {raw!r}") from None
     if rho_items:
         kwargs["rho0"] = _parse_rho0(rho_items)
-    try:
-        return AtomConfig(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"[atom] {exc}") from None
+    return kwargs
 
 
-def _build_pulse(section: str, items: dict[str, str]) -> PulseSpec:
-    kwargs = {}
-    for key, raw in items.items():
-        if key == "shape":
-            kwargs["shape"] = raw.strip()
-        elif key in _PULSE_FLOAT_KEYS:
-            kwargs[key] = _parse_float(section, key, raw)
-        else:
-            raise ConfigError(f"[{section}] {key}: unknown key")
+def _build(section: str, kwargs: dict):
     try:
-        return PulseSpec(**kwargs)
-    except ConfigError as exc:
+        return SECTIONS[section](**kwargs)
+    except (ConfigError, TypeError) as exc:  # TypeError: a key without default is missing
         raise ConfigError(f"[{section}] {exc}") from None
 
 
@@ -178,64 +192,24 @@ def parse_config(text: str) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from None
 
-    known_sections = {"atom", "pump", "control", "run", "scan", "verify"}
-    unknown = set(parser.sections()) - known_sections
+    unknown = set(parser.sections()) - set(SECTIONS)
     if unknown:
         raise ConfigError(f"unknown section(s): {sorted(unknown)}")
 
-    def section(name):
-        return dict(parser.items(name)) if parser.has_section(name) else {}
-
-    atom = _build_atom(section("atom"))
-    pump = _build_pulse("pump", section("pump"))
-    control = _build_pulse("control", section("control"))
-
-    run_items = section("run")
-    run_kwargs = {}
-    for key, raw in run_items.items():
-        if key not in _RUN_KEYS:
-            raise ConfigError(f"[run] {key}: unknown key")
-        if key == "outputs":
-            run_kwargs["outputs"] = tuple(part.strip() for part in raw.split(",") if part.strip())
-        elif key == "grid_points":
-            run_kwargs["grid_points"] = _parse_int("run", key, raw)
-        elif key == "label":
-            run_kwargs["label"] = raw.strip()
+    kwargs = {}
+    for section in filter(parser.has_section, SECTIONS):
+        items = _read_section(parser, section)
+        if section == "run":
+            kwargs.update(items)
         else:
-            run_kwargs[key] = _parse_float("run", key, raw)
-
-    scan = None
-    if parser.has_section("scan"):
-        items = section("scan")
-        for key in items:
-            if key not in _SCAN_KEYS:
-                raise ConfigError(f"[scan] {key}: unknown key")
-        if "parameter" not in items or "values" not in items:
-            raise ConfigError("[scan] needs both 'parameter' and 'values'")
-        values = tuple(_parse_float("scan", "values", part)
-                       for part in items["values"].split(",") if part.strip())
-        scan = ScanSpec(parameter=items["parameter"].strip(), values=values)
-
-    verify = None
-    if parser.has_section("verify"):
-        items = section("verify")
-        kwargs = {}
-        for key, raw in items.items():
-            if key not in _VERIFY_KEYS:
-                raise ConfigError(f"[verify] {key}: unknown key")
-            if key in ("cutoff_k", "cutoff_q", "dim_cap"):
-                kwargs[key] = _parse_int("verify", key, raw)
-            else:
-                kwargs[key] = _parse_float("verify", key, raw)
-        try:
-            verify = OracleConfig(**kwargs)
-        except ConfigError as exc:
-            raise ConfigError(f"[verify] {exc}") from None
-
-    cfg = ScenarioConfig(atom=atom, pump=pump, control=control, scan=scan, verify=verify,
-                         **run_kwargs)
-    if scan is not None:
-        apply_override(cfg, scan.parameter, scan.values[0])  # validates the path
+            kwargs[section] = _build(section, items)
+    cfg = ScenarioConfig(**kwargs)
+    if cfg.scan is not None:  # load every scan point now, not when the scan reaches it
+        for value in cfg.scan.values:
+            try:
+                apply_override(cfg, cfg.scan.parameter, value)
+            except ConfigError as exc:
+                raise ConfigError(f"[scan] {cfg.scan.parameter} = {value!r}: {exc}") from None
     return cfg
 
 
@@ -244,26 +218,15 @@ def load_config(path) -> ScenarioConfig:
         return parse_config(handle.read())
 
 
-_SCANNABLE = {
-    "atom": _ATOM_FLOAT_KEYS,
-    "pump": _PULSE_FLOAT_KEYS,
-    "control": _PULSE_FLOAT_KEYS,
-    "run": ("t_end",),
-}
-
-
 def apply_override(cfg: ScenarioConfig, path: str, value: float) -> ScenarioConfig:
     """Return a copy of cfg with one numeric parameter replaced.
 
-    Paths take the form section.key; the pseudo-sections 'both' (pump and
-    control together) and 'opposite' (chirp = +value on the pump, -value on
-    the control) cover the paired scans used by the preset library.
+    Paths take the form section.key, for any float field of [atom], [pump] and
+    [control] and for run.t_end; the pseudo-sections 'both' (pump and control
+    together) and 'opposite' (chirp = +value on the pump, -value on the
+    control) cover the paired scans used by the preset library.
     """
-    try:
-        section, key = path.split(".", 1)
-    except ValueError:
-        raise ConfigError(f"scan parameter {path!r}: expected section.key") from None
-
+    section, _, key = path.partition(".")
     if section == "both":
         step = apply_override(cfg, f"pump.{key}", value)
         return apply_override(step, f"control.{key}", value)
@@ -273,39 +236,34 @@ def apply_override(cfg: ScenarioConfig, path: str, value: float) -> ScenarioConf
         step = apply_override(cfg, "pump.chirp", value)
         return apply_override(step, "control.chirp", -value)
 
-    if section not in _SCANNABLE or key not in _SCANNABLE[section]:
+    if path == "run.t_end":
+        return replace(cfg, t_end=value)
+    if section not in ("atom", "pump", "control") or _keys(SECTIONS[section]).get(key) is not float:
         raise ConfigError(f"scan parameter {path!r}: not a scannable numeric parameter")
-    if section == "atom":
-        return replace(cfg, atom=replace(cfg.atom, **{key: value}))
-    if section == "pump":
-        return replace(cfg, pump=replace(cfg.pump, **{key: value}))
-    if section == "control":
-        return replace(cfg, control=replace(cfg.control, **{key: value}))
-    return replace(cfg, **{key: value})
+    return replace(cfg, **{section: replace(getattr(cfg, section), **{key: value})})
 
 
 def describe(cfg: ScenarioConfig) -> dict:
-    """Flat parameter dictionary naming every value, defaults included."""
-    out = {"label": cfg.label, "t_end": cfg.t_end, "grid_points": cfg.grid_points,
-           "rtol": cfg.rtol, "atol": cfg.atol, "outputs": ",".join(cfg.outputs)}
-    for name in _ATOM_FLOAT_KEYS:
-        out[f"atom.{name}"] = getattr(cfg.atom, name)
+    """Flat parameter dictionary naming every value, defaults included.
+
+    One `section.key` entry per INI key ([run] keys carry no prefix), written
+    so that the INI file built from it loads back to the same config.
+    """
+    out = {}
+    for section, cls in SECTIONS.items():
+        part = cfg if section == "run" else getattr(cfg, section)
+        if part is None:
+            continue
+        prefix = "" if section == "run" else f"{section}."
+        for key in _keys(cls):
+            value = getattr(part, key)
+            out[prefix + key] = ",".join(map(str, value)) if isinstance(value, tuple) else value
     rho = cfg.atom.rho0
     for i, x in enumerate(_LEVELS):
         for j, y in enumerate(_LEVELS):
             if abs(rho[i, j]) > 0 or i == j:
                 value = rho[i, j]
                 out[f"atom.rho_{x}{y}"] = float(value.real) if i == j else complex(value)
-    for prefix, pulse in (("pump", cfg.pump), ("control", cfg.control)):
-        out[f"{prefix}.shape"] = pulse.shape
-        for name in _PULSE_FLOAT_KEYS:
-            out[f"{prefix}.{name}"] = getattr(pulse, name)
-    if cfg.scan is not None:
-        out["scan.parameter"] = cfg.scan.parameter
-        out["scan.values"] = ",".join(repr(v) for v in cfg.scan.values)
-    if cfg.verify is not None:
-        for f in fields(cfg.verify):
-            out[f"verify.{f.name}"] = getattr(cfg.verify, f.name)
     return out
 
 

@@ -8,7 +8,7 @@ Times and rates are in units of the a->c linewidth; angles in radians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class PulseSpec:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise ConfigError(f"pulse shape must be one of {SHAPES}, got {self.shape!r}")
-        for name in ("omega_peak", "center", "width", "detuning", "chirp", "phase0", "chirp_origin"):
+        for name in (f.name for f in fields(self) if f.name != "shape"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ConfigError(f"pulse field {name} must be finite, got {value!r}")

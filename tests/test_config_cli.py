@@ -1,12 +1,18 @@
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ramanpairs.atom import AtomConfig
 from ramanpairs.cli import main
-from ramanpairs.config import apply_override, config_hash, describe, parse_config
+from ramanpairs.config import (ScenarioConfig, apply_override, config_hash, describe,
+                               parse_config)
 from ramanpairs.errors import ConfigError, IntegrationError
+from ramanpairs.oracle import OracleConfig
+from ramanpairs.pulses import PulseSpec
 from ramanpairs.presets import PRESET_NAMES, preset
 from ramanpairs.runner import run_scan, run_scenario, write_scenario_csv
 
@@ -66,6 +72,11 @@ def test_coherence_keys_fill_hermitian_pair():
     cfg = parse_config(text)
     assert cfg.atom.rho0[1, 2] == pytest.approx(0.2 + 0.1j)
     assert cfg.atom.rho0[2, 1] == pytest.approx(0.2 - 0.1j)
+    # describe writes both elements; a consistent pair loads back to the same state
+    both = parse_config(text.replace("rho_bc = 0.2+0.1j", "rho_bc = 0.2+0.1j\nrho_cb = 0.2-0.1j"))
+    assert config_hash(both) == config_hash(cfg)
+    with pytest.raises(ConfigError, match=r"\[atom\] rho_bc, rho_cb: conflicting"):
+        parse_config(text.replace("rho_bc = 0.2+0.1j", "rho_bc = 0.2+0.1j\nrho_cb = 0.3"))
 
 
 def test_run_validation():
@@ -84,6 +95,9 @@ def test_run_validation():
         key = line.split()[0]
         with pytest.raises(ConfigError, match=rf"\[verify\] {key}"):
             parse_config(GOOD_CONFIG + "\n[verify]\n" + line + "\n")
+    for label in ("../../escape", "", ".", "..", "runs/demo", "runs\\demo"):
+        with pytest.raises(ConfigError, match=r"\[run\] label"):
+            parse_config(GOOD_CONFIG.replace("label = demo", f"label = {label}"))
 
 
 def test_scan_section_validation():
@@ -95,6 +109,13 @@ def test_scan_section_validation():
         parse_config(GOOD_CONFIG + "\n[scan]\nparameter = both.width\nvalues =\n")
     with pytest.raises(ConfigError, match="not a scannable"):
         parse_config(GOOD_CONFIG + "\n[scan]\nparameter = atom.rho_bb\nvalues = 0.5\n")
+    with pytest.raises(ConfigError, match=r"\[scan\].*values"):
+        parse_config(GOOD_CONFIG + "\n[scan]\nparameter = both.width\n")
+    # every scan value is applied at load, not only the first
+    with pytest.raises(ConfigError, match=r"\[scan\] run.t_end = -2.0: \[run\] t_end"):
+        parse_config(GOOD_CONFIG + "\n[scan]\nparameter = run.t_end\nvalues = 1.0, -2\n")
+    with pytest.raises(ConfigError, match=r"\[scan\] both.width = -0.1: .*width"):
+        parse_config(GOOD_CONFIG + "\n[scan]\nparameter = both.width\nvalues = 0.2, -0.1\n")
 
 
 def test_apply_override_paths():
@@ -262,6 +283,14 @@ def test_cli_config_error_exit_code(tmp_path):
     for line in ("leak_tol = nan", "g_k = -0.5"):
         bad.write_text(GOOD_CONFIG + "\n[verify]\n" + line + "\n")
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == 2
+    nested = tmp_path / "a" / "b"
+    for label in ("../../escape", ""):
+        bad.write_text(GOOD_CONFIG.replace("label = demo", f"label = {label}"))
+        assert main(["run", str(bad), "--out", str(nested)]) == 2
+    assert not (tmp_path / "escape.csv").exists() and not (nested / ".csv").exists()
+    bad.write_text(GOOD_CONFIG + "\n[scan]\nparameter = run.t_end\nvalues = 1.0, -2\n")
+    assert main(["scan", str(bad), "--out", str(nested)]) == 2
+    assert not (nested / "demo_scan.csv").exists()
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
@@ -327,3 +356,47 @@ def test_cli_verify_subcommand(tmp_path):
     report = manifest["verification"]
     for key in ("n_k_max_rel_err", "n_q_max_rel_err", "abs_pair_max_rel_err"):
         assert float(report[key]) < 0.05
+
+
+def test_cli_verify_reports_uncompared_channels(tmp_path, capsys):
+    """With the control off there are no anti-Stokes photons to compare: say so, not 0.0."""
+    config_path = tmp_path / "verify.cfg"
+    config_path.write_text(GOOD_CONFIG.replace("omega_peak = 10\ncenter = 0.5\nwidth = 0.0667\n\n[run]",
+                                               "omega_peak = 0\ncenter = 0.5\nwidth = 0.0667\n\n[run]")
+                           + "\n[verify]\ncutoff_k = 2\ncutoff_q = 2\n")
+    out_dir = tmp_path / "verify_out"
+    assert main(["verify", str(config_path), "--out", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "  n_q_max_rel_err = n/a (0 points compared)" in out
+    assert "  abs_pair_max_rel_err = n/a (0 points compared)" in out
+    counted = re.search(r"  n_k_max_rel_err = \d\.\d{3}e[-+]\d+ \((\d+) points compared\)", out)
+    assert counted and int(counted.group(1)) > 0
+    # the CSV header keeps its numbers
+    assert "# verify.n_q_max_rel_err = 0.0" in (out_dir / "demo_verify.csv").read_text()
+
+
+@pytest.mark.parametrize("with_verify", [False, True], ids=["plain", "verify"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_ini_round_trips_every_preset(name, with_verify, monkeypatch):
+    """The INI that the benchmark writes from `describe` loads back to the same config."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import config_ini
+
+    chosen = preset(name)
+    for cfg in [chosen.scan] if chosen.kind == "scan" else chosen.scenarios:
+        if with_verify:
+            cfg = replace(cfg, verify=OracleConfig())
+        assert config_hash(parse_config(config_ini(cfg))) == config_hash(cfg)
+
+        info = describe(cfg)
+        expected = {f"atom.{f.name}" for f in fields(AtomConfig) if f.name != "rho0"}
+        expected |= {f"{p}.{f.name}" for p in ("pump", "control") for f in fields(PulseSpec)}
+        expected |= {f.name for f in fields(ScenarioConfig)} - {"atom", "pump", "control",
+                                                              "scan", "verify"}
+        for prefix, part in (("scan", cfg.scan), ("verify", cfg.verify)):
+            if part is not None:
+                expected |= {f"{prefix}.{f.name}" for f in fields(type(part))}
+        rho_keys = {key for key in info if key.startswith("atom.rho_")}
+        assert set(info) - rho_keys == expected
+        assert len(rho_keys) == 4 + np.count_nonzero(cfg.atom.rho0 - np.diag(np.diag(cfg.atom.rho0)))
+        assert {f"atom.rho_{x}{x}" for x in "abcd"} <= rho_keys
