@@ -2,10 +2,12 @@
 
 The atom has levels a, b, c, d.  Every operator |x><y| is addressed by a single
 1-based index in row-major order (aa, ab, ac, ad, ba, ..., dd), so index 14 is
-|d><b| and index 9 is |c><a|.  All other modules build on the three operations
-here: index lookup, Hermitian conjugation, and the delta-contraction of operator
-products.  Internal numpy code uses the 0-based tables at the bottom; anything
-user-facing (CSV headers, logs) sticks to the 1-based convention.
+|d><b| and index 9 is |c><a|.  All other modules build on the operations here:
+index lookup, Hermitian conjugation, the delta-contraction of operator products,
+and the Kronecker lift of 4x4 matrices to 16x16 generators on that basis
+(`lift` for a Hamiltonian, `dissipator` for a Lindblad channel).  Internal numpy
+code uses the 0-based tables at the bottom; anything user-facing (CSV headers,
+logs) sticks to the 1-based convention.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ _RANK = {name: i for i, name in enumerate(LEVELS)}
 
 N_LEVELS = 4
 N_OPS = 16
+_EYE = np.eye(N_LEVELS)
 
 # Source rows of the field-operator solutions (1-based).
 ROW_AC = 3    # feeds the anti-Stokes creation operator
@@ -58,6 +61,30 @@ def contract(m: int, n: int) -> int | None:
     if y != u:
         return None
     return idx(x, v)
+
+
+def op(x: str, y: str) -> np.ndarray:
+    """The 4x4 matrix |x><y|: row idx(x, y) - 1 of the 16x16 identity, read row-major."""
+    return np.eye(N_OPS, dtype=complex)[idx(x, y) - 1].reshape(N_LEVELS, N_LEVELS)
+
+
+def lift(h: np.ndarray) -> np.ndarray:
+    """Generator of d<sigma_m>/dt = i<[h, sigma_m]>: i (h^T (x) 1 - 1 (x) h).
+
+    Entry [m, n] is the coefficient of sigma_n in i [h, sigma_m] (row-major m).
+    """
+    h = np.asarray(h, dtype=complex)
+    return 1j * (np.kron(h.T, _EYE) - np.kron(_EYE, h))
+
+
+def dissipator(rate: float, jump: np.ndarray) -> np.ndarray:
+    """Adjoint Lindblad generator rate (L* (x) L - (N^T (x) 1 + 1 (x) N) / 2), N = L^dag L.
+
+    Entry [m, n] is the coefficient of sigma_n in rate (L^dag sigma_m L - {N, sigma_m} / 2).
+    """
+    jump = np.asarray(jump, dtype=complex)
+    n = jump.conj().T @ jump
+    return rate * (np.kron(jump.conj(), jump) - 0.5 * (np.kron(n.T, _EYE) + np.kron(_EYE, n)))
 
 
 def _check_index(m: int) -> None:

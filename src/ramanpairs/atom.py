@@ -9,6 +9,9 @@ M(t) collects three pieces:
 * radiative decay a->b, a->c, d->b, d->c with matching repopulation;
 * optional pure dephasing of the b-c ground coherence.
 
+M is built as one `algebra.lift` of h plus one `algebra.dissipator` per decay
+channel and one for the dephasing; only the drive part of h depends on time.
+
 The rotating frame pins the representative Stokes mode at two-photon
 resonance with the pump and the anti-Stokes mode at two-photon resonance
 with the control, which closes the four-photon loop and keeps M(t)
@@ -34,6 +37,8 @@ def _as_rho(matrix) -> np.ndarray:
     rho = np.asarray(matrix, dtype=complex)
     if rho.shape != (4, 4):
         raise ConfigError(f"rho0 must be 4x4, got shape {rho.shape}")
+    if not np.isfinite(rho).all():  # NaN fails every comparison below
+        raise ConfigError("rho0 entries must be finite")
     if abs(np.trace(rho) - 1.0) > 1e-12:
         raise ConfigError(f"rho0 trace must be 1 within 1e-12, got {np.trace(rho)}")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
@@ -78,48 +83,6 @@ class AtomConfig:
                 ("d", "b", self.gamma_db), ("d", "c", self.gamma_dc))
 
 
-def hamiltonian_lift(h: np.ndarray) -> np.ndarray:
-    """Map a 4x4 Hamiltonian (units of hbar) to its action on <sigma_xy>.
-
-    d<sigma_xy>/dt = i sum_u h[u,x] <sigma_uy> - i sum_v h[y,v] <sigma_xv>.
-    """
-    lift = np.zeros((16, 16), dtype=complex)
-    for x in range(4):
-        for y in range(4):
-            row = 4 * x + y
-            for u in range(4):
-                lift[row, 4 * u + y] += 1j * h[u, x]
-            for v in range(4):
-                lift[row, 4 * x + v] -= 1j * h[y, v]
-    return lift
-
-
-def _decay_generator(atom: AtomConfig) -> np.ndarray:
-    """Adjoint dissipator of the radiative channels plus b-c dephasing."""
-    gen = np.zeros((16, 16), dtype=complex)
-    rank = algebra._RANK
-    for excited, ground, rate in atom.decay_channels():
-        if rate == 0.0:
-            continue
-        e, g = rank[excited], rank[ground]
-        # repopulation sigma_gg <- sigma_ee
-        gen[4 * g + g, 4 * e + e] += rate
-        # any coherence touching the excited level decays at rate/2
-        for y in range(4):
-            gen[4 * e + y, 4 * e + y] -= 0.5 * rate
-            gen[4 * y + e, 4 * y + e] -= 0.5 * rate
-    if atom.gamma_bc > 0.0:
-        # L = sqrt(gamma_bc/2) (|b><b| - |c><c|) damps sigma_bc at gamma_bc
-        kappa = 0.5 * atom.gamma_bc
-        sign = {rank["b"]: 1.0, rank["c"]: -1.0}
-        for x in range(4):
-            for y in range(4):
-                sx = sign.get(x, 0.0)
-                sy = sign.get(y, 0.0)
-                gen[4 * x + y, 4 * x + y] -= 0.5 * kappa * (sx - sy) ** 2
-    return gen
-
-
 class DriftBuilder:
     """Precomputed affine decomposition of M(t) for fast repeated evaluation.
 
@@ -133,20 +96,18 @@ class DriftBuilder:
         self.atom = atom
         self.pump = pump
         self.control = control
-        rank = algebra._RANK
-        delta = np.zeros(4)
-        delta[rank["d"]] = -pump.detuning
-        delta[rank["a"]] = -control.detuning
-        self._static = hamiltonian_lift(np.diag(delta).astype(complex)) + _decay_generator(atom)
-
-        def unit(x, y):
-            h = np.zeros((4, 4), dtype=complex)
-            h[rank[x], rank[y]] = -1.0  # interaction enters with a minus sign
-            return hamiltonian_lift(h)
-
-        # rows match the coefficients (Omega_p, Omega_c, conj Omega_p, conj Omega_c)
-        self._drives = np.stack([unit("d", "c"), unit("a", "b"),
-                                 unit("c", "d"), unit("b", "a")]).reshape(4, 256)
+        # h = diag(-Delta_c, 0, 0, -Delta_p) over the levels a, b, c, d
+        detuning = np.diag([-control.detuning, 0.0, 0.0, -pump.detuning])
+        decay = sum(algebra.dissipator(rate, algebra.op(ground, excited))
+                    for excited, ground, rate in atom.decay_channels())
+        # L = |b><b| - |c><c| at rate gamma_bc/2 damps sigma_bc at gamma_bc
+        dephasing = algebra.dissipator(0.5 * atom.gamma_bc,
+                                       algebra.op("b", "b") - algebra.op("c", "c"))
+        self._static = algebra.lift(detuning) + decay + dephasing
+        # rows match the coefficients (Omega_p, Omega_c, conj Omega_p, conj Omega_c);
+        # the interaction enters h with a minus sign
+        self._drives = np.stack([algebra.lift(-algebra.op(x, y))
+                                 for x, y in ("dc", "ab", "cd", "ba")]).reshape(4, 256)
 
     @property
     def constant(self) -> bool:

@@ -2,6 +2,7 @@
 
 Subcommands:
     run <config>      run one scenario file, write series CSV + manifest
+                      (a config with a [scan] section is refused: use scan)
     preset <name>     run a named figure preset (scenario group or scan)
     scan <config>     run the scan described by the config's [scan] section
     verify <config>   compare the pipeline against the truncated-Fock oracle
@@ -96,6 +97,9 @@ def main(argv=None) -> int:
 
         if args.command == "run":
             cfg = _apply_flags(load_config(args.config), args)
+            if cfg.scan is not None:
+                raise ConfigError(f"{args.config} has a [scan] section; "
+                                  "run it with the 'scan' subcommand")
             _emit_scenario(cfg, out_dir)
 
         elif args.command == "preset":

@@ -79,22 +79,8 @@ def _slot_factors(atom: AtomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return g, np.where(_CREATES, -1j, 1j) * g, field
 
 
-def _commutator_structure(u: str, v: str) -> np.ndarray:
-    """Matrix C with (C X)_m = [sigma_uv, X_m] expanded over the operator basis."""
-    iu, iv = algebra._RANK[u], algebra._RANK[v]
-    c = np.zeros((16, 16), dtype=complex)
-    for x in range(4):
-        for y in range(4):
-            row = 4 * x + y
-            if iv == x:
-                c[row, 4 * iu + y] += 1.0
-            if y == iu:
-                c[row, 4 * x + iv] -= 1.0
-    return c
-
-
 # C_r: commutator with the atomic operator that multiplies A_r(0) in the coupling.
-_STRUCTURES = np.stack([_commutator_structure(*algebra.levels(algebra.dagger(row)))
+_STRUCTURES = np.stack([-1j * algebra.lift(algebra.op(*algebra.levels(algebra.dagger(row))))
                         for row in algebra.SOURCE_ROWS])
 
 
@@ -135,8 +121,6 @@ class MomentSeries:
     square_q: SplitMoment    # <a_q^2>
     mean_k: np.ndarray       # <a_k>
     mean_q: np.ndarray       # <a_q>
-    n_th_k: float
-    n_th_q: float
 
 
 def _trapezoid_cumsum(terms: np.ndarray) -> np.ndarray:
@@ -207,6 +191,4 @@ def compute_moments(atom: AtomConfig, grid: PropagatorGrid,
         square_q=split(AQ, AQ),
         mean_k=means[:, AK],
         mean_q=means[:, AQ],
-        n_th_k=atom.n_th_k,
-        n_th_q=atom.n_th_q,
     )

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ramanpairs import algebra
-from ramanpairs.algebra import CONTRACT0, DAGGER0, contract, dagger, idx, levels
+from ramanpairs.algebra import (CONTRACT0, DAGGER0, contract, dagger, dissipator, idx, levels,
+                                lift, op)
 
 LEVEL = st.sampled_from(algebra.LEVELS)
 INDEX = st.integers(min_value=1, max_value=16)
@@ -86,3 +87,29 @@ def test_zero_based_tables_consistent():
             assert CONTRACT0[m - 1, n - 1] == (-1 if p is None else p - 1)
     assert list(algebra.POPULATION0) == [0, 5, 10, 15]
     assert np.array_equal(np.sort(DAGGER0), np.arange(16))
+
+
+def test_op_is_the_row_major_unit_matrix():
+    for m in range(1, 17):
+        x, y = levels(m)
+        expected = np.zeros((4, 4))
+        expected["abcd".index(x), "abcd".index(y)] = 1.0
+        assert np.array_equal(op(x, y), expected)
+    with pytest.raises(ValueError):
+        op("a", "e")
+
+
+def test_lift_and_dissipator_act_on_every_unit_matrix():
+    """Row m of each 16x16 lift expands the 4x4 action on E_m over the unit matrices E_n."""
+    rng = np.random.default_rng(11)
+    basis = np.stack([op(*levels(m)) for m in range(1, 17)])
+    for _ in range(5):
+        h, jump = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        n = jump.conj().T @ jump
+        hamiltonian, lindblad = lift(h), dissipator(1.0, jump)
+        for m, e in enumerate(basis):
+            commutator = 1j * (h @ e - e @ h)
+            damping = jump.conj().T @ e @ jump - 0.5 * (n @ e + e @ n)
+            assert np.max(np.abs(np.tensordot(hamiltonian[m], basis, axes=1) - commutator)) < 1e-14
+            assert np.max(np.abs(np.tensordot(lindblad[m], basis, axes=1) - damping)) < 1e-13
+        assert np.max(np.abs(dissipator(0.3, jump) - 0.3 * lindblad)) < 1e-15

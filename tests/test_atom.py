@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ramanpairs.algebra import DAGGER0, POPULATION0, idx
+from ramanpairs.algebra import DAGGER0, POPULATION0, idx, levels
 from ramanpairs.atom import AtomConfig, DriftBuilder, density_matrix, evolve_state, state_vector
 from ramanpairs.errors import ConfigError
 from ramanpairs.oracle import atomic_liouvillian
@@ -146,3 +146,29 @@ def test_atom_config_validation():
     skew = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ConfigError):
         AtomConfig(rho0=skew)
+    for value in (np.nan, np.inf, complex(0.0, np.nan)):
+        for entry in ((0, 0), (1, 2)):
+            rho = rho_symmetric()
+            rho[entry] = value
+            with pytest.raises(ConfigError, match="finite"):
+                AtomConfig(rho0=rho)
+
+
+def test_mirror_relabelling_permutes_the_drift_matrix():
+    """a<->d, b<->c with pump<->control, gamma_ab<->gamma_dc, gamma_ac<->gamma_db: M' = P M P^T."""
+    mirror = dict(zip("abcd", "dcba"))
+    perm = [idx(*(mirror[level] for level in levels(m))) - 1 for m in range(1, 17)]
+    p = np.eye(16)[perm]  # (P X)_m = X_{mirror(m)}
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        ab, ac, db, dc, bc = rng.uniform(0.0, 2.0, size=5)
+        pump, control = (gauss_pulse(omega=rng.uniform(0, 15), center=rng.uniform(0.2, 0.6),
+                                     width=rng.uniform(0.05, 0.3), detuning=rng.uniform(-20, 20),
+                                     chirp=rng.uniform(-80, 80), phase0=rng.uniform(0, 6))
+                         for _ in range(2))
+        atom = AtomConfig(gamma_ab=ab, gamma_ac=ac, gamma_db=db, gamma_dc=dc, gamma_bc=bc)
+        swapped = AtomConfig(gamma_ab=dc, gamma_ac=db, gamma_db=ac, gamma_dc=ab, gamma_bc=bc)
+        times = rng.uniform(0.0, 1.0, size=3)
+        m = DriftBuilder(atom, pump, control).entries(times)
+        m_swapped = DriftBuilder(swapped, control, pump).entries(times)
+        assert np.max(np.abs(m_swapped - p @ m @ p.T)) < 1e-13

@@ -264,7 +264,7 @@ def test_cli_preset_listing(capsys):
     assert "fig2a" in out and "fig7d" in out
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(GOOD_CONFIG + "\n[atom]\nbogus = 1\n")
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
@@ -291,6 +291,14 @@ def test_cli_config_error_exit_code(tmp_path):
     bad.write_text(GOOD_CONFIG + "\n[scan]\nparameter = run.t_end\nvalues = 1.0, -2\n")
     assert main(["scan", str(bad), "--out", str(nested)]) == 2
     assert not (nested / "demo_scan.csv").exists()
+    for line in ("rho_aa = nan", "rho_bc = nan", "rho_bc = inf", "rho_bc = 1e400"):
+        bad.write_text(GOOD_CONFIG.replace("rho_bb = 0.5", f"rho_bb = 0.5\n{line}"))
+        assert main(["run", str(bad), "--out", str(nested)]) == 2, line
+    assert not (nested / "demo.csv").exists()
+    bad.write_text(GOOD_CONFIG + "\n[scan]\nparameter = run.t_end\nvalues = 1.0, 2.0\n")
+    assert main(["run", str(bad), "--out", str(nested)]) == 2
+    assert "[scan]" in capsys.readouterr().err
+    assert not (nested / "demo.csv").exists()
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from ramanpairs.algebra import SOURCE_ROWS, idx
+from ramanpairs.algebra import SOURCE_ROWS, idx, levels, op
 from ramanpairs.atom import AtomConfig
 from ramanpairs.errors import ConfigError
 from ramanpairs.moments import (AK, AK_DAG, AQ, AQ_DAG, DAGGER_SLOT, _STRUCTURES,
-                                _commutator_structure, _initial_pair_table, _moment_tables,
+                                _initial_pair_table, _moment_tables,
                                 _slot_factors, compute_moments)
 from ramanpairs.noise import DiffusionTable, diffusion_table
 from ramanpairs.propagator import build_propagator_grid
@@ -39,9 +39,14 @@ def test_slot_table():
     expected[AQ_DAG, AQ] = 0.05
     expected[AQ, AQ_DAG] = 1.05
     assert np.array_equal(field, expected)
-    # each structure is the commutator with the operator multiplying A_r(0) in the coupling
+    # each structure is the commutator with the operator multiplying A_r(0) in the coupling:
+    # row m of C_r expands [sigma_uv, E_m] over the unit matrices E_n
+    basis = np.stack([op(*levels(m)) for m in range(1, 17)])
     for slot, (u, v) in ((AQ_DAG, "ca"), (AK, "db"), (AQ, "ac"), (AK_DAG, "bd")):
-        assert np.array_equal(_STRUCTURES[slot], _commutator_structure(u, v))
+        sigma = op(u, v)
+        for m, e in enumerate(basis):
+            expanded = np.tensordot(_STRUCTURES[slot][m], basis, axes=1)
+            assert np.array_equal(expanded, sigma @ e - e @ sigma)
 
 
 def _pipeline(atom, pump, control, t_end=1.0, n=150):

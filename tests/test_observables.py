@@ -17,8 +17,7 @@ def _series(n, value=0.0):
 
 
 def _manual_moments(n=5, *, pair=0.0, cross=0.0, n_k=0.0, n_q=0.0,
-                    sq_k=0.0, sq_q=0.0, mean_k=0.0, mean_q=0.0,
-                    n_th_k=0.0, n_th_q=0.0):
+                    sq_k=0.0, sq_q=0.0, mean_k=0.0, mean_q=0.0):
     def split(total):
         return SplitMoment(boundary=_series(n, total), noise=_series(n),
                            backaction=_series(n), initial=0.0)
@@ -28,8 +27,7 @@ def _manual_moments(n=5, *, pair=0.0, cross=0.0, n_k=0.0, n_q=0.0,
         pair=split(pair), cross=split(cross),
         n_k=split(n_k), n_q=split(n_q),
         square_k=split(sq_k), square_q=split(sq_q),
-        mean_k=_series(n, mean_k), mean_q=_series(n, mean_q),
-        n_th_k=n_th_k, n_th_q=n_th_q)
+        mean_k=_series(n, mean_k), mean_q=_series(n, mean_q))
 
 
 def test_independent_thermal_modes_give_one_half():
