@@ -1,4 +1,9 @@
-"""Scenario execution, scan driving, CSV and manifest emission."""
+"""Scenario execution, scan driving, CSV and manifest emission.
+
+Every CSV is one ordered ``dict`` of named columns (``scenario_table``, the
+scan rows, the verification table) under a commented header of the config's
+parameters, written by ``_write_csv``.
+"""
 
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from .errors import ConfigError
 from .moments import MomentSeries, compute_moments
 from .noise import diffusion_table
 from .observables import ObservableSeries, assemble_observables
-from .oracle import OracleMoments, oracle_moments
+from .oracle import oracle_moments
 from .propagator import build_propagator_grid
 
 _FMT = "%.17g"
@@ -45,8 +50,7 @@ class ScenarioResult:
 @dataclass
 class ScanResult:
     config: ScenarioConfig
-    values: tuple[float, ...]
-    rows: list[dict]
+    rows: list[dict[str, float]]
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
@@ -60,9 +64,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
                           observables=assemble_observables(moments))
 
 
-def _scan_point(args) -> ScenarioResult:
+def _scan_point(args) -> dict[str, float]:
+    """One scan value's summary row; only these five floats leave a pool worker."""
     cfg, value = args
-    return run_scenario(apply_override(cfg, cfg.scan.parameter, value))
+    res = run_scenario(apply_override(cfg, cfg.scan.parameter, value))
+    return {"value": value,
+            "peak_g_cs": res.peak_g_cs(),
+            "min_duan_d": res.min_duan(),
+            "min_duan_d_optimized": float(np.min(res.observables.duan_d_optimized)),
+            "peak_n_k": res.peak_n_k()}
 
 
 def run_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
@@ -77,16 +87,8 @@ def run_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
     workers = min(workers, len(jobs))  # a fork pool starts every worker at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_point, jobs))
-    else:
-        results = [_scan_point(job) for job in jobs]
-    rows = [{"value": value,
-             "peak_g_cs": res.peak_g_cs(),
-             "min_duan_d": res.min_duan(),
-             "min_duan_d_optimized": float(np.min(res.observables.duan_d_optimized)),
-             "peak_n_k": res.peak_n_k()}
-            for value, res in zip(cfg.scan.values, results)]
-    return ScanResult(config=cfg, values=cfg.scan.values, rows=rows)
+            return ScanResult(cfg, list(pool.map(_scan_point, jobs)))
+    return ScanResult(cfg, [_scan_point(job) for job in jobs])
 
 
 _MOMENT_COLUMNS = (
@@ -101,67 +103,59 @@ _GROUP_COLUMNS = {
 
 
 def _csv_header_lines(cfg: ScenarioConfig) -> list[str]:
-    lines = [f"# ramanpairs {__version__}", f"# config_hash {config_hash(cfg)}"]
-    for key, value in sorted(describe(cfg).items()):
-        lines.append(f"# {key} = {value}")
-    return lines
+    return [f"# ramanpairs {__version__}", f"# config_hash {config_hash(cfg)}",
+            *(f"# {key} = {value}" for key, value in sorted(describe(cfg).items()))]
 
 
-def scenario_table(result: ScenarioResult) -> tuple[list[str], np.ndarray]:
-    """Column names and data matrix for the scenario CSV."""
+def scenario_table(result: ScenarioResult) -> dict[str, np.ndarray]:
+    """The scenario CSV's named columns, in file order."""
     ms, obs, cfg = result.moments, result.observables, result.config
-    cols: list[str] = ["t", "n_k", "n_q"]
-    data: list[np.ndarray] = [ms.times, obs.n_k, obs.n_q]
+    table = {"t": ms.times, "n_k": obs.n_k, "n_q": obs.n_q}
 
     if "noise_split" in cfg.outputs:
         for name, split in (("n_k", ms.n_k), ("n_q", ms.n_q)):
             for part in ("boundary", "noise", "backaction"):
-                cols.append(f"{name}_{part}")
-                data.append(getattr(split, part).real)
-            cols.append(f"noise_fraction_{name[-1]}")
-            data.append(getattr(obs, f"noise_fraction_{name[-1]}"))
+                table[f"{name}_{part}"] = getattr(split, part).real
+            table[f"noise_fraction_{name[-1]}"] = getattr(obs, f"noise_fraction_{name[-1]}")
 
     if "moments" in cfg.outputs:
         for col, attr in _MOMENT_COLUMNS:
             split = getattr(ms, attr)
-            cols.extend([f"re_{col}", f"im_{col}"])
-            data.extend([split.total.real, split.total.imag])
-            cols.extend([f"re_{col}_linear", f"im_{col}_linear"])
-            data.extend([split.linear.real, split.linear.imag])
-        cols.extend(["re_ak_mean", "im_ak_mean", "re_aq_mean", "im_aq_mean"])
-        data.extend([ms.mean_k.real, ms.mean_k.imag, ms.mean_q.real, ms.mean_q.imag])
+            for suffix, values in (("", split.total), ("_linear", split.linear)):
+                table[f"re_{col}{suffix}"] = values.real
+                table[f"im_{col}{suffix}"] = values.imag
+        for col, mean in (("ak", ms.mean_k), ("aq", ms.mean_q)):
+            table[f"re_{col}_mean"] = mean.real
+            table[f"im_{col}_mean"] = mean.imag
 
     for group in ("gcs", "duan", "relate"):
         if group in cfg.outputs:
             for col in _GROUP_COLUMNS[group]:
-                cols.append(col)
-                values = getattr(obs, col)
-                data.append(values.astype(float) if values.dtype == bool else values)
-
-    return cols, np.column_stack(data)
+                table[col] = getattr(obs, col).astype(float)  # the flags as 0/1
+    return table
 
 
-def _write_csv(path, header_lines: list[str], cols: list[str], rows) -> None:
-    """Comment header, column names, then one _FMT-formatted line per row."""
-    lines = [*header_lines, ",".join(cols)]
-    lines.extend(",".join(_FMT % v for v in row) for row in rows)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+def _write_csv(path, header: list[str], table: dict[str, np.ndarray]) -> None:
+    """Comment header, the column names, then one _FMT-formatted line per row."""
+    np.savetxt(path, np.column_stack(list(table.values())), fmt=_FMT, delimiter=",",
+               header="\n".join([*header, ",".join(table)]), comments="", encoding="utf-8")
 
 
 def write_scenario_csv(result: ScenarioResult, path) -> None:
-    cols, table = scenario_table(result)
-    _write_csv(path, _csv_header_lines(result.config), cols, table)
+    _write_csv(path, _csv_header_lines(result.config), scenario_table(result))
 
 
 def write_scan_csv(result: ScanResult, path) -> None:
-    cols = ["value", "peak_g_cs", "min_duan_d", "min_duan_d_optimized", "peak_n_k"]
-    _write_csv(path, _csv_header_lines(result.config), cols,
-               ([row[c] for c in cols] for row in result.rows))
+    table = {col: np.array([row[col] for row in result.rows]) for col in result.rows[0]}
+    _write_csv(path, _csv_header_lines(result.config), table)
 
 
-def run_verification(cfg: ScenarioConfig) -> tuple[ScenarioResult, OracleMoments, dict]:
-    """Pipeline vs truncated-Fock comparison on a thinned copy of the grid."""
+def run_verification(cfg: ScenarioConfig) -> tuple[ScenarioResult, dict[str, np.ndarray], dict]:
+    """Pipeline vs truncated-Fock comparison on a thinned copy of the grid.
+
+    Returns the pipeline run, the comparison table (t, then each channel's
+    pipeline and oracle columns) and the report derived from that table.
+    """
     if cfg.verify is None:
         raise ConfigError("run_verification needs a [verify] section")
     oracle_cfg = cfg.verify
@@ -169,40 +163,28 @@ def run_verification(cfg: ScenarioConfig) -> tuple[ScenarioResult, OracleMoments
     atom = replace(cfg.atom, g_k=oracle_cfg.g_k, g_q=oracle_cfg.g_q)
     pipeline = run_scenario(replace(cfg, atom=atom, scan=None, verify=None))
     stride = max(1, cfg.grid_points // 40)
-    times_cmp = pipeline.times[::stride]
-    oracle = oracle_moments(atom, cfg.pump, cfg.control, times_cmp, oracle_cfg)
+    oracle = oracle_moments(atom, cfg.pump, cfg.control, pipeline.times[::stride], oracle_cfg)
 
-    report = {"stride": stride, "points": len(times_cmp)}
-    sel = slice(None, None, stride)
     ms = pipeline.moments
-    for name, pipe, orc in (("n_k", ms.n_k.total[sel].real, oracle.n_k.real),
-                            ("n_q", ms.n_q.total[sel].real, oracle.n_q.real),
-                            ("abs_pair", np.abs(ms.pair.total[sel]), np.abs(oracle.pair))):
+    table = {"t": oracle.times}
+    report = {"stride": stride, "points": len(oracle.times)}
+    for name, pipe, orc in (("n_k", ms.n_k.total.real, oracle.n_k.real),
+                            ("n_q", ms.n_q.total.real, oracle.n_q.real),
+                            ("abs_pair", np.abs(ms.pair.total), np.abs(oracle.pair))):
+        pipe = pipe[::stride]
+        table[f"{name}_pipeline"], table[f"{name}_oracle"] = pipe, orc
         mask = np.abs(orc) > 1e-12
-        if mask.any():
-            rel = np.abs(pipe[mask] - orc[mask]) / np.abs(orc[mask])
-            report[f"{name}_max_rel_err"] = float(rel.max())
-            report[f"{name}_points"] = int(mask.sum())
-        else:
-            report[f"{name}_max_rel_err"] = 0.0
-            report[f"{name}_points"] = 0
-    return pipeline, oracle, report
+        rel = np.abs(pipe[mask] - orc[mask]) / np.abs(orc[mask])
+        report[f"{name}_max_rel_err"] = float(rel.max()) if mask.any() else 0.0
+        report[f"{name}_points"] = int(mask.sum())
+    return pipeline, table, report
 
 
-def write_verification_csv(pipeline: ScenarioResult, oracle: OracleMoments,
+def write_verification_csv(pipeline: ScenarioResult, table: dict[str, np.ndarray],
                            report: dict, path) -> None:
-    stride = report["stride"]
-    sel = slice(None, None, stride)
-    ms = pipeline.moments
-    cols = ["t", "n_k_pipeline", "n_k_oracle", "n_q_pipeline", "n_q_oracle",
-            "abs_pair_pipeline", "abs_pair_oracle"]
-    table = np.column_stack([
-        oracle.times, ms.n_k.total[sel].real, oracle.n_k.real,
-        ms.n_q.total[sel].real, oracle.n_q.real,
-        np.abs(ms.pair.total[sel]), np.abs(oracle.pair)])
     header = _csv_header_lines(pipeline.config)
     header.extend(f"# verify.{key} = {value}" for key, value in sorted(report.items()))
-    _write_csv(path, header, cols, table)
+    _write_csv(path, header, table)
 
 
 def write_manifest(cfg: ScenarioConfig, path, extra: dict | None = None) -> None:
@@ -212,9 +194,8 @@ def write_manifest(cfg: ScenarioConfig, path, extra: dict | None = None) -> None
         "python": sys.version.split()[0],
         "config_hash": config_hash(cfg),
         "parameters": {k: repr(v) for k, v in sorted(describe(cfg).items())},
+        **(extra or {}),
     }
-    if extra:
-        payload.update(extra)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

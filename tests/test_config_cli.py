@@ -190,10 +190,16 @@ def test_scenario_csv_structure(tmp_path):
     header = [l for l in lines if l.startswith("#")]
     assert any("atom.gamma_ab = 1.0" in l for l in header)
     columns = next(l for l in lines if not l.startswith("#")).split(",")
-    for expected in ("t", "n_k", "n_q", "n_k_boundary", "n_k_noise", "re_aq_ak",
-                     "im_aq_ak", "g_cs", "cs_defined", "duan_d", "duan_d_optimized",
-                     "g2", "phi_kq", "relate_residual"):
-        assert expected in columns
+    # all five output groups, in file order
+    moments = [f"{part}_{col}{family}" for col in ("aq_ak", "aq_akdag", "ak_sq", "aq_sq")
+               for family in ("", "_linear") for part in ("re", "im")]
+    assert columns == [
+        "t", "n_k", "n_q",
+        "n_k_boundary", "n_k_noise", "n_k_backaction", "noise_fraction_k",
+        "n_q_boundary", "n_q_noise", "n_q_backaction", "noise_fraction_q",
+        *moments, "re_ak_mean", "im_ak_mean", "re_aq_mean", "im_aq_mean",
+        "g_cs", "cs_defined", "duan_d", "duan_d_optimized",
+        "g2", "phi_kq", "relate_residual", "relate_certified"]
     first_row = next(l for l in lines if not l.startswith("#") and not l.startswith("t,"))
     assert len(first_row.split(",")) == len(columns)
 
@@ -296,9 +302,31 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert main(["run", str(bad), "--out", str(nested)]) == 2, line
     assert not (nested / "demo.csv").exists()
     bad.write_text(GOOD_CONFIG + "\n[scan]\nparameter = run.t_end\nvalues = 1.0, 2.0\n")
-    assert main(["run", str(bad), "--out", str(nested)]) == 2
-    assert "[scan]" in capsys.readouterr().err
-    assert not (nested / "demo.csv").exists()
+    capsys.readouterr()
+    for command in ("run", "verify"):
+        assert main([command, str(bad), "--out", str(nested)]) == 2
+        assert "[scan]" in capsys.readouterr().err
+    assert not (nested / "demo.csv").exists() and not (nested / "demo_verify.csv").exists()
+    assert main(["scan", str(good), "--out", str(nested)]) == 2
+    err = capsys.readouterr().err
+    assert "no [scan] section" in err and "'run'" in err and "run_scan" not in err
+
+
+def test_cli_creates_out_only_after_every_config_loads(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(GOOD_CONFIG + "\n[atom]\nbogus = 1\n")
+    scan = tmp_path / "scan.cfg"
+    scan.write_text(GOOD_CONFIG + "\n[scan]\nparameter = both.width\nvalues = 0.2, 0.1\n")
+    fresh = str(tmp_path / "fresh" / "out")
+    assert main(["run", str(bad), "--out", fresh]) == 2
+    assert main(["verify", str(bad), "--out", fresh]) == 2
+    assert main(["preset", "fig99", "--out", fresh]) == 2
+    assert main(["preset", "--list", "--out", fresh]) == 0
+    capsys.readouterr()
+    for workers in ("0", "-2"):  # used to run serially and exit 0
+        assert main(["scan", str(scan), "--out", fresh, "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
@@ -358,8 +386,13 @@ def test_cli_verify_subcommand(tmp_path):
     out_dir = tmp_path / "verify_out"
     assert main(["verify", str(config_path), "--out", str(out_dir),
                  "--grid-points", "200"]) == 0
-    text = (out_dir / "demo_verify.csv").read_text()
-    assert "n_k_pipeline" in text and "abs_pair_oracle" in text
+    lines = (out_dir / "demo_verify.csv").read_text().splitlines()
+    assert next(l for l in lines if not l.startswith("#")).split(",") == [
+        "t", "n_k_pipeline", "n_k_oracle", "n_q_pipeline", "n_q_oracle",
+        "abs_pair_pipeline", "abs_pair_oracle"]
+    # the header keys the benchmark's verify gate reads
+    for key in ("n_k_max_rel_err", "n_q_max_rel_err", "abs_pair_max_rel_err"):
+        assert sum(l.startswith(f"# verify.{key} = ") for l in lines) == 1
     manifest = json.loads((out_dir / "demo_verify.manifest.json").read_text())
     report = manifest["verification"]
     for key in ("n_k_max_rel_err", "n_q_max_rel_err", "abs_pair_max_rel_err"):
