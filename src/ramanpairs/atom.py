@@ -139,8 +139,9 @@ def evolve_state(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                  times: np.ndarray, rtol: float = 1e-9, atol: float = 1e-12) -> np.ndarray:
     """Expectation trajectory X(t_i) on the given grid, X(0) from rho0.
 
-    Returns an array of shape (len(times), 16).  Raises IntegrationError if
-    the adaptive integrator fails, carrying the failure time.
+    Integrates dX/dt = M(t) X with DOP853.  Returns an array of shape
+    (len(times), 16).  Raises IntegrationError if the adaptive integrator
+    fails, carrying the failure time.
     """
     times = np.asarray(times, dtype=float)
     builder = DriftBuilder(atom, pump, control)
@@ -149,7 +150,7 @@ def evolve_state(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     def rhs(t, x):
         return builder.entries(t) @ x
 
-    sol = solve_ivp(rhs, (times[0], times[-1]), x0, method="RK45",
+    sol = solve_ivp(rhs, (times[0], times[-1]), x0, method="DOP853",
                     t_eval=times, rtol=rtol, atol=atol)
     if not sol.success:
         t_fail = float(sol.t[-1]) if sol.t.size else float(times[0])

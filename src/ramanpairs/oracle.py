@@ -1,8 +1,8 @@
 """Brute-force verifier: full master equation with quantized field modes.
 
 The atom is joined to one truncated Stokes mode and one truncated anti-Stokes
-mode and the joint density matrix is integrated under the rotating-frame
-Hamiltonian
+mode and the joint density matrix is integrated, with the same DOP853 pair
+as the drift flows, under the rotating-frame Hamiltonian
 
     H = -Delta_c |a><a| - Delta_p |d><d|
         - [Omega_p(t)|d><c| + Omega_c(t)|a><b| + g_k a_k |d><b| + g_q a_q |a><c| + h.c.]
@@ -151,7 +151,7 @@ def _coefficients(pump: PulseSpec, control: PulseSpec, t: float) -> tuple[comple
 
 def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                    times: np.ndarray, cfg: OracleConfig | None = None) -> OracleMoments:
-    """Integrate the joint master equation and trace out the listed moments.
+    """Integrate the joint master equation (DOP853) and trace out the listed moments.
 
     The couplings g_k, g_q come from cfg (the verifier chooses its own small
     values); everything else is shared with the kernel pipeline inputs.
@@ -171,7 +171,7 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
 
     rho0 = np.kron(np.kron(atom.rho0, _thermal(dim_k, atom.n_th_k)),
                    _thermal(dim_q, atom.n_th_q))
-    sol = solve_ivp(rhs, (times[0], times[-1]), rho0.reshape(-1), method="RK45",
+    sol = solve_ivp(rhs, (times[0], times[-1]), rho0.reshape(-1), method="DOP853",
                     t_eval=times, rtol=cfg.rtol, atol=cfg.atol)
     if not sol.success:
         t_fail = float(sol.t[-1]) if sol.t.size else float(times[0])

@@ -14,7 +14,7 @@ trapezoid quadrature exactly (linearity).  One flow U(., 0) per scenario
 feeds everything: V is its batched 16x16 inverse and the expectation
 trajectory is U(t, 0) X(0).  Constant drives (both cw, unchirped) get the
 flow exactly, as powers of expm(M h) on the uniform grid; time-dependent
-drives get it from one 256-state ODE solve.
+drives get it from one 256-state DOP853 solve.
 
 The inverse grows like exp(decay * t), so long windows lose the kernels to
 cancellation without any integrator complaint.  The build therefore checks
@@ -50,8 +50,8 @@ def _solve_matrix_ode(builder: DriftBuilder, times: np.ndarray,
 
     A constant M on a uniform grid gives the exact flow as powers of one step
     propagator, U(t_i) = expm(M h) U(t_{i-1}).  Time-dependent drives (and an
-    uneven grid) integrate dU/dt = M(t) U with RK45; rtol and atol apply only
-    to that path.
+    uneven grid) integrate dU/dt = M(t) U with the 8th-order Dormand-Prince
+    pair DOP853; rtol and atol apply only to that path.
     """
     step = (times[-1] - times[0]) / (len(times) - 1)
     if builder.constant and np.allclose(np.diff(times), step, rtol=1e-9, atol=0.0):
@@ -66,7 +66,7 @@ def _solve_matrix_ode(builder: DriftBuilder, times: np.ndarray,
         return (builder.entries(t) @ y.reshape(16, 16)).reshape(256)
 
     y0 = np.eye(16, dtype=complex).reshape(256)
-    sol = solve_ivp(rhs, (times[0], times[-1]), y0, method="RK45",
+    sol = solve_ivp(rhs, (times[0], times[-1]), y0, method="DOP853",
                     t_eval=times, rtol=rtol, atol=atol)
     if not sol.success:
         t_fail = float(sol.t[-1]) if sol.t.size else float(times[0])

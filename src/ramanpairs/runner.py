@@ -83,6 +83,8 @@ def run_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
     """
     if cfg.scan is None:
         raise ConfigError("run_scan needs a [scan] section")
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     jobs = [(cfg, value) for value in cfg.scan.values]
     workers = min(workers, len(jobs))  # a fork pool starts every worker at once
     if workers > 1:

@@ -227,6 +227,14 @@ def test_run_scan_parallel_matches_serial():
     assert serial.rows == parallel.rows
 
 
+def test_run_scan_rejects_workers_below_one():
+    """Library callers get the same check as the CLI's --workers."""
+    cfg = parse_config(GOOD_CONFIG + "\n[scan]\nparameter = both.width\nvalues = 0.2, 0.1\n")
+    for workers in (0, -3):
+        with pytest.raises(ConfigError, match="workers must be at least 1"):
+            run_scan(cfg, workers=workers)
+
+
 def test_run_scan_caps_pool_at_scan_values(monkeypatch):
     """A fork pool starts all its workers at once; two values need no more than two."""
     from ramanpairs import runner

@@ -62,6 +62,21 @@ def test_cutoff_convergence_on_detuned_raman():
     assert np.max(np.abs(runs[2].n_k - runs[3].n_k)) < 0.01 * scale
 
 
+@pytest.mark.parametrize("name, omega", [("fig4c", None), ("fig3b", 5.0)])
+def test_cutoff_convergence_on_chirped_and_detuned_presets(name, omega):
+    """Cutoff 3, the verifier default, agrees with cutoff 4 at g = 0.01."""
+    chosen = preset(name)
+    cfg = (chosen.scenarios[0] if omega is None
+           else apply_override(chosen.scan, chosen.scan.scan.parameter, omega))
+    times = np.linspace(0.0, cfg.t_end, 41)  # the verifier thins 1600 intervals to 41 points
+    runs = [oracle_moments(cfg.atom, cfg.pump, cfg.control, times,
+                           OracleConfig(cutoff_k=cutoff, cutoff_q=cutoff))
+            for cutoff in (3, 4)]
+    for series in (lambda o: o.n_k.real, lambda o: o.n_q.real, lambda o: np.abs(o.pair)):
+        low, high = (series(run) for run in runs)
+        assert np.max(np.abs(low - high)) < 1e-5 * np.max(np.abs(high))
+
+
 def test_leakage_guard_raises_with_advice():
     atom = AtomConfig()
     pump = PulseSpec(shape="cw", omega_peak=5.0)  # resonant, floods the mode
