@@ -86,10 +86,12 @@ class AtomConfig:
 class DriftBuilder:
     """Precomputed affine decomposition of M(t) for fast repeated evaluation.
 
-    M(t) = M_static + Omega_p(t) P + conj(Omega_p(t)) P* part
-                    + Omega_c(t) C + conj(Omega_c(t)) C* part,
+    M(t) = static + Omega_p(t) P + conj(Omega_p(t)) P* part
+                  + Omega_c(t) C + conj(Omega_c(t)) C* part,
     where the four drive matrices come from lifting the unit coupling
-    operators.  Only the complex Rabi amplitudes vary with time.
+    operators.  Only the complex Rabi amplitudes vary with time.  The
+    time-independent part (detunings, decay, dephasing) is the read-only
+    array ``static``.
     """
 
     def __init__(self, atom: AtomConfig, pump: PulseSpec, control: PulseSpec):
@@ -103,7 +105,8 @@ class DriftBuilder:
         # L = |b><b| - |c><c| at rate gamma_bc/2 damps sigma_bc at gamma_bc
         dephasing = algebra.dissipator(0.5 * atom.gamma_bc,
                                        algebra.op("b", "b") - algebra.op("c", "c"))
-        self._static = algebra.lift(detuning) + decay + dephasing
+        self.static = algebra.lift(detuning) + decay + dephasing
+        self.static.flags.writeable = False
         # rows match the coefficients (Omega_p, Omega_c, conj Omega_p, conj Omega_c);
         # the interaction enters h with a minus sign
         self._drives = np.stack([algebra.lift(-algebra.op(x, y))
@@ -121,7 +124,7 @@ class DriftBuilder:
         om_c = rabi(self.control, t)
         coeffs = np.array([om_p, om_c, np.conj(om_p), np.conj(om_c)])
         m = (coeffs.T @ self._drives).reshape(coeffs.shape[1:] + (16, 16))
-        m += self._static
+        m += self.static
         return m
 
 

@@ -8,8 +8,13 @@ drift matrix and the instantaneous single-operator expectations:
 
 where X_{ij} is shorthand for <X_i X_j> = X at the contracted index (zero when
 the operator product vanishes) and (M X)_{mn} reads the contracted component
-of the drift velocity.  Normal and antinormal orderings are index views of
-the one raw table, no separate storage.
+of the drift velocity.  A commutator with the Hamiltonian is a derivation, so
+the drives, chirps and detunings cancel from the right-hand side: only the
+dissipators (decay and dephasing) set 2D (Lax, Phys. Rev. 145, 110 (1966)).
+The relation is linear in X, so 2D(t) = Lambda X(t) with one constant
+Lambda per atom, and the grid table is one product with the expectation
+trajectory.  Normal and antinormal orderings are index views of the one raw
+table, no separate storage.
 """
 
 from __future__ import annotations
@@ -66,7 +71,12 @@ class DiffusionTable:
 
 def diffusion_table(grid: PropagatorGrid, atom: AtomConfig,
                     pump: PulseSpec, control: PulseSpec) -> DiffusionTable:
-    """Evaluate the Einstein-relation table at every grid time in one batched call."""
-    builder = DriftBuilder(atom, pump, control)
+    """The Einstein-relation table at every grid time, one product with the state trajectory.
+
+    Lambda[k] = diffusion_matrix(static, e_k) on the sixteen unit vectors,
+    with static the time-independent part of M; the drives drop out.
+    """
+    static = DriftBuilder(atom, pump, control).static
+    einstein = diffusion_matrix(static, np.eye(16)).reshape(16, 256)
     return DiffusionTable(times=grid.times,
-                          matrices=diffusion_matrix(builder.entries(grid.times), grid.state_traj))
+                          matrices=(grid.state_traj @ einstein).reshape(-1, 16, 16))

@@ -11,10 +11,11 @@ V(s) = U(s, 0)^{-1}.  Row kernels then factor as
 with S the cumulative trapezoid of the four source rows of U(., 0), stacked
 into one (n_points, 4, 16) array.  This reproduces the direct per-s_j
 trapezoid quadrature exactly (linearity).  One flow U(., 0) per scenario
-feeds everything: V is its batched 16x16 inverse and the expectation
-trajectory is U(t, 0) X(0).  Constant drives (both cw, unchirped) get the
-flow exactly, as powers of expm(M h) on the uniform grid; time-dependent
-drives get it from one 256-state DOP853 solve.
+feeds everything, and the expectation trajectory is U(t, 0) X(0).  Constant
+drives (both cw, unchirped) get the flow and its inverse exactly, as powers
+of expm(M h) and expm(-M h) on the uniform grid, formed by repeated doubling
+in a few batched products.  Time-dependent drives get the flow from one
+256-state DOP853 solve and V from its batched 16x16 inverse.
 
 The inverse grows like exp(decay * t), so long windows lose the kernels to
 cancellation without any integrator complaint.  The build therefore checks
@@ -44,23 +45,37 @@ from .pulses import PulseSpec
 MAX_CONDITION = 1e12
 
 
+def _powers(step_map: np.ndarray, n: int) -> np.ndarray:
+    """step_map^i for i = 0 .. n - 1, shape (n, 16, 16).
+
+    Doubling: with the first k powers known, the next k are those times
+    step_map^k, so the table takes about log2(n) batched products.
+    """
+    p = np.empty((n, 16, 16), dtype=complex)
+    p[0] = np.eye(16)
+    p[1] = step_map
+    k = 2
+    while k < n:
+        m = min(k, n - k)
+        np.matmul(p[:m], p[k - 1] @ step_map, out=p[k:k + m])
+        k += m
+    return p
+
+
 def _solve_matrix_ode(builder: DriftBuilder, times: np.ndarray,
-                      rtol: float, atol: float) -> np.ndarray:
-    """U(t_i, times[0]) for every grid time, starting from the identity.
+                      rtol: float, atol: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """U(t_i, times[0]) for every grid time, starting from the identity, and its inverse.
 
     A constant M on a uniform grid gives the exact flow as powers of one step
-    propagator, U(t_i) = expm(M h) U(t_{i-1}).  Time-dependent drives (and an
-    uneven grid) integrate dU/dt = M(t) U with the 8th-order Dormand-Prince
-    pair DOP853; rtol and atol apply only to that path.
+    propagator, U(t_i) = expm(M h)^i, and the inverse for free as
+    expm(-M h)^i.  Time-dependent drives (and an uneven grid) integrate
+    dU/dt = M(t) U with the 8th-order Dormand-Prince pair DOP853 and return
+    None for the inverse; rtol and atol apply only to that path.
     """
     step = (times[-1] - times[0]) / (len(times) - 1)
     if builder.constant and np.allclose(np.diff(times), step, rtol=1e-9, atol=0.0):
-        step_map = expm(builder.entries(times[0]) * step)
-        u = np.empty((len(times), 16, 16), dtype=complex)
-        u[0] = np.eye(16)
-        for i in range(1, len(times)):
-            np.matmul(step_map, u[i - 1], out=u[i])
-        return u
+        m_step = builder.entries(times[0]) * step
+        return _powers(expm(m_step), len(times)), _powers(expm(-m_step), len(times))
 
     def rhs(t, y):
         return (builder.entries(t) @ y.reshape(16, 16)).reshape(256)
@@ -72,7 +87,7 @@ def _solve_matrix_ode(builder: DriftBuilder, times: np.ndarray,
         t_fail = float(sol.t[-1]) if sol.t.size else float(times[0])
         raise IntegrationError(f"propagator integration failed near t = {t_fail:.6g}: {sol.message}",
                                time=t_fail)
-    return np.ascontiguousarray(sol.y.T.reshape(len(times), 16, 16))
+    return np.ascontiguousarray(sol.y.T.reshape(len(times), 16, 16)), None
 
 
 @dataclass
@@ -80,10 +95,11 @@ class PropagatorGrid:
     """Uniform-grid propagator data consumed by the moment assembly.
 
     times is the uniform grid and u_from0[i] = U(t_i, 0) the one solved flow.
-    Everything else derives from it: v_inverse[j] = U(s_j, 0)^{-1} by batched
-    inversion, state_traj[i] = U(t_i, 0) X(0) the 16-component expectation
-    trajectory, and source_cumint[i, r] the cumulative trapezoid S of the
-    source rows of U(., 0), slot r following algebra.SOURCE_ROWS.
+    Everything else derives from it: v_inverse[j] = U(s_j, 0)^{-1} (exact
+    powers of expm(-M h) for constant drives, batched inversion otherwise),
+    state_traj[i] = U(t_i, 0) X(0) the 16-component expectation trajectory,
+    and source_cumint[i, r] the cumulative trapezoid S of the source rows of
+    U(., 0), slot r following algebra.SOURCE_ROWS.
     """
 
     times: np.ndarray
@@ -116,14 +132,16 @@ def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
         raise ConfigError(f"need at least 2 grid intervals, got {n_intervals}")
 
     times = np.linspace(0.0, float(t_end), int(n_intervals) + 1)
-    u_from0 = _solve_matrix_ode(DriftBuilder(atom, pump, control), times, rtol=rtol, atol=atol)
+    u_from0, v_inverse = _solve_matrix_ode(DriftBuilder(atom, pump, control), times,
+                                           rtol=rtol, atol=atol)
     condition = np.linalg.cond(u_from0[-1])
     if condition > MAX_CONDITION:
         raise IntegrationError(
             f"propagator U(t_end, 0) has condition number {condition:.3g} "
             f"(limit {MAX_CONDITION:.0e}); its inverse cannot carry the kernels "
             f"over this window, shorten t_end", time=float(times[-1]))
-    v_inverse = np.linalg.inv(u_from0)
+    if v_inverse is None:
+        v_inverse = np.linalg.inv(u_from0)
     state_traj = u_from0 @ state_vector(atom.rho0)
 
     rows = u_from0[:, np.asarray(algebra.SOURCE_ROWS) - 1, :]
@@ -148,4 +166,4 @@ def propagate_from(s_index: int, atom: AtomConfig, pump: PulseSpec, control: Pul
     tail = times[s_index:]
     if len(tail) == 1:
         return np.eye(16, dtype=complex)[None, :, :]
-    return _solve_matrix_ode(DriftBuilder(atom, pump, control), tail, rtol=rtol, atol=atol)
+    return _solve_matrix_ode(DriftBuilder(atom, pump, control), tail, rtol=rtol, atol=atol)[0]

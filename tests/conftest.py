@@ -1,9 +1,16 @@
-"""Shared helpers: cached pipeline runs keyed by an explicit label."""
+"""Shared helpers: cached pipeline runs keyed by an explicit label.
+
+HYPOTHESIS_PROFILE=ci selects a derandomized Hypothesis profile, so a
+property test that fails on CI fails the same way on every rerun.
+"""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ramanpairs.atom import AtomConfig
 from ramanpairs.moments import compute_moments
@@ -11,6 +18,9 @@ from ramanpairs.noise import diffusion_table
 from ramanpairs.observables import assemble_observables
 from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.pulses import PulseSpec
+
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def rho_symmetric() -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from ramanpairs.algebra import DAGGER0, POPULATION0, idx
@@ -141,4 +142,34 @@ def test_table_matches_pointwise_evaluation(small_driven_run):
     builder = DriftBuilder(atom, pump, control)
     for i in range(grid.n_points):
         direct = diffusion_matrix(builder.entries(grid.times[i]), grid.state_traj[i])
-        assert np.allclose(diffusion.matrices[i], direct, atol=1e-14)
+        assert np.allclose(diffusion.matrices[i], direct, rtol=0, atol=1e-14)
+
+
+# radiative rates stay >= 0.5: the cancellation leaves a rounding floor of
+# about eps |Omega| / gamma relative, 1.4e-14 at Omega 50 and gamma 0.5
+RADIATIVE = st.floats(min_value=0.5, max_value=3.0)
+REAL = st.floats(min_value=-20.0, max_value=20.0)
+PULSE = st.builds(PulseSpec, shape=st.sampled_from(["cw", "gaussian"]),
+                  omega_peak=st.floats(min_value=0.0, max_value=50.0),
+                  center=st.floats(min_value=0.0, max_value=2.0),
+                  width=st.floats(min_value=0.05, max_value=1.0),
+                  detuning=REAL, chirp=REAL, phase0=REAL)
+
+
+# no explain phase, as in the oracle's Liouvillian property test
+@settings(max_examples=30, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(radiative=st.tuples(RADIATIVE, RADIATIVE, RADIATIVE, RADIATIVE),
+       gamma_bc=st.floats(min_value=0.0, max_value=3.0), pump=PULSE, control=PULSE,
+       t=st.floats(min_value=0.0, max_value=2.0), seed=st.integers(0, 2**32 - 1))
+def test_drives_and_detunings_drop_out_of_the_einstein_relation(radiative, gamma_bc, pump,
+                                                                control, t, seed):
+    """2D = Lambda X with Lambda set by the dissipators alone, as the table assumes."""
+    atom = AtomConfig(*radiative, gamma_bc=gamma_bc)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    x = state_vector(rho / np.trace(rho))
+    driven = diffusion_matrix(DriftBuilder(atom, pump, control).entries(t), x)
+    drive_free = diffusion_matrix(DriftBuilder(atom, off(), off()).static, x)
+    assert np.max(np.abs(driven - drive_free)) <= 1e-13 * np.max(np.abs(drive_free))

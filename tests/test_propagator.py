@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from ramanpairs import propagator
 from ramanpairs.algebra import SOURCE_ROWS, idx
 from ramanpairs.atom import AtomConfig, DriftBuilder, evolve_state
 from ramanpairs.config import apply_override
@@ -10,6 +13,7 @@ from ramanpairs.errors import ConfigError
 from ramanpairs.presets import PRESET_NAMES, preset
 from ramanpairs.propagator import build_propagator_grid, propagate_from
 from ramanpairs.pulses import PulseSpec, off
+from ramanpairs.runner import run_scenario
 
 from conftest import gauss_pulse, rho_symmetric
 
@@ -67,6 +71,12 @@ def test_constant_drive_grid_matches_tight_solve(name):
     grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, 200)
     reference = _tight_flow(builder, grid.times)
     assert np.max(np.abs(grid.u_from0 - reference)) < 1e-9 * np.max(np.abs(reference))
+    # the exact path's v_inverse, powers of expm(-M h), inverts the forward flow
+    worst = max(np.max(np.abs(grid.v_inverse[j] @ grid.u_from0[j] - np.eye(16)))
+                for j in (10, 100, 200))
+    assert worst < 1e-7
+    for j in (0, 80, 200):
+        assert np.max(np.abs(grid.kernel(j)[j])) < 1e-12
 
 
 def _fig6b_drives(omega):
@@ -133,6 +143,35 @@ def test_grid_build_invariants():
     # kernels vanish on the diagonal
     for j in (0, 60, 150):
         assert np.max(np.abs(grid.kernel(j)[j])) < 1e-12
+
+
+def _record_calls(monkeypatch, owner, attr):
+    """Wrap owner.attr so that the result of every call lands in the returned list."""
+    results = []
+    original = getattr(owner, attr)
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(owner, attr, recorded)
+    return results
+
+
+@pytest.mark.parametrize("name, solves, inversions", [("fig2a", 0, 0), ("fig2b", 1, 1)])
+def test_pipeline_drift_evaluations_ode_solves_and_inversions(monkeypatch, name, solves,
+                                                              inversions):
+    cfg = replace(preset(name).scenarios[0], grid_points=100)
+    calls = {attr: _record_calls(monkeypatch, owner, attr)
+             for owner, attr in ((DriftBuilder, "entries"), (propagator, "solve_ivp"),
+                                 (np.linalg, "inv"))}
+    run_scenario(cfg)
+    counts = {attr: len(results) for attr, results in calls.items()}
+    assert counts["solve_ivp"] == solves
+    assert counts["inv"] == inversions
+    # only the flow evaluates M: once for expm(+-M h), or once per ODE right-hand side
+    nfev = sum(sol.nfev for sol in calls["solve_ivp"])
+    assert counts["entries"] == (nfev if solves else 1)
 
 
 def test_state_traj_matches_evolve_state():
