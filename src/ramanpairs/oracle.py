@@ -11,6 +11,17 @@ plus the same radiative Lindblad channels as the drift matrix.  `_liouvillian`
 builds this generator once, from raw level projectors (the drift-matrix lift is
 not reused), as five sparse superoperators on vec(rho) that are affine in the
 drives: L(t) = L0 + Omega_p L_p + Omega_p* L_p' + Omega_c L_c + Omega_c* L_c'.
+
+H conserves Q = n_k - n_q - [level in {a, b}], and every jump shifts Q by the
+same amount on both sides of rho, so L never couples entries of rho with
+different Q(x) - Q(y).  The run does not hard-code that charge: it integrates
+only the entries of vec(rho) reachable from the support of vec(rho0) through
+the union sparsity pattern of the five pieces, and every other entry stays
+exactly zero.  From a diagonal rho0 at cutoff 3 that is 672 of 4096 entries;
+a coherent rho0 or a thermal seed adds what it reaches.  One run on the 41
+verifier points takes about 0.06 s (fig2b) to 0.14-0.17 s (fig7c) on a 2-core
+host.
+
 Moments come out by direct trace of the reduced field and atom states, with no
 kernel machinery or noise tables in this code path, so agreement with the
 moments pipeline certifies the whole kernel construction.  At cutoff 0 and
@@ -149,6 +160,22 @@ def _coefficients(pump: PulseSpec, control: PulseSpec, t: float) -> tuple[comple
     return 1.0, om_p, np.conj(om_p), om_c, np.conj(om_c)
 
 
+def _reachable(pieces: list[sparse.csr_array], y0: np.ndarray) -> np.ndarray:
+    """Indices of vec(rho) that the flow from y0 can make non-zero, sorted.
+
+    The smallest set holding the support of y0 and closed under the union
+    sparsity pattern of the pieces: every entry outside it has zero
+    derivative for all t, whatever the drive amplitudes.
+    """
+    pattern = sum(abs(piece) for piece in pieces).astype(bool)
+    mask = y0 != 0
+    while True:
+        grown = mask | (pattern @ mask)
+        if np.array_equal(grown, mask):
+            return np.flatnonzero(mask)
+        mask = grown
+
+
 def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                    times: np.ndarray, cfg: OracleConfig | None = None) -> OracleMoments:
     """Integrate the joint master equation (DOP853) and trace out the listed moments.
@@ -163,21 +190,25 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     dim_k = cfg.cutoff_k + 1
     dim_q = cfg.cutoff_q + 1
     dim_f = dim_k * dim_q
-    # one mat-vec with the pieces stacked row-wise, then their weighted sum
-    stacked = sparse.vstack(_liouvillian(atom, pump, control, dim_k, dim_q, cfg.g_k, cfg.g_q))
+    pieces = _liouvillian(atom, pump, control, dim_k, dim_q, cfg.g_k, cfg.g_q)
+    rho0 = np.kron(np.kron(atom.rho0, _thermal(dim_k, atom.n_th_k)),
+                   _thermal(dim_q, atom.n_th_q)).reshape(-1)
+    keep = _reachable(pieces, rho0)
+    # one mat-vec with the restricted pieces stacked row-wise, then their weighted sum
+    stacked = sparse.vstack([piece[keep][:, keep] for piece in pieces])
 
     def rhs(t, y):
         return np.asarray(_coefficients(pump, control, t)) @ (stacked @ y).reshape(5, -1)
 
-    rho0 = np.kron(np.kron(atom.rho0, _thermal(dim_k, atom.n_th_k)),
-                   _thermal(dim_q, atom.n_th_q))
-    sol = solve_ivp(rhs, (times[0], times[-1]), rho0.reshape(-1), method="DOP853",
+    sol = solve_ivp(rhs, (times[0], times[-1]), rho0[keep], method="DOP853",
                     t_eval=times, rtol=cfg.rtol, atol=cfg.atol)
     if not sol.success:
         t_fail = float(sol.t[-1]) if sol.t.size else float(times[0])
         raise IntegrationError(f"oracle integration failed near t = {t_fail:.6g}: {sol.message}",
                                time=t_fail)
-    rhos = sol.y.T.reshape(len(times), 4, dim_f, 4, dim_f)
+    vec_rho = np.zeros((rho0.size, len(times)), dtype=complex)
+    vec_rho[keep] = sol.y
+    rhos = vec_rho.T.reshape(len(times), 4, dim_f, 4, dim_f)
     rho_atom = np.einsum("tifjf->tij", rhos)
     rho_field = np.einsum("tiaib->tab", rhos)
 

@@ -3,13 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
+from scipy import sparse
+from scipy.integrate import solve_ivp
+
+from ramanpairs import oracle
 
 from ramanpairs.atom import AtomConfig, evolve_state
 from ramanpairs.config import apply_override
 from ramanpairs.errors import ConfigError, CutoffError
 from ramanpairs.moments import compute_moments
 from ramanpairs.noise import diffusion_table
-from ramanpairs.oracle import OracleConfig, _liouvillian, oracle_moments
+from ramanpairs.oracle import (OracleConfig, _coefficients, _field_ops, _liouvillian,
+                               _thermal, oracle_moments)
 from ramanpairs.presets import PRESET_NAMES, preset
 from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.pulses import PulseSpec, rabi
@@ -124,6 +129,93 @@ def test_joint_trace_and_moment_agreement_small_window():
                             ("square_q", ms.square_q.total[sel], out.square_q)):
         scale = max(np.abs(orc).max(), 1e-12)
         assert np.max(np.abs(pipe - orc)) < 0.02 * scale, name
+
+
+def _full_space_moments(atom, pump, control, times, cfg):
+    """Reference: DOP853 on all of vec(rho), no reachable-set restriction.
+
+    Moments come out as traces against operators on the whole joint space,
+    not through the oracle's partial traces.
+    """
+    dim_k, dim_q = cfg.cutoff_k + 1, cfg.cutoff_q + 1
+    stacked = sparse.vstack(_liouvillian(atom, pump, control, dim_k, dim_q, cfg.g_k, cfg.g_q))
+
+    def rhs(t, y):
+        return np.asarray(_coefficients(pump, control, t)) @ (stacked @ y).reshape(5, -1)
+
+    rho0 = np.kron(np.kron(atom.rho0, _thermal(dim_k, atom.n_th_k)), _thermal(dim_q, atom.n_th_q))
+    sol = solve_ivp(rhs, (times[0], times[-1]), rho0.reshape(-1), method="DOP853",
+                    t_eval=times, rtol=cfg.rtol, atol=cfg.atol)
+    assert sol.success
+    dim_f = dim_k * dim_q
+    rhos = sol.y.T.reshape(len(times), 4 * dim_f, 4 * dim_f)
+
+    def expect(op):
+        return np.einsum("tij,ji->t", rhos, op)
+
+    a_k, a_q = (np.kron(np.eye(4), a.toarray()) for a in _field_ops(dim_k, dim_q))
+    top_k = np.kron(np.eye(4), np.kron(np.diag(np.eye(dim_k)[-1]), np.eye(dim_q)))
+    top_q = np.kron(np.eye(4 * dim_k), np.diag(np.eye(dim_q)[-1]))
+    sigma = [np.kron(np.outer(np.eye(4)[x], np.eye(4)[y]), np.eye(dim_f))
+             for x in range(4) for y in range(4)]  # sigma_xy at m = 4x + y
+    return {"n_k": expect(a_k.T @ a_k), "n_q": expect(a_q.T @ a_q),
+            "pair": expect(a_q @ a_k), "cross": expect(a_q @ a_k.T),
+            "square_k": expect(a_k @ a_k), "square_q": expect(a_q @ a_q),
+            "mean_k": expect(a_k), "mean_q": expect(a_q),
+            "atom_traj": np.stack([expect(op) for op in sigma], axis=1),
+            "top_layer_k": expect(top_k), "top_layer_q": expect(top_q)}
+
+
+def _coherent_thermal_case():
+    """A b-c coherence and a thermal Stokes seed: fills the Delta Q = +-1 blocks."""
+    rho = rho_symmetric()
+    rho[1, 2] = rho[2, 1] = 0.3
+    atom = AtomConfig(gamma_ab=0.9, gamma_ac=1.1, gamma_db=1.0, gamma_dc=0.7, gamma_bc=0.4,
+                      n_th_k=0.05, rho0=rho)
+    pump = gauss_pulse(omega=8.0, center=0.4, width=0.15, detuning=-2.0, chirp=3.0)
+    control = PulseSpec(shape="cw", omega_peak=4.0, detuning=1.0)
+    # the thermal seed fills the top Stokes layer at cutoff 2; the guard is not under test
+    cfg = OracleConfig(cutoff_k=2, cutoff_q=3, g_k=0.05, g_q=0.05, rtol=1e-11, atol=1e-14,
+                       leak_tol=0.1)
+    return atom, pump, control, np.linspace(0.0, 1.2, 25), cfg
+
+
+def _fig2b_case():
+    cfg = preset("fig2b").scenarios[0]
+    oracle_cfg = OracleConfig(cutoff_k=3, cutoff_q=3, g_k=0.01, g_q=0.01, rtol=1e-11, atol=1e-14)
+    return cfg.atom, cfg.pump, cfg.control, np.linspace(0.0, cfg.t_end, 41), oracle_cfg
+
+
+@pytest.mark.parametrize("case", [_fig2b_case, _coherent_thermal_case])
+def test_reachable_sector_matches_full_space(case):
+    atom, pump, control, times, cfg = case()
+    out = oracle_moments(atom, pump, control, times, cfg)
+    reference = _full_space_moments(atom, pump, control, times, cfg)
+    if case is _coherent_thermal_case:
+        assert np.abs(reference["mean_k"]).max() > 1e-4  # the Delta Q = +-1 blocks are live
+    for name, want in reference.items():
+        # fig2b's top Fock layers peak near 1e-26, far below atol: no digit there is resolved
+        scale = max(np.max(np.abs(want)), cfg.atol)
+        assert np.max(np.abs(getattr(out, name) - want)) <= 1e-8 * scale, name
+
+
+def test_diagonal_start_solves_only_the_charge_conserving_block(monkeypatch):
+    """Q = n_k - n_q - [level in {a, b}] is conserved on both sides of rho."""
+    lengths = []
+
+    def recording_solve(fun, t_span, y0, *args, **kwargs):
+        lengths.append(len(y0))
+        return solve_ivp(fun, t_span, y0, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_ivp", recording_solve)
+    cfg = preset("fig2b").scenarios[0]
+    oracle_moments(cfg.atom, cfg.pump, cfg.control, np.linspace(0.0, cfg.t_end, 11),
+                   OracleConfig(cutoff_k=3, cutoff_q=3))
+    charge = np.array([n_k - n_q - (level < 2)  # ranks a, b, c, d = 0..3
+                       for level in range(4) for n_k in range(4) for n_q in range(4)])
+    pairs = int(np.sum(charge[:, None] == charge[None, :]))
+    assert pairs == 672
+    assert lengths == [pairs]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
