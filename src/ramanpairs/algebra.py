@@ -6,7 +6,7 @@ The atom has levels a, b, c, d.  Every operator |x><y| is addressed by a single
 index lookup, Hermitian conjugation, the delta-contraction of operator products,
 and the Kronecker lift of 4x4 matrices to 16x16 generators on that basis
 (`lift` for a Hamiltonian, `dissipator` for a Lindblad channel).  Internal numpy
-code uses the 0-based tables at the bottom; anything user-facing (CSV headers,
+code uses the 0-based table at the bottom; anything user-facing (CSV headers,
 logs) sticks to the 1-based convention.
 """
 
@@ -92,21 +92,16 @@ def _check_index(m: int) -> None:
         raise ValueError(f"operator index must be an integer in 1..16, got {m!r}")
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray]:
-    dag = np.empty(N_OPS, dtype=np.intp)
+def _build_tables() -> np.ndarray:
     con = np.full((N_OPS, N_OPS), -1, dtype=np.intp)
     for m in range(1, 17):
-        dag[m - 1] = dagger(m) - 1
         for n in range(1, 17):
             p = contract(m, n)
             if p is not None:
                 con[m - 1, n - 1] = p - 1
-    return dag, con
+    return con
 
 
-# 0-based lookup tables for vectorized code: DAGGER0[i] is the conjugate index,
-# CONTRACT0[i, j] is the product index with -1 marking a vanishing product.
-DAGGER0, CONTRACT0 = _build_tables()
-
-# 0-based positions of the four population operators |x><x|.
-POPULATION0 = np.array([idx(x, x) - 1 for x in LEVELS], dtype=np.intp)
+# 0-based lookup table for vectorized code: CONTRACT0[i, j] is the product
+# index, with -1 marking a vanishing product.
+CONTRACT0 = _build_tables()

@@ -118,12 +118,11 @@ class DriftBuilder:
         return all(spec.shape == "cw" and spec.chirp == 0.0
                    for spec in (self.pump, self.control))
 
-    def entries(self, t) -> np.ndarray:
-        """M(t) at a scalar time, shape (16, 16), or at an array of n times, (n, 16, 16)."""
+    def entries(self, t: float) -> np.ndarray:
+        """M(t) at a scalar time t, shape (16, 16)."""
         om_p = rabi(self.pump, t)
         om_c = rabi(self.control, t)
-        coeffs = np.array([om_p, om_c, np.conj(om_p), np.conj(om_c)])
-        m = (coeffs.T @ self._drives).reshape(coeffs.shape[1:] + (16, 16))
+        m = (np.array([om_p, om_c, np.conj(om_p), np.conj(om_c)]) @ self._drives).reshape(16, 16)
         m += self.static
         return m
 
@@ -131,11 +130,6 @@ class DriftBuilder:
 def state_vector(rho: np.ndarray) -> np.ndarray:
     """<sigma_xy> components of a density matrix, X_m = rho[y, x]."""
     return np.asarray(rho, dtype=complex).T.reshape(16).copy()
-
-
-def density_matrix(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`state_vector`."""
-    return np.asarray(x, dtype=complex).reshape(4, 4).T.copy()
 
 
 def evolve_state(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,

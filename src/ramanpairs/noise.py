@@ -13,8 +13,7 @@ the drives, chirps and detunings cancel from the right-hand side: only the
 dissipators (decay and dephasing) set 2D (Lax, Phys. Rev. 145, 110 (1966)).
 The relation is linear in X, so 2D(t) = Lambda X(t) with one constant
 Lambda per atom, and the grid table is one product with the expectation
-trajectory.  Normal and antinormal orderings are index views of the one raw
-table, no separate storage.
+trajectory.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CONTRACT0, DAGGER0
+from .algebra import CONTRACT0
 from .propagator import PropagatorGrid
 from .atom import AtomConfig, DriftBuilder
 from .pulses import PulseSpec
@@ -49,16 +48,6 @@ def diffusion_matrix(m_entries: np.ndarray, x: np.ndarray) -> np.ndarray:
     d2 -= m @ x_contracted
     d2 -= x_contracted @ np.swapaxes(m, -1, -2)
     return d2
-
-
-def normal_ordered(d2: np.ndarray) -> np.ndarray:
-    """D^n_mn = <F_m^dag F_n> = (1/2) 2D at (dagger(m), n)."""
-    return 0.5 * d2[DAGGER0, :]
-
-
-def antinormal_ordered(d2: np.ndarray) -> np.ndarray:
-    """D^an_mn = <F_m F_n^dag> = (1/2) 2D at (m, dagger(n))."""
-    return 0.5 * d2[:, DAGGER0]
 
 
 @dataclass

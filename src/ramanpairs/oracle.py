@@ -24,8 +24,7 @@ host.
 
 Moments come out by direct trace of the reduced field and atom states, with no
 kernel machinery or noise tables in this code path, so agreement with the
-moments pipeline certifies the whole kernel construction.  At cutoff 0 and
-g = 0 the same build is the atom's own generator, `atomic_liouvillian`.
+moments pipeline certifies the whole kernel construction.
 """
 
 from __future__ import annotations
@@ -245,16 +244,3 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
         top_layer_q=top_q,
     )
 
-
-def atomic_liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
-                       t: float) -> np.ndarray:
-    """Generator of d<sigma_xy>/dt at time t, g = 0: the oracle's build at cutoff 0.
-
-    Shares no code with the drift-matrix lift; used to cross-check the drift
-    assembly.  X_m = <sigma_xy> = rho[y, x] with m = 4x + y, so the generator
-    on vec(rho) is conjugated by the transpose permutation.
-    """
-    pieces = _liouvillian(atom, pump, control, 1, 1, 0.0, 0.0)
-    gen = sum(c * piece for c, piece in zip(_coefficients(pump, control, t), pieces))
-    perm = np.arange(16).reshape(4, 4).T.reshape(-1)
-    return gen.toarray()[np.ix_(perm, perm)]

@@ -20,8 +20,7 @@ in a few batched products.  Time-dependent drives get the flow from one
 The inverse grows like exp(decay * t), so long windows lose the kernels to
 cancellation without any integrator complaint.  The build therefore checks
 the condition number of U(t_end, 0) and raises IntegrationError past
-MAX_CONDITION.  propagate_from still solves from an arbitrary grid start
-directly and backs the composition diagnostics.
+MAX_CONDITION.
 """
 
 from __future__ import annotations
@@ -64,16 +63,16 @@ def _powers(step_map: np.ndarray, n: int) -> np.ndarray:
 
 def _solve_matrix_ode(builder: DriftBuilder, times: np.ndarray,
                       rtol: float, atol: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """U(t_i, times[0]) for every grid time, starting from the identity, and its inverse.
+    """U(t_i, times[0]) on a uniform grid, starting from the identity, and its inverse.
 
-    A constant M on a uniform grid gives the exact flow as powers of one step
-    propagator, U(t_i) = expm(M h)^i, and the inverse for free as
-    expm(-M h)^i.  Time-dependent drives (and an uneven grid) integrate
-    dU/dt = M(t) U with the 8th-order Dormand-Prince pair DOP853 and return
-    None for the inverse; rtol and atol apply only to that path.
+    A constant M gives the exact flow as powers of one step propagator,
+    U(t_i) = expm(M h)^i, and the inverse for free as expm(-M h)^i.
+    Time-dependent drives integrate dU/dt = M(t) U with the 8th-order
+    Dormand-Prince pair DOP853 and return None for the inverse; rtol and atol
+    apply only to that path.
     """
-    step = (times[-1] - times[0]) / (len(times) - 1)
-    if builder.constant and np.allclose(np.diff(times), step, rtol=1e-9, atol=0.0):
+    if builder.constant:
+        step = (times[-1] - times[0]) / (len(times) - 1)
         m_step = builder.entries(times[0]) * step
         return _powers(expm(m_step), len(times)), _powers(expm(-m_step), len(times))
 
@@ -94,32 +93,23 @@ def _solve_matrix_ode(builder: DriftBuilder, times: np.ndarray,
 class PropagatorGrid:
     """Uniform-grid propagator data consumed by the moment assembly.
 
-    times is the uniform grid and u_from0[i] = U(t_i, 0) the one solved flow.
-    Everything else derives from it: v_inverse[j] = U(s_j, 0)^{-1} (exact
-    powers of expm(-M h) for constant drives, batched inversion otherwise),
-    state_traj[i] = U(t_i, 0) X(0) the 16-component expectation trajectory,
-    and source_cumint[i, r] the cumulative trapezoid S of the source rows of
-    U(., 0), slot r following algebra.SOURCE_ROWS.
+    times is the uniform grid.  Everything derives from the one solved flow
+    U(t_i, 0): v_inverse[j] = U(s_j, 0)^{-1} (exact powers of expm(-M h) for
+    constant drives, batched inversion otherwise), state_traj[i] = U(t_i, 0) X(0)
+    the 16-component expectation trajectory, and source_cumint[i, r] the
+    cumulative trapezoid S of the source rows of U(., 0), slot r following
+    algebra.SOURCE_ROWS.
     """
 
     times: np.ndarray
     step: float
     state_traj: np.ndarray
-    u_from0: np.ndarray
     v_inverse: np.ndarray
     source_cumint: np.ndarray  # (n_points, 4, 16)
 
     @property
     def n_points(self) -> int:
         return len(self.times)
-
-    def kernel(self, j: int) -> np.ndarray:
-        """K(t_i, s_j) of the four source rows for every t_i, shape (n_points, 4, 16).
-
-        Entries with t_i < s_j are extrapolations with no physical meaning;
-        callers only consume i >= j.
-        """
-        return (self.source_cumint - self.source_cumint[j]) @ self.v_inverse[j]
 
 
 def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
@@ -147,23 +137,6 @@ def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     rows = u_from0[:, np.asarray(algebra.SOURCE_ROWS) - 1, :]
     source_cumint = cumulative_trapezoid(rows, x=times, axis=0, initial=0)
 
-    return PropagatorGrid(times=times, step=float(times[1] - times[0]),
-                          state_traj=state_traj, u_from0=u_from0,
+    return PropagatorGrid(times=times, step=float(times[1] - times[0]), state_traj=state_traj,
                           v_inverse=v_inverse, source_cumint=source_cumint)
 
-
-def propagate_from(s_index: int, atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
-                   times: np.ndarray, rtol: float = 1e-9, atol: float = 1e-12) -> np.ndarray:
-    """Direct solve of U(., s_j) on the grid tail t >= s_j.
-
-    Returns shape (n_tail, 16, 16) with the identity at the first slot.  This
-    is the reference path for composition and kernel spot checks; the grid
-    build above never calls it.
-    """
-    times = np.asarray(times, dtype=float)
-    if not 0 <= s_index < len(times):
-        raise ConfigError(f"s_index {s_index} outside grid of {len(times)} points")
-    tail = times[s_index:]
-    if len(tail) == 1:
-        return np.eye(16, dtype=complex)[None, :, :]
-    return _solve_matrix_ode(DriftBuilder(atom, pump, control), tail, rtol=rtol, atol=atol)[0]

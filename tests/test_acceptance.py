@@ -29,13 +29,14 @@ from dataclasses import replace
 import numpy as np
 from scipy.signal import find_peaks
 
-from ramanpairs.algebra import POPULATION0
-from ramanpairs.atom import AtomConfig, density_matrix
-from ramanpairs.noise import diffusion_table, normal_ordered
+from ramanpairs.atom import AtomConfig
+from ramanpairs.noise import diffusion_table
 from ramanpairs.oracle import OracleConfig, oracle_moments
 from ramanpairs.presets import CHIRP_STRONG, preset
-from ramanpairs.propagator import build_propagator_grid, propagate_from
+from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.runner import run_scan, run_scenario
+
+from reference import POPULATION0, density_matrix, normal_ordered, propagate_from
 
 _CACHE: dict[str, object] = {}
 

@@ -1,5 +1,6 @@
 """The package's public names and the names the benchmark's tracer patches stay bound."""
 
+import ast
 import importlib
 import time
 from pathlib import Path
@@ -11,6 +12,34 @@ from ramanpairs.config import ScenarioConfig
 from conftest import gauss_pulse, rho_symmetric
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "ramanpairs"
+
+# Public names that nothing in the package reads, each with the reason it stays.
+UNCALLED = {
+    "evolve_state": "perfbench/tracing.py wraps propagator.evolve_state and atom.solve_ivp",
+}
+
+
+def _defined_names(node: ast.stmt) -> set[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return set()
+
+
+def test_every_public_name_is_read_in_the_package():
+    """Test-only library surface belongs in tests/reference.py, not in src/."""
+    public, read = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _defined_names(node)
+            public |= {name for name in names if not name.startswith("_")}
+            loads = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+            read |= loads - names  # a name read only in its own definition has no caller
+    assert sorted(public - read) == sorted(UNCALLED)
 
 
 def test_public_names_and_benchmark_tracer_hooks_resolve(monkeypatch):

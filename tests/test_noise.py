@@ -3,15 +3,14 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from ramanpairs.algebra import DAGGER0, POPULATION0, idx
+from ramanpairs.algebra import idx
 from ramanpairs.atom import AtomConfig, DriftBuilder, state_vector
-from ramanpairs.noise import (antinormal_ordered, diffusion_matrix, diffusion_table,
-                              normal_ordered)
-from ramanpairs.oracle import atomic_liouvillian
+from ramanpairs.noise import diffusion_matrix, diffusion_table
 from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.pulses import PulseSpec, off
 
 from conftest import gauss_pulse, rho_symmetric
+from reference import DAGGER0, POPULATION0, antinormal_ordered, atomic_liouvillian, normal_ordered
 
 
 def test_zero_drift_gives_zero_diffusion():
