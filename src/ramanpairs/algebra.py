@@ -4,8 +4,9 @@ The atom has levels a, b, c, d.  Every operator |x><y| is addressed by a single
 1-based index in row-major order (aa, ab, ac, ad, ba, ..., dd), so index 14 is
 |d><b| and index 9 is |c><a|.  All other modules build on the operations here:
 index lookup, Hermitian conjugation, the delta-contraction of operator products,
-and the Kronecker lift of 4x4 matrices to 16x16 generators on that basis
-(`lift` for a Hamiltonian, `dissipator` for a Lindblad channel).  Internal numpy
+the Kronecker lift of 4x4 matrices to 16x16 generators on that basis (`lift`
+for a Hamiltonian, `dissipator` for a Lindblad channel), and the eight-operator
+sector SECTOR0 that the drift never couples to the rest.  Internal numpy
 code uses the 0-based table at the bottom; anything user-facing (CSV headers,
 logs) sticks to the 1-based convention.
 """
@@ -105,3 +106,21 @@ def _build_tables() -> np.ndarray:
 # 0-based lookup table for vectorized code: CONTRACT0[i, j] is the product
 # index, with -1 marking a vanishing product.
 CONTRACT0 = _build_tables()
+
+SECTOR0 = np.array([m - 1 for m in range(1, 17)
+                    if (levels(m)[0] in "ab") != (levels(m)[1] in "ab")], dtype=np.intp)
+"""0-based indices of the eight coherences between {a, b} and {c, d}.
+
+In 1-based order these are ac, ad, bc, bd, ca, cb, da, db (3, 4, 7, 8, 9, 10, 13, 14).
+
+Give each operator |x><y| the charge 1 when x and y lie in different groups
+{a, b} and {c, d}, else 0.  The drift matrix conserves it for every drive,
+chirp, detuning, rate and rho0: the pump couples c<->d and the control a<->b,
+so a commutator with h keeps both groups; a jump L = |g><e| sends |x><y| to
+L^dag |x><y| L, non-zero only for the population x = y = g, which lands on the
+population |e><e|; the anticommutator with the diagonal L^dag L and the
+diagonal dephasing keep every operator in place.  M(t) is therefore block
+diagonal over this sector and its complement, and so are U(t, s) and its
+inverse.  The four SOURCE_ROWS lie in the sector, so the field solutions read
+only the sector block of the flow.
+"""

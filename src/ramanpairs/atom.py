@@ -107,10 +107,10 @@ class DriftBuilder:
                                        algebra.op("b", "b") - algebra.op("c", "c"))
         self.static = algebra.lift(detuning) + decay + dephasing
         self.static.flags.writeable = False
-        # rows match the coefficients (Omega_p, Omega_c, conj Omega_p, conj Omega_c);
+        # rows match the coefficients (1, Omega_p, Omega_c, conj Omega_p, conj Omega_c);
         # the interaction enters h with a minus sign
-        self._drives = np.stack([algebra.lift(-algebra.op(x, y))
-                                 for x, y in ("dc", "ab", "cd", "ba")]).reshape(4, 256)
+        drives = [algebra.lift(-algebra.op(x, y)) for x, y in ("dc", "ab", "cd", "ba")]
+        self._affine = np.stack([self.static, *drives]).reshape(5, 256)
 
     @property
     def constant(self) -> bool:
@@ -122,9 +122,8 @@ class DriftBuilder:
         """M(t) at a scalar time t, shape (16, 16)."""
         om_p = rabi(self.pump, t)
         om_c = rabi(self.control, t)
-        m = (np.array([om_p, om_c, np.conj(om_p), np.conj(om_c)]) @ self._drives).reshape(16, 16)
-        m += self.static
-        return m
+        coeffs = np.array([1.0, om_p, om_c, om_p.conjugate(), om_c.conjugate()])
+        return np.dot(coeffs, self._affine).reshape(16, 16)
 
 
 def state_vector(rho: np.ndarray) -> np.ndarray:

@@ -30,18 +30,22 @@ and mirrored for <dA_r A_u(0)>.  Dropping these fixed-ordering corrections would
 leave the photon numbers untouched in vacuum but mis-state the pair moment at
 leading order, which the Fock-space verifier resolves unambiguously.
 
-Every s-integral shares the propagator grid (trapezoid).  With the stacked
-source rows S_i = S(t_i), shape (4, 16), the kernels factor as
-K(t_i, s_j) = (S_i - S_j) V_j, so the noise parts of all 16 slot pairs are one
-(4, 4) table per grid time,
+Every s-integral shares the propagator grid (trapezoid).  M(t) conserves the
+charge of algebra.SECTOR0, so the kernels have support only on its eight
+columns, and every table they contract (2D, C_p X, the initial pair table,
+X(0)) is read on that sector.  With the stacked source rows S_i = S(t_i),
+shape (4, 8), and V_j the inverse 8x8 sector block of the flow, the kernels
+factor as K(t_i, s_j) = (S_i - S_j) V_j, so the noise parts of all 16 slot
+pairs are one (4, 4) table per grid time,
 
     N_i = S_i P_i S_i^T - S_i Q_i - L_i S_i^T + T_i,
 
 where P, Q, L and T are the trapezoid-weighted cumulative sums over j <= i of
-G_j, G_j S_j^T, S_j G_j and S_j G_j S_j^T with G_j = V_j 2D(s_j) V_j^T.  The
-back-action integrals of every (slot u, structure p) pair follow the same way
-from z_j = V_j C_p X_j as S_i sum_j w_j z_j - sum_j w_j S_j z_j.  This is the
-same quadrature as the direct kernel loop at O(N 16^3) total cost.
+G_j, G_j S_j^T, S_j G_j and S_j G_j S_j^T with G_j = V_j 2D_S(s_j) V_j^T and 2D_S
+the sector block of the diffusion matrix.  The back-action integrals of every
+(slot u, structure p) pair follow the same way from z_j = V_j (C_p X_j)_S as
+S_i sum_j w_j z_j - sum_j w_j S_j z_j.  This is the same quadrature as the
+direct kernel loop at O(N 8^3) total cost.
 """
 
 from __future__ import annotations
@@ -82,6 +86,11 @@ def _slot_factors(atom: AtomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 # C_r: commutator with the atomic operator that multiplies A_r(0) in the coupling.
 _STRUCTURES = np.stack([-1j * algebra.lift(algebra.op(*algebra.levels(algebra.dagger(row))))
                         for row in algebra.SOURCE_ROWS])
+
+# The kernels have support only on the sector columns, so every table they
+# contract is read on the sector alone.
+_SECTOR = algebra.SECTOR0
+_BLOCK = np.ix_(_SECTOR, _SECTOR)
 
 
 @dataclass
@@ -140,7 +149,7 @@ def _noise_table(grid: PropagatorGrid, diffusion: DiffusionTable) -> np.ndarray:
     v = grid.v_inverse
     s = grid.source_cumint
     s_t = s.transpose(0, 2, 1)
-    g = v @ diffusion.matrices @ v.transpose(0, 2, 1)
+    g = v @ diffusion.matrices[:, _BLOCK[0], _BLOCK[1]] @ v.transpose(0, 2, 1)
     sg = s @ g
     p = _trapezoid_cumsum(g)
     q = _trapezoid_cumsum(g @ s_t)
@@ -151,7 +160,7 @@ def _noise_table(grid: PropagatorGrid, diffusion: DiffusionTable) -> np.ndarray:
 
 def _backaction_table(grid: PropagatorGrid) -> np.ndarray:
     """h * sum_j w_j K_r(t_i,s_j) . C_p X(s_j) for every slot r and structure p."""
-    cx = np.einsum("pmn,jn->jpm", _STRUCTURES, grid.state_traj)
+    cx = np.einsum("pmn,jn->jpm", _STRUCTURES[:, _SECTOR], grid.state_traj)
     z = cx @ grid.v_inverse.transpose(0, 2, 1)  # z[j, p] = V_j C_p X_j
     s = grid.source_cumint
     return grid.step * (s @ _trapezoid_cumsum(z).transpose(0, 2, 1)
@@ -163,12 +172,12 @@ def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionT
     g, c, field = _slot_factors(atom)
     cc = np.outer(c, c)
     s = grid.source_cumint
-    boundary = cc * (s @ _initial_pair_table(atom.rho0) @ s.transpose(0, 2, 1))
+    boundary = cc * (s @ _initial_pair_table(atom.rho0)[_BLOCK] @ s.transpose(0, 2, 1))
     noise = cc * _noise_table(grid, diffusion)
     t = _backaction_table(grid) * (-1j * g)
     # [r, u]: c_u sum_p F[r, p] T[u, p] + c_r sum_p T[r, p] F[p, u]
     backaction = c * (field @ t.transpose(0, 2, 1)) + c[:, None] * (t @ field)
-    means = c * (s @ state_vector(atom.rho0))
+    means = c * (s @ state_vector(atom.rho0)[_SECTOR])
     return boundary, noise, backaction, field, means
 
 

@@ -8,6 +8,8 @@ Times and rates are in units of the a->c linewidth; angles in radians.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -68,24 +70,22 @@ def off() -> PulseSpec:
     return PulseSpec(shape="cw", omega_peak=0.0)
 
 
-def envelope(spec: PulseSpec, t):
-    """Real envelope in [0, 1]: 1 for cw, the Gaussian profile otherwise."""
+def envelope(spec: PulseSpec, t: float) -> float:
+    """Real envelope in [0, 1] at a scalar time: 1 for cw, the Gaussian profile otherwise."""
     if spec.shape == "cw":
-        return np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else 1.0
-    u = (np.asarray(t, dtype=float) - spec.center) / spec.width
-    return np.exp(-u * u)
+        return 1.0
+    u = (t - spec.center) / spec.width
+    return math.exp(-u * u)
 
 
-def rabi(spec: PulseSpec, t):
+def rabi(spec: PulseSpec, t: float) -> complex:
     """Complex Rabi amplitude Omega * E(t) * exp(-i (phase0 + alpha (t - t_ref)^2)).
 
-    Accepts a scalar or array time; rejects non-finite input.
+    Takes one scalar time; rejects a non-finite one.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if not np.isfinite(t_arr).all():
+    t = float(t)
+    if not math.isfinite(t):
         raise ValueError("time must be finite")
-    tau = t_arr - spec.chirp_origin
+    tau = t - spec.chirp_origin
     phase = spec.phase0 + spec.chirp * tau * tau
-    value = spec.omega_peak * envelope(spec, t_arr) * np.exp(-1j * phase)
-    return value if t_arr.ndim else complex(value)
-
+    return spec.omega_peak * envelope(spec, t) * cmath.exp(-1j * phase)

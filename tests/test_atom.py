@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from ramanpairs.algebra import idx, levels
+from ramanpairs.algebra import SECTOR0, SOURCE_ROWS, idx, levels
 from ramanpairs.atom import AtomConfig, DriftBuilder, evolve_state, state_vector
 from ramanpairs.errors import ConfigError
 from ramanpairs.pulses import PulseSpec, off
@@ -161,3 +162,39 @@ def test_mirror_relabelling_permutes_the_drift_matrix():
         m = np.stack([DriftBuilder(atom, pump, control).entries(t) for t in times])
         m_swapped = np.stack([DriftBuilder(swapped, control, pump).entries(t) for t in times])
         assert np.max(np.abs(m_swapped - p @ m @ p.T)) < 1e-13
+
+
+COMPLEMENT0 = np.setdiff1d(np.arange(16), SECTOR0)
+RATE = st.floats(min_value=0.0, max_value=3.0)
+REAL = st.floats(min_value=-50.0, max_value=50.0)
+PULSE = st.builds(PulseSpec, shape=st.sampled_from(["cw", "gaussian"]),
+                  omega_peak=st.floats(min_value=0.0, max_value=50.0),
+                  center=st.floats(min_value=0.0, max_value=3.0),
+                  width=st.floats(min_value=0.02, max_value=1.0),
+                  detuning=REAL, chirp=st.floats(min_value=-500.0, max_value=500.0),
+                  phase0=REAL, chirp_origin=st.floats(min_value=0.0, max_value=3.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rates=st.tuples(RATE, RATE, RATE, RATE, RATE), pump=PULSE, control=PULSE,
+       t=st.floats(min_value=0.0, max_value=3.0))
+def test_drift_never_couples_the_sector_to_its_complement(rates, pump, control, t):
+    """M(t) conserves the charge of algebra.SECTOR0: both off-diagonal blocks are exact zeros."""
+    m = DriftBuilder(AtomConfig(*rates), pump, control).entries(t)
+    assert not m[np.ix_(SECTOR0, COMPLEMENT0)].any()
+    assert not m[np.ix_(COMPLEMENT0, SECTOR0)].any()
+
+
+def test_sector_is_the_closure_of_the_source_rows():
+    """No smaller set holds the source rows: a generic M(t) connects all eight."""
+    atom = AtomConfig(gamma_ab=0.7, gamma_ac=1.1, gamma_db=0.9, gamma_dc=1.3, gamma_bc=0.2)
+    pump = gauss_pulse(omega=8.0, center=0.4, width=0.2, detuning=-3.0, chirp=20.0)
+    control = PulseSpec(shape="cw", omega_peak=5.0, detuning=1.5, phase0=0.3)
+    pattern = DriftBuilder(atom, pump, control).entries(0.37) != 0
+    reached = np.isin(np.arange(16), np.asarray(SOURCE_ROWS) - 1)
+    while True:  # add every operator a reached row's derivative reads
+        grown = reached | pattern[reached].any(axis=0)
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
+    assert np.array_equal(np.flatnonzero(reached), SECTOR0)

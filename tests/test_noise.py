@@ -10,7 +10,7 @@ from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.pulses import PulseSpec, off
 
 from conftest import gauss_pulse, rho_symmetric
-from reference import DAGGER0, POPULATION0, antinormal_ordered, atomic_liouvillian, normal_ordered
+from reference import DAGGER0, POPULATION0, atomic_liouvillian, normal_ordered
 
 
 def test_zero_drift_gives_zero_diffusion():
@@ -27,17 +27,6 @@ def test_pure_hamiltonian_dynamics_is_noiseless():
     m = DriftBuilder(atom, pump, control).entries(0.41)
     x = state_vector(rho_symmetric())
     assert np.max(np.abs(diffusion_matrix(m, x))) < 1e-12
-
-
-def test_ordering_views_are_index_lookups():
-    rng = np.random.default_rng(5)
-    d2 = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    dn = normal_ordered(d2)
-    dan = antinormal_ordered(d2)
-    for m in range(16):
-        for n in range(16):
-            assert dn[m, n] == 0.5 * d2[DAGGER0[m], n]
-            assert dan[m, n] == 0.5 * d2[m, DAGGER0[n]]
 
 
 def _driven_table():

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from ramanpairs import propagator
-from ramanpairs.algebra import SOURCE_ROWS, idx
+from ramanpairs.algebra import SECTOR0, SOURCE_ROWS, idx
 from ramanpairs.atom import AtomConfig, DriftBuilder, evolve_state, state_vector
 from ramanpairs.config import apply_override
 from ramanpairs.errors import ConfigError
@@ -16,7 +16,9 @@ from ramanpairs.pulses import PulseSpec, off
 from ramanpairs.runner import run_scenario
 
 from conftest import gauss_pulse, rho_symmetric
-from reference import DAGGER0, kernel, propagate_from
+from reference import DAGGER0, full_kernel, kernel, propagate_from
+
+BLOCK = np.ix_(SECTOR0, SECTOR0)
 
 
 def test_constant_drive_matches_matrix_exponential():
@@ -51,11 +53,16 @@ def test_constant_drive_grid_matches_tight_solve(name):
     builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
     assert builder.constant
     grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, 200)
-    u_from0 = propagate_from(0, cfg.atom, cfg.pump, cfg.control, grid.times)
+    x0 = state_vector(cfg.atom.rho0)
+    # the exact path: sector block and state from powers of expm(M h)
+    u_sector, _, state = propagator._solve_flow(builder, x0, grid.times, 1e-9, 1e-12)
     reference = _tight_flow(builder, grid.times)
-    assert np.max(np.abs(u_from0 - reference)) < 1e-9 * np.max(np.abs(reference))
-    # the exact path's v_inverse, powers of expm(-M h), inverts the forward flow
-    worst = max(np.max(np.abs(grid.v_inverse[j] @ u_from0[j] - np.eye(16)))
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(u_sector - reference[:, BLOCK[0], BLOCK[1]])) < 1e-9 * scale
+    assert np.max(np.abs(state - reference @ x0)) < 1e-9 * scale
+    assert np.array_equal(grid.state_traj, state)
+    # the exact path's v_inverse, powers of expm(-M_S h), inverts the forward flow's sector block
+    worst = max(np.max(np.abs(grid.v_inverse[j] @ u_sector[j] - np.eye(8)))
                 for j in (10, 100, 200))
     assert worst < 1e-7
     for j in (0, 80, 200):
@@ -81,7 +88,14 @@ def test_time_dependent_drive_grid_matches_tight_solve(pump, control):
     grid = build_propagator_grid(atom, pump, control, 3.0, 200)
     u_from0 = propagate_from(0, atom, pump, control, grid.times)
     reference = _tight_flow(builder, grid.times)
-    assert np.max(np.abs(u_from0 - reference)) < 1e-7 * np.max(np.abs(reference))
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(u_from0 - reference)) < 1e-7 * scale
+    # the build's co-solved sector block and state
+    x0 = state_vector(atom.rho0)
+    u_sector, _, state = propagator._solve_flow(builder, x0, grid.times, 1e-9, 1e-12)
+    assert np.max(np.abs(u_sector - reference[:, BLOCK[0], BLOCK[1]])) < 1e-7 * scale
+    assert np.max(np.abs(state - reference @ x0)) < 1e-7 * scale
+    assert np.array_equal(grid.state_traj, state)
 
 
 def test_constant_drive_presets():
@@ -122,9 +136,10 @@ def test_grid_build_invariants():
     # the flow the build solves starts at the identity and carries the state
     u_from0 = propagate_from(0, atom, pump, control, grid.times)
     assert np.allclose(u_from0[0], np.eye(16))
-    assert np.array_equal(grid.state_traj, u_from0 @ state_vector(atom.rho0))
-    # v_inverse really inverts the forward flow
-    worst = max(np.max(np.abs(grid.v_inverse[j] @ u_from0[j] - np.eye(16)))
+    # X is solved together with the sector block, so it matches U X(0) to the solve's accuracy
+    assert np.max(np.abs(grid.state_traj - u_from0 @ state_vector(atom.rho0))) < 1e-8
+    # v_inverse really inverts the forward flow's sector block
+    worst = max(np.max(np.abs(grid.v_inverse[j] @ u_from0[j][BLOCK] - np.eye(8)))
                 for j in (10, 75, 150))
     assert worst < 1e-7
     # kernels vanish on the diagonal
@@ -169,6 +184,28 @@ def test_state_traj_matches_evolve_state():
     grid = build_propagator_grid(atom, pump, control, 1.5, 150)
     reference = evolve_state(atom, pump, control, grid.times)
     assert np.max(np.abs(grid.state_traj - reference)) < 1e-8
+
+
+def _chirped_pulses():
+    return (AtomConfig(gamma_bc=0.3, rho0=rho_symmetric()),
+            gauss_pulse(omega=9.0, center=0.4, width=0.12, detuning=-2.5, chirp=60.0),
+            gauss_pulse(omega=7.0, center=0.5, width=0.15, detuning=1.5, chirp=-40.0), 1.5)
+
+
+def _fig2a():
+    cfg = preset("fig2a").scenarios[0]
+    return cfg.atom, cfg.pump, cfg.control, cfg.t_end
+
+
+@pytest.mark.parametrize("scenario", [_chirped_pulses, _fig2a])
+def test_sector_kernels_match_full_flow_kernels(scenario):
+    """The 8x8 sector build gives the kernels of the full 16x16 flow and its inverse."""
+    atom, pump, control, t_end = scenario()
+    tight = dict(rtol=1e-12, atol=1e-14)
+    grid = build_propagator_grid(atom, pump, control, t_end, 150, **tight)
+    for j in (0, 40, 150):
+        full = full_kernel(atom, pump, control, grid.times, j, **tight)
+        assert np.max(np.abs(kernel(grid, j) - full)) < 1e-9 * np.max(np.abs(full))
 
 
 def test_free_evolution_kernel_is_linear_in_time():
