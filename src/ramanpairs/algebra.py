@@ -106,6 +106,16 @@ def _build_tables() -> np.ndarray:
 # 0-based lookup table for vectorized code: CONTRACT0[i, j] is the product
 # index, with -1 marking a vanishing product.
 CONTRACT0 = _build_tables()
+_VANISHING = CONTRACT0 < 0
+_GATHER = np.where(_VANISHING, 0, CONTRACT0)
+
+
+def pair_table(x: np.ndarray) -> np.ndarray:
+    """<X_m X_n> of x (..., 16): x at CONTRACT0[m, n], 0 where the product vanishes."""
+    table = np.asarray(x)[..., _GATHER]
+    table[..., _VANISHING] = 0.0
+    return table
+
 
 SECTOR0 = np.array([m - 1 for m in range(1, 17)
                     if (levels(m)[0] in "ab") != (levels(m)[1] in "ab")], dtype=np.intp)

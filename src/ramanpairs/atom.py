@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import algebra
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError, check_solution
 from .pulses import PulseSpec, rabi
 
 _RHO0_DEFAULT = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)  # atom starts in |c>
@@ -148,8 +148,5 @@ def evolve_state(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
 
     sol = solve_ivp(rhs, (times[0], times[-1]), x0, method="DOP853",
                     t_eval=times, rtol=rtol, atol=atol)
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else float(times[0])
-        raise IntegrationError(f"state integration failed near t = {t_fail:.6g}: {sol.message}",
-                               time=t_fail)
+    check_solution(sol, "state", times[0])
     return sol.y.T.copy()

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the tolerance check both configs run."""
+"""Exception types shared across the package and the checks on tolerances and solver results."""
 
 from __future__ import annotations
 
@@ -15,6 +15,14 @@ class IntegrationError(RuntimeError):
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)
         self.time = time
+
+
+def check_solution(sol, what: str, t_start: float) -> None:
+    """Raise IntegrationError at the last output time (t_start if none) unless sol succeeded."""
+    if not sol.success:
+        t_fail = float(sol.t[-1]) if sol.t.size else float(t_start)
+        raise IntegrationError(f"{what} integration failed near t = {t_fail:.6g}: {sol.message}",
+                               time=t_fail)
 
 
 class CutoffError(RuntimeError):

@@ -30,22 +30,13 @@ and mirrored for <dA_r A_u(0)>.  Dropping these fixed-ordering corrections would
 leave the photon numbers untouched in vacuum but mis-state the pair moment at
 leading order, which the Fock-space verifier resolves unambiguously.
 
-Every s-integral shares the propagator grid (trapezoid).  M(t) conserves the
-charge of algebra.SECTOR0, so the kernels have support only on its eight
-columns, and every table they contract (2D, C_p X, the initial pair table,
-X(0)) is read on that sector.  With the stacked source rows S_i = S(t_i),
-shape (4, 8), and V_j the inverse 8x8 sector block of the flow, the kernels
-factor as K(t_i, s_j) = (S_i - S_j) V_j, so the noise parts of all 16 slot
-pairs are one (4, 4) table per grid time,
-
-    N_i = S_i P_i S_i^T - S_i Q_i - L_i S_i^T + T_i,
-
-where P, Q, L and T are the trapezoid-weighted cumulative sums over j <= i of
-G_j, G_j S_j^T, S_j G_j and S_j G_j S_j^T with G_j = V_j 2D_S(s_j) V_j^T and 2D_S
-the sector block of the diffusion matrix.  The back-action integrals of every
-(slot u, structure p) pair follow the same way from z_j = V_j (C_p X_j)_S as
-S_i sum_j w_j z_j - sum_j w_j S_j z_j.  This is the same quadrature as the
-direct kernel loop at O(N 8^3) total cost.
+Every s-integral is a kernel sum on the propagator grid (trapezoid rule):
+the noise parts of all 16 slot pairs are one grid.kernel_form of the sector
+block 2D_S of the diffusion matrix, and the back-action integrals of every
+(slot u, structure p) pair are one grid.kernel_sum of the sector values of
+C_p X.  M(t) conserves the charge of algebra.SECTOR0, so the kernels have
+support only on its eight columns, and every table they contract (2D, C_p X,
+the initial pair table, X(0)) is read on that sector.
 """
 
 from __future__ import annotations
@@ -66,12 +57,6 @@ _CREATES = np.array([True, False, False, True])
 _MODE_K = np.array([False, True, False, True])
 # DAGGER_SLOT[r] is the slot of A_r^dag.
 DAGGER_SLOT = tuple(algebra.SOURCE_ROWS.index(algebra.dagger(row)) for row in algebra.SOURCE_ROWS)
-
-
-def _initial_pair_table(rho0: np.ndarray) -> np.ndarray:
-    x0 = state_vector(rho0)
-    valid = algebra.CONTRACT0 >= 0
-    return np.where(valid, x0[np.where(valid, algebra.CONTRACT0, 0)], 0.0)
 
 
 def _slot_factors(atom: AtomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,52 +117,23 @@ class MomentSeries:
     mean_q: np.ndarray       # <a_q>
 
 
-def _trapezoid_cumsum(terms: np.ndarray) -> np.ndarray:
-    """Cumulative sum over the grid axis with the s = 0 sample at half weight.
-
-    The matching half weight at s = t_i is not needed: every kernel vanishes
-    there, K(t_i, t_i) = 0.
-    """
-    return np.cumsum(terms, axis=0) - 0.5 * terms[0]
-
-
-def _noise_table(grid: PropagatorGrid, diffusion: DiffusionTable) -> np.ndarray:
-    """h * sum_j w_j K_r(t_i,s_j) 2D(s_j) K_u(t_i,s_j)^T for every slot pair (r, u)."""
+def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionTable):
+    """Boundary, noise and backaction (n_points, 4, 4) tables, F and the (n_points, 4) means."""
     if diffusion.matrices.shape[0] != grid.n_points or \
             not np.allclose(diffusion.times, grid.times):
         raise ConfigError("diffusion table grid does not match the propagator grid")
-    v = grid.v_inverse
-    s = grid.source_cumint
-    s_t = s.transpose(0, 2, 1)
-    g = v @ diffusion.matrices[:, _BLOCK[0], _BLOCK[1]] @ v.transpose(0, 2, 1)
-    sg = s @ g
-    p = _trapezoid_cumsum(g)
-    q = _trapezoid_cumsum(g @ s_t)
-    left = _trapezoid_cumsum(sg)
-    t = _trapezoid_cumsum(sg @ s_t)
-    return grid.step * (s @ p @ s_t - s @ q - left @ s_t + t)
-
-
-def _backaction_table(grid: PropagatorGrid) -> np.ndarray:
-    """h * sum_j w_j K_r(t_i,s_j) . C_p X(s_j) for every slot r and structure p."""
-    cx = np.einsum("pmn,jn->jpm", _STRUCTURES[:, _SECTOR], grid.state_traj)
-    z = cx @ grid.v_inverse.transpose(0, 2, 1)  # z[j, p] = V_j C_p X_j
-    s = grid.source_cumint
-    return grid.step * (s @ _trapezoid_cumsum(z).transpose(0, 2, 1)
-                        - _trapezoid_cumsum(s @ z.transpose(0, 2, 1)))
-
-
-def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionTable):
-    """Boundary, noise and backaction (n_points, 4, 4) tables, F and the (n_points, 4) means."""
     g, c, field = _slot_factors(atom)
     cc = np.outer(c, c)
     s = grid.source_cumint
-    boundary = cc * (s @ _initial_pair_table(atom.rho0)[_BLOCK] @ s.transpose(0, 2, 1))
-    noise = cc * _noise_table(grid, diffusion)
-    t = _backaction_table(grid) * (-1j * g)
+    x0 = state_vector(atom.rho0)
+    boundary = cc * (s @ algebra.pair_table(x0)[_BLOCK] @ s.transpose(0, 2, 1))
+    noise = cc * grid.kernel_form(diffusion.matrices[:, _BLOCK[0], _BLOCK[1]])
+    # t[i, u, p] = h sum_j w_j K_u(t_i, s_j) . C_p X(s_j), times -i g_p
+    cx = np.einsum("pmn,jn->jmp", _STRUCTURES[:, _SECTOR], grid.state_traj)
+    t = grid.kernel_sum(cx) * (-1j * g)
     # [r, u]: c_u sum_p F[r, p] T[u, p] + c_r sum_p T[r, p] F[p, u]
     backaction = c * (field @ t.transpose(0, 2, 1)) + c[:, None] * (t @ field)
-    means = c * (s @ state_vector(atom.rho0)[_SECTOR])
+    means = c * (s @ x0[_SECTOR])
     return boundary, noise, backaction, field, means
 
 

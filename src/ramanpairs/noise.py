@@ -7,13 +7,15 @@ drift matrix and the instantaneous single-operator expectations:
     2D_mn = (M X)_{mn} - sum_r M_mr X_{rn} - sum_r M_nr X_{mr}
 
 where X_{ij} is shorthand for <X_i X_j> = X at the contracted index (zero when
-the operator product vanishes) and (M X)_{mn} reads the contracted component
-of the drift velocity.  A commutator with the Hamiltonian is a derivation, so
-the drives, chirps and detunings cancel from the right-hand side: only the
-dissipators (decay and dephasing) set 2D (Lax, Phys. Rev. 145, 110 (1966)).
+the operator product vanishes, algebra.pair_table) and (M X)_{mn} is the same
+pair table of the drift velocity.  A commutator with the Hamiltonian is a
+derivation, so the drives, chirps and detunings cancel from the right-hand
+side: only the dissipators (decay and dephasing) set 2D (Lax, Phys. Rev. 145,
+110 (1966)).
 The relation is linear in X, so 2D(t) = Lambda X(t) with one constant
 Lambda per atom, and the grid table is one product with the expectation
-trajectory.
+trajectory.  The moment assembly contracts its sector block with the kernels
+in one PropagatorGrid.kernel_form call.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CONTRACT0
+from .algebra import pair_table
 from .propagator import PropagatorGrid
 from .atom import AtomConfig, DriftBuilder
 from .pulses import PulseSpec
@@ -36,17 +38,11 @@ def diffusion_matrix(m_entries: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=complex)
     m = np.asarray(m_entries, dtype=complex)
-
-    vanishing = CONTRACT0 < 0
-    gather = np.where(vanishing, 0, CONTRACT0)
-    # gather X and the drift velocity M X at contracted indices, zero where
-    # the product vanishes, then subtract the two drift terms in place
-    x_contracted = x[..., gather]
-    x_contracted[..., vanishing] = 0.0
-    d2 = (m @ x[..., None])[..., 0][..., gather]
-    d2[..., vanishing] = 0.0
-    d2 -= m @ x_contracted
-    d2 -= x_contracted @ np.swapaxes(m, -1, -2)
+    # the pair tables of X and of the drift velocity M X, then the two drift terms in place
+    x_pairs = pair_table(x)
+    d2 = pair_table((m @ x[..., None])[..., 0])
+    d2 -= m @ x_pairs
+    d2 -= x_pairs @ np.swapaxes(m, -1, -2)
     return d2
 
 

@@ -36,7 +36,7 @@ from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .atom import AtomConfig
-from .errors import ConfigError, CutoffError, IntegrationError, check_tolerances
+from .errors import ConfigError, CutoffError, check_solution, check_tolerances
 from .pulses import PulseSpec, rabi
 
 _RANK = {"a": 0, "b": 1, "c": 2, "d": 3}
@@ -201,10 +201,7 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
 
     sol = solve_ivp(rhs, (times[0], times[-1]), rho0[keep], method="DOP853",
                     t_eval=times, rtol=cfg.rtol, atol=cfg.atol)
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else float(times[0])
-        raise IntegrationError(f"oracle integration failed near t = {t_fail:.6g}: {sol.message}",
-                               time=t_fail)
+    check_solution(sol, "oracle", times[0])
     vec_rho = np.zeros((rho0.size, len(times)), dtype=complex)
     vec_rho[keep] = sol.y
     rhos = vec_rho.T.reshape(len(times), 4, dim_f, 4, dim_f)

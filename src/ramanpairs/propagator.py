@@ -1,4 +1,4 @@
-"""Two-time propagator of the drift system and the cumulative source-row integrals.
+"""Two-time propagator of the drift system and the kernel quadrature on its grid.
 
 The field-operator solutions need K_r,m(t, s) = int_s^t U_{r,m}(tau, s) dtau
 for the four source rows r in algebra.SOURCE_ROWS and every grid pair
@@ -13,15 +13,16 @@ V(s) = U_S(s, 0)^{-1}.  Row kernels then factor as
     K(t_i, s_j) = (S(t_i) - S(s_j)) V(s_j),
 
 with S the cumulative trapezoid of the four source rows of U_S(., 0), stacked
-into one (n_points, 4, 8) array.  This reproduces the direct per-s_j
-trapezoid quadrature exactly (linearity).  One flow per scenario feeds
-everything, and the expectation trajectory is U(t, 0) X(0).  Constant drives
-(both cw, unchirped) get the flow and its inverse exactly, as powers of the
-sector blocks of expm(M h) and expm(-M h) on the uniform grid, and the state
-as powers of the full expm(M h) applied to X(0), each formed by repeated
-doubling in a few batched products.  Time-dependent drives get U_S and the
-state X from one 80-component DOP853 solve (64 for U_S, 16 for X) and V from
-its batched 8x8 inverse.
+into one (n_points, 4, 8) array.  PropagatorGrid.kernel_sum and kernel_form
+take every s-integral of the kernels on these factors, one trapezoid rule at
+O(N) cost.  One flow per scenario feeds everything, and the expectation
+trajectory is U(t, 0) X(0).  Constant drives (both cw, unchirped) get the
+flow and its inverse exactly, as powers of the sector blocks of expm(M h) and
+expm(-M h) on the uniform grid, and the state as powers of the full
+expm(M h) applied to X(0), each formed by repeated doubling in a few batched
+products.  Time-dependent drives get U_S and the state X from one
+80-component DOP853 solve (64 for U_S, 16 for X) and V from its batched 8x8
+inverse.
 
 The inverse grows like exp(decay * t), so long windows lose the kernels to
 cancellation without any integrator complaint.  The build therefore checks
@@ -34,13 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from . import algebra
 from .atom import AtomConfig, DriftBuilder, state_vector
 from .atom import evolve_state  # noqa: F401  (perfbench/tracing.py wraps propagator.evolve_state)
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError, IntegrationError, check_solution
 from .pulses import PulseSpec
 
 # Largest condition number of the sector block U_S(t_end, 0), the block the
@@ -56,6 +57,19 @@ MAX_CONDITION = 1e11
 _BLOCK = np.ix_(algebra.SECTOR0, algebra.SECTOR0)
 # positions of the source rows inside the sector
 _SOURCE = np.searchsorted(algebra.SECTOR0, np.asarray(algebra.SOURCE_ROWS) - 1)
+
+
+def _cumulative_trapezoid(v: np.ndarray, step: float) -> np.ndarray:
+    """Trapezoid integral of v over the grid axis from t_0 to every t_i.
+
+    (2 sum_{j <= i} v_j - v_0 - v_i) h / 2, formed in place on the cumsum.
+    """
+    out = np.cumsum(v, axis=0)
+    out *= 2.0
+    out -= v
+    out -= v[0]
+    out *= 0.5 * step
+    return out
 
 
 def _orbit(step_map: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
@@ -102,10 +116,7 @@ def _solve_flow(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
     y0 = np.concatenate((np.eye(8, dtype=complex).reshape(64), x0))
     sol = solve_ivp(rhs, (times[0], times[-1]), y0, method="DOP853",
                     t_eval=times, rtol=rtol, atol=atol)
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else float(times[0])
-        raise IntegrationError(f"propagator integration failed near t = {t_fail:.6g}: {sol.message}",
-                               time=t_fail)
+    check_solution(sol, "propagator", times[0])
     return (np.ascontiguousarray(sol.y[:64].T).reshape(n, 8, 8), None,
             np.ascontiguousarray(sol.y[64:].T))
 
@@ -133,6 +144,26 @@ class PropagatorGrid:
     def n_points(self) -> int:
         return len(self.times)
 
+    def kernel_sum(self, y: np.ndarray) -> np.ndarray:
+        """h sum_{s_j <= t_i} w_j K(t_i, s_j) y_j: sector values (n, 8, k) -> (n, 4, k).
+
+        With K = (S_i - S_j) V_j it is S_i times one trapezoid of V_j y_j minus
+        the trapezoid of S_j V_j y_j.
+        """
+        z = self.v_inverse @ y
+        s = self.source_cumint
+        return s @ _cumulative_trapezoid(z, self.step) - _cumulative_trapezoid(s @ z, self.step)
+
+    def kernel_form(self, d: np.ndarray) -> np.ndarray:
+        """h sum_j w_j K(t_i, s_j) d_j K(t_i, s_j)^T for sector blocks d (n, 8, 8).
+
+        With K^T = V_j^T (S_i - S_j)^T and y_j = d_j V_j^T, that is
+        kernel_sum(y) S_i^T - kernel_sum(y S^T).
+        """
+        s_t = self.source_cumint.transpose(0, 2, 1)
+        y = d @ self.v_inverse.transpose(0, 2, 1)
+        return self.kernel_sum(y) @ s_t - self.kernel_sum(y @ s_t)
+
 
 def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                           t_end: float, n_intervals: int,
@@ -155,8 +186,7 @@ def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
             f"kernels over this window, shorten t_end", time=float(times[-1]))
     if v_inverse is None:
         v_inverse = np.linalg.inv(u_sector)
-    source_cumint = cumulative_trapezoid(u_sector[:, _SOURCE, :], x=times, axis=0, initial=0)
-
-    return PropagatorGrid(times=times, step=float(times[1] - times[0]), state_traj=state_traj,
-                          v_inverse=v_inverse, source_cumint=source_cumint)
+    step = float(times[1] - times[0])
+    return PropagatorGrid(times=times, step=step, state_traj=state_traj, v_inverse=v_inverse,
+                          source_cumint=_cumulative_trapezoid(u_sector[:, _SOURCE, :], step))
 

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -15,6 +18,8 @@ from ramanpairs.oracle import OracleConfig
 from ramanpairs.pulses import PulseSpec
 from ramanpairs.presets import PRESET_NAMES, preset
 from ramanpairs.runner import run_scan, run_scenario, write_scenario_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOOD_CONFIG = """
 [atom]
@@ -276,6 +281,21 @@ def test_cli_preset_listing(capsys):
     assert main(["preset", "--list"]) == 0
     out = capsys.readouterr().out.split()
     assert "fig2a" in out and "fig7d" in out
+
+
+def test_module_entry_point_and_console_script(tmp_path):
+    """`python -m ramanpairs` runs the CLI, and the console script names the same main."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "ramanpairs", "preset", "--list"],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == list(PRESET_NAMES)
+    # no tomllib on Python 3.10, so the [project.scripts] table is matched as text
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)",
+                        (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M | re.S)
+    assert scripts is not None
+    assert re.search(r'^ramanpairs\s*=\s*"ramanpairs\.cli:main"\s*$', scripts.group(1), re.M)
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -22,17 +22,24 @@ BLOCK = np.ix_(SECTOR0, SECTOR0)
 
 
 def test_constant_drive_matches_matrix_exponential():
+    """The exact path's sector flow, inverse and state are expm(M t) and its inverse."""
     atom = AtomConfig(rho0=rho_symmetric())
     pump = PulseSpec(shape="cw", omega_peak=6.0, detuning=2.0)
     control = PulseSpec(shape="cw", omega_peak=3.0, detuning=-1.0)
+    builder = DriftBuilder(atom, pump, control)
+    assert builder.constant
     times = np.linspace(0.0, 1.2, 25)
-    u = propagate_from(0, atom, pump, control, times)
-    m = DriftBuilder(atom, pump, control).entries(0.0)
+    x0 = state_vector(atom.rho0)
+    u, v, state = propagator._solve_flow(builder, x0, times, 1e-9, 1e-12)
+    m = builder.entries(0.0)
     for i in (8, 16, 24):
-        assert np.max(np.abs(u[i] - expm(m * times[i]))) < 1e-8
-    # time-translation invariance of the cw flow
-    u_mid = propagate_from(12, atom, pump, control, times)
+        assert np.max(np.abs(u[i] - expm(m * times[i])[BLOCK])) < 1e-8
+        assert np.max(np.abs(v[i] - expm(-m * times[i])[BLOCK])) < 1e-8
+        assert np.max(np.abs(state[i] - expm(m * times[i]) @ x0)) < 1e-8
+    # time-translation invariance of the cw flow: started at t_12 it steps as from 0
+    u_mid, _, _ = propagator._solve_flow(builder, state[12], times[12:], 1e-9, 1e-12)
     assert np.max(np.abs(u_mid[8] - u[8])) < 1e-8
+    assert np.max(np.abs(u_mid[8] @ u[12] - u[20])) < 1e-8
 
 
 def _tight_flow(builder, times):
@@ -114,18 +121,22 @@ def test_constant_drive_presets():
 
 
 def test_composition_residual_small():
+    """The DOP853 sector flow composes, U_S(t_i, s_j) U_S(s_j, 0) = U_S(t_i, 0), and so does X."""
     atom = AtomConfig(rho0=rho_symmetric())
     pump = gauss_pulse(omega=10.0, center=0.5, width=1.0 / 15.0)
     control = gauss_pulse(omega=10.0, center=0.5, width=1.0 / 15.0)
+    builder = DriftBuilder(atom, pump, control)
+    assert not builder.constant
     times = np.linspace(0.0, 2.0, 81)
-    u_full = propagate_from(0, atom, pump, control, times)
+    u_full, _, state = propagator._solve_flow(builder, state_vector(atom.rho0), times,
+                                              1e-9, 1e-12)
     rng = np.random.default_rng(3)
     for _ in range(4):
         j = int(rng.integers(5, 60))
         i = int(rng.integers(j + 5, 80))
-        u_tail = propagate_from(j, atom, pump, control, times)
-        residual = np.max(np.abs(u_full[i] - u_tail[i - j] @ u_full[j]))
-        assert residual < 1e-8
+        u_tail, _, state_tail = propagator._solve_flow(builder, state[j], times[j:], 1e-9, 1e-12)
+        assert np.max(np.abs(u_full[i] - u_tail[i - j] @ u_full[j])) < 1e-8
+        assert np.max(np.abs(state[i] - state_tail[i - j])) < 1e-8
 
 
 def test_grid_build_invariants():
