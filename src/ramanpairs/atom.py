@@ -83,6 +83,15 @@ class AtomConfig:
                 ("d", "b", self.gamma_db), ("d", "c", self.gamma_dc))
 
 
+def dissipation(atom: AtomConfig) -> np.ndarray:
+    """The decay and dephasing part of M, (16, 16): one algebra.dissipator per channel."""
+    decay = sum(algebra.dissipator(rate, algebra.op(ground, excited))
+                for excited, ground, rate in atom.decay_channels())
+    # L = |b><b| - |c><c| at rate gamma_bc/2 damps sigma_bc at gamma_bc
+    return decay + algebra.dissipator(0.5 * atom.gamma_bc,
+                                      algebra.op("b", "b") - algebra.op("c", "c"))
+
+
 class DriftBuilder:
     """Precomputed affine decomposition of M(t) for fast repeated evaluation.
 
@@ -100,12 +109,7 @@ class DriftBuilder:
         self.control = control
         # h = diag(-Delta_c, 0, 0, -Delta_p) over the levels a, b, c, d
         detuning = np.diag([-control.detuning, 0.0, 0.0, -pump.detuning])
-        decay = sum(algebra.dissipator(rate, algebra.op(ground, excited))
-                    for excited, ground, rate in atom.decay_channels())
-        # L = |b><b| - |c><c| at rate gamma_bc/2 damps sigma_bc at gamma_bc
-        dephasing = algebra.dissipator(0.5 * atom.gamma_bc,
-                                       algebra.op("b", "b") - algebra.op("c", "c"))
-        self.static = algebra.lift(detuning) + decay + dephasing
+        self.static = algebra.lift(detuning) + dissipation(atom)
         self.static.flags.writeable = False
         # rows match the coefficients (1, Omega_p, Omega_c, conj Omega_p, conj Omega_c);
         # the interaction enters h with a minus sign

@@ -10,12 +10,15 @@ Only ``scan`` and the scan presets take a config with a [scan] section; every
 other subcommand refuses one.  Every config is loaded and checked before the
 --out directory is created, so a configuration error writes nothing.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.  A
+stdout whose reader has gone (``ramanpairs preset --list | head -n 1``) is
+no error: the runs complete and write their files without another line.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -88,6 +91,20 @@ def _load(args) -> list[ScenarioConfig]:
     return [cfg]
 
 
+def _say(text: str) -> None:
+    """Print a line to stdout; once its reader has gone, drop this and every later line.
+
+    The runs go on and their files are still written: stdout only reports them.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # devnull behind the descriptor, so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(cfg: ScenarioConfig, args) -> None:
     """Run one loaded config and write its CSV and manifest into --out."""
     suffix = "_scan" if cfg.scan is not None else "_verify" if args.command == "verify" else ""
@@ -111,13 +128,13 @@ def _emit(cfg: ScenarioConfig, args) -> None:
         summary = (f"  (peak g_cs {result.peak_g_cs():.6g}, "
                    f"min D {result.min_duan():.6g}, peak n_k {result.peak_n_k():.6g})")
     write_manifest(cfg, args.out / f"{cfg.label}{suffix}.manifest.json", extra)
-    print(f"wrote {csv_path}{summary}")
+    _say(f"wrote {csv_path}{summary}")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "preset" and (args.list or args.name is None):
-        print("\n".join(PRESET_NAMES))
+        _say("\n".join(PRESET_NAMES))
         return 0
     try:
         configs = _load(args)

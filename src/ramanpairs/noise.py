@@ -13,9 +13,10 @@ derivation, so the drives, chirps and detunings cancel from the right-hand
 side: only the dissipators (decay and dephasing) set 2D (Lax, Phys. Rev. 145,
 110 (1966)).
 The relation is linear in X, so 2D(t) = Lambda X(t) with one constant
-Lambda per atom, and the grid table is one product with the expectation
-trajectory.  The moment assembly contracts its sector block with the kernels
-in one PropagatorGrid.kernel_form call.
+Lambda per atom, built from `atom.dissipation` alone so that no Hamiltonian
+term enters even at rounding, and the grid table is one product with the
+expectation trajectory.  The moment assembly contracts its sector block with
+the kernels in one PropagatorGrid.kernel_form call.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import pair_table
+from .atom import AtomConfig, dissipation
 from .propagator import PropagatorGrid
-from .atom import AtomConfig, DriftBuilder
-from .pulses import PulseSpec
 
 
 def diffusion_matrix(m_entries: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -54,14 +54,12 @@ class DiffusionTable:
     matrices: np.ndarray  # (n_points, 16, 16) complex
 
 
-def diffusion_table(grid: PropagatorGrid, atom: AtomConfig,
-                    pump: PulseSpec, control: PulseSpec) -> DiffusionTable:
+def diffusion_table(grid: PropagatorGrid, atom: AtomConfig) -> DiffusionTable:
     """The Einstein-relation table at every grid time, one product with the state trajectory.
 
-    Lambda[k] = diffusion_matrix(static, e_k) on the sixteen unit vectors,
-    with static the time-independent part of M; the drives drop out.
+    Lambda[k] = diffusion_matrix(dissipation(atom), e_k) on the sixteen unit
+    vectors: the Hamiltonian part of M, drives and detunings, drops out.
     """
-    static = DriftBuilder(atom, pump, control).static
-    einstein = diffusion_matrix(static, np.eye(16)).reshape(16, 256)
+    einstein = diffusion_matrix(dissipation(atom), np.eye(16)).reshape(16, 256)
     return DiffusionTable(times=grid.times,
                           matrices=(grid.state_traj @ einstein).reshape(-1, 16, 16))

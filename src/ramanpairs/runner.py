@@ -24,6 +24,7 @@ from .oracle import oracle_moments
 from .propagator import build_propagator_grid
 
 _FMT = "%.17g"
+_CHUNK_ROWS = 256  # rows per % of _write_csv; bounds the text and floats held at once
 
 
 @dataclass
@@ -58,7 +59,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control,
                                  t_end=cfg.t_end, n_intervals=cfg.grid_points,
                                  rtol=cfg.rtol, atol=cfg.atol)
-    diffusion = diffusion_table(grid, cfg.atom, cfg.pump, cfg.control)
+    diffusion = diffusion_table(grid, cfg.atom)
     moments = compute_moments(cfg.atom, grid, diffusion)
     return ScenarioResult(config=cfg, moments=moments,
                           observables=assemble_observables(moments))
@@ -138,9 +139,25 @@ def scenario_table(result: ScenarioResult) -> dict[str, np.ndarray]:
 
 
 def _write_csv(path, header: list[str], table: dict[str, np.ndarray]) -> None:
-    """Comment header, the column names, then one _FMT-formatted line per row."""
-    np.savetxt(path, np.column_stack(list(table.values())), fmt=_FMT, delimiter=",",
-               header="\n".join([*header, ",".join(table)]), comments="", encoding="utf-8")
+    """Comment header, the column names, then one _FMT-formatted line per row.
+
+    The bytes are those of ``np.savetxt(fmt=_FMT, delimiter=",")``.  _FMT maps
+    equal float64 bits to equal text (-0.0 to "-0", NaN to "nan"), so a column
+    whose bits never change is formatted once, into the row template; the
+    other columns fill that template with one % per chunk of _CHUNK_ROWS rows.
+    No copy of the whole table is made.  Every table has at least one row.
+    """
+    columns = [np.asarray(col, dtype=float) for col in table.values()]
+    fixed = [(bits == bits[0]).all() for bits in (col.view(np.uint64) for col in columns)]
+    row = ",".join(_FMT % col[0] if f else _FMT for col, f in zip(columns, fixed)) + "\n"
+    varying = [col for col, f in zip(columns, fixed) if not f]
+    n_rows = len(columns[0])
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join([*header, ",".join(table)]) + "\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            stop = min(start + _CHUNK_ROWS, n_rows)
+            values = np.array([col[start:stop] for col in varying]).T.ravel().tolist()
+            handle.write(row * (stop - start) % tuple(values))
 
 
 def write_scenario_csv(result: ScenarioResult, path) -> None:

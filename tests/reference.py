@@ -89,3 +89,9 @@ def full_kernel(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, times: np
     rows = u[:, np.asarray(SOURCE_ROWS) - 1, :]
     s = cumulative_trapezoid(rows, x=np.asarray(times, dtype=float), axis=0, initial=0)
     return (s - s[j]) @ np.linalg.inv(u[j])
+
+
+def savetxt_csv(path, header: list[str], table: dict[str, np.ndarray]) -> None:
+    """A CSV as np.savetxt writes it in the runner's format: the byte reference of _write_csv."""
+    np.savetxt(path, np.column_stack(list(table.values())), fmt="%.17g", delimiter=",",
+               header="\n".join([*header, ",".join(table)]), comments="", encoding="utf-8")

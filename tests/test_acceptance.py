@@ -303,7 +303,7 @@ def test_criterion_8_structural_invariants():
             u_full[i] - u_tail[i - j] @ u_full[j]))))
 
     # diffusion table structure
-    diffusion = diffusion_table(grid, cfg.atom, cfg.pump, cfg.control)
+    diffusion = diffusion_table(grid, cfg.atom)
     pop_rule = max(float(np.max(np.abs(d[POPULATION0, :].sum(axis=0))))
                    for d in diffusion.matrices[::40])
     psd_floor = min(float(np.linalg.eigvalsh(

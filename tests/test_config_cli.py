@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ramanpairs.atom import AtomConfig
 from ramanpairs.cli import main
@@ -17,7 +18,10 @@ from ramanpairs.errors import ConfigError, IntegrationError
 from ramanpairs.oracle import OracleConfig
 from ramanpairs.pulses import PulseSpec
 from ramanpairs.presets import PRESET_NAMES, preset
-from ramanpairs.runner import run_scan, run_scenario, write_scenario_csv
+from ramanpairs.runner import (_CHUNK_ROWS, _write_csv, run_scan, run_scenario,
+                               scenario_table, write_scenario_csv)
+
+from reference import savetxt_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -178,13 +182,64 @@ def test_every_preset_runs_on_a_coarse_grid():
 
 
 def test_scenario_csv_is_deterministic(tmp_path):
-    cfg = parse_config(GOOD_CONFIG)
-    paths = []
-    for i in (1, 2):
-        path = tmp_path / f"run{i}.csv"
-        write_scenario_csv(run_scenario(cfg), path)
-        paths.append(path.read_bytes())
-    assert paths[0] == paths[1]
+    """A re-run writes the same bytes, and the file reads back to the table's exact floats.
+
+    GOOD_CONFIG, then three presets on a reduced grid: cw, chirped and detuned drives.
+    """
+    configs = [parse_config(GOOD_CONFIG), *(replace(preset(name).scenarios[0], grid_points=200)
+                                            for name in ("fig2a", "fig4c", "fig7d"))]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    for cfg in configs:
+        result = run_scenario(cfg)
+        write_scenario_csv(result, first)
+        write_scenario_csv(run_scenario(cfg), second)
+        assert first.read_bytes() == second.read_bytes()
+        lines = [line for line in first.read_text().splitlines() if not line.startswith("#")]
+        table = scenario_table(result)
+        assert lines[0].split(",") == list(table)
+        back = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        expected = np.column_stack(list(table.values()))
+        np.testing.assert_array_equal(back, expected)  # NaN where NaN
+        number = ~np.isnan(expected)  # and -0.0 where -0.0
+        assert np.array_equal(np.signbit(back[number]), np.signbit(expected[number]))
+
+
+_SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, 5e-324,
+                     1.7976931348623157e308])
+
+
+def _column(kind: str, value: float, n: int, rng) -> np.ndarray:
+    if kind == "constant":
+        return np.full(n, value)
+    if kind == "signed_zero":
+        return rng.choice([0.0, -0.0], n)
+    if kind == "flag":
+        return rng.integers(0, 2, n).astype(float)
+    if kind == "special":
+        return rng.choice(_SPECIAL, n)
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+
+
+_COLUMNS = st.lists(st.tuples(st.sampled_from(["constant", "signed_zero", "flag", "special",
+                                               "random"]), st.floats()), min_size=1, max_size=8)
+_EVERY_KIND = [("constant", 0.0), ("constant", -0.0), ("constant", np.nan), ("constant", -np.inf),
+               ("constant", 0.1), ("signed_zero", 0.0), ("flag", 0.0), ("special", 0.0),
+               ("random", 0.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 3 * _CHUNK_ROWS), columns=_COLUMNS, seed=st.integers(0, 2**32 - 1))
+@example(rows=1, columns=_EVERY_KIND, seed=0)
+@example(rows=2 * _CHUNK_ROWS + 1, columns=_EVERY_KIND, seed=1)  # not a whole number of chunks
+def test_write_csv_matches_savetxt(tmp_path_factory, rows, columns, seed):
+    """_write_csv writes the bytes of np.savetxt(fmt="%.17g"), constant columns included."""
+    rng = np.random.default_rng(seed)
+    table = {f"c{j}": _column(kind, value, rows, rng) for j, (kind, value) in enumerate(columns)}
+    header = ["# ramanpairs test", "# rows = " + str(rows)]
+    out = tmp_path_factory.mktemp("csv")
+    _write_csv(out / "fast.csv", header, table)
+    savetxt_csv(out / "reference.csv", header, table)
+    assert (out / "fast.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
 
 def test_scenario_csv_structure(tmp_path):
@@ -296,6 +351,24 @@ def test_module_entry_point_and_console_script(tmp_path):
                         (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M | re.S)
     assert scripts is not None
     assert re.search(r'^ramanpairs\s*=\s*"ramanpairs\.cli:main"\s*$', scripts.group(1), re.M)
+
+
+@pytest.mark.parametrize("argv", [["preset", "--list"],
+                                  ["preset", "fig2a", "--grid-points", "60", "--out", "out"]])
+def test_cli_quiet_on_closed_stdout(tmp_path, argv):
+    """A stdout pipe without a reader: exit 0, nothing on stderr, the CSV still written."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the CLI prints anything
+    try:
+        done = subprocess.run([sys.executable, "-m", "ramanpairs", *argv], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": path}, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")
+    if "--out" in argv:
+        assert (tmp_path / "out" / "fig2a.csv").exists()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

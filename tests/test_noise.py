@@ -35,7 +35,7 @@ def _driven_table():
     pump = gauss_pulse(omega=7.0, center=0.4, width=0.15, detuning=-2.0)
     control = PulseSpec(shape="cw", omega_peak=4.0, detuning=1.0)
     grid = build_propagator_grid(atom, pump, control, 1.0, 120)
-    return diffusion_table(grid, atom, pump, control)
+    return diffusion_table(grid, atom)
 
 
 def test_population_sum_rule_and_conjugation():
@@ -120,7 +120,7 @@ def test_dark_state_noise_structure():
 
     from ramanpairs.moments import compute_moments
     grid = build_propagator_grid(atom, off(), off(), 1.0, 60)
-    ms = compute_moments(atom, grid, diffusion_table(grid, atom, off(), off()))
+    ms = compute_moments(atom, grid, diffusion_table(grid, atom))
     for split in (ms.pair, ms.cross, ms.n_k, ms.n_q, ms.square_k, ms.square_q):
         assert np.max(np.abs(split.noise)) < 1e-12
 
