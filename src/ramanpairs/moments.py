@@ -32,11 +32,13 @@ leading order, which the Fock-space verifier resolves unambiguously.
 
 Every s-integral is a kernel sum on the propagator grid (trapezoid rule):
 the noise parts of all 16 slot pairs are one grid.kernel_form of the sector
-block 2D_S of the diffusion matrix, and the back-action integrals of every
-(slot u, structure p) pair are one grid.kernel_sum of the sector values of
-C_p X.  M(t) conserves the charge of algebra.SECTOR0, so the kernels have
-support only on its eight columns, and every table they contract (2D, C_p X,
-the initial pair table, X(0)) is read on that sector.
+block 2D_S(s) = X(s) . Lambda_S, the expectation trajectory contracted with
+the sector block of the atom's constant Einstein map (noise.diffusion_table),
+and the back-action integrals of every (slot u, structure p) pair are one
+grid.kernel_sum of the sector values of C_p X.  M(t) conserves the charge of
+algebra.SECTOR0, so the kernels have support only on its eight columns, and
+every table they contract (2D, C_p X, the initial pair table, X(0)) is read
+on that sector.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import numpy as np
 
 from . import algebra
 from .atom import AtomConfig, state_vector
-from .errors import ConfigError
 from .noise import DiffusionTable
 from .propagator import PropagatorGrid
 
@@ -119,15 +120,14 @@ class MomentSeries:
 
 def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionTable):
     """Boundary, noise and backaction (n_points, 4, 4) tables, F and the (n_points, 4) means."""
-    if diffusion.matrices.shape[0] != grid.n_points or \
-            not np.allclose(diffusion.times, grid.times):
-        raise ConfigError("diffusion table grid does not match the propagator grid")
     g, c, field = _slot_factors(atom)
     cc = np.outer(c, c)
     s = grid.source_cumint
     x0 = state_vector(atom.rho0)
     boundary = cc * (s @ algebra.pair_table(x0)[_BLOCK] @ s.transpose(0, 2, 1))
-    noise = cc * grid.kernel_form(diffusion.matrices[:, _BLOCK[0], _BLOCK[1]])
+    # 2D_S(s_j) = X(s_j) . Lambda_S, the sector block of the Einstein map
+    einstein = diffusion.einstein[:, _BLOCK[0], _BLOCK[1]].reshape(16, 64)
+    noise = cc * grid.kernel_form((grid.state_traj @ einstein).reshape(-1, 8, 8))
     # t[i, u, p] = h sum_j w_j K_u(t_i, s_j) . C_p X(s_j), times -i g_p
     cx = np.einsum("pmn,jn->jmp", _STRUCTURES[:, _SECTOR], grid.state_traj)
     t = grid.kernel_sum(cx) * (-1j * g)

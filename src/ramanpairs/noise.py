@@ -14,9 +14,9 @@ side: only the dissipators (decay and dephasing) set 2D (Lax, Phys. Rev. 145,
 110 (1966)).
 The relation is linear in X, so 2D(t) = Lambda X(t) with one constant
 Lambda per atom, built from `atom.dissipation` alone so that no Hamiltonian
-term enters even at rounding, and the grid table is one product with the
-expectation trajectory.  The moment assembly contracts its sector block with
-the kernels in one PropagatorGrid.kernel_form call.
+term enters even at rounding.  That (16, 16, 16) map is the whole noise
+stage: the moment assembly contracts its sector block with the expectation
+trajectory and the kernels it already holds, so no per-time table is formed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 from .algebra import pair_table
 from .atom import AtomConfig, dissipation
-from .propagator import PropagatorGrid
 
 
 def diffusion_matrix(m_entries: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -48,18 +47,15 @@ def diffusion_matrix(m_entries: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DiffusionTable:
-    """2D_mn(t_i) on the propagator grid."""
+    """The Einstein map of one atom: 2D_mn(t) = sum_k einstein[k, m, n] X_k(t)."""
 
-    times: np.ndarray
-    matrices: np.ndarray  # (n_points, 16, 16) complex
+    einstein: np.ndarray  # (16, 16, 16) complex
 
 
-def diffusion_table(grid: PropagatorGrid, atom: AtomConfig) -> DiffusionTable:
-    """The Einstein-relation table at every grid time, one product with the state trajectory.
+def diffusion_table(atom: AtomConfig) -> DiffusionTable:
+    """einstein[k] = diffusion_matrix(dissipation(atom), e_k) on the sixteen unit vectors.
 
-    Lambda[k] = diffusion_matrix(dissipation(atom), e_k) on the sixteen unit
-    vectors: the Hamiltonian part of M, drives and detunings, drops out.
+    The Hamiltonian part of M, drives and detunings, drops out, so one map
+    serves every time of every drive.
     """
-    einstein = diffusion_matrix(dissipation(atom), np.eye(16)).reshape(16, 256)
-    return DiffusionTable(times=grid.times,
-                          matrices=(grid.state_traj @ einstein).reshape(-1, 16, 16))
+    return DiffusionTable(einstein=diffusion_matrix(dissipation(atom), np.eye(16)))

@@ -16,11 +16,13 @@ with S the cumulative trapezoid of the four source rows of U_S(., 0), stacked
 into one (n_points, 4, 8) array.  PropagatorGrid.kernel_sum and kernel_form
 take every s-integral of the kernels on these factors, one trapezoid rule at
 O(N) cost.  One flow per scenario feeds everything, and the expectation
-trajectory is U(t, 0) X(0).  Constant drives (both cw, unchirped) get the
-flow and its inverse exactly, as powers of the sector blocks of expm(M h) and
-expm(-M h) on the uniform grid, and the state as powers of the full
-expm(M h) applied to X(0), each formed by repeated doubling in a few batched
-products.  Time-dependent drives get U_S and the state X from one
+trajectory is U(t, 0) X(0); it also carries the noise, since the moment
+assembly forms the diffusion block as that trajectory times the atom's
+constant Einstein map (noise.diffusion_table).  Constant drives (both cw,
+unchirped) get the flow and its inverse exactly, as powers of the sector
+blocks of expm(M h) and expm(-M h) on the uniform grid, and the state as
+powers of the full expm(M h) applied to X(0), each formed by repeated
+doubling in a few batched products.  Time-dependent drives get U_S and the state X from one
 80-component DOP853 solve (64 for U_S, 16 for X) and V from its batched 8x8
 inverse.
 
@@ -139,10 +141,6 @@ class PropagatorGrid:
     state_traj: np.ndarray   # (n_points, 16)
     v_inverse: np.ndarray    # (n_points, 8, 8)
     source_cumint: np.ndarray  # (n_points, 4, 8)
-
-    @property
-    def n_points(self) -> int:
-        return len(self.times)
 
     def kernel_sum(self, y: np.ndarray) -> np.ndarray:
         """h sum_{s_j <= t_i} w_j K(t_i, s_j) y_j: sector values (n, 8, k) -> (n, 4, k).

@@ -59,7 +59,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control,
                                  t_end=cfg.t_end, n_intervals=cfg.grid_points,
                                  rtol=cfg.rtol, atol=cfg.atol)
-    diffusion = diffusion_table(grid, cfg.atom)
+    diffusion = diffusion_table(cfg.atom)
     moments = compute_moments(cfg.atom, grid, diffusion)
     return ScenarioResult(config=cfg, moments=moments,
                           observables=assemble_observables(moments))

@@ -43,7 +43,7 @@ class PipelineCache:
     def run(self, key, atom, pump, control, t_end=3.0, n=600, rtol=1e-9, atol=1e-12):
         if key not in self._store:
             grid = build_propagator_grid(atom, pump, control, t_end, n, rtol=rtol, atol=atol)
-            diffusion = diffusion_table(grid, atom)
+            diffusion = diffusion_table(atom)
             moments = compute_moments(atom, grid, diffusion)
             self._store[key] = (grid, diffusion, moments, assemble_observables(moments))
         return self._store[key]

@@ -40,7 +40,7 @@ def kernel(grid: PropagatorGrid, j: int) -> np.ndarray:
     The grid's sector columns scattered back to all sixteen; the other eight
     are zero.  Entries with t_i < s_j are extrapolations with no physical meaning.
     """
-    k = np.zeros((grid.n_points, 4, 16), dtype=complex)
+    k = np.zeros((len(grid.times), 4, 16), dtype=complex)
     k[..., SECTOR0] = (grid.source_cumint - grid.source_cumint[j]) @ grid.v_inverse[j]
     return k
 

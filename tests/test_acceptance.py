@@ -302,13 +302,12 @@ def test_criterion_8_structural_invariants():
         composition = max(composition, float(np.max(np.abs(
             u_full[i] - u_tail[i - j] @ u_full[j]))))
 
-    # diffusion table structure
-    diffusion = diffusion_table(grid, cfg.atom)
-    pop_rule = max(float(np.max(np.abs(d[POPULATION0, :].sum(axis=0))))
-                   for d in diffusion.matrices[::40])
+    # diffusion table structure: 2D(t_j) = X(t_j) . Lambda
+    einstein = diffusion_table(cfg.atom).einstein
+    d2 = [np.tensordot(x, einstein, 1) for x in grid.state_traj[::40]]
+    pop_rule = max(float(np.max(np.abs(d[POPULATION0, :].sum(axis=0)))) for d in d2)
     psd_floor = min(float(np.linalg.eigvalsh(
-        0.5 * (normal_ordered(d) + normal_ordered(d).conj().T)).min())
-        for d in diffusion.matrices[::40])
+        0.5 * (normal_ordered(d) + normal_ordered(d).conj().T)).min()) for d in d2)
 
     # coupling-doubling scalings
     def doubled(scale):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from ramanpairs.algebra import SOURCE_ROWS, idx, levels, op, pair_table
 from ramanpairs.atom import AtomConfig, state_vector
-from ramanpairs.errors import ConfigError
 from ramanpairs.moments import (AK, AK_DAG, AQ, AQ_DAG, DAGGER_SLOT, _STRUCTURES,
                                 _moment_tables, _slot_factors, compute_moments)
-from ramanpairs.noise import DiffusionTable, diffusion_table
+from ramanpairs.noise import diffusion_table
+from ramanpairs.observables import duan
 from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.pulses import PulseSpec, off
 
@@ -52,7 +52,7 @@ def test_slot_table():
 
 def _pipeline(atom, pump, control, t_end=1.0, n=150):
     grid = build_propagator_grid(atom, pump, control, t_end, n)
-    diffusion = diffusion_table(grid, atom)
+    diffusion = diffusion_table(atom)
     return grid, diffusion, compute_moments(atom, grid, diffusion)
 
 
@@ -64,6 +64,9 @@ def test_decoupled_modes_keep_initial_values():
     assert np.max(np.abs(ms.n_q.total - 0.7)) < 1e-14
     for split in (ms.pair, ms.cross, ms.square_k, ms.square_q):
         assert np.max(np.abs(split.total)) < 1e-14
+    # the thermal law of uncoupled modes, D = 2 + 2 (n_th_k + n_th_q), at every grid point
+    for d in duan(ms):
+        assert np.max(np.abs(d - (2.0 + 2.0 * (0.3 + 0.7)))) <= 1e-15
 
 
 def test_initial_time_values_are_thermal():
@@ -187,6 +190,38 @@ def test_photon_numbers_real_nonnegative(atom, pump, control, t_end, n):
             assert not split.noise.any()
 
 
+# slot of the mirror image of slots AQ_DAG, AK, AQ, AK_DAG: a_q^dag <-> a_k^dag, a_k <-> a_q
+MIRROR_SLOT = [AK_DAG, AQ, AK, AQ_DAG]
+COUPLING = st.floats(min_value=0.0, max_value=0.3)
+
+
+# no explain phase, as in the Einstein-relation property test of test_noise.py
+@settings(max_examples=10, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(rates=RATES, g=st.tuples(COUPLING, COUPLING), n_th=st.tuples(N_TH, N_TH),
+       seed=st.integers(0, 2**32 - 1), pump=DRIVE, control=DRIVE, t_end=st.floats(0.5, 1.5))
+def test_mirror_relabelling_permutes_the_moment_tables(rates, g, n_th, seed, pump, control, t_end):
+    """a<->d, b<->c with pump<->control, k<->q: every (n, 4, 4) table permutes its slots.
+
+    gamma_ab<->gamma_dc, gamma_ac<->gamma_db, g_k<->g_q, n_th_k<->n_th_q, and
+    rho0 is relabelled the same way.  The mirror takes the source rows
+    |a><c|, |b><d| onto |d><b|, |c><a|, so slot r goes to MIRROR_SLOT[r].
+    """
+    ab, ac, db, dc, bc = rates
+    rho = _random_state_atom(rates, seed).rho0
+    atom = AtomConfig(ab, ac, db, dc, bc, g_k=g[0], g_q=g[1], n_th_k=n_th[0], n_th_q=n_th[1],
+                      rho0=rho)
+    mirrored = AtomConfig(dc, db, ac, ab, bc, g_k=g[1], g_q=g[0], n_th_k=n_th[1],
+                          n_th_q=n_th[0], rho0=rho[::-1, ::-1].copy())
+    grid, diffusion, _ = _pipeline(atom, pump, control, t_end=t_end, n=60)
+    tables = _moment_tables(atom, grid, diffusion)[:3]
+    grid, diffusion, _ = _pipeline(mirrored, control, pump, t_end=t_end, n=60)
+    mirror_tables = _moment_tables(mirrored, grid, diffusion)[:3]
+    for table, mirror in zip(tables, mirror_tables):  # boundary, noise, backaction
+        permuted = table[:, MIRROR_SLOT][:, :, MIRROR_SLOT]
+        assert np.max(np.abs(mirror - permuted)) <= 1e-12 * np.max(np.abs(table))
+
+
 def test_single_moment_zero_for_diagonal_initial_state():
     atom = AtomConfig(rho0=rho_symmetric())
     pump = gauss_pulse(omega=8.0, center=0.4, width=0.15)
@@ -225,7 +260,7 @@ def test_noise_part_equals_direct_double_loop(part):
             k = kernel(grid, j)[i]
             weight = 0.5 if j in (0, i) else 1.0
             if part == "noise":
-                acc += weight * (k @ diffusion.matrices[j] @ k.T)
+                acc += weight * (k @ np.tensordot(grid.state_traj[j], diffusion.einstein, 1) @ k.T)
             else:  # acc[u, p] sums K_u(t_i, s_j) . C_p X(s_j)
                 acc += weight * (k @ (_STRUCTURES @ grid.state_traj[j]).T)
         if part == "noise":
@@ -245,14 +280,3 @@ def test_backaction_vanishes_for_photon_numbers_in_vacuum():
     assert np.max(np.abs(ms.n_k.backaction)) < 1e-16
     assert np.max(np.abs(ms.n_q.backaction)) < 1e-16
     assert np.max(np.abs(ms.pair.backaction)) > 0.0  # the pair term is live
-
-
-def test_grid_mismatch_rejected():
-    atom = AtomConfig(rho0=rho_symmetric())
-    pump = gauss_pulse(omega=5.0, center=0.3, width=0.1)
-    grid, diffusion, _ = _pipeline(atom, pump, pump, t_end=0.6, n=80)
-    other_grid = build_propagator_grid(atom, pump, pump, 0.6, 60)
-    bad = DiffusionTable(times=other_grid.times,
-                         matrices=np.zeros((61, 16, 16), dtype=complex))
-    with pytest.raises(ConfigError):
-        compute_moments(atom, grid, bad)

@@ -35,21 +35,19 @@ def _driven_table():
     pump = gauss_pulse(omega=7.0, center=0.4, width=0.15, detuning=-2.0)
     control = PulseSpec(shape="cw", omega_peak=4.0, detuning=1.0)
     grid = build_propagator_grid(atom, pump, control, 1.0, 120)
-    return diffusion_table(grid, atom)
+    einstein = diffusion_table(atom).einstein
+    return [np.tensordot(x, einstein, 1) for x in grid.state_traj[::15]]
 
 
 def test_population_sum_rule_and_conjugation():
-    table = _driven_table()
-    for i in range(0, 121, 15):
-        d2 = table.matrices[i]
+    for d2 in _driven_table():
         assert np.max(np.abs(d2[POPULATION0, :].sum(axis=0))) < 1e-10
         assert np.max(np.abs(d2[np.ix_(DAGGER0, DAGGER0)].T - np.conj(d2))) < 1e-12
 
 
 def test_normal_ordered_matrix_positive_semidefinite():
-    table = _driven_table()
-    for i in range(0, 121, 15):
-        c = normal_ordered(table.matrices[i])
+    for d2 in _driven_table():
+        c = normal_ordered(d2)
         herm = 0.5 * (c + c.conj().T)
         assert np.max(np.abs(c - herm)) < 1e-10
         assert np.linalg.eigvalsh(herm).min() > -1e-9
@@ -120,7 +118,7 @@ def test_dark_state_noise_structure():
 
     from ramanpairs.moments import compute_moments
     grid = build_propagator_grid(atom, off(), off(), 1.0, 60)
-    ms = compute_moments(atom, grid, diffusion_table(grid, atom))
+    ms = compute_moments(atom, grid, diffusion_table(atom))
     for split in (ms.pair, ms.cross, ms.n_k, ms.n_q, ms.square_k, ms.square_q):
         assert np.max(np.abs(split.noise)) < 1e-12
 
@@ -128,9 +126,9 @@ def test_dark_state_noise_structure():
 def test_table_matches_pointwise_evaluation(small_driven_run):
     atom, pump, control, grid, diffusion, _, _ = small_driven_run
     builder = DriftBuilder(atom, pump, control)
-    for i in range(grid.n_points):
-        direct = diffusion_matrix(builder.entries(grid.times[i]), grid.state_traj[i])
-        assert np.allclose(diffusion.matrices[i], direct, rtol=0, atol=1e-14)
+    for t, x in zip(grid.times, grid.state_traj):
+        direct = diffusion_matrix(builder.entries(t), x)
+        assert np.allclose(np.tensordot(x, diffusion.einstein, 1), direct, rtol=0, atol=1e-14)
 
 
 # radiative rates stay >= 0.5: the cancellation leaves a rounding floor of

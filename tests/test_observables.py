@@ -137,7 +137,7 @@ def test_noise_fraction_flags_undefined_with_decoupled_modes():
     atom = AtomConfig(g_k=0.0, g_q=0.0, rho0=rho_symmetric())
     pump = PulseSpec(shape="cw", omega_peak=5.0)
     grid = build_propagator_grid(atom, pump, pump, 1.0, 120)
-    ms = compute_moments(atom, grid, diffusion_table(grid, atom))
+    ms = compute_moments(atom, grid, diffusion_table(atom))
     frac_k, frac_q = noise_fractions(ms)
     assert np.isnan(frac_k).all()
     assert np.isnan(frac_q).all()
@@ -148,7 +148,7 @@ def _observables_for(g_scale, n_points=240, n_th=0.0):
                       n_th_k=n_th, n_th_q=n_th, rho0=rho_symmetric())
     pump = gauss_pulse(omega=10.0, center=0.5, width=1.0 / 15.0)
     grid = build_propagator_grid(atom, pump, pump, 2.0, n_points)
-    ms = compute_moments(atom, grid, diffusion_table(grid, atom))
+    ms = compute_moments(atom, grid, diffusion_table(atom))
     return ms, assemble_observables(ms)
 
 

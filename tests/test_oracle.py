@@ -97,7 +97,7 @@ def test_thermal_seeding_agreement_small_window():
     atom = AtomConfig(g_k=g, g_q=g, n_th_k=0.02, rho0=rho_symmetric())
     pump = gauss_pulse(omega=10.0, center=0.4, width=0.1)
     grid = build_propagator_grid(atom, pump, pump, 1.0, 300)
-    ms = compute_moments(atom, grid, diffusion_table(grid, atom))
+    ms = compute_moments(atom, grid, diffusion_table(atom))
     times = grid.times[::30]
     out = oracle_moments(atom, pump, pump, times,
                          OracleConfig(cutoff_k=4, cutoff_q=2, g_k=g, g_q=g,
@@ -116,7 +116,7 @@ def test_joint_trace_and_moment_agreement_small_window():
     atom = AtomConfig(g_k=g, g_q=g, rho0=rho_symmetric())
     pump = gauss_pulse(omega=10.0, center=0.4, width=0.1)
     grid = build_propagator_grid(atom, pump, pump, 1.0, 250)
-    ms = compute_moments(atom, grid, diffusion_table(grid, atom))
+    ms = compute_moments(atom, grid, diffusion_table(atom))
     times = grid.times[::25]
     out = oracle_moments(atom, pump, pump, times,
                          OracleConfig(cutoff_k=2, cutoff_q=2, g_k=g, g_q=g))
