@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import algebra
-from .errors import ConfigError, check_solution
+from .errors import ConfigError, check_solution, solve_ivp
 from .pulses import PulseSpec, rabi
 
 _RHO0_DEFAULT = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)  # atom starts in |c>

@@ -1,4 +1,10 @@
-"""Exception types shared across the package and the checks on tolerances and solver results."""
+"""Exception types, the checks on tolerances and solver results, and the one ODE entry point.
+
+`solve_ivp` imports scipy.integrate at its first call.  That import, with the
+scipy.special and scipy.optimize it pulls in, is most of the package's import
+time and about a quarter of its memory, and constant-drive runs never solve an
+ODE, so they never load it.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +21,17 @@ class IntegrationError(RuntimeError):
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)
         self.time = time
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported at the first call.
+
+    `propagator`, `atom` and `oracle` each bind this name, so each module's
+    solve can be wrapped on its own (perfbench/tracing.py does).
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def check_solution(sol, what: str, t_start: float) -> None:

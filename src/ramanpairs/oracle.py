@@ -11,6 +11,8 @@ plus the same radiative Lindblad channels as the drift matrix.  `_liouvillian`
 builds this generator once, from raw level projectors (the drift-matrix lift is
 not reused), as five sparse superoperators on vec(rho) that are affine in the
 drives: L(t) = L0 + Omega_p L_p + Omega_p* L_p' + Omega_c L_c + Omega_c* L_c'.
+Each piece is a sum of Kronecker products of dense joint-space operators,
+assembled from the outer products of their nonzeros in one CSR conversion.
 
 H conserves Q = n_k - n_q - [level in {a, b}], and every jump shifts Q by the
 same amount on both sides of rho, so L never couples entries of rho with
@@ -33,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 
 from .atom import AtomConfig
-from .errors import ConfigError, CutoffError, check_solution, check_tolerances
+from .errors import ConfigError, CutoffError, check_solution, check_tolerances, solve_ivp
 from .pulses import PulseSpec, rabi
 
 _RANK = {"a": 0, "b": 1, "c": 2, "d": 3}
@@ -120,36 +121,71 @@ def _decay_ops(atom: AtomConfig) -> list[tuple[float, np.ndarray]]:
     return ops
 
 
+def _kron_sum(terms: list[tuple[np.ndarray, np.ndarray]], diagonal: np.ndarray | None = None
+              ) -> sparse.csr_array:
+    """sum_k kron(a_k, b_k) over dense (dim, dim) factor pairs, as CSR.
+
+    Entry (r_a dim + r_b, c_a dim + c_b) of kron(a, b) is a[r_a, c_a] b[r_b, c_b],
+    so the nonzeros come out as one outer product per pair.  A given
+    `diagonal` (length dim**2) replaces the products' diagonal: the
+    products overlap there, and the caller forms that sum in a fixed order.
+    """
+    dim = len(terms[0][0])
+    rows, cols, vals = [], [], []
+    for a, b in terms:
+        r_a, c_a = np.nonzero(a)
+        r_b, c_b = np.nonzero(b)
+        rows.append(np.add.outer(r_a * dim, r_b).ravel())
+        cols.append(np.add.outer(c_a * dim, c_b).ravel())
+        vals.append(np.multiply.outer(a[r_a, c_a], b[r_b, c_b]).ravel())
+    rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+    if diagonal is not None:
+        off = rows != cols
+        (on,) = np.nonzero(diagonal)
+        rows, cols = np.concatenate([rows[off], on]), np.concatenate([cols[off], on])
+        vals = np.concatenate([vals[off], diagonal[on]])
+    return sparse.csr_array((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+
+
 def _liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, dim_k: int,
                  dim_q: int, g_k: float, g_q: float) -> list[sparse.csr_array]:
     """[L0, L_p, L_p', L_c, L_c'], weighted by 1, Omega_p, Omega_p*, Omega_c, Omega_c*.
 
     Superoperators on the row-major vec(rho) of atom x Stokes (dim_k) x
-    anti-Stokes (dim_q), through vec(A rho B) = (A kron B^T) vec(rho).  L0
-    holds the detunings, the g_k, g_q couplings and every Lindblad channel.
+    anti-Stokes (dim_q), through vec(A rho B) = (A kron B^T) vec(rho), each
+    built by `_kron_sum` from dense operators on the joint space.  L0 holds
+    the detunings, the g_k, g_q couplings and every Lindblad channel; its
+    diagonal is summed channel by channel, in the order of `_decay_ops`.
     """
-    eye_f = sparse.eye_array(dim_k * dim_q)
-    eye = sparse.eye_array(4 * dim_k * dim_q)
+    eye_f = np.eye(dim_k * dim_q)
+    eye = np.eye(4 * dim_k * dim_q)
 
     def sig(x, y):
-        return sparse.kron(_level_op(x, y), eye_f)
+        return np.kron(_level_op(x, y), eye_f)
 
     def plus_hc(op):
         return op + op.conj().T
 
-    def commutator(h):  # rho -> -i [h, rho]
-        return -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
+    def commutator(h):  # rho -> -i [h, rho] = -i h rho + i rho h
+        return [(-1j * h, eye), (eye, 1j * h.T)]
 
-    a_k, a_q = (sparse.kron(sparse.eye_array(4), a) for a in _field_ops(dim_k, dim_q))
-    l0 = commutator(-control.detuning * sig("a", "a") - pump.detuning * sig("d", "d")
-                    - g_k * plus_hc(a_k @ sig("d", "b")) - g_q * plus_hc(a_q @ sig("a", "c")))
+    # joint operators as level x field Kronecker products: a_k sigma_db = sigma_db kron a_k
+    a_k, a_q = (a.toarray() for a in _field_ops(dim_k, dim_q))
+    h = (np.kron(-control.detuning * _level_op("a", "a") - pump.detuning * _level_op("d", "d"),
+                 eye_f)
+         - g_k * plus_hc(np.kron(_level_op("d", "b"), a_k))
+         - g_q * plus_hc(np.kron(_level_op("a", "c"), a_q)))
+    terms = commutator(h)
+    h_diag = np.diag(h)
+    diagonal = -1j * np.subtract.outer(h_diag, h_diag)
     for rate, op in _decay_ops(atom):
-        jump = sparse.kron(op, eye_f)
-        number = jump.conj().T @ jump
-        l0 = l0 + rate * (sparse.kron(jump, jump.conj())
-                          - 0.5 * (sparse.kron(number, eye) + sparse.kron(eye, number.T)))
-    drives = [commutator(-sig(x, y)) for x, y in ("dc", "cd", "ab", "ba")]
-    return [piece.tocsr() for piece in (l0, *drives)]
+        jump = np.kron(op, eye_f)
+        terms.append((rate * jump, jump.conj()))
+        # J^dag J is diagonal for every channel, so -(1/2){J^dag J, rho} lies on the diagonal
+        j, n = np.diag(jump), np.diag(np.kron(op.conj().T @ op, eye_f))
+        diagonal = diagonal + rate * (np.multiply.outer(j, j.conj()) - 0.5 * np.add.outer(n, n))
+    drives = [_kron_sum(commutator(-sig(x, y))) for x, y in ("dc", "cd", "ab", "ba")]
+    return [_kron_sum(terms, diagonal.ravel()), *drives]
 
 
 def _coefficients(pump: PulseSpec, control: PulseSpec, t: float) -> tuple[complex, ...]:

@@ -24,7 +24,8 @@ blocks of expm(M h) and expm(-M h) on the uniform grid, and the state as
 powers of the full expm(M h) applied to X(0), each formed by repeated
 doubling in a few batched products.  Time-dependent drives get U_S and the state X from one
 80-component DOP853 solve (64 for U_S, 16 for X) and V from its batched 8x8
-inverse.
+inverse.  Only that solve loads scipy.integrate (errors.solve_ivp imports it
+at the first call), so a constant-drive run never imports the ODE solver.
 
 The inverse grows like exp(decay * t), so long windows lose the kernels to
 cancellation without any integrator complaint.  The build therefore checks
@@ -37,13 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from . import algebra
 from .atom import AtomConfig, DriftBuilder, state_vector
 from .atom import evolve_state  # noqa: F401  (perfbench/tracing.py wraps propagator.evolve_state)
-from .errors import ConfigError, IntegrationError, check_solution
+from .errors import ConfigError, IntegrationError, check_solution, solve_ivp
 from .pulses import PulseSpec
 
 # Largest condition number of the sector block U_S(t_end, 0), the block the

@@ -4,18 +4,20 @@ None of these feed the pipeline.  They restate what the library computes in
 another form, so that the tests can check the pipeline's structures against
 them: index tables for conjugation and populations, the density matrix of a
 state vector, the normally ordered noise table, the explicit two-time kernel, the
-oracle's own build of the atomic generator, and the full 16x16 flow started
-at an arbitrary grid point, with the two-time kernels it gives.
+oracle's own build of the atomic generator, the oracle's generator built from
+sparse Kronecker products, and the full 16x16 flow started at an arbitrary grid
+point, with the two-time kernels it gives.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
 from ramanpairs.algebra import LEVELS, SECTOR0, SOURCE_ROWS, dagger, idx
 from ramanpairs.atom import AtomConfig, DriftBuilder
-from ramanpairs.oracle import _coefficients, _liouvillian
+from ramanpairs.oracle import _coefficients, _decay_ops, _field_ops, _level_op, _liouvillian
 from ramanpairs.propagator import PropagatorGrid
 from ramanpairs.pulses import PulseSpec
 
@@ -56,6 +58,37 @@ def atomic_liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     gen = sum(c * piece for c, piece in zip(_coefficients(pump, control, t), pieces))
     perm = np.arange(16).reshape(4, 4).T.reshape(-1)
     return gen.toarray()[np.ix_(perm, perm)]
+
+
+def kron_liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, dim_k: int,
+                     dim_q: int, g_k: float, g_q: float) -> list[sparse.csr_array]:
+    """The pieces of oracle._liouvillian from sparse Kronecker products and sparse adds.
+
+    Same arguments and order [L0, L_p, L_p', L_c, L_c'].  L0's channels are
+    added one at a time, in the order of oracle._decay_ops.
+    """
+    eye_f = sparse.eye_array(dim_k * dim_q)
+    eye = sparse.eye_array(4 * dim_k * dim_q)
+
+    def sig(x, y):
+        return sparse.kron(_level_op(x, y), eye_f)
+
+    def plus_hc(op):
+        return op + op.conj().T
+
+    def commutator(h):  # rho -> -i [h, rho]
+        return -1j * (sparse.kron(h, eye) - sparse.kron(eye, h.T))
+
+    a_k, a_q = (sparse.kron(sparse.eye_array(4), a) for a in _field_ops(dim_k, dim_q))
+    l0 = commutator(-control.detuning * sig("a", "a") - pump.detuning * sig("d", "d")
+                    - g_k * plus_hc(a_k @ sig("d", "b")) - g_q * plus_hc(a_q @ sig("a", "c")))
+    for rate, op in _decay_ops(atom):
+        jump = sparse.kron(op, eye_f)
+        number = jump.conj().T @ jump
+        l0 = l0 + rate * (sparse.kron(jump, jump.conj())
+                          - 0.5 * (sparse.kron(number, eye) + sparse.kron(eye, number.T)))
+    drives = [commutator(-sig(x, y)) for x, y in ("dc", "cd", "ab", "ba")]
+    return [piece.tocsr() for piece in (l0, *drives)]
 
 
 def propagate_from(s_index: int, atom: AtomConfig, pump: PulseSpec, control: PulseSpec,

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -338,11 +339,16 @@ def test_cli_preset_listing(capsys):
     assert "fig2a" in out and "fig7d" in out
 
 
+def _src_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports ramanpairs from this tree."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_module_entry_point_and_console_script(tmp_path):
     """`python -m ramanpairs` runs the CLI, and the console script names the same main."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-m", "ramanpairs", "preset", "--list"],
-                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                          cwd=tmp_path, env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == list(PRESET_NAMES)
@@ -357,18 +363,60 @@ def test_module_entry_point_and_console_script(tmp_path):
                                   ["preset", "fig2a", "--grid-points", "60", "--out", "out"]])
 def test_cli_quiet_on_closed_stdout(tmp_path, argv):
     """A stdout pipe without a reader: exit 0, nothing on stderr, the CSV still written."""
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     read, write = os.pipe()
     os.close(read)  # the reader is gone before the CLI prints anything
     try:
         done = subprocess.run([sys.executable, "-m", "ramanpairs", *argv], cwd=tmp_path,
-                              env={**os.environ, "PYTHONPATH": path}, stdout=write,
+                              env=_src_env(), stdout=write,
                               stderr=subprocess.PIPE, text=True, timeout=120)
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (0, "")
     if "--out" in argv:
         assert (tmp_path / "out" / "fig2a.csv").exists()
+
+
+# scipy.integrate and the scipy.special and scipy.optimize it imports
+SOLVER_MODULES = ("scipy.integrate", "scipy.special", "scipy.optimize")
+
+
+def _solver_modules_after(code: str, cwd) -> list[str]:
+    """SOLVER_MODULES that a fresh interpreter holds after running code.
+
+    The test process itself has imported scipy.integrate, so only a new
+    interpreter shows what the package loads.
+    """
+    probe = f"{code}\nimport sys\nprint([m for m in {SOLVER_MODULES!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, status, loaded", [
+    (None, None, False),
+    (["preset", "--list"], 0, False),
+    (["run", "missing.ini", "--out", "out"], 2, False),  # a configuration error
+    (["preset", "fig2a", "--grid-points", "100", "--out", "out"], 0, False),
+    (["preset", "fig2b", "--grid-points", "100", "--out", "out"], 0, True),
+], ids=["import", "list", "config-error", "fig2a", "fig2b"])
+def test_ode_solver_loaded_at_first_solve(tmp_path, argv, status, loaded):
+    """Importing the CLI, a config error and a constant-drive run never load the ODE solver."""
+    code = "import ramanpairs.cli"
+    if argv is not None:
+        code += f"\nassert ramanpairs.cli.main({argv!r}) == {status}"
+    modules = _solver_modules_after(code, tmp_path)
+    assert modules == (list(SOLVER_MODULES) if loaded else []), modules
+
+
+def test_scan_pool_inherits_ode_solver(tmp_path):
+    """A scan with workers > 1 imports the solver in the parent, which runs no point itself."""
+    code = ("from dataclasses import replace\n"
+            "from ramanpairs.presets import preset\n"
+            "from ramanpairs.runner import run_scan\n"
+            "cfg = replace(preset('fig6b').scan, grid_points=100)\n"
+            "assert len(run_scan(cfg, workers=2).rows) == 5")
+    assert "scipy.integrate" in _solver_modules_after(code, tmp_path)
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -21,6 +21,7 @@ from ramanpairs.pulses import PulseSpec, rabi
 from ramanpairs.runner import run_verification
 
 from conftest import gauss_pulse, rho_symmetric
+from reference import kron_liouvillian
 
 
 def test_dimension_cap_enforced():
@@ -266,3 +267,21 @@ def test_liouvillian_keeps_trace_and_hermiticity(rates, detunings, chirps, phase
     antihermitian = float(np.abs(drho - drho.conj().T).max())
     assert trace < 1e-12 * dim * scale
     assert antihermitian < 1e-12 * scale
+
+
+# no explain phase, as above
+@settings(max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(rates=st.tuples(RATE, RATE, RATE, RATE, RATE), detunings=st.tuples(REAL, REAL),
+       couplings=st.tuples(RATE, RATE), cutoffs=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_liouvillian_matches_sparse_kron_build(rates, detunings, couplings, cutoffs):
+    """The outer-product build stores the reference's entries, each within 1 ulp."""
+    pump = PulseSpec(shape="cw", omega_peak=8.0, detuning=detunings[0])
+    control = PulseSpec(shape="cw", omega_peak=5.0, detuning=detunings[1])
+    args = (AtomConfig(*rates), pump, control, cutoffs[0] + 1, cutoffs[1] + 1, *couplings)
+    for ours, ref in zip(_liouvillian(*args), kron_liouvillian(*args), strict=True):
+        ref.sort_indices()
+        assert np.array_equal(ours.indptr, ref.indptr)
+        assert np.array_equal(ours.indices, ref.indices)
+        np.testing.assert_array_max_ulp(ours.data.real, ref.data.real, maxulp=1)
+        np.testing.assert_array_max_ulp(ours.data.imag, ref.data.imag, maxulp=1)
