@@ -30,15 +30,26 @@ and mirrored for <dA_r A_u(0)>.  Dropping these fixed-ordering corrections would
 leave the photon numbers untouched in vacuum but mis-state the pair moment at
 leading order, which the Fock-space verifier resolves unambiguously.
 
-Every s-integral is a kernel sum on the propagator grid (trapezoid rule):
-the noise parts of all 16 slot pairs are one grid.kernel_form of the sector
-block 2D_S(s) = X(s) . Lambda_S, the expectation trajectory contracted with
-the sector block of the atom's constant Einstein map (noise.diffusion_table),
-and the back-action integrals of every (slot u, structure p) pair are one
-grid.kernel_sum of the sector values of C_p X.  M(t) conserves the charge of
-algebra.SECTOR0, so the kernels have support only on its eight columns, and
-every table they contract (2D, C_p X, the initial pair table, X(0)) is read
-on that sector.
+Every s-integral is a kernel sum on the propagator grid (trapezoid rule),
+
+    h sum_{s_j <= t_i} w_j K(t_i, s_j) y_j = S_i T(V y)_i - T(S V y)_i,
+
+with K = (S_i - S_j) V_j and T the cumulative trapezoid.  One stacked sum
+over the sector columns [y, y S^T, C_p X], with y = 2D_S V^T, gives every
+part: its first eight columns times S_i^T minus the next four are the noise
+form K 2D_S K^T of all 16 slot pairs, and its last four are the back-action
+integrals of every (slot u, structure p) pair.  2D_S(s) = X(s) . Lambda_S is
+the expectation trajectory contracted with the sector block of the atom's
+constant Einstein map (noise.diffusion_table); it and C_p X come from one
+product of X with both maps.  The sum is causal, row i reading only rows
+j <= i, so the assembly makes one pass over the grid in blocks of
+_BLOCK_ROWS rows.  Each block carries its two running sums into the next
+(propagator._cumulative_trapezoid) and writes its rows of the tables, and no
+full-grid temporary is formed; the additions associate as in one cumsum over
+the whole grid, so the prefix sums do not depend on the block size.  M(t)
+conserves the charge of algebra.SECTOR0, so the kernels have support only on
+its eight columns, and every table they contract (2D, C_p X, the initial pair
+table, X(0)) is read on that sector.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ import numpy as np
 from . import algebra
 from .atom import AtomConfig, state_vector
 from .noise import DiffusionTable
-from .propagator import PropagatorGrid
+from .propagator import PropagatorGrid, _cumulative_trapezoid
 
 # Slots of the ladder operators, in algebra.SOURCE_ROWS order.
 AQ_DAG, AK, AQ, AK_DAG = range(4)
@@ -77,6 +88,13 @@ _STRUCTURES = np.stack([-1j * algebra.lift(algebra.op(*algebra.levels(algebra.da
 # contract is read on the sector alone.
 _SECTOR = algebra.SECTOR0
 _BLOCK = np.ix_(_SECTOR, _SECTOR)
+# X -> C_p X on the sector, column m * 4 + p
+_STRUCTURE_FEED = _STRUCTURES[:, _SECTOR].transpose(2, 1, 0).reshape(16, 32)
+
+# Grid rows per pass of the moment assembly.  The quadrature is causal, so
+# each block carries its prefix sums into the next and no full-grid
+# temporary is formed; a (128, 8, 16) complex block is 256 KiB and stays in L2.
+_BLOCK_ROWS = 128
 
 
 @dataclass
@@ -119,21 +137,53 @@ class MomentSeries:
 
 
 def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionTable):
-    """Boundary, noise and backaction (n_points, 4, 4) tables, F and the (n_points, 4) means."""
+    """Boundary, noise and backaction (n_points, 4, 4) tables, F and the (n_points, 4) means.
+
+    One pass over the grid in blocks of _BLOCK_ROWS rows; see the module docstring.
+    """
     g, c, field = _slot_factors(atom)
     cc = np.outer(c, c)
-    s = grid.source_cumint
+    s, v, x, step = grid.source_cumint, grid.v_inverse, grid.state_traj, grid.step
     x0 = state_vector(atom.rho0)
-    boundary = cc * (s @ algebra.pair_table(x0)[_BLOCK] @ s.transpose(0, 2, 1))
-    # 2D_S(s_j) = X(s_j) . Lambda_S, the sector block of the Einstein map
-    einstein = diffusion.einstein[:, _BLOCK[0], _BLOCK[1]].reshape(16, 64)
-    noise = cc * grid.kernel_form((grid.state_traj @ einstein).reshape(-1, 8, 8))
-    # t[i, u, p] = h sum_j w_j K_u(t_i, s_j) . C_p X(s_j), times -i g_p
-    cx = np.einsum("pmn,jn->jmp", _STRUCTURES[:, _SECTOR], grid.state_traj)
-    t = grid.kernel_sum(cx) * (-1j * g)
-    # [r, u]: c_u sum_p F[r, p] T[u, p] + c_r sum_p T[r, p] F[p, u]
-    backaction = c * (field @ t.transpose(0, 2, 1)) + c[:, None] * (t @ field)
-    means = c * (s @ x0[_SECTOR])
+    pairs0 = algebra.pair_table(x0)[_BLOCK]
+    # X_j @ feed = [2D_S(s_j) = X(s_j) . Lambda_S, flattened | C_p X(s_j) as [m, p]]
+    feed = np.concatenate((diffusion.einstein[:, _BLOCK[0], _BLOCK[1]].reshape(16, 64),
+                           _STRUCTURE_FEED), axis=1)
+    n = len(s)
+    boundary, noise, backaction = (np.empty((n, 4, 4), dtype=complex) for _ in range(3))
+    means = np.empty((n, 4), dtype=complex)
+    carry_z, carry_sz = [], []
+    # a last block of one row joins the one before: numpy would take that
+    # row's feed as a vector product, which rounds differently
+    edges = [*range(0, n - 1, _BLOCK_ROWS), n]
+    for start, stop in zip(edges, edges[1:]):
+        rows = slice(start, stop)
+        s_b, v_b = s[rows], v[rows]
+        m = len(s_b)
+        s_t = s_b.transpose(0, 2, 1)
+        s_flat = s_b.reshape(4 * m, 8)
+        np.matmul((s_flat @ pairs0).reshape(m, 4, 8), s_t, out=boundary[rows])
+        boundary[rows] *= cc
+        np.matmul(s_flat, x0[_SECTOR], out=means[rows].reshape(4 * m))
+        means[rows] *= c
+        fed = x[rows] @ feed
+        # the columns y = 2D_S V^T, y S^T and C_p X of one stacked kernel sum
+        cols = np.empty((m, 8, 16), dtype=complex)
+        np.matmul(fed[:, :64].reshape(m, 8, 8), v_b.transpose(0, 2, 1), out=cols[..., :8])
+        np.matmul(cols[..., :8], s_t, out=cols[..., 8:12])
+        cols[..., 12:] = fed[:, 64:].reshape(m, 8, 4)
+        # h sum_{j <= i} w_j K(t_i, s_j) cols_j with K = (S_i - S_j) V_j
+        z = v_b @ cols
+        ks = s_b @ _cumulative_trapezoid(z, step, carry_z)
+        ks -= _cumulative_trapezoid(s_b @ z, step, carry_sz)
+        # noise: K 2D K^T = kernel sum of y times S_i^T minus that of y S^T
+        np.matmul(ks[..., :8], s_t, out=noise[rows])
+        noise[rows] -= ks[..., 8:12]
+        noise[rows] *= cc
+        # t[i, u, p] = h sum_j w_j K_u(t_i, s_j) . C_p X(s_j), times -i g_p
+        t = ks[..., 12:] * (-1j * g)
+        # [r, u]: c_u sum_p F[r, p] T[u, p] + c_r sum_p T[r, p] F[p, u]
+        backaction[rows] = c * (field @ t.transpose(0, 2, 1)) + c[:, None] * (t @ field)
     return boundary, noise, backaction, field, means
 
 

@@ -13,9 +13,11 @@ V(s) = U_S(s, 0)^{-1}.  Row kernels then factor as
     K(t_i, s_j) = (S(t_i) - S(s_j)) V(s_j),
 
 with S the cumulative trapezoid of the four source rows of U_S(., 0), stacked
-into one (n_points, 4, 8) array.  PropagatorGrid.kernel_sum and kernel_form
-take every s-integral of the kernels on these factors, one trapezoid rule at
-O(N) cost.  One flow per scenario feeds everything, and the expectation
+into one (n_points, 4, 8) array.  Every s-integral of the kernels is then
+a prefix sum over s_j <= t_i of these factors, O(N) in all: the moment
+assembly takes them in row blocks, and _cumulative_trapezoid, the one
+trapezoid rule, carries each running sum from block to block.  One flow per
+scenario feeds everything, and the expectation
 trajectory is U(t, 0) X(0); it also carries the noise, since the moment
 assembly forms the diffusion block as that trajectory times the atom's
 constant Einstein map (noise.diffusion_table).  Constant drives (both cw,
@@ -61,15 +63,31 @@ _BLOCK = np.ix_(algebra.SECTOR0, algebra.SECTOR0)
 _SOURCE = np.searchsorted(algebra.SECTOR0, np.asarray(algebra.SOURCE_ROWS) - 1)
 
 
-def _cumulative_trapezoid(v: np.ndarray, step: float) -> np.ndarray:
-    """Trapezoid integral of v over the grid axis from t_0 to every t_i.
+def _cumulative_trapezoid(v: np.ndarray, step: float, carry: list | None = None) -> np.ndarray:
+    """Trapezoid integral of v over the grid axis from t_0 to every row of v.
 
     (2 sum_{j <= i} v_j - v_0 - v_i) h / 2, formed in place on the cumsum.
+    Without `carry`, v is the whole grid.  A grid streamed in consecutive row
+    blocks passes one list as `carry`, empty before the first block; each
+    block reads from it and leaves in it [sum of v through the block's last
+    row, v_0].  The running sum enters the block's first row ahead of the
+    cumsum, so the additions associate as in one cumsum over the whole grid
+    and blocks of any size give the same bits.  The rule reads no row beyond
+    the block; a wider one would need a halo row at each block edge.
     """
-    out = np.cumsum(v, axis=0)
+    if carry:
+        out = v.copy()
+        out[0] += carry[0]
+        np.cumsum(out, axis=0, out=out)
+        first = carry[1]
+    else:
+        out = np.cumsum(v, axis=0)
+        first = v[0].copy()
+    if carry is not None:
+        carry[:] = out[-1].copy(), first
     out *= 2.0
     out -= v
-    out -= v[0]
+    out -= first
     out *= 0.5 * step
     return out
 
@@ -141,26 +159,6 @@ class PropagatorGrid:
     state_traj: np.ndarray   # (n_points, 16)
     v_inverse: np.ndarray    # (n_points, 8, 8)
     source_cumint: np.ndarray  # (n_points, 4, 8)
-
-    def kernel_sum(self, y: np.ndarray) -> np.ndarray:
-        """h sum_{s_j <= t_i} w_j K(t_i, s_j) y_j: sector values (n, 8, k) -> (n, 4, k).
-
-        With K = (S_i - S_j) V_j it is S_i times one trapezoid of V_j y_j minus
-        the trapezoid of S_j V_j y_j.
-        """
-        z = self.v_inverse @ y
-        s = self.source_cumint
-        return s @ _cumulative_trapezoid(z, self.step) - _cumulative_trapezoid(s @ z, self.step)
-
-    def kernel_form(self, d: np.ndarray) -> np.ndarray:
-        """h sum_j w_j K(t_i, s_j) d_j K(t_i, s_j)^T for sector blocks d (n, 8, 8).
-
-        With K^T = V_j^T (S_i - S_j)^T and y_j = d_j V_j^T, that is
-        kernel_sum(y) S_i^T - kernel_sum(y S^T).
-        """
-        s_t = self.source_cumint.transpose(0, 2, 1)
-        y = d @ self.v_inverse.transpose(0, 2, 1)
-        return self.kernel_sum(y) @ s_t - self.kernel_sum(y @ s_t)
 
 
 def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,

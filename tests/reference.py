@@ -5,8 +5,10 @@ another form, so that the tests can check the pipeline's structures against
 them: index tables for conjugation and populations, the density matrix of a
 state vector, the normally ordered noise table, the explicit two-time kernel, the
 oracle's own build of the atomic generator, the oracle's generator built from
-sparse Kronecker products, and the full 16x16 flow started at an arbitrary grid
-point, with the two-time kernels it gives.
+sparse Kronecker products, the full 16x16 flow started at an arbitrary grid
+point, with the two-time kernels it gives, and the kernel quadrature and
+moment tables over the whole grid at once, which the library streams in row
+blocks.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from ramanpairs.algebra import LEVELS, SECTOR0, SOURCE_ROWS, dagger, idx
-from ramanpairs.atom import AtomConfig, DriftBuilder
+from ramanpairs.algebra import LEVELS, SECTOR0, SOURCE_ROWS, dagger, idx, pair_table
+from ramanpairs.atom import AtomConfig, DriftBuilder, state_vector
+from ramanpairs.moments import _STRUCTURES, _slot_factors
+from ramanpairs.noise import DiffusionTable
 from ramanpairs.oracle import _coefficients, _decay_ops, _field_ops, _level_op, _liouvillian
-from ramanpairs.propagator import PropagatorGrid
+from ramanpairs.propagator import PropagatorGrid, _cumulative_trapezoid
 from ramanpairs.pulses import PulseSpec
 
 # 0-based conjugate index of each operator, and positions of the four populations |x><x|.
@@ -45,6 +49,45 @@ def kernel(grid: PropagatorGrid, j: int) -> np.ndarray:
     k = np.zeros((len(grid.times), 4, 16), dtype=complex)
     k[..., SECTOR0] = (grid.source_cumint - grid.source_cumint[j]) @ grid.v_inverse[j]
     return k
+
+
+def kernel_sum(grid: PropagatorGrid, y: np.ndarray) -> np.ndarray:
+    """h sum_{s_j <= t_i} w_j K(t_i, s_j) y_j: sector values (n, 8, k) -> (n, 4, k).
+
+    With K = (S_i - S_j) V_j it is S_i times one trapezoid of V_j y_j minus
+    the trapezoid of S_j V_j y_j, each over the whole grid at once.
+    """
+    z = grid.v_inverse @ y
+    s = grid.source_cumint
+    return s @ _cumulative_trapezoid(z, grid.step) - _cumulative_trapezoid(s @ z, grid.step)
+
+
+def kernel_form(grid: PropagatorGrid, d: np.ndarray) -> np.ndarray:
+    """h sum_j w_j K(t_i, s_j) d_j K(t_i, s_j)^T for sector blocks d (n, 8, 8).
+
+    With K^T = V_j^T (S_i - S_j)^T and y_j = d_j V_j^T, that is
+    kernel_sum(y) S_i^T - kernel_sum(y S^T).
+    """
+    s_t = grid.source_cumint.transpose(0, 2, 1)
+    y = d @ grid.v_inverse.transpose(0, 2, 1)
+    return kernel_sum(grid, y) @ s_t - kernel_sum(grid, y @ s_t)
+
+
+def moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionTable):
+    """moments._moment_tables over the whole grid at once, from kernel_sum and kernel_form."""
+    g, c, field = _slot_factors(atom)
+    cc = np.outer(c, c)
+    s = grid.source_cumint
+    x0 = state_vector(atom.rho0)
+    block = np.ix_(SECTOR0, SECTOR0)
+    boundary = cc * (s @ pair_table(x0)[block] @ s.transpose(0, 2, 1))
+    einstein = diffusion.einstein[:, block[0], block[1]].reshape(16, 64)
+    noise = cc * kernel_form(grid, (grid.state_traj @ einstein).reshape(-1, 8, 8))
+    cx = np.einsum("pmn,jn->jmp", _STRUCTURES[:, SECTOR0], grid.state_traj)
+    t = kernel_sum(grid, cx) * (-1j * g)
+    backaction = c * (field @ t.transpose(0, 2, 1)) + c[:, None] * (t @ field)
+    means = c * (s @ x0[SECTOR0])
+    return boundary, noise, backaction, field, means
 
 
 def atomic_liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,

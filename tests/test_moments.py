@@ -1,18 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from ramanpairs.algebra import SOURCE_ROWS, idx, levels, op, pair_table
 from ramanpairs.atom import AtomConfig, state_vector
-from ramanpairs.moments import (AK, AK_DAG, AQ, AQ_DAG, DAGGER_SLOT, _STRUCTURES,
+from ramanpairs.moments import (AK, AK_DAG, AQ, AQ_DAG, DAGGER_SLOT, _BLOCK_ROWS, _STRUCTURES,
                                 _moment_tables, _slot_factors, compute_moments)
 from ramanpairs.noise import diffusion_table
 from ramanpairs.observables import duan
+from ramanpairs.presets import preset
 from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.pulses import PulseSpec, off
 
 from conftest import gauss_pulse, rho_symmetric
-from reference import kernel
+from reference import kernel, moment_tables
 
 
 def test_initial_pair_table_examples():
@@ -282,3 +285,48 @@ def test_backaction_vanishes_for_photon_numbers_in_vacuum():
     assert np.max(np.abs(ms.n_k.backaction)) < 1e-16
     assert np.max(np.abs(ms.n_q.backaction)) < 1e-16
     assert np.max(np.abs(ms.pair.backaction)) > 0.0  # the pair term is live
+
+
+def _coherent_thermal_atom():
+    """Thermal modes (both back-action terms live) and a b-d coherence (live means)."""
+    rho = np.diag([0.0, 0.45, 0.5, 0.05]).astype(complex)
+    rho[1, 3] = rho[3, 1] = 0.1
+    return AtomConfig(gamma_bc=0.3, n_th_k=0.2, n_th_q=0.1, rho0=rho)
+
+
+_CHIRPED = gauss_pulse(omega=8.0, center=0.4, width=0.12, chirp=40.0)
+_CW_PUMP = PulseSpec(shape="cw", omega_peak=5.0, detuning=-1.5)
+_CW_CONTROL = PulseSpec(shape="cw", omega_peak=3.0)
+
+
+@pytest.mark.parametrize("n", [2, _BLOCK_ROWS - 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                               2 * _BLOCK_ROWS, 1600])
+@pytest.mark.parametrize("pump, control", [(_CHIRPED, _CHIRPED), (_CW_PUMP, _CW_CONTROL)],
+                         ids=["chirped", "cw"])
+def test_streamed_tables_match_the_whole_grid_assembly(pump, control, n):
+    """Row blocks across every block-edge case give the whole-grid kernel_sum/kernel_form tables."""
+    atom = _coherent_thermal_atom()
+    grid = build_propagator_grid(atom, pump, control, 1.0, n)
+    diffusion = diffusion_table(atom)
+    got = _moment_tables(atom, grid, diffusion)
+    expected = moment_tables(atom, grid, diffusion)
+    for name, table, ref in zip(("boundary", "noise", "backaction", "field", "means"),
+                                got, expected):
+        scale = np.max(np.abs(ref))
+        assert scale > 0.0, name
+        assert np.max(np.abs(table - ref)) <= 1e-13 * scale, name
+
+
+def test_moment_assembly_working_memory():
+    """The assembly holds its 1.3 MB of outputs and one block of rows, no full-grid temporary."""
+    cfg = preset("fig2a").scenarios[0]
+    assert cfg.grid_points == 1600
+    grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, cfg.grid_points)
+    diffusion = diffusion_table(cfg.atom)
+    tracemalloc.start()
+    try:
+        _moment_tables(cfg.atom, grid, diffusion)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6

@@ -280,6 +280,21 @@ def test_kernel_quadrature_richardson_ratio():
     assert 2.7 < ratio < 5.5
 
 
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (3, 4, 2, 1), (5, 5), (2, 7, 1)])
+def test_streamed_trapezoid_is_bitwise_the_whole_grid_rule(sizes):
+    """Row blocks sharing one carry give the whole-grid cumulative trapezoid bit for bit."""
+    rng = np.random.default_rng(len(sizes))
+    v = rng.normal(size=(sum(sizes), 3, 2)) + 1j * rng.normal(size=(sum(sizes), 3, 2))
+    whole = propagator._cumulative_trapezoid(v, 0.1)
+    carry, blocks, start = [], [], 0
+    for size in sizes:
+        blocks.append(propagator._cumulative_trapezoid(v[start:start + size], 0.1, carry))
+        start += size
+    assert np.array_equal(np.concatenate(blocks), whole)
+    assert np.array_equal(carry[0], np.cumsum(v, axis=0)[-1])
+    assert np.array_equal(carry[1], v[0])
+
+
 def test_build_validation():
     atom = AtomConfig()
     with pytest.raises(ConfigError):
