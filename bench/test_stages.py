@@ -1,4 +1,4 @@
-"""Per-stage timings of one scenario run, under pytest-benchmark.
+"""Per-stage timings of the package, under pytest-benchmark.
 
 Run from the root of a source checkout, with one BLAS thread as the benchmark
 under perfbench/ pins it:
@@ -6,25 +6,37 @@ under perfbench/ pins it:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python -m pytest bench/ --benchmark-json BENCH.json
 
 Each stage of ``run_scenario`` is timed on its own: the propagator grid build,
-the moment assembly, the scenario CSV write, and the whole ``run_scenario``.
-Every stage runs on fig2a (constant drives, exact flow), fig2b (Gaussian
-pulses, one ODE solve) and fig4c (opposite chirps), at the presets' 1600
-intervals.  The tier-1 suite does not collect this directory (``testpaths``
-in pyproject.toml); ``pytest bench/ --benchmark-disable`` runs every stage
-once, as a smoke test.
+the diffusion map, the moment assembly, the observables, the scenario CSV
+write, and the whole ``run_scenario``.  Every such stage runs on fig2a
+(constant drives, exact flow), fig2b (Gaussian pulses, one ODE solve) and
+fig4c (opposite chirps), at the presets' 1600 intervals.  Three stages stand
+outside a scenario run: ``import ramanpairs.cli`` in a fresh interpreter, one
+oracle run (fig2b on the thinned grid of ``run_verification`` under the default
+``[verify]``), and one serial scan (fig6b at 200 intervals).  The tier-1 suite
+does not collect this directory (``testpaths`` in pyproject.toml);
+``pytest bench/ --benchmark-disable`` runs every stage once, as a smoke test.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import ramanpairs
 from ramanpairs.moments import compute_moments
 from ramanpairs.noise import diffusion_table
+from ramanpairs.observables import assemble_observables
+from ramanpairs.oracle import OracleConfig, oracle_moments
 from ramanpairs.presets import preset
 from ramanpairs.propagator import build_propagator_grid
-from ramanpairs.runner import run_scenario, write_scenario_csv
+from ramanpairs.runner import run_scan, run_scenario, write_scenario_csv
 
 SCENARIOS = ["fig2a", "fig2b", "fig4c"]
 
@@ -39,11 +51,28 @@ def _grid(cfg):
                                  n_intervals=cfg.grid_points, rtol=cfg.rtol, atol=cfg.atol)
 
 
+def test_import(benchmark):
+    """A fresh interpreter importing the CLI, the start-up every command pays."""
+    benchmark.group = "import"
+    env = dict(os.environ, PYTHONPATH=str(Path(ramanpairs.__file__).parents[1]))
+    argv = [sys.executable, "-c", "import ramanpairs.cli"]
+    done = benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"env": env, "check": True},
+                              rounds=5, iterations=1)
+    assert done.returncode == 0
+
+
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_grid_build(benchmark, name):
     benchmark.group = "grid build"
     grid = benchmark(_grid, _config(name))
     assert len(grid.times) == _config(name).grid_points + 1
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_diffusion_map(benchmark, name):
+    benchmark.group = "diffusion map"
+    diffusion = benchmark(diffusion_table, _config(name).atom)
+    assert diffusion.einstein.shape == (16, 16, 16)
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -53,6 +82,14 @@ def test_moment_assembly(benchmark, name):
     grid = _grid(cfg)
     moments = benchmark(compute_moments, cfg.atom, grid, diffusion_table(cfg.atom))
     assert moments.n_k.total.shape == grid.times.shape
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_observables(benchmark, name):
+    benchmark.group = "observables"
+    moments = run_scenario(_config(name)).moments
+    obs = benchmark(assemble_observables, moments)
+    assert obs.n_k.shape == moments.times.shape
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -69,3 +106,21 @@ def test_run_scenario(benchmark, name):
     benchmark.group = "run_scenario"
     result = benchmark(run_scenario, _config(name))
     assert result.peak_n_k() > 0.0
+
+
+def test_oracle_run(benchmark):
+    """The Fock oracle alone, on the points and couplings `run_verification` gives it."""
+    benchmark.group = "oracle"
+    cfg, oracle_cfg = _config("fig2b"), OracleConfig()
+    atom = replace(cfg.atom, g_k=oracle_cfg.g_k, g_q=oracle_cfg.g_q)
+    times = np.linspace(0.0, cfg.t_end, cfg.grid_points + 1)[::max(1, cfg.grid_points // 40)]
+    oracle = benchmark(oracle_moments, atom, cfg.pump, cfg.control, times, oracle_cfg)
+    assert oracle.n_k.shape == times.shape
+
+
+def test_scan(benchmark):
+    """fig6b's five Rabi points at 200 intervals, run one after another."""
+    benchmark.group = "scan"
+    cfg = replace(preset("fig6b").scan, grid_points=200)
+    scan = benchmark(run_scan, cfg, 1)
+    assert len(scan.rows) == len(cfg.scan.values)

@@ -1,9 +1,11 @@
 """Exception types, the checks on tolerances and solver results, and the one ODE entry point.
 
 `solve_ivp` imports scipy.integrate at its first call.  That import, with the
-scipy.special and scipy.optimize it pulls in, is most of the package's import
-time and about a quarter of its memory, and constant-drive runs never solve an
-ODE, so they never load it.
+scipy.sparse, scipy.linalg, scipy.special and scipy.optimize it pulls in,
+takes 0.54-0.67 s, against 0.14-0.32 s for the whole package with NumPy, and
+raises the resident size from 34 to 80 MB (fresh interpreter, 2-core host,
+one BLAS thread).  Constant-drive runs never solve an ODE, so they never
+load it.
 """
 
 from __future__ import annotations

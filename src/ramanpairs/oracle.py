@@ -13,6 +13,8 @@ not reused), as five sparse superoperators on vec(rho) that are affine in the
 drives: L(t) = L0 + Omega_p L_p + Omega_p* L_p' + Omega_c L_c + Omega_c* L_c'.
 Each piece is a sum of Kronecker products of dense joint-space operators,
 assembled from the outer products of their nonzeros in one CSR conversion.
+scipy.sparse is imported inside the functions that build these pieces, so it
+loads at the first build, not with the CLI that reads OracleConfig.
 
 H conserves Q = n_k - n_q - [level in {a, b}], and every jump shifts Q by the
 same amount on both sides of rho, so L never couples entries of rho with
@@ -32,13 +34,16 @@ moments pipeline certifies the whole kernel construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .atom import AtomConfig
 from .errors import ConfigError, CutoffError, check_solution, check_tolerances, solve_ivp
 from .pulses import PulseSpec, rabi
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 _RANK = {"a": 0, "b": 1, "c": 2, "d": 3}
 
@@ -92,6 +97,8 @@ class OracleMoments:
 
 def _field_ops(dim_k: int, dim_q: int) -> tuple[sparse.csr_array, sparse.csr_array]:
     """Annihilators a_k, a_q on the Stokes (dim_k) x anti-Stokes (dim_q) space."""
+    from scipy import sparse
+
     def destroy(dim):
         return sparse.diags_array(np.sqrt(np.arange(1.0, dim)), offsets=1)
 
@@ -130,6 +137,8 @@ def _kron_sum(terms: list[tuple[np.ndarray, np.ndarray]], diagonal: np.ndarray |
     `diagonal` (length dim**2) replaces the products' diagonal: the
     products overlap there, and the caller forms that sum in a fixed order.
     """
+    from scipy import sparse
+
     dim = len(terms[0][0])
     rows, cols, vals = [], [], []
     for a, b in terms:
@@ -220,6 +229,8 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     Raises CutoffError when the top Fock layer of either mode accumulates
     more than leak_tol of that mode's peak photon number.
     """
+    from scipy import sparse
+
     cfg = cfg or OracleConfig()
     times = np.asarray(times, dtype=float)
     dim_k = cfg.cutoff_k + 1

@@ -24,10 +24,12 @@ constant Einstein map (noise.diffusion_table).  Constant drives (both cw,
 unchirped) get the flow and its inverse exactly, as powers of the sector
 blocks of expm(M h) and expm(-M h) on the uniform grid, and the state as
 powers of the full expm(M h) applied to X(0), each formed by repeated
-doubling in a few batched products.  Time-dependent drives get U_S and the state X from one
+doubling in a few batched products.  The two step exponentials come from
+_expm, a NumPy scaling-and-squaring Taylor sum, not from scipy.linalg.
+Time-dependent drives get U_S and the state X from one
 80-component DOP853 solve (64 for U_S, 16 for X) and V from its batched 8x8
 inverse.  Only that solve loads scipy.integrate (errors.solve_ivp imports it
-at the first call), so a constant-drive run never imports the ODE solver.
+at the first call), so a constant-drive run loads no scipy module at all.
 
 The inverse grows like exp(decay * t), so long windows lose the kernels to
 cancellation without any integrator complaint.  The build therefore checks
@@ -37,10 +39,10 @@ raises IntegrationError past MAX_CONDITION.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import algebra
 from .atom import AtomConfig, DriftBuilder, state_vector
@@ -59,6 +61,7 @@ from .pulses import PulseSpec
 MAX_CONDITION = 1e11
 
 _BLOCK = np.ix_(algebra.SECTOR0, algebra.SECTOR0)
+_TAYLOR_DEGREE = 18
 # positions of the source rows inside the sector
 _SOURCE = np.searchsorted(algebra.SECTOR0, np.asarray(algebra.SOURCE_ROWS) - 1)
 
@@ -89,6 +92,26 @@ def _cumulative_trapezoid(v: np.ndarray, step: float, carry: list | None = None)
     out -= v
     out -= first
     out *= 0.5 * step
+    return out
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a small square matrix by scaling and squaring.
+
+    a / 2^s with s the least such that its 1-norm is <= 1/2, a degree-18
+    Taylor polynomial of that in Horner form, then s squarings.  The
+    polynomial's truncation error is below 0.5^19 / 19! ~ 2e-23 relative,
+    so rounding sets the accuracy (Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0 else 0
+    scaled = a / 2.0 ** squarings
+    eye = np.eye(len(a), dtype=scaled.dtype)
+    out = eye
+    for k in range(_TAYLOR_DEGREE, 0, -1):
+        out = eye + scaled @ out / k
+    for _ in range(squarings):
+        out = out @ out
     return out
 
 
@@ -124,9 +147,9 @@ def _solve_flow(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
     n = len(times)
     if builder.constant:
         m_step = builder.entries(times[0]) * ((times[-1] - times[0]) / (n - 1))
-        step_map = expm(m_step)
+        step_map = _expm(m_step)
         return (_orbit(step_map[_BLOCK], np.eye(8), n),
-                _orbit(expm(-m_step[_BLOCK]), np.eye(8), n),
+                _orbit(_expm(-m_step[_BLOCK]), np.eye(8), n),
                 _orbit(step_map, x0[:, None], n)[..., 0])
 
     def rhs(t, y):

@@ -380,33 +380,45 @@ def test_cli_quiet_on_closed_stdout(tmp_path, argv):
 SOLVER_MODULES = ("scipy.integrate", "scipy.special", "scipy.optimize")
 
 
-def _solver_modules_after(code: str, cwd) -> list[str]:
-    """SOLVER_MODULES that a fresh interpreter holds after running code.
+def _scipy_modules_after(code: str, cwd) -> list[str]:
+    """scipy and its subpackages that a fresh interpreter holds after running code, sorted.
 
-    The test process itself has imported scipy.integrate, so only a new
-    interpreter shows what the package loads.
+    The test process itself has imported scipy, so only a new interpreter
+    shows what the package loads.  Each module counts as its top two name
+    parts, so scipy.sparse._csr reads as scipy.sparse.
     """
-    probe = f"{code}\nimport sys\nprint([m for m in {SOLVER_MODULES!r} if m in sys.modules])"
+    probe = (f"{code}\nimport sys\n"
+             "print(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules"
+             " if m.split('.')[0] == 'scipy'}))")
     done = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return ast.literal_eval(done.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv, status, loaded", [
-    (None, None, False),
-    (["preset", "--list"], 0, False),
-    (["run", "missing.ini", "--out", "out"], 2, False),  # a configuration error
-    (["preset", "fig2a", "--grid-points", "100", "--out", "out"], 0, False),
-    (["preset", "fig2b", "--grid-points", "100", "--out", "out"], 0, True),
-], ids=["import", "list", "config-error", "fig2a", "fig2b"])
-def test_ode_solver_loaded_at_first_solve(tmp_path, argv, status, loaded):
-    """Importing the CLI, a config error and a constant-drive run never load the ODE solver."""
+@pytest.mark.parametrize("argv, status, needed", [
+    (None, None, ()),
+    (["preset", "--list"], 0, ()),
+    (["run", "missing.ini", "--out", "out"], 2, ()),  # a configuration error
+    (["preset", "fig2a", "--grid-points", "100", "--out", "out"], 0, ()),
+    (["preset", "fig2b", "--grid-points", "100", "--out", "out"], 0, SOLVER_MODULES),
+    (["verify", "cw.ini", "--out", "out"], 0, ("scipy.integrate", "scipy.sparse")),
+], ids=["import", "list", "config-error", "fig2a", "fig2b", "verify"])
+def test_ode_solver_loaded_at_first_solve(tmp_path, argv, status, needed):
+    """Importing the CLI, a config error and a constant-drive run load no scipy module at all.
+
+    The ODE solver loads at the first time-dependent solve, and the oracle's
+    sparse build at the first verification.
+    """
+    (tmp_path / "cw.ini").write_text(GOOD_CONFIG.replace("shape = gaussian", "shape = cw"))
     code = "import ramanpairs.cli"
     if argv is not None:
         code += f"\nassert ramanpairs.cli.main({argv!r}) == {status}"
-    modules = _solver_modules_after(code, tmp_path)
-    assert modules == (list(SOLVER_MODULES) if loaded else []), modules
+    modules = _scipy_modules_after(code, tmp_path)
+    if needed:
+        assert set(needed) <= set(modules), modules
+    else:
+        assert modules == [], modules
 
 
 def test_scan_pool_inherits_ode_solver(tmp_path):
@@ -416,7 +428,7 @@ def test_scan_pool_inherits_ode_solver(tmp_path):
             "from ramanpairs.runner import run_scan\n"
             "cfg = replace(preset('fig6b').scan, grid_points=100)\n"
             "assert len(run_scan(cfg, workers=2).rows) == 5")
-    assert "scipy.integrate" in _solver_modules_after(code, tmp_path)
+    assert "scipy.integrate" in _scipy_modules_after(code, tmp_path)
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

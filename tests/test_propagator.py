@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -40,6 +41,32 @@ def test_constant_drive_matches_matrix_exponential():
     u_mid, _, _ = propagator._solve_flow(builder, state[12], times[12:], 1e-9, 1e-12)
     assert np.max(np.abs(u_mid[8] - u[8])) < 1e-8
     assert np.max(np.abs(u_mid[8] @ u[12] - u[20])) < 1e-8
+
+
+RATE = st.floats(min_value=0.0, max_value=3.0)
+CW = st.builds(PulseSpec, shape=st.just("cw"), omega_peak=st.floats(0.0, 20.0),
+               detuning=st.floats(-60.0, 60.0), phase0=st.floats(-3.2, 3.2))
+
+
+# no explain phase, as the other pipeline property tests
+@settings(max_examples=60, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(rates=st.tuples(RATE, RATE, RATE, RATE, RATE), pump=CW, control=CW,
+       log_step=st.floats(min_value=-4.0, max_value=np.log10(3.0)))
+@example(rates=(1.0, 1.0, 1.0, 1.0, 0.5), pump=PulseSpec(shape="cw", omega_peak=5.0,
+         detuning=-50.0), control=PulseSpec(shape="cw", omega_peak=20.0, detuning=60.0),
+         log_step=np.log10(3.0))  # |A|_1 ~ 200: seven squarings
+def test_step_exponential_matches_scipy_expm(rates, pump, control, log_step):
+    """The step map expm(M h) and the sector block of expm(-M h), from 1e-4 up to a whole window.
+
+    The steps span |M h|_1 from below 1e-2, where the Taylor sum alone
+    serves, to above 50, where the squarings do most of the work.
+    """
+    m_step = DriftBuilder(AtomConfig(*rates), pump, control).entries(0.0) * 10.0 ** log_step
+    for a in (m_step, -m_step[BLOCK]):
+        reference = expm(a)
+        error = np.max(np.abs(propagator._expm(a) - reference))
+        assert error <= 1e-12 * np.max(np.abs(reference))
 
 
 def _tight_flow(builder, times):
