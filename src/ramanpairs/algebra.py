@@ -5,8 +5,9 @@ The atom has levels a, b, c, d.  Every operator |x><y| is addressed by a single
 |d><b| and index 9 is |c><a|.  All other modules build on the operations here:
 index lookup, Hermitian conjugation, the delta-contraction of operator products,
 the Kronecker lift of 4x4 matrices to 16x16 generators on that basis (`lift`
-for a Hamiltonian, `dissipator` for a Lindblad channel), and the eight-operator
-sector SECTOR0 that the drift never couples to the rest.  Internal numpy
+for a Hamiltonian, `dissipator` for a Lindblad channel), the eight-operator
+sector SECTOR0 that the drift never couples to the rest, and the Hermitian
+coordinates in which every such generator is a real matrix (`real_form`).  Internal numpy
 code uses the 0-based table at the bottom; anything user-facing (CSV headers,
 logs) sticks to the 1-based convention.
 """
@@ -134,3 +135,49 @@ diagonal over this sector and its complement, and so are U(t, s) and its
 inverse.  The four SOURCE_ROWS lie in the sector, so the field solutions read
 only the sector block of the flow.
 """
+
+SECTOR_HALF0 = np.array([m for m in SECTOR0 if levels(m + 1)[0] in "ab"], dtype=np.intp)
+SECTOR_CONJ0 = np.array([dagger(m + 1) - 1 for m in SECTOR_HALF0], dtype=np.intp)
+"""The sector split into ac, ad, bc, bd (SECTOR_HALF0) and their conjugates ca, da, cb, db.
+
+The argument of SECTOR0, refined: every piece of the drift keeps the ket x of
+|x><y| in its group, {a, b} or {c, d}, and the bra y in its own, so the
+drift never couples the two halves.  The drift also maps the
+conjugate of an expectation to the conjugate of its derivative (the master
+equation preserves Hermiticity), so on the sector M(t) is block diagonal:
+A(t) on SECTOR_HALF0 and conj(A(t)) on SECTOR_CONJ0, in this pairing.
+"""
+
+
+def _hermitian_frame() -> np.ndarray:
+    """The columns of HERMITIAN, one block at a time: see its docstring."""
+    complement = np.setdiff1d(np.arange(N_OPS), SECTOR0)
+    columns = []
+    for block in (SECTOR0, complement):
+        pairs = [(m, dagger(m + 1) - 1) for m in block if levels(m + 1)[0] < levels(m + 1)[1]]
+        columns += [_EYE16[m] for m in block if dagger(m + 1) == m + 1]
+        columns += [_EYE16[m] + _EYE16[n] for m, n in pairs]
+        columns += [1j * (_EYE16[m] - _EYE16[n]) for m, n in pairs]
+    return np.stack(columns, axis=1)
+
+
+_EYE16 = np.eye(N_OPS)
+HERMITIAN = _hermitian_frame()
+"""X = HERMITIAN @ y: the sixteen expectations from sixteen real coordinates y.
+
+Each pair X_m, X_m^dag of conjugate operators, m = |x><y| with x before y,
+enters as y = Re X_m and y' = Im X_m (X_m = y + i y', X_m^dag = y - i y'),
+each population as itself; for a Hermitian rho every y is real.  The sector
+comes first, y[:8] = (Re, then Im, of SECTOR_HALF0), then the complement,
+y[8:] = (aa, bb, cc, dd, Re ab, Re cd, Im ab, Im cd).
+"""
+HERMITIAN_INV = HERMITIAN.conj().T / np.sum(np.abs(HERMITIAN) ** 2, axis=0)[:, None]
+
+
+def real_form(g: np.ndarray) -> np.ndarray:
+    """Generators g (..., 16, 16) that preserve Hermiticity, in the coordinates of HERMITIAN.
+
+    Real, and block diagonal over y[:8] and y[8:]; the sector block of a drift
+    with halves A and conj(A) (see SECTOR_HALF0) is [[Re A, -Im A], [Im A, Re A]].
+    """
+    return (HERMITIAN_INV @ g @ HERMITIAN).real

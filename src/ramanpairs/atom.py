@@ -99,7 +99,14 @@ class DriftBuilder:
     where the four drive matrices come from lifting the unit coupling
     operators.  Only the complex Rabi amplitudes vary with time.  The
     time-independent part (detunings, decay, dephasing) is the read-only
-    array ``static``.
+    array ``static``.  `entries` evaluates M at one time.
+
+    The same sum over the real `coefficients` (1, Re Omega_p, Im Omega_p,
+    Re Omega_c, Im Omega_c) has five pieces G_k that each preserve
+    Hermiticity (real in the coordinates of algebra.HERMITIAN).
+    ``generators`` holds them, then their ten commutators [G_k, G_l], k < l,
+    in the order of np.triu_indices(5, 1): every Magnus step of the
+    propagator is a real combination of these fifteen.
     """
 
     def __init__(self, atom: AtomConfig, pump: PulseSpec, control: PulseSpec):
@@ -114,12 +121,24 @@ class DriftBuilder:
         # the interaction enters h with a minus sign
         drives = [algebra.lift(-algebra.op(x, y)) for x, y in ("dc", "ab", "cd", "ba")]
         self._affine = np.stack([self.static, *drives]).reshape(5, 256)
+        static, pump_p, pump_c, conj_p, conj_c = self._affine.reshape(5, 16, 16)
+        pieces = np.stack([static, pump_p + conj_p, 1j * (pump_p - conj_p),
+                           pump_c + conj_c, 1j * (pump_c - conj_c)])
+        k, l = np.triu_indices(5, 1)
+        self.generators = np.concatenate((pieces, pieces[k] @ pieces[l] - pieces[l] @ pieces[k]))
 
     @property
     def constant(self) -> bool:
         """True when M does not depend on time: both drives cw and unchirped."""
         return all(spec.shape == "cw" and spec.chirp == 0.0
                    for spec in (self.pump, self.control))
+
+    def coefficients(self, t: np.ndarray) -> np.ndarray:
+        """Weights of the first five ``generators`` at each time of t, shape (len(t), 5)."""
+        om_p = rabi(self.pump, t)
+        om_c = rabi(self.control, t)
+        return np.stack([np.ones_like(om_p.real), om_p.real, om_p.imag, om_c.real, om_c.imag],
+                        axis=-1)
 
     def entries(self, t: float) -> np.ndarray:
         """M(t) at a scalar time t, shape (16, 16)."""

@@ -79,7 +79,7 @@ class ScenarioConfig:
     t_end: float = 3.0
     grid_points: int = 1600
     outputs: tuple[str, ...] = OUTPUT_GROUPS
-    rtol: float = 1e-9
+    rtol: float = 1e-8
     atol: float = 1e-12
     label: str = "scenario"
     scan: ScanSpec | None = None

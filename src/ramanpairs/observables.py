@@ -96,19 +96,22 @@ def relate_check(ms: MomentSeries):
     correlation and the pair phase; it closes exactly only where the
     phase-insensitive cross moment <a_q^dag a_k> vanishes, so the residual
     is certified small on that set and merely reported elsewhere.  The whole
-    identity lives inside the linear family.
+    identity lives inside the linear family.  g2 and the certificate are
+    decided only where n_k n_q > CS_FLOOR; below it g2 reads NaN and the
+    flag False, so a product at rounding level, which may come out of either
+    sign, decides neither.
     """
     n_k, n_q, pair, cross, _, _ = _linear_family(ms)
-    prod = np.clip(n_k * n_q, 0.0, None)
-    num = np.abs(pair) ** 2 + np.abs(cross) ** 2 + prod
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g2 = np.where(prod > 0, num / prod, np.nan)
+    prod = n_k * n_q
+    defined = prod > CS_FLOOR
+    g2 = np.full_like(prod, np.nan)
+    np.divide(np.abs(pair) ** 2 + np.abs(cross) ** 2 + prod, prod, out=g2, where=defined)
     phi = np.angle(pair)
     excess = np.sqrt(np.abs(pair) ** 2 + np.abs(cross) ** 2)
     d_formula = 2.0 * (1.0 + n_k + n_q + 2.0 * excess * np.cos(phi))
     d_linear = 2.0 + 2.0 * n_k + 2.0 * n_q + 4.0 * pair.real
     residual = np.abs(d_formula - d_linear)
-    certified = np.abs(cross) < 1e-10 * np.sqrt(prod)
+    certified = defined & (np.abs(cross) < 1e-10 * np.sqrt(np.abs(prod)))
     return residual, certified, g2, phi
 
 

@@ -8,8 +8,6 @@ Times and rates are in units of the a->c linewidth; angles in radians.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -70,22 +68,22 @@ def off() -> PulseSpec:
     return PulseSpec(shape="cw", omega_peak=0.0)
 
 
-def envelope(spec: PulseSpec, t: float) -> float:
-    """Real envelope in [0, 1] at a scalar time: 1 for cw, the Gaussian profile otherwise."""
+def envelope(spec: PulseSpec, t):
+    """Real envelope in [0, 1] at each time of t: 1 for cw, the Gaussian profile otherwise."""
     if spec.shape == "cw":
-        return 1.0
+        return np.ones_like(t, dtype=float)
     u = (t - spec.center) / spec.width
-    return math.exp(-u * u)
+    return np.exp(-u * u)
 
 
-def rabi(spec: PulseSpec, t: float) -> complex:
+def rabi(spec: PulseSpec, t):
     """Complex Rabi amplitude Omega * E(t) * exp(-i (phase0 + alpha (t - t_ref)^2)).
 
-    Takes one scalar time; rejects a non-finite one.
+    Takes a scalar time or an array of times, elementwise; rejects a non-finite one.
     """
-    t = float(t)
-    if not math.isfinite(t):
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
         raise ValueError("time must be finite")
     tau = t - spec.chirp_origin
     phase = spec.phase0 + spec.chirp * tau * tau
-    return spec.omega_peak * envelope(spec, t) * cmath.exp(-1j * phase)
+    return spec.omega_peak * envelope(spec, t) * np.exp(-1j * phase)

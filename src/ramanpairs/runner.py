@@ -80,9 +80,9 @@ def run_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
     """One scenario run per scan value, summarized per row.
 
     Points execute concurrently when workers > 1; rows always come back in
-    the order of the configured values.  The parent imports scipy.integrate
-    before the pool forks, so the workers inherit it instead of each loading
-    it again at its first ODE solve (see errors.solve_ivp).
+    the order of the configured values.  A scenario run loads no scipy
+    module (the flow takes Magnus step maps, propagator._magnus_flow), so
+    neither the parent nor a worker imports one.
     """
     if cfg.scan is None:
         raise ConfigError("run_scan needs a [scan] section")
@@ -91,8 +91,6 @@ def run_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
     jobs = [(cfg, value) for value in cfg.scan.values]
     workers = min(workers, len(jobs))  # a fork pool starts every worker at once
     if workers > 1:
-        import scipy.integrate  # noqa: F401  (inherited by the forked workers)
-
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return ScanResult(cfg, list(pool.map(_scan_point, jobs)))
     return ScanResult(cfg, [_scan_point(job) for job in jobs])

@@ -63,7 +63,9 @@ def test_public_names_and_benchmark_tracer_hooks_resolve(monkeypatch):
         tracer.close()
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original, attr
-    assert metrics["propagator.ode_solves"] == 1
-    assert metrics["atom.drift_evals"] > 0
+    # the Magnus flow solves no ODE and reads the drives through DriftBuilder.coefficients
+    assert metrics["propagator.ode_solves"] == 0
+    assert metrics["atom.drift_evals"] == 0
+    assert metrics["propagator.build_s"] > 0.0
     assert metrics["moments.assemble_s"] > 0.0
     assert tracer.last_result.config is cfg

@@ -376,10 +376,6 @@ def test_cli_quiet_on_closed_stdout(tmp_path, argv):
         assert (tmp_path / "out" / "fig2a.csv").exists()
 
 
-# scipy.integrate and the scipy.special and scipy.optimize it imports
-SOLVER_MODULES = ("scipy.integrate", "scipy.special", "scipy.optimize")
-
-
 def _scipy_modules_after(code: str, cwd) -> list[str]:
     """scipy and its subpackages that a fresh interpreter holds after running code, sorted.
 
@@ -401,14 +397,14 @@ def _scipy_modules_after(code: str, cwd) -> list[str]:
     (["preset", "--list"], 0, ()),
     (["run", "missing.ini", "--out", "out"], 2, ()),  # a configuration error
     (["preset", "fig2a", "--grid-points", "100", "--out", "out"], 0, ()),
-    (["preset", "fig2b", "--grid-points", "100", "--out", "out"], 0, SOLVER_MODULES),
+    (["preset", "fig2b", "--grid-points", "100", "--out", "out"], 0, ()),
     (["verify", "cw.ini", "--out", "out"], 0, ("scipy.integrate", "scipy.sparse")),
 ], ids=["import", "list", "config-error", "fig2a", "fig2b", "verify"])
 def test_ode_solver_loaded_at_first_solve(tmp_path, argv, status, needed):
-    """Importing the CLI, a config error and a constant-drive run load no scipy module at all.
+    """Only verify loads scipy: the oracle's ODE solver and its sparse build.
 
-    The ODE solver loads at the first time-dependent solve, and the oracle's
-    sparse build at the first verification.
+    Importing the CLI, a config error and a preset run, with constant
+    (fig2a) or pulsed (fig2b) drives, load no scipy module at all.
     """
     (tmp_path / "cw.ini").write_text(GOOD_CONFIG.replace("shape = gaussian", "shape = cw"))
     code = "import ramanpairs.cli"
@@ -421,14 +417,21 @@ def test_ode_solver_loaded_at_first_solve(tmp_path, argv, status, needed):
         assert modules == [], modules
 
 
-def test_scan_pool_inherits_ode_solver(tmp_path):
-    """A scan with workers > 1 imports the solver in the parent, which runs no point itself."""
-    code = ("from dataclasses import replace\n"
+def test_scan_pool_loads_no_scipy(tmp_path):
+    """A fig6b scan on 2 workers loads no scipy module, in the parent or in a worker."""
+    code = ("import sys\n"
+            "from dataclasses import replace\n"
+            "from ramanpairs import runner\n"
             "from ramanpairs.presets import preset\n"
-            "from ramanpairs.runner import run_scan\n"
+            "point = runner._scan_point\n"
+            "def probe(job):\n"
+            "    row = point(job)\n"
+            "    assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], job[1]\n"
+            "    return row\n"
+            "runner._scan_point = probe  # a forked worker looks the name up in runner\n"
             "cfg = replace(preset('fig6b').scan, grid_points=100)\n"
-            "assert len(run_scan(cfg, workers=2).rows) == 5")
-    assert "scipy.integrate" in _scipy_modules_after(code, tmp_path)
+            "assert len(runner.run_scan(cfg, workers=2).rows) == 5")
+    assert _scipy_modules_after(code, tmp_path) == []
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -133,6 +133,16 @@ def test_relate_residual_reported_with_cross_moment():
     assert np.min(residual) > 0.0
 
 
+@pytest.mark.parametrize("n_q", [1e-35, -1e-35])
+def test_relate_undecided_at_rounding_level_photon_numbers(n_q):
+    """n_k n_q below CS_FLOOR decides neither g2 nor the flag, whatever the sign of n_q."""
+    ms = _manual_moments(n_k=7.7e-13, n_q=n_q)
+    residual, certified, g2, _ = relate_check(ms)
+    assert not certified.any()
+    assert np.isnan(g2).all()
+    assert np.isfinite(residual).all()
+
+
 def test_noise_fraction_flags_undefined_with_decoupled_modes():
     atom = AtomConfig(g_k=0.0, g_q=0.0, rho0=rho_symmetric())
     pump = PulseSpec(shape="cw", omega_peak=5.0)

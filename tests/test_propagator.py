@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from ramanpairs import propagator
-from ramanpairs.algebra import SECTOR0, SOURCE_ROWS, idx
+from ramanpairs.algebra import SECTOR0, SECTOR_CONJ0, SECTOR_HALF0, SOURCE_ROWS, idx, real_form
 from ramanpairs.atom import AtomConfig, DriftBuilder, evolve_state, state_vector
 from ramanpairs.config import apply_override
 from ramanpairs.errors import ConfigError
@@ -132,6 +132,92 @@ def test_time_dependent_drive_grid_matches_tight_solve(pump, control):
     assert np.array_equal(grid.state_traj, state)
 
 
+def _chirped_pulses():
+    return (AtomConfig(gamma_bc=0.3, rho0=rho_symmetric()),
+            gauss_pulse(omega=9.0, center=0.4, width=0.12, detuning=-2.5, chirp=60.0),
+            gauss_pulse(omega=7.0, center=0.5, width=0.15, detuning=1.5, chirp=-40.0), 1.5)
+
+
+def _substeps(builder, times, rtol):
+    """The substeps per interval that the Magnus flow takes on this grid."""
+    weights = propagator._magnus_weights(builder, times[:-1], times[1] - times[0])
+    return propagator._substeps(weights, builder.generators, rtol)
+
+
+def test_magnus_flow_is_fourth_order():
+    """One Magnus step per interval: halving the step cuts the flow's error 16-fold."""
+    atom, pump, control, t_end = _chirped_pulses()
+    builder = DriftBuilder(atom, pump, control)
+    x0 = state_vector(atom.rho0)
+    coarse = np.linspace(0.0, t_end, 801)
+    reference = _tight_flow(builder, coarse)[:, BLOCK[0], BLOCK[1]]
+    errors = []
+    for n in (800, 1600):
+        times = np.linspace(0.0, t_end, n + 1)
+        assert _substeps(builder, times, 1e-2) == 1
+        u_sector, _, _ = propagator._solve_flow(builder, x0, times, 1e-2, 1e-12)
+        errors.append(np.max(np.abs(u_sector[::n // 800] - reference)))
+    assert errors[1] > 1e-10 * np.max(np.abs(reference))  # far above the tight solve's error
+    assert 12.0 < errors[0] / errors[1] < 20.0
+
+
+@pytest.mark.parametrize("drive", [
+    (PulseSpec("cw", 5.0, detuning=-50.0, chirp=20.0), PulseSpec("cw", 10.0), 3.0, 200),
+    (PulseSpec("cw", 5.0), PulseSpec("cw", 10.0, chirp=-0.5), 3.0, 200),
+    (gauss_pulse(omega=10.0), PulseSpec("cw", 10.0), 3.0, 200),
+    (off(), gauss_pulse(omega=10.0, detuning=-2.0), 3.0, 200),
+    (*_fig6b_drives(50.0), 3.0, 200),
+    (*_chirped_pulses()[1:], 150),
+], ids=["cw-detuned-chirped", "cw-chirped", "pulse-cw", "off-pulse", "fig6b-50", "chirped-pair"])
+def test_substep_rule_meets_rtol(drive):
+    """The substeps the rule picks bring the flow within rtol of a tight solve, on coarse grids."""
+    pump, control, t_end, n = drive
+    atom = _chirped_pulses()[0] if n == 150 else AtomConfig(rho0=rho_symmetric())
+    builder = DriftBuilder(atom, pump, control)
+    times = np.linspace(0.0, t_end, n + 1)
+    reference = _tight_flow(builder, times)
+    scale = np.max(np.abs(reference))
+    x0 = state_vector(atom.rho0)
+    for rtol in (1e-8, 1e-10):
+        u_sector, _, state = propagator._solve_flow(builder, x0, times, rtol, 1e-12)
+        assert np.max(np.abs(u_sector - reference[:, BLOCK[0], BLOCK[1]])) <= rtol * scale
+        assert np.max(np.abs(state - reference @ x0)) <= rtol * scale
+
+
+DETUNING = st.floats(-60.0, 60.0)
+CHIRP = st.floats(-300.0, 300.0)
+
+
+@settings(max_examples=60, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(rates=st.tuples(RATE, RATE, RATE, RATE, RATE),
+       pump=st.builds(gauss_pulse, omega=st.floats(0.0, 50.0), detuning=DETUNING, chirp=CHIRP,
+                      phase0=st.floats(-3.2, 3.2)),
+       control=st.builds(PulseSpec, shape=st.just("cw"), omega_peak=st.floats(0.0, 50.0),
+                         detuning=DETUNING, chirp=CHIRP),
+       t=st.floats(0.0, 3.0))
+def test_sector_halves_are_conjugate(rates, pump, control, t):
+    """M_S = blockdiag(A, conj A) on (SECTOR_HALF0, SECTOR_CONJ0), exactly, for any drive.
+
+    The Magnus flow chains only the half A and takes the other half as the
+    conjugate; in the Hermitian coordinates M is real and block diagonal.
+    """
+    builder = DriftBuilder(AtomConfig(*rates), pump, control)
+    m = builder.entries(t)
+    half, conj = SECTOR_HALF0, SECTOR_CONJ0
+    assert np.array_equal(m[np.ix_(conj, conj)], m[np.ix_(half, half)].conj())
+    assert not m[np.ix_(half, conj)].any() and not m[np.ix_(conj, half)].any()
+    real = real_form(m)
+    a = m[np.ix_(half, half)]
+    assert np.allclose(real[:8, :8], np.block([[a.real, -a.imag], [a.imag, a.real]]),
+                       rtol=0.0, atol=1e-12 * np.max(np.abs(m)))
+    assert not real[:8, 8:].any() and not real[8:, :8].any()
+    # the drive decomposition the Magnus steps weigh gives the same M
+    weights = builder.coefficients(np.array([t]))[0]
+    assert np.allclose(np.tensordot(weights, builder.generators[:5], 1), m,
+                       rtol=0.0, atol=1e-12 * np.max(np.abs(m)))
+
+
 def test_constant_drive_presets():
     """A wrong classification would write a silently wrong CSV."""
     constant = set()
@@ -198,10 +284,16 @@ def _record_calls(monkeypatch, owner, attr):
     return results
 
 
-@pytest.mark.parametrize("name, solves, inversions", [("fig2a", 0, 0), ("fig2b", 1, 1)])
+@pytest.mark.parametrize("name, solves, inversions", [("fig2a", 0, 0), ("fig2b", 0, 1)])
 def test_pipeline_drift_evaluations_ode_solves_and_inversions(monkeypatch, name, solves,
                                                               inversions):
+    """No scenario solves an ODE; only the exact flow evaluates M, once, for expm(+-M h).
+
+    The Magnus flow reads the drives through DriftBuilder.coefficients and
+    inverts the 4x4 half of the sector flow once, over the whole grid.
+    """
     cfg = replace(preset(name).scenarios[0], grid_points=100)
+    constant = DriftBuilder(cfg.atom, cfg.pump, cfg.control).constant
     calls = {attr: _record_calls(monkeypatch, owner, attr)
              for owner, attr in ((DriftBuilder, "entries"), (propagator, "solve_ivp"),
                                  (np.linalg, "inv"))}
@@ -209,9 +301,8 @@ def test_pipeline_drift_evaluations_ode_solves_and_inversions(monkeypatch, name,
     counts = {attr: len(results) for attr, results in calls.items()}
     assert counts["solve_ivp"] == solves
     assert counts["inv"] == inversions
-    # only the flow evaluates M: once for expm(+-M h), or once per ODE right-hand side
-    nfev = sum(sol.nfev for sol in calls["solve_ivp"])
-    assert counts["entries"] == (nfev if solves else 1)
+    assert all(v.shape == (101, 4, 4) for v in calls["inv"])
+    assert counts["entries"] == int(constant)
 
 
 def test_state_traj_matches_evolve_state():
@@ -222,12 +313,6 @@ def test_state_traj_matches_evolve_state():
     grid = build_propagator_grid(atom, pump, control, 1.5, 150)
     reference = evolve_state(atom, pump, control, grid.times)
     assert np.max(np.abs(grid.state_traj - reference)) < 1e-8
-
-
-def _chirped_pulses():
-    return (AtomConfig(gamma_bc=0.3, rho0=rho_symmetric()),
-            gauss_pulse(omega=9.0, center=0.4, width=0.12, detuning=-2.5, chirp=60.0),
-            gauss_pulse(omega=7.0, center=0.5, width=0.15, detuning=1.5, chirp=-40.0), 1.5)
 
 
 def _fig2a():
