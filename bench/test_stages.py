@@ -8,8 +8,9 @@ under perfbench/ pins it:
 Each stage of ``run_scenario`` is timed on its own: the propagator grid build,
 the diffusion map, the moment assembly, the observables, the scenario CSV
 write, and the whole ``run_scenario``.  Every such stage runs on fig2a
-(constant drives, exact flow), fig2b (Gaussian pulses, one ODE solve) and
-fig4c (opposite chirps), at the presets' 1600 intervals.  Three stages stand
+(constant drives, exact flow), fig2b (Gaussian pulses, Magnus step maps) and
+fig4c (opposite chirps), at the presets' 1600 intervals; the grid build runs
+also on fig6b's strongest scan point, Rabi frequency 50.  Three stages stand
 outside a scenario run: ``import ramanpairs.cli`` in a fresh interpreter, one
 oracle run (fig2b on the thinned grid of ``run_verification`` under the default
 ``[verify]``), and one serial scan (fig6b at 200 intervals).  The tier-1 suite
@@ -30,6 +31,7 @@ import numpy as np
 import pytest
 
 import ramanpairs
+from ramanpairs.config import apply_override
 from ramanpairs.moments import compute_moments
 from ramanpairs.noise import diffusion_table
 from ramanpairs.observables import assemble_observables
@@ -66,6 +68,14 @@ def test_grid_build(benchmark, name):
     benchmark.group = "grid build"
     grid = benchmark(_grid, _config(name))
     assert len(grid.times) == _config(name).grid_points + 1
+
+
+def test_grid_build_strong_drive(benchmark):
+    """fig6b at Rabi frequency 50, the scan point whose flow was the costliest."""
+    benchmark.group = "grid build"
+    cfg = apply_override(preset("fig6b").scan, "both.omega_peak", 50.0)
+    grid = benchmark(_grid, cfg)
+    assert len(grid.times) == cfg.grid_points + 1
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

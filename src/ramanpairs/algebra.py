@@ -7,9 +7,9 @@ index lookup, Hermitian conjugation, the delta-contraction of operator products,
 the Kronecker lift of 4x4 matrices to 16x16 generators on that basis (`lift`
 for a Hamiltonian, `dissipator` for a Lindblad channel), the eight-operator
 sector SECTOR0 that the drift never couples to the rest, and the Hermitian
-coordinates in which every such generator is a real matrix (`real_form`).  Internal numpy
-code uses the 0-based table at the bottom; anything user-facing (CSV headers,
-logs) sticks to the 1-based convention.
+coordinates in which every such generator is a real matrix (`real_form`).
+Internal numpy code uses the 0-based table at the bottom; anything
+user-facing (CSV headers, logs) sticks to the 1-based convention.
 """
 
 from __future__ import annotations
@@ -149,19 +149,22 @@ A(t) on SECTOR_HALF0 and conj(A(t)) on SECTOR_CONJ0, in this pairing.
 """
 
 
+COMPLEMENT0 = np.array([m for m in range(N_OPS) if m not in SECTOR0], dtype=np.intp)
+"""0-based indices of the eight operators outside SECTOR0: the populations, ab, ba, cd, dc."""
+
+
 def _hermitian_frame() -> np.ndarray:
     """The columns of HERMITIAN, one block at a time: see its docstring."""
-    complement = np.setdiff1d(np.arange(N_OPS), SECTOR0)
+    eye = np.eye(N_OPS)
     columns = []
-    for block in (SECTOR0, complement):
+    for block in (SECTOR0, COMPLEMENT0):
         pairs = [(m, dagger(m + 1) - 1) for m in block if levels(m + 1)[0] < levels(m + 1)[1]]
-        columns += [_EYE16[m] for m in block if dagger(m + 1) == m + 1]
-        columns += [_EYE16[m] + _EYE16[n] for m, n in pairs]
-        columns += [1j * (_EYE16[m] - _EYE16[n]) for m, n in pairs]
+        columns += [eye[m] for m in block if dagger(m + 1) == m + 1]
+        columns += [eye[m] + eye[n] for m, n in pairs]
+        columns += [1j * (eye[m] - eye[n]) for m, n in pairs]
     return np.stack(columns, axis=1)
 
 
-_EYE16 = np.eye(N_OPS)
 HERMITIAN = _hermitian_frame()
 """X = HERMITIAN @ y: the sixteen expectations from sixteen real coordinates y.
 

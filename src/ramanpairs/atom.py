@@ -21,6 +21,7 @@ dropped (lowest order in the photon couplings), so M carries no g_k, g_q.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -29,6 +30,8 @@ from . import algebra
 from .errors import ConfigError, check_solution, solve_ivp
 from .pulses import PulseSpec, rabi
 
+# (k, l) with k < l, the order of the commutators [G_k, G_l] in DriftBuilder.generators
+GENERATOR_PAIRS = np.array(list(itertools.combinations(range(5), 2))).T
 _RHO0_DEFAULT = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)  # atom starts in |c>
 
 
@@ -104,9 +107,9 @@ class DriftBuilder:
     The same sum over the real `coefficients` (1, Re Omega_p, Im Omega_p,
     Re Omega_c, Im Omega_c) has five pieces G_k that each preserve
     Hermiticity (real in the coordinates of algebra.HERMITIAN).
-    ``generators`` holds them, then their ten commutators [G_k, G_l], k < l,
-    in the order of np.triu_indices(5, 1): every Magnus step of the
-    propagator is a real combination of these fifteen.
+    ``generators`` holds them, then their ten commutators [G_k, G_l] in the
+    order of GENERATOR_PAIRS: every Magnus step of the propagator is a real
+    combination of these fifteen.
     """
 
     def __init__(self, atom: AtomConfig, pump: PulseSpec, control: PulseSpec):
@@ -124,7 +127,7 @@ class DriftBuilder:
         static, pump_p, pump_c, conj_p, conj_c = self._affine.reshape(5, 16, 16)
         pieces = np.stack([static, pump_p + conj_p, 1j * (pump_p - conj_p),
                            pump_c + conj_c, 1j * (pump_c - conj_c)])
-        k, l = np.triu_indices(5, 1)
+        k, l = GENERATOR_PAIRS
         self.generators = np.concatenate((pieces, pieces[k] @ pieces[l] - pieces[l] @ pieces[k]))
 
     @property

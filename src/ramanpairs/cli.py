@@ -54,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-points", type=int, default=None,
                        help="override the number of grid intervals")
         p.add_argument("--tol", type=float, default=None,
-                       help="override the integrator relative tolerance "
-                            "(absolute tolerance follows as tol*1e-3)")
+                       help="override [run] rtol, the relative tolerance of the "
+                            "time-dependent flow ([run] atol follows as tol*1e-3)")
         p.add_argument("--workers", type=int, default=1,
                        help="concurrent scan points, at least 1 (scans only)")
     return parser

@@ -4,8 +4,9 @@
 scipy.sparse, scipy.linalg, scipy.special and scipy.optimize it pulls in,
 takes 0.54-0.67 s, against 0.14-0.32 s for the whole package with NumPy, and
 raises the resident size from 34 to 80 MB (fresh interpreter, 2-core host,
-one BLAS thread).  Constant-drive runs never solve an ODE, so they never
-load it.
+one BLAS thread).  Only the Fock oracle (the verify command) and the
+reference solve atom.evolve_state call it; a scenario run, with constant
+or pulsed drives, solves no ODE and never loads it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ class ConfigError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """ODE integrator failed; carries the time at which it gave up."""
+    """A solve failed: the oracle's ODE integrator gave up, or the propagator's
+    flow grew too ill-conditioned to invert; carries the time where it failed."""
 
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)
@@ -28,8 +30,9 @@ class IntegrationError(RuntimeError):
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported at the first call.
 
-    `propagator`, `atom` and `oracle` each bind this name, so each module's
-    solve can be wrapped on its own (perfbench/tracing.py does).
+    `atom` and `oracle` each bind this name, so each module's solve can be
+    wrapped on its own (perfbench/tracing.py does); `propagator` still binds
+    it for that wrapper, and calls it nowhere.
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 

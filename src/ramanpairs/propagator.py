@@ -24,15 +24,22 @@ constant Einstein map (noise.diffusion_table).  Constant drives (both cw,
 unchirped) get the flow and its inverse exactly, as powers of the sector
 blocks of expm(M h) and expm(-M h) on the uniform grid, and the state as
 powers of the full expm(M h) applied to X(0), each formed by repeated
-doubling in a few batched products.  The two step exponentials come from
-_expm, a NumPy scaling-and-squaring Taylor sum, not from scipy.linalg.
-Time-dependent drives get U_S and the state X from one
-80-component DOP853 solve (64 for U_S, 16 for X) and V from its batched 8x8
-inverse.  Only that solve loads scipy.integrate (errors.solve_ivp imports it
-at the first call), so a constant-drive run loads no scipy module at all.
+doubling in a few batched products.
+
+Time-dependent drives get the flow from fourth-order Magnus step maps
+(_magnus_chain): each interval's map is the exponential of
+Omega = (h/2)(M_1 + M_2) + (sqrt(3)/12) h^2 [M_2, M_1] at its two Gauss
+nodes, substepped so that the flow meets rtol (_substeps), and the grid
+values are the running products of those maps.  On the sector M is
+blockdiag(A, conj A) (algebra.SECTOR_HALF0), so only the 4x4 flow U_A of
+the half A is chained, in real arithmetic (algebra.real_form), with the
+complement carrying X(0) alone; U_S, the state and V, from the batched 4x4
+inverse of U_A, follow from U_A and its conjugate.  Every exponential, the
+constant drives' two and the batched Magnus maps, comes from _expm, a NumPy
+scaling-and-squaring Taylor sum, so no scenario run loads a scipy module.
 
 The inverse grows like exp(decay * t), so long windows lose the kernels to
-cancellation without any integrator complaint.  The build therefore checks
+cancellation without any solver complaint.  The build therefore checks
 the condition number of U_S(t_end, 0), the block the kernels invert, and
 raises IntegrationError past MAX_CONDITION.
 """
@@ -45,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .atom import AtomConfig, DriftBuilder, state_vector
+from .atom import GENERATOR_PAIRS, AtomConfig, DriftBuilder, state_vector
 from .atom import evolve_state  # noqa: F401  (perfbench/tracing.py wraps propagator.evolve_state)
 from .errors import ConfigError, IntegrationError
 from .errors import solve_ivp  # noqa: F401  (perfbench/tracing.py wraps propagator.solve_ivp)
@@ -62,11 +69,10 @@ from .pulses import PulseSpec
 MAX_CONDITION = 1e11
 
 _BLOCK = np.ix_(algebra.SECTOR0, algebra.SECTOR0)
-# positions of the source rows, and of the two halves, inside the sector
+# positions of the source rows inside the sector
 _SOURCE = np.searchsorted(algebra.SECTOR0, np.asarray(algebra.SOURCE_ROWS) - 1)
-# SECTOR0 is SECTOR_HALF0, then SECTOR_CONJ0 in this order
-_CONJ_ORDER = np.argsort(algebra.SECTOR_CONJ0)
-_COMPLEMENT = np.setdiff1d(np.arange(16), algebra.SECTOR0)
+# SECTOR0 lists SECTOR_HALF0, then SECTOR_CONJ0 taken in this order
+_CONJ_ORDER = np.array([list(algebra.SECTOR_CONJ0).index(m) for m in algebra.SECTOR0[4:]])
 _ROUNDOFF = 2.0 ** -53
 # Gauss-Legendre nodes of a step, as fractions of it, and the weight of the
 # commutator term of the fourth-order Magnus generator (Blanes, Casas, Oteo &
@@ -172,7 +178,7 @@ def _magnus_weights(builder: DriftBuilder, starts: np.ndarray, step: float) -> n
     """
     r1 = builder.coefficients(starts + _GAUSS[0] * step)
     r2 = builder.coefficients(starts + _GAUSS[1] * step)
-    k, l = np.triu_indices(5, 1)
+    k, l = GENERATOR_PAIRS
     return np.concatenate((0.5 * step * (r1 + r2),
                            _COMMUTATOR * step * step * (r2[:, k] * r1[:, l] - r2[:, l] * r1[:, k])),
                           axis=1)
@@ -190,7 +196,7 @@ def _substeps(weights: np.ndarray, generators: np.ndarray, rtol: float) -> int:
     """
     blocks = np.concatenate(
         (generators[:, algebra.SECTOR_HALF0[:, None], algebra.SECTOR_HALF0].reshape(15, 16),
-         generators[:, _COMPLEMENT[:, None], _COMPLEMENT].reshape(15, 64)), axis=1)
+         generators[:, algebra.COMPLEMENT0[:, None], algebra.COMPLEMENT0].reshape(15, 64)), axis=1)
     # real and imaginary parts interleaved, so that a real product views as complex
     blocks = np.stack((blocks.real, blocks.imag), axis=-1).reshape(15, 160)
 
@@ -257,24 +263,8 @@ def _sector(half: np.ndarray) -> np.ndarray:
     """The (n, 8, 8) sector blocks with halves half and conj(half) (see algebra.SECTOR_HALF0)."""
     out = np.zeros((len(half), 8, 8), dtype=complex)
     out[:, :4, :4] = half
-    out[:, 4:, 4:] = half.conj()[:, _CONJ_ORDER[:, None], _CONJ_ORDER]
+    np.conjugate(half[:, _CONJ_ORDER[:, None], _CONJ_ORDER], out=out[:, 4:, 4:])
     return out
-
-
-def _magnus_flow(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
-                 rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The time-dependent branch of _solve_flow, from the Magnus chain.
-
-    U_S is U_A and conj(U_A), V the 4x4 inverse of U_A and its conjugate, and
-    the state is U_A x0 on SECTOR_HALF0, conj(U_A) x0 on SECTOR_CONJ0 and the
-    chained complement back in the operator basis.
-    """
-    half, rest = _magnus_chain(builder, x0, times, rtol)
-    state = np.empty((len(times), 16), dtype=complex)
-    state[:, algebra.SECTOR_HALF0] = half @ x0[algebra.SECTOR_HALF0]
-    state[:, algebra.SECTOR_CONJ0] = half.conj() @ x0[algebra.SECTOR_CONJ0]
-    state[:, _COMPLEMENT] = rest @ algebra.HERMITIAN[_COMPLEMENT, 8:].T
-    return _sector(half), _sector(np.linalg.inv(half)), state
 
 
 def _solve_flow(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
@@ -284,12 +274,20 @@ def _solve_flow(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
     A constant M gives the exact flow as powers of one step propagator
     expm(M h): its sector block gives U, the inverse block expm(-M_S h) gives
     V for free, and the full step map carries the state.  Time-dependent
-    drives take fourth-order Magnus step maps (_magnus_flow), substepped to
-    rtol; atol is accepted for the signature's sake and read by neither path.
+    drives take the Magnus chain, substepped to rtol: U_S is U_A and
+    conj(U_A), V the 4x4 inverse of U_A and its conjugate, and the state is
+    U_A x0 on SECTOR_HALF0, conj(U_A) x0 on SECTOR_CONJ0 and the chained
+    complement back in the operator basis.  atol is read by neither path.
     """
-    if not builder.constant:
-        return _magnus_flow(builder, x0, times, rtol)
     n = len(times)
+    if not builder.constant:
+        half, rest = _magnus_chain(builder, x0, times, rtol)
+        state = np.empty((n, 16), dtype=complex)
+        state[:, algebra.SECTOR_HALF0] = half @ x0[algebra.SECTOR_HALF0]
+        state[:, algebra.SECTOR_CONJ0] = half.conj() @ x0[algebra.SECTOR_CONJ0]
+        state[:, algebra.COMPLEMENT0] = rest @ algebra.HERMITIAN[algebra.COMPLEMENT0, 8:].T
+        v_inverse = _sector(np.linalg.inv(half))
+        return _sector(half), v_inverse, state
     m_step = builder.entries(times[0]) * ((times[-1] - times[0]) / (n - 1))
     step_map = _expm(m_step)
     return (_orbit(step_map[_BLOCK], np.eye(8), n),
@@ -337,6 +335,8 @@ def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
             f"sector block (limit {MAX_CONDITION:.0e}); its inverse cannot carry the "
             f"kernels over this window, shorten t_end", time=float(times[-1]))
     step = float(times[1] - times[0])
+    source_rows = u_sector[:, _SOURCE, :]
+    del u_sector  # the grid keeps only its source rows' integral
     return PropagatorGrid(times=times, step=step, state_traj=state_traj, v_inverse=v_inverse,
-                          source_cumint=_cumulative_trapezoid(u_sector[:, _SOURCE, :], step))
+                          source_cumint=_cumulative_trapezoid(source_rows, step))
 

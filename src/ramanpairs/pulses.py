@@ -69,9 +69,9 @@ def off() -> PulseSpec:
 
 
 def envelope(spec: PulseSpec, t):
-    """Real envelope in [0, 1] at each time of t: 1 for cw, the Gaussian profile otherwise."""
+    """Real envelope in [0, 1] at a float or an array of times: 1 for cw, the Gaussian otherwise."""
     if spec.shape == "cw":
-        return np.ones_like(t, dtype=float)
+        return 1.0
     u = (t - spec.center) / spec.width
     return np.exp(-u * u)
 
@@ -79,9 +79,8 @@ def envelope(spec: PulseSpec, t):
 def rabi(spec: PulseSpec, t):
     """Complex Rabi amplitude Omega * E(t) * exp(-i (phase0 + alpha (t - t_ref)^2)).
 
-    Takes a scalar time or an array of times, elementwise; rejects a non-finite one.
+    Takes a float or an array of times, elementwise; rejects a non-finite time.
     """
-    t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise ValueError("time must be finite")
     tau = t - spec.chirp_origin

@@ -81,7 +81,7 @@ def run_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
 
     Points execute concurrently when workers > 1; rows always come back in
     the order of the configured values.  A scenario run loads no scipy
-    module (the flow takes Magnus step maps, propagator._magnus_flow), so
+    module (the flow takes Magnus step maps, propagator._magnus_chain), so
     neither the parent nor a worker imports one.
     """
     if cfg.scan is None:

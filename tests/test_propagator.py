@@ -70,7 +70,7 @@ def test_step_exponential_matches_scipy_expm(rates, pump, control, log_step):
 
 
 def _tight_flow(builder, times):
-    """Independent reference for U(t, 0): RK45 at rtol 1e-12, not the library's DOP853."""
+    """Independent reference for U(t, 0): RK45 at rtol 1e-12, not the library's Magnus flow."""
 
     def rhs(t, y):
         return (builder.entries(t) @ y.reshape(16, 16)).reshape(256)
@@ -124,7 +124,7 @@ def test_time_dependent_drive_grid_matches_tight_solve(pump, control):
     reference = _tight_flow(builder, grid.times)
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(u_from0 - reference)) < 1e-7 * scale
-    # the build's co-solved sector block and state
+    # the build's sector block and state, chained together
     x0 = state_vector(atom.rho0)
     u_sector, _, state = propagator._solve_flow(builder, x0, grid.times, 1e-9, 1e-12)
     assert np.max(np.abs(u_sector - reference[:, BLOCK[0], BLOCK[1]])) < 1e-7 * scale
@@ -234,7 +234,7 @@ def test_constant_drive_presets():
 
 
 def test_composition_residual_small():
-    """The DOP853 sector flow composes, U_S(t_i, s_j) U_S(s_j, 0) = U_S(t_i, 0), and so does X."""
+    """The Magnus sector flow composes, U_S(t_i, s_j) U_S(s_j, 0) = U_S(t_i, 0), and so does X."""
     atom = AtomConfig(rho0=rho_symmetric())
     pump = gauss_pulse(omega=10.0, center=0.5, width=1.0 / 15.0)
     control = gauss_pulse(omega=10.0, center=0.5, width=1.0 / 15.0)
