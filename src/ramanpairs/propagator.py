@@ -205,7 +205,8 @@ def _substeps(weights: np.ndarray, generators: np.ndarray, rtol: float) -> int:
         return np.maximum(np.einsum("nij->nj", modulus[:, :16].reshape(-1, 4, 4)).max(axis=1),
                           np.einsum("nij->nj", modulus[:, 16:].reshape(-1, 8, 8)).max(axis=1))
 
-    worst = float(np.max(norm(weights, 0) * norm(weights[:, 5:], 5)))
+    worst = max(float(np.max(norm(w, 0) * norm(w[:, 5:], 5)))
+                for w in np.split(weights, range(_BLOCK_STEPS, len(weights), _BLOCK_STEPS)))
     return max(1, math.ceil((0.1 * worst / rtol) ** 0.25))
 
 
