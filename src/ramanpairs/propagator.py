@@ -211,7 +211,11 @@ def _substeps(weights: np.ndarray, generators: np.ndarray, rtol: float) -> int:
 
 
 def _prefix_products(maps: np.ndarray) -> np.ndarray:
-    """maps[i] @ ... @ maps[0] for every i, in place, by doubling: log2(len(maps)) products."""
+    """maps[i] @ ... @ maps[0] for every i, in place, by doubling: log2(len(maps)) products.
+
+    The products run over the first axis, so a view with the grid's substeps
+    first multiplies each interval's substep maps into one as its last row.
+    """
     k = 1
     while k < len(maps):
         maps[k:] = maps[k:] @ maps[:-k]
@@ -253,9 +257,7 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
         else:
             w = weights[start:stop]
         maps = _expm((w @ basis).reshape(stop - start, m, 2, 8, 8))
-        interval = maps[:, 0]
-        for j in range(1, m):
-            interval = maps[:, j] @ interval
+        interval = _prefix_products(maps.swapaxes(0, 1))[-1]
         chain[start + 1:stop + 1] = _prefix_products(interval) @ chain[start]
     return chain[:, 0, :4] + 1j * chain[:, 0, 4:], chain[:, 1, :, 0] + 1j * chain[:, 1, :, 1]
 
