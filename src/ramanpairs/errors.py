@@ -19,8 +19,11 @@ class ConfigError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """A solve failed: the oracle's ODE integrator gave up, or the propagator's
-    flow grew too ill-conditioned to invert; carries the time where it failed."""
+    """A numerical failure, carrying the time where it happened.
+
+    The oracle's ODE integrator gave up, or the propagator's flow grew too
+    ill-conditioned to invert over the window.
+    """
 
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)

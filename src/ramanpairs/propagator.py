@@ -259,7 +259,10 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
         maps = _expm((w @ basis).reshape(stop - start, m, 2, 8, 8))
         interval = _prefix_products(maps.swapaxes(0, 1))[-1]
         chain[start + 1:stop + 1] = _prefix_products(interval) @ chain[start]
-    return chain[:, 0, :4] + 1j * chain[:, 0, 4:], chain[:, 1, :, 0] + 1j * chain[:, 1, :, 1]
+    half, rest = np.empty((n, 4, 4), dtype=complex), np.empty((n, 8), dtype=complex)
+    half.real, half.imag = chain[:, 0, :4], chain[:, 0, 4:]
+    rest.real, rest.imag = chain[:, 1, :, 0], chain[:, 1, :, 1]
+    return half, rest
 
 
 def _sector(half: np.ndarray) -> np.ndarray:
@@ -287,7 +290,7 @@ def _solve_flow(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
         half, rest = _magnus_chain(builder, x0, times, rtol)
         state = np.empty((n, 16), dtype=complex)
         state[:, algebra.SECTOR_HALF0] = half @ x0[algebra.SECTOR_HALF0]
-        state[:, algebra.SECTOR_CONJ0] = half.conj() @ x0[algebra.SECTOR_CONJ0]
+        state[:, algebra.SECTOR_CONJ0] = (half @ x0[algebra.SECTOR_CONJ0].conj()).conj()
         state[:, algebra.COMPLEMENT0] = rest @ algebra.HERMITIAN[algebra.COMPLEMENT0, 8:].T
         v_inverse = _sector(np.linalg.inv(half))
         return _sector(half), v_inverse, state
