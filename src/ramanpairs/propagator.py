@@ -170,7 +170,7 @@ def _orbit(step_map: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
 
 
 def _magnus_weights(builder: DriftBuilder, starts: np.ndarray, step: float) -> np.ndarray:
-    """Weights of builder.generators in the Magnus generator of each step [t, t + step), t in starts.
+    """Weights of builder.generators in the Magnus generator of each step from t in starts.
 
     Omega = (h/2)(M_1 + M_2) + (sqrt(3)/12) h^2 [M_2, M_1] with M_1, M_2 at the
     two Gauss nodes; over M = sum_k r_k G_k the commutator is
