@@ -161,18 +161,22 @@ def test_magnus_flow_is_fourth_order():
     assert 12.0 < errors[0] / errors[1] < 20.0
 
 
-@pytest.mark.parametrize("drive", [
-    (PulseSpec("cw", 5.0, detuning=-50.0, chirp=20.0), PulseSpec("cw", 10.0), 3.0, 200),
-    (PulseSpec("cw", 5.0), PulseSpec("cw", 10.0, chirp=-0.5), 3.0, 200),
-    (gauss_pulse(omega=10.0), PulseSpec("cw", 10.0), 3.0, 200),
-    (off(), gauss_pulse(omega=10.0, detuning=-2.0), 3.0, 200),
-    (*_fig6b_drives(50.0), 3.0, 200),
-    (*_chirped_pulses()[1:], 150),
+@pytest.mark.parametrize("atom, pump, control, t_end, n", [
+    (AtomConfig(rho0=rho_symmetric()), PulseSpec("cw", 5.0, detuning=-50.0, chirp=20.0),
+     PulseSpec("cw", 10.0), 3.0, 200),
+    (AtomConfig(rho0=rho_symmetric()), PulseSpec("cw", 5.0), PulseSpec("cw", 10.0, chirp=-0.5),
+     3.0, 200),
+    (AtomConfig(rho0=rho_symmetric()), gauss_pulse(omega=10.0), PulseSpec("cw", 10.0), 3.0, 200),
+    (AtomConfig(rho0=rho_symmetric()), off(), gauss_pulse(omega=10.0, detuning=-2.0), 3.0, 200),
+    (AtomConfig(rho0=rho_symmetric()), *_fig6b_drives(50.0), 3.0, 200),
+    (*_chirped_pulses(), 150),
 ], ids=["cw-detuned-chirped", "cw-chirped", "pulse-cw", "off-pulse", "fig6b-50", "chirped-pair"])
-def test_substep_rule_meets_rtol(drive):
-    """The substeps the rule picks bring the flow within rtol of a tight solve, on coarse grids."""
-    pump, control, t_end, n = drive
-    atom = _chirped_pulses()[0] if n == 150 else AtomConfig(rho0=rho_symmetric())
+def test_substep_rule_meets_rtol(atom, pump, control, t_end, n):
+    """The substeps the rule picks bring the flow within rtol of a tight solve, on coarse grids.
+
+    The drives of test_time_dependent_drive_grid_matches_tight_solve over 200
+    intervals of [0, 3], and the chirped pair of test_state_traj_matches_evolve_state.
+    """
     builder = DriftBuilder(atom, pump, control)
     times = np.linspace(0.0, t_end, n + 1)
     reference = _tight_flow(builder, times)
