@@ -50,7 +50,7 @@ def _config(name):
 
 def _grid(cfg):
     return build_propagator_grid(cfg.atom, cfg.pump, cfg.control, t_end=cfg.t_end,
-                                 n_intervals=cfg.grid_points, rtol=cfg.rtol, atol=cfg.atol)
+                                 n_intervals=cfg.grid_points, rtol=cfg.rtol)
 
 
 def test_import(benchmark):

@@ -34,22 +34,22 @@ Every s-integral is a kernel sum on the propagator grid (trapezoid rule),
 
     h sum_{s_j <= t_i} w_j K(t_i, s_j) y_j = S_i T(V y)_i - T(S V y)_i,
 
-with K = (S_i - S_j) V_j and T the cumulative trapezoid.  One stacked sum
-over the sector columns [y, y S^T, C_p X], with y = 2D_S V^T, gives every
-part: its first eight columns times S_i^T minus the next four are the noise
-form K 2D_S K^T of all 16 slot pairs, and its last four are the back-action
-integrals of every (slot u, structure p) pair.  2D_S(s) = X(s) . Lambda_S is
-the expectation trajectory contracted with the sector block of the atom's
-constant Einstein map (noise.diffusion_table); it and C_p X come from one
-product of X with both maps.  The sum is causal, row i reading only rows
-j <= i, so the assembly makes one pass over the grid in blocks of
-_BLOCK_ROWS rows.  Each block carries its two running sums into the next
-(propagator._cumulative_trapezoid) and writes its rows of the tables, and no
-full-grid temporary is formed; the additions associate as in one cumsum over
-the whole grid, so the prefix sums do not depend on the block size.  M(t)
-conserves the charge of algebra.SECTOR0, so the kernels have support only on
-its eight columns, and every table they contract (2D, C_p X, the initial pair
-table, X(0)) is read on that sector.
+with K = (S_i - S_j) V_j and T the cumulative trapezoid.  The grid holds the
+half kernel K_h of the slots AQ_DAG, AK on algebra.SECTOR_HALF0; AQ and
+AK_DAG have conj(K_h) on SECTOR_CONJ0.  Three selection rules hold exactly
+for every atom: the pair table and the Einstein map vanish on half x half
+and conj x conj, each C_p X lies on slot p's own half, and F[r, u] = 0
+unless u = DAGGER_SLOT[r].  So every part lives on the half x conj and
+conj x half slot blocks, the second read off by conjugation, and one sum of
+K_h over 16 columns gives them all: y_k and y_k conj(S)^T for
+y_k = 2D_k conj(V)^T, 2D_0 = 2D_HC and 2D_1 = conj(2D_CH), whose sums give
+the noise K 2D K^T, then C_p X on each slot's half (conjugated for AQ,
+AK_DAG), the back-action integrals, gathered at DAGGER_SLOT.
+2D(s) = X(s) . Lambda (noise.diffusion_table) and C_p X come from one
+product of X with both maps.  The sum is causal, so the assembly makes one
+pass over the grid in blocks of _BLOCK_ROWS rows, each carrying its running
+sums into the next (propagator._cumulative_trapezoid): no full-grid
+temporary is formed, and the sums do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -84,16 +84,15 @@ def _slot_factors(atom: AtomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 _STRUCTURES = np.stack([-1j * algebra.lift(algebra.op(*algebra.levels(algebra.dagger(row))))
                         for row in algebra.SOURCE_ROWS])
 
-# The kernels have support only on the sector columns, so every table they
-# contract is read on the sector alone.
-_SECTOR = algebra.SECTOR0
-_BLOCK = np.ix_(_SECTOR, _SECTOR)
-# X -> C_p X on the sector, column m * 4 + p
-_STRUCTURE_FEED = _STRUCTURES[:, _SECTOR].transpose(2, 1, 0).reshape(16, 32)
+_HALF, _CONJ = algebra.SECTOR_HALF0, algebra.SECTOR_CONJ0
+_HC, _CH = np.ix_(_HALF, _CONJ), np.ix_(_CONJ, _HALF)
+# X -> C_p X on slot p's own half, column i * 4 + p
+_STRUCTURE_FEED = np.stack([_STRUCTURES[p, half] for p, half in
+                            enumerate((_HALF, _HALF, _CONJ, _CONJ))]).transpose(2, 1, 0)
 
 # Grid rows per pass of the moment assembly.  The quadrature is causal, so
 # each block carries its prefix sums into the next and no full-grid
-# temporary is formed; a (128, 8, 16) complex block is 256 KiB and stays in L2.
+# temporary is formed; the (128, 6, 16) complex prefix sums are 192 KiB and stay in L2.
 _BLOCK_ROWS = 128
 
 
@@ -136,6 +135,12 @@ class MomentSeries:
     mean_q: np.ndarray       # <a_q>
 
 
+def _scatter(table: np.ndarray, pairs: np.ndarray) -> None:
+    """Half x conj block of (m, 4, 4) tables from pairs[:, :, 0], conj x half from the conjugate."""
+    table[:, :2, 2:] = pairs[:, :, 0]
+    np.conjugate(pairs[:, :, 1], out=table[:, 2:, :2])
+
+
 def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionTable):
     """Boundary, noise and backaction (n_points, 4, 4) tables, F and the (n_points, 4) means.
 
@@ -143,47 +148,55 @@ def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionT
     """
     g, c, field = _slot_factors(atom)
     cc = np.outer(c, c)
+    # backaction = back_r * B^T + back_u * B with B[u, r] = T[u, DAGGER_SLOT[r]]
+    fd = field[range(4), DAGGER_SLOT]
+    back_r, back_u = np.outer(fd, c), np.outer(c, fd[list(DAGGER_SLOT)])
+    coupling = -1j * g.reshape(2, 2) * [[1], [-1]]  # -i g_p, conjugated on AQ, AK_DAG
     s, v, x, step = grid.source_cumint, grid.v_inverse, grid.state_traj, grid.step
-    x0 = state_vector(atom.rho0)
-    pairs0 = algebra.pair_table(x0)[_BLOCK]
-    # X_j @ feed = [2D_S(s_j) = X(s_j) . Lambda_S, flattened | C_p X(s_j) as [m, p]]
-    feed = np.concatenate((diffusion.einstein[:, _BLOCK[0], _BLOCK[1]].reshape(16, 64),
-                           _STRUCTURE_FEED), axis=1)
     n = len(s)
-    boundary, noise, backaction = (np.empty((n, 4, 4), dtype=complex) for _ in range(3))
-    means = np.empty((n, 4), dtype=complex)
-    carry_z, carry_sz = [], []
+    x0 = state_vector(atom.rho0)
+    means = (s.reshape(2 * n, 4) @ np.stack((x0[_HALF], x0[_CONJ].conj()), axis=1)).reshape(n, 2, 2)
+    means = c * np.concatenate((means[..., 0], means[..., 1].conj()), axis=1)
+    pairs0 = algebra.pair_table(x0)
+    pairs0 = np.concatenate((pairs0[_HC], pairs0[_CH].conj()), axis=1)
+    # X -> [2D_HC, 2D_CH] as [i, k, j] | C_p X as [i, p]
+    diff_feed = np.stack([diffusion.einstein[:, i, j] for i, j in (_HC, _CH)], axis=2)
+    feed = np.concatenate((diff_feed.reshape(16, 32), _STRUCTURE_FEED.reshape(16, 16)), axis=1)
+    boundary, noise, backaction = (np.zeros((n, 4, 4), dtype=complex) for _ in range(3))
+    carry = []
     # a last block of one row joins the one before: numpy would take that
     # row's feed as a vector product, which rounds differently
     edges = [*range(0, n - 1, _BLOCK_ROWS), n]
     for start, stop in zip(edges, edges[1:]):
         rows = slice(start, stop)
-        s_b, v_b = s[rows], v[rows]
+        s_b = s[rows]
         m = len(s_b)
-        s_t = s_b.transpose(0, 2, 1)
-        s_flat = s_b.reshape(4 * m, 8)
-        np.matmul((s_flat @ pairs0).reshape(m, 4, 8), s_t, out=boundary[rows])
-        boundary[rows] *= cc
-        np.matmul(s_flat, x0[_SECTOR], out=means[rows].reshape(4 * m))
-        means[rows] *= c
+        # K_h(t_i, s_j) = S_i V_j - (S V)_j, from the factors [V; S V]
+        factors = np.concatenate((v[rows], s_b @ v[rows]), axis=1)
         fed = x[rows] @ feed
-        # the columns y = 2D_S V^T, y S^T and C_p X of one stacked kernel sum
-        cols = np.empty((m, 8, 16), dtype=complex)
-        np.matmul(fed[:, :64].reshape(m, 8, 8), v_b.transpose(0, 2, 1), out=cols[..., :8])
-        np.matmul(cols[..., :8], s_t, out=cols[..., 8:12])
-        cols[..., 12:] = fed[:, 64:].reshape(m, 8, 4)
-        # h sum_{j <= i} w_j K(t_i, s_j) cols_j with K = (S_i - S_j) V_j
-        z = v_b @ cols
-        ks = s_b @ _cumulative_trapezoid(z, step, carry_z)
-        ks -= _cumulative_trapezoid(s_b @ z, step, carry_sz)
-        # noise: K 2D K^T = kernel sum of y times S_i^T minus that of y S^T
-        np.matmul(ks[..., :8], s_t, out=noise[rows])
-        noise[rows] -= ks[..., 8:12]
-        noise[rows] *= cc
-        # t[i, u, p] = h sum_j w_j K_u(t_i, s_j) . C_p X(s_j), times -i g_p
-        t = ks[..., 12:] * (-1j * g)
-        # [r, u]: c_u sum_p F[r, p] T[u, p] + c_r sum_p T[r, p] F[p, u]
-        backaction[rows] = c * (field @ t.transpose(0, 2, 1)) + c[:, None] * (t @ field)
+        d2 = fed[:, :32].reshape(m, 4, 2, 4)  # [i, k, j]: 2D_0 = 2D_HC, 2D_1 = conj(2D_CH)
+        np.conjugate(d2[:, :, 1], out=d2[:, :, 1])
+        # the 16 columns [y_0, y_0 conj(S)^T, y_1, y_1 conj(S)^T, C_p X], one stacked kernel sum
+        y = d2.reshape(m, 8, 4) @ factors.conj().transpose(0, 2, 1)
+        cols = np.concatenate((y.reshape(m, 4, 12), fed[:, 32:].reshape(m, 4, 4)), axis=2)
+        np.conjugate(cols[..., 14:], out=cols[..., 14:])
+        # h sum_{j <= i} w_j K_h(t_i, s_j) cols_j = S_i T(V cols)_i - T(S V cols)_i
+        sums = _cumulative_trapezoid(factors @ cols, step, carry)
+        ks = s_b @ sums[:, :4] - sums[:, 4:]
+        ys = ks[..., :12].reshape(m, 2, 2, 6)
+        # boundary S P(0) conj(S)^T and the noise's kernel sums of y times conj(S_i)^T
+        left = np.concatenate(((s_b.reshape(2 * m, 4) @ pairs0).reshape(m, 4, 4),
+                               ys[..., :4].reshape(m, 4, 4)), axis=1)
+        right = (left @ s_b.conj().transpose(0, 2, 1)).reshape(m, 2, 2, 2, 2)
+        _scatter(boundary[rows], right[:, 0])
+        _scatter(noise[rows], right[:, 1] - ys[..., 4:])
+        # T[u, p] times -i g_p, non-zero only with u and p on one half
+        gathered = np.zeros((m, 4, 4), dtype=complex)
+        _scatter(gathered, ks[..., 12:].reshape(m, 2, 2, 2) * coupling)
+        np.multiply(gathered.transpose(0, 2, 1), back_r, out=backaction[rows])
+        backaction[rows] += back_u * gathered
+    boundary *= cc
+    noise *= cc
     return boundary, noise, backaction, field, means
 
 

@@ -15,8 +15,9 @@ side: only the dissipators (decay and dephasing) set 2D (Lax, Phys. Rev. 145,
 The relation is linear in X, so 2D(t) = Lambda X(t) with one constant
 Lambda per atom, built from `atom.dissipation` alone so that no Hamiltonian
 term enters even at rounding.  That (16, 16, 16) map is the whole noise
-stage: the moment assembly contracts its sector block with the expectation
-trajectory and the kernels it already holds, so no per-time table is formed.
+stage: the moment assembly contracts its two non-zero sector blocks, on
+SECTOR_HALF0 x SECTOR_CONJ0 and its mirror, with the expectation trajectory
+and the kernels it already holds, so no per-time table is formed.
 """
 
 from __future__ import annotations

@@ -3,45 +3,45 @@
 The field-operator solutions need K_r,m(t, s) = int_s^t U_{r,m}(tau, s) dtau
 for the four source rows r in algebra.SOURCE_ROWS and every grid pair
 t_i >= s_j.  M(t) never couples the eight coherences of algebra.SECTOR0 to
-the other eight operators (see its docstring for the charge argument), so
-U(t, s) is block diagonal and the source rows, all in the sector, have
-support only on its eight columns.  Everything below works on that 8x8 block
-U_S.  Materializing the two-time store scales as O(N^2); instead the build
-exploits the exact flow identity U_S(t, s) = U_S(t, 0) V(s) with
-V(s) = U_S(s, 0)^{-1}.  Row kernels then factor as
+the other eight operators (see its docstring for the charge argument), and
+on the sector it is blockdiag(A, conj A) over algebra.SECTOR_HALF0 and
+SECTOR_CONJ0.  The source rows ac and bd lie in the half and ca, db are
+their conjugates, so everything below stores only the 4x4 flow U_A of A.
+Materializing the two-time store scales as O(N^2); instead the build
+exploits the exact flow identity U_A(t, s) = U_A(t, 0) V(s) with
+V(s) = U_A(s, 0)^{-1}.  The kernel rows ac and bd then factor as
 
-    K(t_i, s_j) = (S(t_i) - S(s_j)) V(s_j),
+    K_h(t_i, s_j) = (S_h(t_i) - S_h(s_j)) V(s_j),
 
-with S the cumulative trapezoid of the four source rows of U_S(., 0), stacked
-into one (n_points, 4, 8) array.  Every s-integral of the kernels is then
-a prefix sum over s_j <= t_i of these factors, O(N) in all: the moment
-assembly takes them in row blocks, and _cumulative_trapezoid, the one
-trapezoid rule, carries each running sum from block to block.  One flow per
-scenario feeds everything, and the expectation
-trajectory is U(t, 0) X(0); it also carries the noise, since the moment
-assembly forms the diffusion block as that trajectory times the atom's
-constant Einstein map (noise.diffusion_table).  Constant drives (both cw,
-unchirped) get the flow and its inverse exactly, as powers of the sector
-blocks of expm(M h) and expm(-M h) on the uniform grid, and the state as
-powers of the full expm(M h) applied to X(0), each formed by repeated
-doubling in a few batched products.
+with S_h the cumulative trapezoid of those rows of U_A(., 0), and the rows
+ca and db are conj(K_h) on SECTOR_CONJ0.  Every s-integral is then a prefix
+sum over s_j <= t_i of these factors, O(N) in all: the moment assembly takes
+them in row blocks, and _cumulative_trapezoid, the one trapezoid rule,
+carries each running sum from block to block.  One flow per scenario feeds
+everything, and the expectation trajectory is U(t, 0) X(0); it also carries
+the noise, since the moment assembly forms the diffusion blocks as that
+trajectory times the atom's constant Einstein map (noise.diffusion_table).
+Constant drives (both cw, unchirped) get U_A and its inverse exactly, as
+powers of the half blocks of expm(M h) and expm(-M h) on the uniform grid,
+and the state as powers of the full expm(M h) applied to X(0), each formed
+by repeated doubling in a few batched products.
 
 Time-dependent drives get the flow from fourth-order Magnus step maps
 (_magnus_chain): each interval's map is the exponential of
 Omega = (h/2)(M_1 + M_2) + (sqrt(3)/12) h^2 [M_2, M_1] at its two Gauss
 nodes, substepped so that the flow meets rtol (_substeps), and the grid
-values are the running products of those maps.  On the sector M is
-blockdiag(A, conj A) (algebra.SECTOR_HALF0), so only the 4x4 flow U_A of
-the half A is chained, in real arithmetic (algebra.real_form), with the
-complement carrying X(0) alone; U_S, the state and V, from the batched 4x4
-inverse of U_A, follow from U_A and its conjugate.  Every exponential, the
-constant drives' two and the batched Magnus maps, comes from _expm, a NumPy
+values are the running products of those maps.  Only U_A is chained, in
+real arithmetic (algebra.real_form), with the complement carrying X(0)
+alone; V is the batched 4x4 inverse of U_A, and the state follows from U_A,
+its conjugate and the complement.  Every exponential, the constant drives'
+two and the batched Magnus maps, comes from _expm, a NumPy
 scaling-and-squaring Taylor sum, so no scenario run loads a scipy module.
 
 The inverse grows like exp(decay * t), so long windows lose the kernels to
 cancellation without any solver complaint.  The build therefore checks
-the condition number of U_S(t_end, 0), the block the kernels invert, and
-raises IntegrationError past MAX_CONDITION.
+the condition number of U_A(t_end, 0), which has the singular values of the
+sector block the kernels invert, and raises IntegrationError past
+MAX_CONDITION.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ from .errors import solve_ivp  # noqa: F401  (perfbench/tracing.py wraps propaga
 from .pulses import PulseSpec
 
 # Largest condition number of the sector block U_S(t_end, 0), the block the
-# kernels invert, that the factorization trusts.  Preset scenarios stay below
-# 1e3.  fig2b stretched to t_end 10 reaches 1.1e8 and still meets the Fock
+# kernels invert, that the factorization trusts; its half U_A(t_end, 0) has the
+# same.  Preset scenarios stay below 1e3.  fig2b stretched to t_end 10 reaches 1.1e8 and still meets the Fock
 # oracle to 1.5e-3 in n_k; at t_end 20 it reaches 5.5e16 and n_k comes out
 # tens of times off.  The block reads 6-7x below the full 16x16 flow, which
 # passes 1e12 at t_end 13.6; the limit 1e11, passed at 13.4 (1.9e11 at 13.7,
@@ -68,11 +68,10 @@ from .pulses import PulseSpec
 # flow would refuse.
 MAX_CONDITION = 1e11
 
-_BLOCK = np.ix_(algebra.SECTOR0, algebra.SECTOR0)
-# positions of the source rows inside the sector
-_SOURCE = np.searchsorted(algebra.SECTOR0, np.asarray(algebra.SOURCE_ROWS) - 1)
-# SECTOR0 lists SECTOR_HALF0, then SECTOR_CONJ0 taken in this order
-_CONJ_ORDER = np.array([list(algebra.SECTOR_CONJ0).index(m) for m in algebra.SECTOR0[4:]])
+_HALF = np.ix_(algebra.SECTOR_HALF0, algebra.SECTOR_HALF0)
+# positions in SECTOR_HALF0 of the source rows ac and bd; the other two, ca and
+# db, are their conjugates and sit at the same positions of SECTOR_CONJ0
+_SOURCE = [list(algebra.SECTOR_HALF0).index(row - 1) for row in algebra.SOURCE_ROWS[:2]]
 _ROUNDOFF = 2.0 ** -53
 # Gauss-Legendre nodes of a step, as fractions of it, and the weight of the
 # commutator term of the fourth-order Magnus generator (Blanes, Casas, Oteo &
@@ -265,25 +264,16 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
     return half, rest
 
 
-def _sector(half: np.ndarray) -> np.ndarray:
-    """The (n, 8, 8) sector blocks with halves half and conj(half) (see algebra.SECTOR_HALF0)."""
-    out = np.zeros((len(half), 8, 8), dtype=complex)
-    out[:, :4, :4] = half
-    np.conjugate(half[:, _CONJ_ORDER[:, None], _CONJ_ORDER], out=out[:, 4:, 4:])
-    return out
-
-
 def _solve_flow(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
-                rtol: float, atol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sector block of U(t_i, times[0]), its inverse, and the state U(t_i, times[0]) x0.
+                rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U_A(t_i, times[0]), the flow on algebra.SECTOR_HALF0, its inverse, and the state.
 
     A constant M gives the exact flow as powers of one step propagator
-    expm(M h): its sector block gives U, the inverse block expm(-M_S h) gives
-    V for free, and the full step map carries the state.  Time-dependent
-    drives take the Magnus chain, substepped to rtol: U_S is U_A and
-    conj(U_A), V the 4x4 inverse of U_A and its conjugate, and the state is
-    U_A x0 on SECTOR_HALF0, conj(U_A) x0 on SECTOR_CONJ0 and the chained
-    complement back in the operator basis.  atol is read by neither path.
+    expm(M h): its half block gives U_A, the half block expm(-A h) gives the
+    inverse for free, and the full step map carries the state.
+    Time-dependent drives take the Magnus chain, substepped to rtol: the
+    inverse is the batched 4x4 inverse of U_A, and the state is U_A x0 on
+    SECTOR_HALF0, conj(U_A) x0 on SECTOR_CONJ0 and the chained complement.
     """
     n = len(times)
     if not builder.constant:
@@ -292,12 +282,11 @@ def _solve_flow(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
         state[:, algebra.SECTOR_HALF0] = half @ x0[algebra.SECTOR_HALF0]
         state[:, algebra.SECTOR_CONJ0] = (half @ x0[algebra.SECTOR_CONJ0].conj()).conj()
         state[:, algebra.COMPLEMENT0] = rest @ algebra.HERMITIAN[algebra.COMPLEMENT0, 8:].T
-        v_inverse = _sector(np.linalg.inv(half))
-        return _sector(half), v_inverse, state
+        return half, np.linalg.inv(half), state
     m_step = builder.entries(times[0]) * ((times[-1] - times[0]) / (n - 1))
     step_map = _expm(m_step)
-    return (_orbit(step_map[_BLOCK], np.eye(8), n),
-            _orbit(_expm(-m_step[_BLOCK]), np.eye(8), n),
+    return (_orbit(step_map[_HALF], np.eye(4), n),
+            _orbit(_expm(-m_step[_HALF]), np.eye(4), n),
             _orbit(step_map, x0[:, None], n)[..., 0])
 
 
@@ -306,24 +295,24 @@ class PropagatorGrid:
     """Uniform-grid propagator data consumed by the moment assembly.
 
     times is the uniform grid.  Everything derives from the one solved flow
-    U(t_i, 0), which is block diagonal over algebra.SECTOR0 and its complement:
-    v_inverse[j] is the inverse of its 8x8 sector block at s_j (exact powers of
-    expm(-M_S h) for constant drives, batched inversion otherwise),
-    state_traj[i] = U(t_i, 0) X(0) the 16-component expectation trajectory, and
-    source_cumint[i, r] the cumulative trapezoid S of source row r of U(., 0)
-    over the sector columns, slot r following algebra.SOURCE_ROWS.
+    U(t_i, 0), whose sector block is blockdiag(U_A, conj U_A) over
+    algebra.SECTOR_HALF0 and SECTOR_CONJ0.  v_inverse[j] is U_A(s_j, 0)^-1
+    (exact powers of expm(-A h) for constant drives, batched inversion
+    otherwise), state_traj[i] = U(t_i, 0) X(0) the 16-component expectation
+    trajectory, and source_cumint[i, r] the cumulative trapezoid S_h of the
+    source rows ac (r = 0) and bd (r = 1) of U_A(., 0); ca and db have conj(S_h).
     """
 
     times: np.ndarray
     step: float
     state_traj: np.ndarray   # (n_points, 16)
-    v_inverse: np.ndarray    # (n_points, 8, 8)
-    source_cumint: np.ndarray  # (n_points, 4, 8)
+    v_inverse: np.ndarray    # (n_points, 4, 4)
+    source_cumint: np.ndarray  # (n_points, 2, 4)
 
 
 def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                           t_end: float, n_intervals: int,
-                          rtol: float = 1e-9, atol: float = 1e-12) -> PropagatorGrid:
+                          rtol: float = 1e-9) -> PropagatorGrid:
     """Solve the flow from 0 on a uniform grid and derive the inverse, state and row integrals."""
     if t_end <= 0:
         raise ConfigError(f"t_end must be > 0, got {t_end}")
@@ -331,18 +320,15 @@ def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
         raise ConfigError(f"need at least 2 grid intervals, got {n_intervals}")
 
     times = np.linspace(0.0, float(t_end), int(n_intervals) + 1)
-    u_sector, v_inverse, state_traj = _solve_flow(DriftBuilder(atom, pump, control),
-                                                  state_vector(atom.rho0), times,
-                                                  rtol=rtol, atol=atol)
-    condition = np.linalg.cond(u_sector[-1])
+    half, v_inverse, state_traj = _solve_flow(DriftBuilder(atom, pump, control),
+                                              state_vector(atom.rho0), times, rtol)
+    # blockdiag(U_A, conj U_A) has the singular values of U_A, each twice
+    condition = np.linalg.cond(half[-1])
     if condition > MAX_CONDITION:
         raise IntegrationError(
             f"propagator U(t_end, 0) has condition number {condition:.3g} on its "
             f"sector block (limit {MAX_CONDITION:.0e}); its inverse cannot carry the "
             f"kernels over this window, shorten t_end", time=float(times[-1]))
     step = float(times[1] - times[0])
-    source_rows = u_sector[:, _SOURCE, :]
-    del u_sector  # the grid keeps only its source rows' integral
     return PropagatorGrid(times=times, step=step, state_traj=state_traj, v_inverse=v_inverse,
-                          source_cumint=_cumulative_trapezoid(source_rows, step))
-
+                          source_cumint=_cumulative_trapezoid(half[:, _SOURCE, :], step))

@@ -57,8 +57,7 @@ class ScanResult:
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     """Deterministic pipeline run: propagators, diffusion, moments, observables."""
     grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control,
-                                 t_end=cfg.t_end, n_intervals=cfg.grid_points,
-                                 rtol=cfg.rtol, atol=cfg.atol)
+                                 t_end=cfg.t_end, n_intervals=cfg.grid_points, rtol=cfg.rtol)
     diffusion = diffusion_table(cfg.atom)
     moments = compute_moments(cfg.atom, grid, diffusion)
     return ScenarioResult(config=cfg, moments=moments,

@@ -40,9 +40,9 @@ class PipelineCache:
     def __init__(self):
         self._store = {}
 
-    def run(self, key, atom, pump, control, t_end=3.0, n=600, rtol=1e-9, atol=1e-12):
+    def run(self, key, atom, pump, control, t_end=3.0, n=600, rtol=1e-9):
         if key not in self._store:
-            grid = build_propagator_grid(atom, pump, control, t_end, n, rtol=rtol, atol=atol)
+            grid = build_propagator_grid(atom, pump, control, t_end, n, rtol=rtol)
             diffusion = diffusion_table(atom)
             moments = compute_moments(atom, grid, diffusion)
             self._store[key] = (grid, diffusion, moments, assemble_observables(moments))

@@ -3,12 +3,13 @@
 None of these feed the pipeline.  They restate what the library computes in
 another form, so that the tests can check the pipeline's structures against
 them: index tables for conjugation and populations, the density matrix of a
-state vector, the normally ordered noise table, the explicit two-time kernel, the
-oracle's own build of the atomic generator, the oracle's generator built from
-sparse Kronecker products, the full 16x16 flow started at an arbitrary grid
-point, with the two-time kernels it gives, and the kernel quadrature and
-moment tables over the whole grid at once, which the library streams in row
-blocks.
+state vector, the normally ordered noise table, the whole-sector views of the
+grid's 4x4 half, the explicit two-time kernel, the oracle's own build of the
+atomic generator, the oracle's generator built from sparse Kronecker
+products, the full 16x16 flow started at an arbitrary grid point, with the
+two-time kernels it gives, and the kernel quadrature and moment tables over
+the whole sector and the whole grid at once, which the library forms on the
+half and streams in row blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from ramanpairs.algebra import LEVELS, SECTOR0, SOURCE_ROWS, dagger, idx, pair_table
+from ramanpairs.algebra import (LEVELS, SECTOR0, SECTOR_CONJ0, SECTOR_HALF0, SOURCE_ROWS, dagger,
+                               idx, pair_table)
 from ramanpairs.atom import AtomConfig, DriftBuilder, state_vector
 from ramanpairs.moments import _STRUCTURES, _slot_factors
 from ramanpairs.noise import DiffusionTable
@@ -40,14 +42,36 @@ def normal_ordered(d2: np.ndarray) -> np.ndarray:
     return 0.5 * d2[DAGGER0, :]
 
 
+def sector_views(grid: PropagatorGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's half views widened to the whole sector, in SECTOR0 order.
+
+    Returns S, the trapezoid of the four source rows over the eight sector
+    columns, (n_points, 4, 8), and the inverse of the sector flow,
+    blockdiag(V_A, conj V_A), (n_points, 8, 8): the rows ac, bd and V_A on
+    SECTOR_HALF0, the rows ca, db and conj(V_A) on SECTOR_CONJ0.
+    """
+    n = len(grid.times)
+    half = np.searchsorted(SECTOR0, SECTOR_HALF0)
+    conj = np.searchsorted(SECTOR0, SECTOR_CONJ0)
+    source = np.zeros((n, 4, 8), dtype=complex)
+    source[:, :2, half] = grid.source_cumint
+    source[:, 2:, conj] = grid.source_cumint.conj()
+    inverse = np.zeros((n, 8, 8), dtype=complex)
+    inverse[:, half[:, None], half] = grid.v_inverse
+    inverse[:, conj[:, None], conj] = grid.v_inverse.conj()
+    return source, inverse
+
+
 def kernel(grid: PropagatorGrid, j: int) -> np.ndarray:
     """K(t_i, s_j) of the four source rows for every t_i, shape (n_points, 4, 16).
 
-    The grid's sector columns scattered back to all sixteen; the other eight
-    are zero.  Entries with t_i < s_j are extrapolations with no physical meaning.
+    The sector columns of sector_views scattered back to all sixteen; the
+    other eight are zero.  Entries with t_i < s_j are extrapolations with no
+    physical meaning.
     """
+    s, v = sector_views(grid)
     k = np.zeros((len(grid.times), 4, 16), dtype=complex)
-    k[..., SECTOR0] = (grid.source_cumint - grid.source_cumint[j]) @ grid.v_inverse[j]
+    k[..., SECTOR0] = (s - s[j]) @ v[j]
     return k
 
 
@@ -57,8 +81,8 @@ def kernel_sum(grid: PropagatorGrid, y: np.ndarray) -> np.ndarray:
     With K = (S_i - S_j) V_j it is S_i times one trapezoid of V_j y_j minus
     the trapezoid of S_j V_j y_j, each over the whole grid at once.
     """
-    z = grid.v_inverse @ y
-    s = grid.source_cumint
+    s, v = sector_views(grid)
+    z = v @ y
     return s @ _cumulative_trapezoid(z, grid.step) - _cumulative_trapezoid(s @ z, grid.step)
 
 
@@ -68,16 +92,21 @@ def kernel_form(grid: PropagatorGrid, d: np.ndarray) -> np.ndarray:
     With K^T = V_j^T (S_i - S_j)^T and y_j = d_j V_j^T, that is
     kernel_sum(y) S_i^T - kernel_sum(y S^T).
     """
-    s_t = grid.source_cumint.transpose(0, 2, 1)
-    y = d @ grid.v_inverse.transpose(0, 2, 1)
+    s, v = sector_views(grid)
+    s_t = s.transpose(0, 2, 1)
+    y = d @ v.transpose(0, 2, 1)
     return kernel_sum(grid, y) @ s_t - kernel_sum(grid, y @ s_t)
 
 
 def moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionTable):
-    """moments._moment_tables over the whole grid at once, from kernel_sum and kernel_form."""
+    """moments._moment_tables over the whole grid at once, from kernel_sum and kernel_form.
+
+    Every table is formed on the whole sector, with no use of the halves'
+    selection rules.
+    """
     g, c, field = _slot_factors(atom)
     cc = np.outer(c, c)
-    s = grid.source_cumint
+    s = sector_views(grid)[0]
     x0 = state_vector(atom.rho0)
     block = np.ix_(SECTOR0, SECTOR0)
     boundary = cc * (s @ pair_table(x0)[block] @ s.transpose(0, 2, 1))

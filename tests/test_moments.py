@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from ramanpairs.algebra import SOURCE_ROWS, idx, levels, op, pair_table
+from ramanpairs.algebra import (SECTOR0, SECTOR_CONJ0, SECTOR_HALF0, SOURCE_ROWS, idx, levels, op,
+                               pair_table)
 from ramanpairs.atom import AtomConfig, state_vector
 from ramanpairs.moments import (AK, AK_DAG, AQ, AQ_DAG, DAGGER_SLOT, _BLOCK_ROWS, _STRUCTURES,
                                 _moment_tables, _slot_factors, compute_moments)
@@ -161,6 +162,34 @@ DRIVE = st.one_of(
               chirp=CHIRP),
     st.builds(PulseSpec, shape=st.just("cw"), omega_peak=st.floats(0.0, 10.0),
               detuning=DETUNING, chirp=CHIRP))
+
+
+# no explain phase, as the other property tests of this module
+@settings(max_examples=30, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(rates=RATES, n_th=st.tuples(N_TH, N_TH), seed=st.integers(0, 2**32 - 1))
+def test_structures_and_field_table_keep_to_their_halves(rates, n_th, seed):
+    """C_p X lies on slot p's own half, fed by the complement alone; F[r, u] = 0 unless u = r^dag.
+
+    Exact zeros, for any rates, thermal occupations and Hermitian rho0.  The
+    slots AQ_DAG, AK have their source rows on SECTOR_HALF0 and AQ, AK_DAG
+    on SECTOR_CONJ0, so the back-action T[u, p] lives on one half and the
+    assembly gathers it at DAGGER_SLOT instead of multiplying by F.
+    """
+    atom = _random_state_atom(rates, seed)
+    atom = AtomConfig(*rates, n_th_k=n_th[0], n_th_q=n_th[1], rho0=atom.rho0)
+    x = state_vector(atom.rho0)
+    halves = [SECTOR_HALF0 if row - 1 in SECTOR_HALF0 else SECTOR_CONJ0 for row in SOURCE_ROWS]
+    assert [half is SECTOR_HALF0 for half in halves] == [True, True, False, False]
+    for structure, own in zip(_STRUCTURES, halves):
+        other = SECTOR_CONJ0 if own is SECTOR_HALF0 else SECTOR_HALF0
+        assert (structure[other] == 0).all()
+        assert (structure[np.ix_(own, SECTOR0)] == 0).all()
+        assert ((structure @ x)[other] == 0).all()
+    field = _slot_factors(atom)[2]
+    off_dagger = np.ones((4, 4), dtype=bool)
+    off_dagger[range(4), DAGGER_SLOT] = False
+    assert (field[off_dagger] == 0).all()
 
 
 # no explain phase: on a failing example it runs for minutes at hundreds of MB before reporting

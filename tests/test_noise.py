@@ -3,7 +3,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from ramanpairs.algebra import idx
+from ramanpairs.algebra import SECTOR0, SECTOR_CONJ0, SECTOR_HALF0, idx, pair_table
 from ramanpairs.atom import AtomConfig, DriftBuilder, state_vector
 from ramanpairs.noise import diffusion_matrix, diffusion_table
 from ramanpairs.propagator import build_propagator_grid
@@ -159,3 +159,33 @@ def test_drives_and_detunings_drop_out_of_the_einstein_relation(radiative, gamma
     driven = diffusion_matrix(DriftBuilder(atom, pump, control).entries(t), x)
     drive_free = diffusion_matrix(DriftBuilder(atom, off(), off()).static, x)
     assert np.max(np.abs(driven - drive_free)) <= 1e-13 * np.max(np.abs(drive_free))
+
+
+RATE = st.floats(min_value=0.0, max_value=3.0)
+N_TH = st.floats(min_value=0.0, max_value=0.5)
+
+
+# no explain phase, as the other property tests of this module
+@settings(max_examples=30, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(rates=st.tuples(RATE, RATE, RATE, RATE), gamma_bc=RATE, n_th=st.tuples(N_TH, N_TH),
+       seed=st.integers(0, 2**32 - 1))
+def test_sector_tables_vanish_within_each_half(rates, gamma_bc, n_th, seed):
+    """pair_table and the Einstein map are exactly 0 on half x half and conj x conj of the sector.
+
+    The halves are SECTOR_HALF0 and SECTOR_CONJ0, and the map's sector block
+    is fed only by the eight COMPLEMENT0 expectations.  The moment assembly
+    forms its boundary and noise parts on the half x conj and conj x half
+    slot blocks alone because of these zeros.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = a @ a.conj().T
+    atom = AtomConfig(*rates, gamma_bc=gamma_bc, n_th_k=n_th[0], n_th_q=n_th[1],
+                      rho0=rho / np.trace(rho).real)
+    x = state_vector(atom.rho0)
+    einstein = diffusion_table(atom).einstein
+    for table in (pair_table(x), np.tensordot(x, einstein, 1), *einstein):
+        assert (table[np.ix_(SECTOR_HALF0, SECTOR_HALF0)] == 0).all()
+        assert (table[np.ix_(SECTOR_CONJ0, SECTOR_CONJ0)] == 0).all()
+    assert (einstein[SECTOR0][:, SECTOR0[:, None], SECTOR0] == 0).all()

@@ -20,10 +20,17 @@ from conftest import gauss_pulse, rho_symmetric
 from reference import DAGGER0, full_kernel, kernel, propagate_from
 
 BLOCK = np.ix_(SECTOR0, SECTOR0)
+HALF = np.ix_(SECTOR_HALF0, SECTOR_HALF0)
+
+
+def _sector_error(half, reference):
+    """Largest deviation of blockdiag(half, conj half) from the sector of (n, 16, 16) flows."""
+    return max(np.max(np.abs(half - reference[:, SECTOR_HALF0[:, None], SECTOR_HALF0])),
+               np.max(np.abs(half.conj() - reference[:, SECTOR_CONJ0[:, None], SECTOR_CONJ0])))
 
 
 def test_constant_drive_matches_matrix_exponential():
-    """The exact path's sector flow, inverse and state are expm(M t) and its inverse."""
+    """The exact path's half flow, inverse and state are expm(M t) and its inverse."""
     atom = AtomConfig(rho0=rho_symmetric())
     pump = PulseSpec(shape="cw", omega_peak=6.0, detuning=2.0)
     control = PulseSpec(shape="cw", omega_peak=3.0, detuning=-1.0)
@@ -31,14 +38,14 @@ def test_constant_drive_matches_matrix_exponential():
     assert builder.constant
     times = np.linspace(0.0, 1.2, 25)
     x0 = state_vector(atom.rho0)
-    u, v, state = propagator._solve_flow(builder, x0, times, 1e-9, 1e-12)
+    u, v, state = propagator._solve_flow(builder, x0, times, 1e-9)
     m = builder.entries(0.0)
     for i in (8, 16, 24):
-        assert np.max(np.abs(u[i] - expm(m * times[i])[BLOCK])) < 1e-8
-        assert np.max(np.abs(v[i] - expm(-m * times[i])[BLOCK])) < 1e-8
+        assert np.max(np.abs(u[i] - expm(m * times[i])[HALF])) < 1e-8
+        assert np.max(np.abs(v[i] - expm(-m * times[i])[HALF])) < 1e-8
         assert np.max(np.abs(state[i] - expm(m * times[i]) @ x0)) < 1e-8
     # time-translation invariance of the cw flow: started at t_12 it steps as from 0
-    u_mid, _, _ = propagator._solve_flow(builder, state[12], times[12:], 1e-9, 1e-12)
+    u_mid, _, _ = propagator._solve_flow(builder, state[12], times[12:], 1e-9)
     assert np.max(np.abs(u_mid[8] - u[8])) < 1e-8
     assert np.max(np.abs(u_mid[8] @ u[12] - u[20])) < 1e-8
 
@@ -57,13 +64,13 @@ CW = st.builds(PulseSpec, shape=st.just("cw"), omega_peak=st.floats(0.0, 20.0),
          detuning=-50.0), control=PulseSpec(shape="cw", omega_peak=20.0, detuning=60.0),
          log_step=np.log10(3.0))  # |A|_1 ~ 200: seven squarings
 def test_step_exponential_matches_scipy_expm(rates, pump, control, log_step):
-    """The step map expm(M h) and the sector block of expm(-M h), from 1e-4 up to a whole window.
+    """The step map expm(M h) and the half block of expm(-M h), from 1e-4 up to a whole window.
 
     The steps span |M h|_1 from below 1e-2, where the Taylor sum alone
     serves, to above 50, where the squarings do most of the work.
     """
     m_step = DriftBuilder(AtomConfig(*rates), pump, control).entries(0.0) * 10.0 ** log_step
-    for a in (m_step, -m_step[BLOCK]):
+    for a in (m_step, -m_step[HALF]):
         reference = expm(a)
         error = np.max(np.abs(propagator._expm(a) - reference))
         assert error <= 1e-12 * np.max(np.abs(reference))
@@ -88,15 +95,15 @@ def test_constant_drive_grid_matches_tight_solve(name):
     assert builder.constant
     grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, 200)
     x0 = state_vector(cfg.atom.rho0)
-    # the exact path: sector block and state from powers of expm(M h)
-    u_sector, _, state = propagator._solve_flow(builder, x0, grid.times, 1e-9, 1e-12)
+    # the exact path: half block and state from powers of expm(M h)
+    half, _, state = propagator._solve_flow(builder, x0, grid.times, 1e-9)
     reference = _tight_flow(builder, grid.times)
     scale = np.max(np.abs(reference))
-    assert np.max(np.abs(u_sector - reference[:, BLOCK[0], BLOCK[1]])) < 1e-9 * scale
+    assert _sector_error(half, reference) < 1e-9 * scale
     assert np.max(np.abs(state - reference @ x0)) < 1e-9 * scale
     assert np.array_equal(grid.state_traj, state)
-    # the exact path's v_inverse, powers of expm(-M_S h), inverts the forward flow's sector block
-    worst = max(np.max(np.abs(grid.v_inverse[j] @ u_sector[j] - np.eye(8)))
+    # the exact path's v_inverse, powers of expm(-A h), inverts the forward flow's half block
+    worst = max(np.max(np.abs(grid.v_inverse[j] @ half[j] - np.eye(4)))
                 for j in (10, 100, 200))
     assert worst < 1e-7
     for j in (0, 80, 200):
@@ -124,10 +131,10 @@ def test_time_dependent_drive_grid_matches_tight_solve(pump, control):
     reference = _tight_flow(builder, grid.times)
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(u_from0 - reference)) < 1e-7 * scale
-    # the build's sector block and state, chained together
+    # the build's half block and state, chained together
     x0 = state_vector(atom.rho0)
-    u_sector, _, state = propagator._solve_flow(builder, x0, grid.times, 1e-9, 1e-12)
-    assert np.max(np.abs(u_sector - reference[:, BLOCK[0], BLOCK[1]])) < 1e-7 * scale
+    half, _, state = propagator._solve_flow(builder, x0, grid.times, 1e-9)
+    assert _sector_error(half, reference) < 1e-7 * scale
     assert np.max(np.abs(state - reference @ x0)) < 1e-7 * scale
     assert np.array_equal(grid.state_traj, state)
 
@@ -150,14 +157,15 @@ def test_magnus_flow_is_fourth_order():
     builder = DriftBuilder(atom, pump, control)
     x0 = state_vector(atom.rho0)
     coarse = np.linspace(0.0, t_end, 801)
-    reference = _tight_flow(builder, coarse)[:, BLOCK[0], BLOCK[1]]
+    reference = _tight_flow(builder, coarse)
     errors = []
     for n in (800, 1600):
         times = np.linspace(0.0, t_end, n + 1)
         assert _substeps(builder, times, 1e-2) == 1
-        u_sector, _, _ = propagator._solve_flow(builder, x0, times, 1e-2, 1e-12)
-        errors.append(np.max(np.abs(u_sector[::n // 800] - reference)))
-    assert errors[1] > 1e-10 * np.max(np.abs(reference))  # far above the tight solve's error
+        half, _, _ = propagator._solve_flow(builder, x0, times, 1e-2)
+        errors.append(_sector_error(half[::n // 800], reference))
+    # far above the tight solve's error
+    assert errors[1] > 1e-10 * np.max(np.abs(reference[:, BLOCK[0], BLOCK[1]]))
     assert 12.0 < errors[0] / errors[1] < 20.0
 
 
@@ -183,8 +191,8 @@ def test_substep_rule_meets_rtol(atom, pump, control, t_end, n):
     scale = np.max(np.abs(reference))
     x0 = state_vector(atom.rho0)
     for rtol in (1e-8, 1e-10):
-        u_sector, _, state = propagator._solve_flow(builder, x0, times, rtol, 1e-12)
-        assert np.max(np.abs(u_sector - reference[:, BLOCK[0], BLOCK[1]])) <= rtol * scale
+        half, _, state = propagator._solve_flow(builder, x0, times, rtol)
+        assert _sector_error(half, reference) <= rtol * scale
         assert np.max(np.abs(state - reference @ x0)) <= rtol * scale
 
 
@@ -238,20 +246,19 @@ def test_constant_drive_presets():
 
 
 def test_composition_residual_small():
-    """The Magnus sector flow composes, U_S(t_i, s_j) U_S(s_j, 0) = U_S(t_i, 0), and so does X."""
+    """The Magnus half flow composes, U_A(t_i, s_j) U_A(s_j, 0) = U_A(t_i, 0), and so does X."""
     atom = AtomConfig(rho0=rho_symmetric())
     pump = gauss_pulse(omega=10.0, center=0.5, width=1.0 / 15.0)
     control = gauss_pulse(omega=10.0, center=0.5, width=1.0 / 15.0)
     builder = DriftBuilder(atom, pump, control)
     assert not builder.constant
     times = np.linspace(0.0, 2.0, 81)
-    u_full, _, state = propagator._solve_flow(builder, state_vector(atom.rho0), times,
-                                              1e-9, 1e-12)
+    u_full, _, state = propagator._solve_flow(builder, state_vector(atom.rho0), times, 1e-9)
     rng = np.random.default_rng(3)
     for _ in range(4):
         j = int(rng.integers(5, 60))
         i = int(rng.integers(j + 5, 80))
-        u_tail, _, state_tail = propagator._solve_flow(builder, state[j], times[j:], 1e-9, 1e-12)
+        u_tail, _, state_tail = propagator._solve_flow(builder, state[j], times[j:], 1e-9)
         assert np.max(np.abs(u_full[i] - u_tail[i - j] @ u_full[j])) < 1e-8
         assert np.max(np.abs(state[i] - state_tail[i - j])) < 1e-8
 
@@ -264,10 +271,10 @@ def test_grid_build_invariants():
     # the flow the build solves starts at the identity and carries the state
     u_from0 = propagate_from(0, atom, pump, control, grid.times)
     assert np.allclose(u_from0[0], np.eye(16))
-    # X is solved together with the sector block, so it matches U X(0) to the solve's accuracy
+    # X is solved together with the half block, so it matches U X(0) to the solve's accuracy
     assert np.max(np.abs(grid.state_traj - u_from0 @ state_vector(atom.rho0))) < 1e-8
-    # v_inverse really inverts the forward flow's sector block
-    worst = max(np.max(np.abs(grid.v_inverse[j] @ u_from0[j][BLOCK] - np.eye(8)))
+    # v_inverse really inverts the forward flow's half block
+    worst = max(np.max(np.abs(grid.v_inverse[j] @ u_from0[j][HALF] - np.eye(4)))
                 for j in (10, 75, 150))
     assert worst < 1e-7
     # kernels vanish on the diagonal
@@ -326,12 +333,11 @@ def _fig2a():
 
 @pytest.mark.parametrize("scenario", [_chirped_pulses, _fig2a])
 def test_sector_kernels_match_full_flow_kernels(scenario):
-    """The 8x8 sector build gives the kernels of the full 16x16 flow and its inverse."""
+    """The 4x4 half build gives the kernels of the full 16x16 flow and its inverse."""
     atom, pump, control, t_end = scenario()
-    tight = dict(rtol=1e-12, atol=1e-14)
-    grid = build_propagator_grid(atom, pump, control, t_end, 150, **tight)
+    grid = build_propagator_grid(atom, pump, control, t_end, 150, rtol=1e-12)
     for j in (0, 40, 150):
-        full = full_kernel(atom, pump, control, grid.times, j, **tight)
+        full = full_kernel(atom, pump, control, grid.times, j, rtol=1e-12, atol=1e-14)
         assert np.max(np.abs(kernel(grid, j) - full)) < 1e-9 * np.max(np.abs(full))
 
 
@@ -385,11 +391,10 @@ def test_kernel_quadrature_richardson_ratio():
     atom = AtomConfig(rho0=rho_symmetric())
     pump = gauss_pulse(omega=10.0, center=0.5, width=1.0 / 15.0)
     control = gauss_pulse(omega=10.0, center=0.5, width=1.0 / 15.0)
-    tight = dict(rtol=1e-11, atol=1e-14)
-    ref = build_propagator_grid(atom, pump, control, 1.5, 960, **tight)
+    ref = build_propagator_grid(atom, pump, control, 1.5, 960, rtol=1e-11)
     errors = {}
     for n in (120, 240):
-        grid = build_propagator_grid(atom, pump, control, 1.5, n, **tight)
+        grid = build_propagator_grid(atom, pump, control, 1.5, n, rtol=1e-11)
         step = 960 // n
         errors[n] = np.abs(grid.source_cumint - ref.source_cumint[::step]).max()
     ratio = errors[120] / errors[240]
