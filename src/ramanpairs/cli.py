@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the number of grid intervals")
         p.add_argument("--tol", type=float, default=None,
                        help="override [run] rtol, the relative tolerance of the "
-                            "time-dependent flow ([run] atol follows as tol*1e-3)")
+                            "time-dependent flow")
         p.add_argument("--workers", type=int, default=1,
                        help="concurrent scan points, at least 1 (scans only)")
     return parser
@@ -65,7 +65,7 @@ def _apply_flags(cfg: ScenarioConfig, args) -> ScenarioConfig:
     if args.grid_points is not None:
         cfg = replace(cfg, grid_points=args.grid_points)
     if args.tol is not None:
-        cfg = replace(cfg, rtol=args.tol, atol=args.tol * 1e-3)
+        cfg = replace(cfg, rtol=args.tol)
     return cfg
 
 

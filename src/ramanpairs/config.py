@@ -80,7 +80,6 @@ class ScenarioConfig:
     grid_points: int = 1600
     outputs: tuple[str, ...] = OUTPUT_GROUPS
     rtol: float = 1e-8
-    atol: float = 1e-12
     label: str = "scenario"
     scan: ScanSpec | None = None
     verify: OracleConfig | None = None
@@ -93,7 +92,7 @@ class ScenarioConfig:
         bad = [o for o in self.outputs if o not in OUTPUT_GROUPS]
         if bad:
             raise ConfigError(f"[run] outputs: unknown group(s) {bad}, expected from {OUTPUT_GROUPS}")
-        check_tolerances(self.rtol, self.atol, prefix="[run] ")
+        check_tolerances("[run] ", rtol=self.rtol)
         # the label names the output files, so it must stay inside the output directory
         if self.label in ("", ".", "..") or any(sep in self.label for sep in "/\\"):
             raise ConfigError(f"[run] label: must be a file name without '/' or '\\' and "

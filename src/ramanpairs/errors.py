@@ -54,12 +54,12 @@ class CutoffError(RuntimeError):
     """Fock truncation too small for the requested accuracy."""
 
 
-def check_tolerances(rtol: float, atol: float, prefix: str = "") -> None:
-    """Raise ConfigError unless both integrator tolerances are finite and > 0.
+def check_tolerances(prefix: str = "", **tolerances: float) -> None:
+    """Raise ConfigError unless every named tolerance is finite and > 0.
 
     Checked up front so that a bad value exits as a configuration error, not
     as a traceback from inside the integrator once the run is under way.
     """
-    for key, value in (("rtol", rtol), ("atol", atol)):
+    for key, value in tolerances.items():
         if not math.isfinite(value) or value <= 0:
             raise ConfigError(f"{prefix}{key}: must be finite and > 0, got {value}")

@@ -1,8 +1,9 @@
 """Brute-force verifier: full master equation with quantized field modes.
 
 The atom is joined to one truncated Stokes mode and one truncated anti-Stokes
-mode and the joint density matrix is integrated, with the same DOP853 pair
-as the drift flows, under the rotating-frame Hamiltonian
+mode and the joint density matrix is integrated by DOP853, an adaptive
+solve that shares no step rule with the pipeline's Magnus flow, under the
+rotating-frame Hamiltonian
 
     H = -Delta_c |a><a| - Delta_p |d><d|
         - [Omega_p(t)|d><c| + Omega_c(t)|a><b| + g_k a_k |d><b| + g_q a_q |a><c| + h.c.]
@@ -67,10 +68,8 @@ class OracleConfig:
         dim = 4 * (self.cutoff_k + 1) * (self.cutoff_q + 1)
         if dim > self.dim_cap:
             raise ConfigError(f"joint dimension {dim} exceeds cap {self.dim_cap}")
-        check_tolerances(self.rtol, self.atol)
         # a NaN leak_tol would switch the truncation guard off (every comparison is False)
-        if not np.isfinite(self.leak_tol) or self.leak_tol <= 0:
-            raise ConfigError(f"leak_tol: must be finite and > 0, got {self.leak_tol}")
+        check_tolerances(rtol=self.rtol, atol=self.atol, leak_tol=self.leak_tol)
         for key in ("g_k", "g_q"):
             value = getattr(self, key)
             if not np.isfinite(value) or value < 0:

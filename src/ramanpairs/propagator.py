@@ -21,21 +21,18 @@ carries each running sum from block to block.  One flow per scenario feeds
 everything, and the expectation trajectory is U(t, 0) X(0); it also carries
 the noise, since the moment assembly forms the diffusion blocks as that
 trajectory times the atom's constant Einstein map (noise.diffusion_table).
-Constant drives (both cw, unchirped) get U_A and its inverse exactly, as
-powers of the half blocks of expm(M h) and expm(-M h) on the uniform grid,
-and the state as powers of the full expm(M h) applied to X(0), each formed
-by repeated doubling in a few batched products.
 
-Time-dependent drives get the flow from fourth-order Magnus step maps
+Every drive gets the flow from fourth-order Magnus step maps
 (_magnus_chain): each interval's map is the exponential of
 Omega = (h/2)(M_1 + M_2) + (sqrt(3)/12) h^2 [M_2, M_1] at its two Gauss
 nodes, substepped so that the flow meets rtol (_substeps), and the grid
-values are the running products of those maps.  Only U_A is chained, in
-real arithmetic (algebra.real_form), with the complement carrying X(0)
-alone; V is the batched 4x4 inverse of U_A, and the state follows from U_A,
-its conjugate and the complement.  Every exponential, the constant drives'
-two and the batched Magnus maps, comes from _expm, a NumPy
-scaling-and-squaring Taylor sum, so no scenario run loads a scipy module.
+values are the running products of those maps.  A constant M (both drives
+cw and unchirped) has one map, exp(M h) exactly, and the grid values are its
+powers.  Only U_A is chained, in real arithmetic (algebra.real_form), with
+the complement carrying X(0) alone; V is the batched 4x4 inverse of U_A, and
+the state follows from U_A, its conjugate and the complement.  Every
+exponential comes from _expm, a NumPy scaling-and-squaring Taylor sum, so no
+scenario run loads a scipy module.
 
 The inverse grows like exp(decay * t), so long windows lose the kernels to
 cancellation without any solver complaint.  The build therefore checks
@@ -68,7 +65,6 @@ from .pulses import PulseSpec
 # flow would refuse.
 MAX_CONDITION = 1e11
 
-_HALF = np.ix_(algebra.SECTOR_HALF0, algebra.SECTOR_HALF0)
 # positions in SECTOR_HALF0 of the source rows ac and bd; the other two, ca and
 # db, are their conjugates and sit at the same positions of SECTOR_CONJ0
 _SOURCE = [list(algebra.SECTOR_HALF0).index(row - 1) for row in algebra.SOURCE_ROWS[:2]]
@@ -151,14 +147,13 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _orbit(step_map: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
-    """step_map^i @ start for i = 0 .. n - 1, shape (n, *start.shape).
+def _orbit(step_map: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out[i] with step_map^i @ out[0] for every i, in place.
 
     Doubling: with the first k terms known, the next k are step_map^k times
-    them, so the table takes about log2(n) batched products.
+    them, so the table takes about log2(len(out)) batched products.
     """
-    out = np.empty((n, *start.shape), dtype=complex)
-    out[0] = start
+    n = len(out)
     power, k = step_map, 1
     while k < n:
         m = min(k, n - k)
@@ -231,8 +226,9 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
     algebra.HERMITIAN, where it is block diagonal: R(A) on the sector, an
     8x8 block on the complement.  A block of about _BLOCK_STEPS substeps
     takes one batched _expm; the m maps of an interval multiply into one, and
-    the block's prefix products carry the chain on from its first point.  The
-    chain holds two things per grid point: the first four columns of the
+    the block's prefix products carry the chain on from its first point.  A
+    constant drive has one exact map, exp(M h), and the chain is its _orbit.
+    The chain holds two things per grid point: the first four columns of the
     sector flow, [Re U_A; Im U_A], and the complement of y as its real and
     imaginary columns.  No per-substep table outlives its block.
     """
@@ -240,24 +236,28 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
     step = (times[-1] - times[0]) / (n - 1)
     real = algebra.real_form(builder.generators)
     basis = np.stack((real[:, :8, :8], real[:, 8:, 8:]), axis=1).reshape(15, 128)
-    weights = _magnus_weights(builder, times[:-1], step)
-    m = _substeps(weights, builder.generators, rtol)
     # per grid point: [Re U_A; Im U_A] and [Re y_C, Im y_C, 0, 0]
     chain = np.zeros((n, 2, 8, 4))
     chain[0, 0, :4] = np.eye(4)
     y0 = (algebra.HERMITIAN_INV @ x0)[8:]
     chain[0, 1, :, 0], chain[0, 1, :, 1] = y0.real, y0.imag
-    per_block = max(1, _BLOCK_STEPS // m)
-    for start in range(0, n - 1, per_block):
-        stop = min(start + per_block, n - 1)
-        if m > 1:
-            starts = times[start:stop, None] + (step / m) * np.arange(m)
-            w = _magnus_weights(builder, starts.ravel(), step / m)
-        else:
-            w = weights[start:stop]
-        maps = _expm((w @ basis).reshape(stop - start, m, 2, 8, 8))
-        interval = _prefix_products(maps.swapaxes(0, 1))[-1]
-        chain[start + 1:stop + 1] = _prefix_products(interval) @ chain[start]
+    if builder.constant:  # every step map is the same exact exp(M h): no commutator term
+        step_map = _expm((_magnus_weights(builder, times[:1], step) @ basis).reshape(2, 8, 8))
+        _orbit(step_map, chain)
+    else:
+        weights = _magnus_weights(builder, times[:-1], step)
+        m = _substeps(weights, builder.generators, rtol)
+        per_block = max(1, _BLOCK_STEPS // m)
+        for start in range(0, n - 1, per_block):
+            stop = min(start + per_block, n - 1)
+            if m > 1:
+                starts = times[start:stop, None] + (step / m) * np.arange(m)
+                w = _magnus_weights(builder, starts.ravel(), step / m)
+            else:
+                w = weights[start:stop]
+            maps = _expm((w @ basis).reshape(stop - start, m, 2, 8, 8))
+            interval = _prefix_products(maps.swapaxes(0, 1))[-1]
+            chain[start + 1:stop + 1] = _prefix_products(interval) @ chain[start]
     half, rest = np.empty((n, 4, 4), dtype=complex), np.empty((n, 8), dtype=complex)
     half.real, half.imag = chain[:, 0, :4], chain[:, 0, 4:]
     rest.real, rest.imag = chain[:, 1, :, 0], chain[:, 1, :, 1]
@@ -268,26 +268,17 @@ def _solve_flow(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
                 rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """U_A(t_i, times[0]), the flow on algebra.SECTOR_HALF0, its inverse, and the state.
 
-    A constant M gives the exact flow as powers of one step propagator
-    expm(M h): its half block gives U_A, the half block expm(-A h) gives the
-    inverse for free, and the full step map carries the state.
-    Time-dependent drives take the Magnus chain, substepped to rtol: the
-    inverse is the batched 4x4 inverse of U_A, and the state is U_A x0 on
-    SECTOR_HALF0, conj(U_A) x0 on SECTOR_CONJ0 and the chained complement.
+    U_A and the complement come from the Magnus chain (exact for a constant
+    M, substepped to rtol otherwise); the inverse is the batched 4x4 inverse
+    of U_A, and the state is U_A x0 on SECTOR_HALF0, conj(U_A) x0 on
+    SECTOR_CONJ0 and the chained complement.
     """
-    n = len(times)
-    if not builder.constant:
-        half, rest = _magnus_chain(builder, x0, times, rtol)
-        state = np.empty((n, 16), dtype=complex)
-        state[:, algebra.SECTOR_HALF0] = half @ x0[algebra.SECTOR_HALF0]
-        state[:, algebra.SECTOR_CONJ0] = (half @ x0[algebra.SECTOR_CONJ0].conj()).conj()
-        state[:, algebra.COMPLEMENT0] = rest @ algebra.HERMITIAN[algebra.COMPLEMENT0, 8:].T
-        return half, np.linalg.inv(half), state
-    m_step = builder.entries(times[0]) * ((times[-1] - times[0]) / (n - 1))
-    step_map = _expm(m_step)
-    return (_orbit(step_map[_HALF], np.eye(4), n),
-            _orbit(_expm(-m_step[_HALF]), np.eye(4), n),
-            _orbit(step_map, x0[:, None], n)[..., 0])
+    half, rest = _magnus_chain(builder, x0, times, rtol)
+    state = np.empty((len(times), 16), dtype=complex)
+    state[:, algebra.SECTOR_HALF0] = half @ x0[algebra.SECTOR_HALF0]
+    state[:, algebra.SECTOR_CONJ0] = (half @ x0[algebra.SECTOR_CONJ0].conj()).conj()
+    state[:, algebra.COMPLEMENT0] = rest @ algebra.HERMITIAN[algebra.COMPLEMENT0, 8:].T
+    return half, np.linalg.inv(half), state
 
 
 @dataclass
@@ -296,11 +287,11 @@ class PropagatorGrid:
 
     times is the uniform grid.  Everything derives from the one solved flow
     U(t_i, 0), whose sector block is blockdiag(U_A, conj U_A) over
-    algebra.SECTOR_HALF0 and SECTOR_CONJ0.  v_inverse[j] is U_A(s_j, 0)^-1
-    (exact powers of expm(-A h) for constant drives, batched inversion
-    otherwise), state_traj[i] = U(t_i, 0) X(0) the 16-component expectation
-    trajectory, and source_cumint[i, r] the cumulative trapezoid S_h of the
-    source rows ac (r = 0) and bd (r = 1) of U_A(., 0); ca and db have conj(S_h).
+    algebra.SECTOR_HALF0 and SECTOR_CONJ0.  v_inverse[j] is U_A(s_j, 0)^-1,
+    one batched 4x4 inversion, state_traj[i] = U(t_i, 0) X(0) the
+    16-component expectation trajectory, and source_cumint[i, r] the
+    cumulative trapezoid S_h of the source rows ac (r = 0) and bd (r = 1) of
+    U_A(., 0); ca and db have conj(S_h).
     """
 
     times: np.ndarray

@@ -233,7 +233,7 @@ def _oracle_comparison(preset_name, g, cutoff, grid_points=None, rtol=None):
     if grid_points:
         cfg = replace(cfg, grid_points=grid_points)
     if rtol:
-        cfg = replace(cfg, rtol=rtol, atol=rtol * 1e-3)
+        cfg = replace(cfg, rtol=rtol)
     atom = replace(cfg.atom, g_k=g, g_q=g)
     cfg = replace(cfg, atom=atom)
     pipeline = run_scenario(cfg)

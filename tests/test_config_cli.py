@@ -96,9 +96,12 @@ def test_run_validation():
         parse_config(GOOD_CONFIG.replace("t_end = 1.0", "t_end = -2"))
     with pytest.raises(ConfigError, match="outputs"):
         parse_config(GOOD_CONFIG + "outputs = gcs, wigner\n")
-    for line in ("atol = -1", "rtol = nan", "rtol = 0", "atol = inf"):
-        key = line.split()[0]
-        with pytest.raises(ConfigError, match=rf"\[run\] {key}"):
+    for line in ("rtol = -1", "rtol = nan", "rtol = 0", "rtol = inf"):
+        with pytest.raises(ConfigError, match=r"\[run\] rtol: must be finite"):
+            parse_config(GOOD_CONFIG + line + "\n")
+    # [run] has no atol: the flow takes no absolute tolerance
+    for line in ("atol = 1e-12", "atol = -1"):
+        with pytest.raises(ConfigError, match=r"\[run\] atol: unknown key"):
             parse_config(GOOD_CONFIG + line + "\n")
     for line in ("atol = -1", "rtol = nan", "leak_tol = nan", "leak_tol = -1", "leak_tol = 0",
                  "g_k = nan", "g_q = -0.5", "g_q = inf"):
@@ -148,6 +151,23 @@ def test_describe_names_defaults_and_hash_is_stable():
     assert info["pump.shape"] == "gaussian"
     assert config_hash(cfg) == config_hash(parse_config(GOOD_CONFIG))
     assert config_hash(cfg) != config_hash(apply_override(cfg, "pump.width", 0.1))
+    assert "atol" not in info
+    verified = describe(parse_config(GOOD_CONFIG + "\n[verify]\natol = 1e-10\n"))
+    assert verified["verify.atol"] == 1e-10 and "atol" not in verified
+
+
+def test_readme_scenario_file_parses_and_round_trips(monkeypatch):
+    """The example under "Scenario files" in the README loads, and its `describe` loads back."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import config_ini
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Scenario files", 1)[1].split("```\n")[1]
+    cfg = parse_config(example)
+    assert cfg.label == "demo" and cfg.scan.parameter == "both.width"
+    again = parse_config(config_ini(cfg))
+    assert describe(again) == describe(cfg)
+    assert config_hash(again) == config_hash(cfg)
 
 
 def test_all_presets_load():
@@ -325,12 +345,15 @@ def test_cli_run_and_manifest(tmp_path):
     config_path = tmp_path / "demo.cfg"
     config_path.write_text(GOOD_CONFIG)
     out_dir = tmp_path / "out"
-    assert main(["run", str(config_path), "--out", str(out_dir)]) == 0
+    assert main(["run", str(config_path), "--out", str(out_dir), "--tol", "1e-6"]) == 0
     assert (out_dir / "demo.csv").exists()
     manifest = json.loads((out_dir / "demo.manifest.json").read_text())
     assert manifest["tool"] == "ramanpairs"
     assert manifest["config_hash"]
     assert manifest["parameters"]["grid_points"] == "120"
+    # --tol sets rtol alone
+    assert manifest["parameters"]["rtol"] == "1e-06"
+    assert not [key for key in manifest["parameters"] if key.endswith("atol")]
 
 
 def test_cli_preset_listing(capsys):
@@ -448,8 +471,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     good.write_text(GOOD_CONFIG)
     for tol in ("-1", "nan"):
         assert main(["run", str(good), "--out", str(tmp_path), "--tol", tol]) == 2
-    bad.write_text(GOOD_CONFIG + "atol = -1\n")
+    bad.write_text(GOOD_CONFIG + "atol = 1e-12\n")
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    assert "[run] atol: unknown key" in capsys.readouterr().err
     for line in ("leak_tol = nan", "g_k = -0.5"):
         bad.write_text(GOOD_CONFIG + "\n[verify]\n" + line + "\n")
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == 2

@@ -64,13 +64,14 @@ CW = st.builds(PulseSpec, shape=st.just("cw"), omega_peak=st.floats(0.0, 20.0),
          detuning=-50.0), control=PulseSpec(shape="cw", omega_peak=20.0, detuning=60.0),
          log_step=np.log10(3.0))  # |A|_1 ~ 200: seven squarings
 def test_step_exponential_matches_scipy_expm(rates, pump, control, log_step):
-    """The step map expm(M h) and the half block of expm(-M h), from 1e-4 up to a whole window.
+    """expm(M h), whole and as the chain's real blocks, from 1e-4 up to a whole window.
 
     The steps span |M h|_1 from below 1e-2, where the Taylor sum alone
     serves, to above 50, where the squarings do most of the work.
     """
     m_step = DriftBuilder(AtomConfig(*rates), pump, control).entries(0.0) * 10.0 ** log_step
-    for a in (m_step, -m_step[HALF]):
+    real = real_form(m_step)
+    for a in (m_step, np.stack((real[:8, :8], real[8:, 8:]))):
         reference = expm(a)
         error = np.max(np.abs(propagator._expm(a) - reference))
         assert error <= 1e-12 * np.max(np.abs(reference))
@@ -95,14 +96,14 @@ def test_constant_drive_grid_matches_tight_solve(name):
     assert builder.constant
     grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, 200)
     x0 = state_vector(cfg.atom.rho0)
-    # the exact path: half block and state from powers of expm(M h)
+    # the exact path: half block and state from powers of the one step map exp(M h)
     half, _, state = propagator._solve_flow(builder, x0, grid.times, 1e-9)
     reference = _tight_flow(builder, grid.times)
     scale = np.max(np.abs(reference))
     assert _sector_error(half, reference) < 1e-9 * scale
     assert np.max(np.abs(state - reference @ x0)) < 1e-9 * scale
     assert np.array_equal(grid.state_traj, state)
-    # the exact path's v_inverse, powers of expm(-A h), inverts the forward flow's half block
+    # v_inverse inverts the forward flow's half block
     worst = max(np.max(np.abs(grid.v_inverse[j] @ half[j] - np.eye(4)))
                 for j in (10, 100, 200))
     assert worst < 1e-7
@@ -295,25 +296,35 @@ def _record_calls(monkeypatch, owner, attr):
     return results
 
 
-@pytest.mark.parametrize("name, solves, inversions", [("fig2a", 0, 0), ("fig2b", 0, 1)])
-def test_pipeline_drift_evaluations_ode_solves_and_inversions(monkeypatch, name, solves,
-                                                              inversions):
-    """No scenario solves an ODE; only the exact flow evaluates M, once, for expm(+-M h).
+@pytest.mark.parametrize("name", ["fig2a", "fig2b"])
+def test_pipeline_drift_evaluations_ode_solves_and_inversions(monkeypatch, name):
+    """No scenario solves an ODE or evaluates M; each inverts U_A once, over the whole grid.
 
-    The Magnus flow reads the drives through DriftBuilder.coefficients and
-    inverts the 4x4 half of the sector flow once, over the whole grid.
+    The Magnus chain, the one flow for constant and time-dependent drives
+    alike, reads the drives through DriftBuilder.coefficients.
     """
     cfg = replace(preset(name).scenarios[0], grid_points=100)
-    constant = DriftBuilder(cfg.atom, cfg.pump, cfg.control).constant
     calls = {attr: _record_calls(monkeypatch, owner, attr)
              for owner, attr in ((DriftBuilder, "entries"), (propagator, "solve_ivp"),
                                  (np.linalg, "inv"))}
     run_scenario(cfg)
-    counts = {attr: len(results) for attr, results in calls.items()}
-    assert counts["solve_ivp"] == solves
-    assert counts["inv"] == inversions
-    assert all(v.shape == (101, 4, 4) for v in calls["inv"])
-    assert counts["entries"] == int(constant)
+    assert not calls["solve_ivp"] and not calls["entries"]
+    assert [v.shape for v in calls["inv"]] == [(101, 4, 4)]
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig7d"])
+def test_constant_drive_shortcut_is_the_chain(monkeypatch, name):
+    """The one exact step map's powers are the Magnus chain's running products, to rounding."""
+    cfg = preset(name).scenarios[0]
+    builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
+    assert builder.constant
+    times = np.linspace(0.0, cfg.t_end, cfg.grid_points + 1)
+    x0 = state_vector(cfg.atom.rho0)
+    shortcut = propagator._solve_flow(builder, x0, times, cfg.rtol)
+    monkeypatch.setattr(DriftBuilder, "constant", False)
+    chained = propagator._solve_flow(builder, x0, times, cfg.rtol)
+    for want, got in zip(shortcut, chained):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_state_traj_matches_evolve_state():
