@@ -70,13 +70,22 @@ def op(x: str, y: str) -> np.ndarray:
     return np.eye(N_OPS, dtype=complex)[idx(x, y) - 1].reshape(N_LEVELS, N_LEVELS)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two 4x4 matrices: entry [4i + k, 4j + l] = a[i, j] b[k, l].
+
+    One broadcast product, the same single multiplications np.kron makes,
+    without its reshaping machinery.
+    """
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(N_OPS, N_OPS)
+
+
 def lift(h: np.ndarray) -> np.ndarray:
     """Generator of d<sigma_m>/dt = i<[h, sigma_m]>: i (h^T (x) 1 - 1 (x) h).
 
     Entry [m, n] is the coefficient of sigma_n in i [h, sigma_m] (row-major m).
     """
     h = np.asarray(h, dtype=complex)
-    return 1j * (np.kron(h.T, _EYE) - np.kron(_EYE, h))
+    return 1j * (_kron(h.T, _EYE) - _kron(_EYE, h))
 
 
 def dissipator(rate: float, jump: np.ndarray) -> np.ndarray:
@@ -86,7 +95,7 @@ def dissipator(rate: float, jump: np.ndarray) -> np.ndarray:
     """
     jump = np.asarray(jump, dtype=complex)
     n = jump.conj().T @ jump
-    return rate * (np.kron(jump.conj(), jump) - 0.5 * (np.kron(n.T, _EYE) + np.kron(_EYE, n)))
+    return rate * (_kron(jump.conj(), jump) - 0.5 * (_kron(n.T, _EYE) + _kron(_EYE, n)))
 
 
 def _check_index(m: int) -> None:

@@ -21,6 +21,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .config import ScenarioConfig, load_config
@@ -31,7 +32,9 @@ from .runner import (run_scan, run_scenario, run_verification, write_manifest,
                      write_scan_csv, write_scenario_csv, write_verification_csv)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ramanpairs",
         description="Transient photon-pair correlation and entanglement of a "

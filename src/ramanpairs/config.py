@@ -52,6 +52,7 @@ import numpy as np
 from .atom import AtomConfig
 from .errors import ConfigError, check_tolerances
 from .oracle import OracleConfig
+from .propagator import DEFAULT_RTOL
 from .pulses import PulseSpec
 
 OUTPUT_GROUPS = ("gcs", "duan", "moments", "noise_split", "relate")
@@ -79,7 +80,7 @@ class ScenarioConfig:
     t_end: float = 3.0
     grid_points: int = 1600
     outputs: tuple[str, ...] = OUTPUT_GROUPS
-    rtol: float = 1e-8
+    rtol: float = DEFAULT_RTOL
     label: str = "scenario"
     scan: ScanSpec | None = None
     verify: OracleConfig | None = None

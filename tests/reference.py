@@ -3,13 +3,14 @@
 None of these feed the pipeline.  They restate what the library computes in
 another form, so that the tests can check the pipeline's structures against
 them: index tables for conjugation and populations, the density matrix of a
-state vector, the normally ordered noise table, the whole-sector views of the
-grid's 4x4 half, the explicit two-time kernel, the oracle's own build of the
-atomic generator, the oracle's generator built from sparse Kronecker
-products, the full 16x16 flow started at an arbitrary grid point, with the
-two-time kernels it gives, and the kernel quadrature and moment tables over
-the whole sector and the whole grid at once, which the library forms on the
-half and streams in row blocks.
+state vector, the normally ordered noise table, the whole-sector views of
+the grid's 4x4 half, the explicit two-time kernel, the oracle's own build of
+the atomic generator, the oracle's generator built from sparse Kronecker
+products, the Lindblad lifts from np.kron, the Magnus substep sizing over
+every interval, the full 16x16 flow started at an arbitrary grid point, with
+the two-time kernels it gives, and the kernel quadrature and moment tables
+over the whole sector and the whole grid at once, which the library forms on
+the half and streams in row blocks.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from ramanpairs.algebra import (LEVELS, SECTOR0, SECTOR_CONJ0, SECTOR_HALF0, SOURCE_ROWS, dagger,
-                               idx, pair_table)
+from ramanpairs.algebra import (COMPLEMENT0, LEVELS, SECTOR0, SECTOR_CONJ0, SECTOR_HALF0,
+                               SOURCE_ROWS, dagger, idx, pair_table)
 from ramanpairs.atom import AtomConfig, DriftBuilder, state_vector
 from ramanpairs.moments import _STRUCTURES, _slot_factors
 from ramanpairs.noise import DiffusionTable
@@ -169,7 +170,7 @@ def propagate_from(s_index: int, atom: AtomConfig, pump: PulseSpec, control: Pul
 
     The full 16x16 flow dU/dt = M(t) U from the identity, 256 components in
     one DOP853 solve for every drive, constant ones included; the defaults are
-    build_propagator_grid's tolerances.
+    atom.evolve_state's tolerances.
     """
     tail = np.asarray(times, dtype=float)[s_index:]
     builder = DriftBuilder(atom, pump, control)
@@ -194,6 +195,41 @@ def full_kernel(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, times: np
     rows = u[:, np.asarray(SOURCE_ROWS) - 1, :]
     s = cumulative_trapezoid(rows, x=np.asarray(times, dtype=float), axis=0, initial=0)
     return (s - s[j]) @ np.linalg.inv(u[j])
+
+
+def lift(h: np.ndarray) -> np.ndarray:
+    """algebra.lift from np.kron: i (h^T (x) 1 - 1 (x) h)."""
+    h = np.asarray(h, dtype=complex)
+    eye = np.eye(4)
+    return 1j * (np.kron(h.T, eye) - np.kron(eye, h))
+
+
+def dissipator(rate: float, jump: np.ndarray) -> np.ndarray:
+    """algebra.dissipator from np.kron: rate (L* (x) L - (N^T (x) 1 + 1 (x) N) / 2)."""
+    jump = np.asarray(jump, dtype=complex)
+    n = jump.conj().T @ jump
+    eye = np.eye(4)
+    return rate * (np.kron(jump.conj(), jump) - 0.5 * (np.kron(n.T, eye) + np.kron(eye, n)))
+
+
+def largest_product(weights: np.ndarray, generators: np.ndarray) -> float:
+    """propagator._largest_product with no bound: the exact norms of every interval.
+
+    Taken, as the bounded pass takes each block it keeps, over consecutive
+    row blocks of 64 intervals.
+    """
+    blocks = np.concatenate(
+        (generators[:, SECTOR_HALF0[:, None], SECTOR_HALF0].reshape(15, 16),
+         generators[:, COMPLEMENT0[:, None], COMPLEMENT0].reshape(15, 64)), axis=1)
+    blocks = np.stack((blocks.real, blocks.imag), axis=-1).reshape(15, 160)
+
+    def norm(w, first):
+        modulus = np.abs((w @ blocks[first:]).view(complex))
+        return np.maximum(np.einsum("nij->nj", modulus[:, :16].reshape(-1, 4, 4)).max(axis=1),
+                          np.einsum("nij->nj", modulus[:, 16:].reshape(-1, 8, 8)).max(axis=1))
+
+    return max(float(np.max(norm(w, 0) * norm(w[:, 5:], 5)))
+               for w in np.split(weights, range(64, len(weights), 64)))
 
 
 def savetxt_csv(path, header: list[str], table: dict[str, np.ndarray]) -> None:

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from ramanpairs import algebra
 from ramanpairs.algebra import CONTRACT0, contract, dagger, dissipator, idx, levels, lift, op
 
+import reference
 from reference import DAGGER0, POPULATION0
 
 LEVEL = st.sampled_from(algebra.LEVELS)
@@ -114,3 +115,20 @@ def test_lift_and_dissipator_act_on_every_unit_matrix():
             assert np.max(np.abs(np.tensordot(hamiltonian[m], basis, axes=1) - commutator)) < 1e-14
             assert np.max(np.abs(np.tensordot(lindblad[m], basis, axes=1) - damping)) < 1e-13
         assert np.max(np.abs(dissipator(0.3, jump) - 0.3 * lindblad)) < 1e-15
+
+
+def test_lifts_are_their_kron_forms():
+    """lift and dissipator make the products np.kron makes: every entry keeps its bits.
+
+    Inputs with exact zeros, signed ones included, since the CSVs carry the bits.
+    """
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        h, jump = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        h[rng.random((4, 4)) < 0.3] = 0.0
+        jump[rng.random((4, 4)) < 0.3] = -0.0
+        rate = rng.uniform(0.0, 3.0)
+        for got, want in ((lift(h), reference.lift(h)),
+                          (dissipator(rate, jump), reference.dissipator(rate, jump))):
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ramanpairs.atom import AtomConfig
-from ramanpairs.cli import main
+from ramanpairs.cli import _build_parser, main
 from ramanpairs.config import (ScenarioConfig, apply_override, config_hash, describe,
                                parse_config)
 from ramanpairs.errors import ConfigError, IntegrationError
@@ -360,6 +360,15 @@ def test_cli_preset_listing(capsys):
     assert main(["preset", "--list"]) == 0
     out = capsys.readouterr().out.split()
     assert "fig2a" in out and "fig7d" in out
+
+
+def test_cli_parser_is_built_once_and_parses_each_call_afresh():
+    parser = _build_parser()
+    assert _build_parser() is parser
+    first = parser.parse_args(["preset", "--list", "--grid-points", "60", "--tol", "1e-6"])
+    second = parser.parse_args(["preset", "fig2a"])
+    assert first.list and first.grid_points == 60 and first.tol == 1e-6
+    assert (second.name, second.list, second.grid_points, second.tol) == ("fig2a", False, None, None)
 
 
 def _src_env() -> dict[str, str]:

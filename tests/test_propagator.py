@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from ramanpairs.pulses import PulseSpec, off
 from ramanpairs.runner import run_scenario
 
 from conftest import gauss_pulse, rho_symmetric
-from reference import DAGGER0, full_kernel, kernel, propagate_from
+from reference import DAGGER0, full_kernel, kernel, largest_product, propagate_from
 
 BLOCK = np.ix_(SECTOR0, SECTOR0)
 HALF = np.ix_(SECTOR_HALF0, SECTOR_HALF0)
@@ -127,7 +128,7 @@ def test_time_dependent_drive_grid_matches_tight_solve(pump, control):
     atom = AtomConfig(rho0=rho_symmetric())
     builder = DriftBuilder(atom, pump, control)
     assert not builder.constant
-    grid = build_propagator_grid(atom, pump, control, 3.0, 200)
+    grid = build_propagator_grid(atom, pump, control, 3.0, 200, rtol=1e-9)
     u_from0 = propagate_from(0, atom, pump, control, grid.times)
     reference = _tight_flow(builder, grid.times)
     scale = np.max(np.abs(reference))
@@ -170,6 +171,37 @@ def test_magnus_flow_is_fourth_order():
     assert 12.0 < errors[0] / errors[1] < 20.0
 
 
+DETUNING = st.floats(-60.0, 60.0)
+CHIRP = st.floats(-300.0, 300.0)
+DRIVE = st.one_of(
+    st.builds(gauss_pulse, omega=st.floats(0.0, 50.0), center=st.floats(-0.5, 3.5),
+              width=st.floats(0.02, 1.0), detuning=DETUNING, chirp=CHIRP),
+    st.builds(PulseSpec, shape=st.just("cw"), omega_peak=st.floats(0.0, 50.0),
+              detuning=DETUNING, chirp=st.one_of(st.just(0.0), CHIRP)))
+
+
+@settings(max_examples=60, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(rates=st.tuples(RATE, RATE, RATE, RATE, RATE), pump=DRIVE, control=DRIVE,
+       t_end=st.floats(0.1, 3.0), n=st.integers(2, 400), rtol=st.floats(1e-12, 1e-4))
+@example(rates=(1.0, 1.0, 1.0, 1.0, 0.0), pump=PulseSpec("cw", 5.0, detuning=-2.0),
+         control=gauss_pulse(omega=0.0), t_end=3.0, n=1600, rtol=1e-8)  # every product is 0
+def test_pruned_substep_maximum_is_the_exhaustive_one(rates, pump, control, t_end, n, rtol):
+    """The bounded pass of _largest_product finds the largest exact product bit for bit.
+
+    Also on the weights repeated, so that the maximum ties between two
+    intervals in two row blocks.
+    """
+    builder = DriftBuilder(AtomConfig(*rates), pump, control)
+    times = np.linspace(0.0, t_end, n + 1)
+    weights = propagator._magnus_weights(builder, times[:-1], times[1] - times[0])
+    for w in (weights, np.concatenate((weights, weights))):
+        exhaustive = largest_product(w, builder.generators)
+        assert propagator._largest_product(w, builder.generators) == exhaustive
+        assert (propagator._substeps(w, builder.generators, rtol)
+                == max(1, math.ceil((0.1 * exhaustive / rtol) ** 0.25)))
+
+
 @pytest.mark.parametrize("atom, pump, control, t_end, n", [
     (AtomConfig(rho0=rho_symmetric()), PulseSpec("cw", 5.0, detuning=-50.0, chirp=20.0),
      PulseSpec("cw", 10.0), 3.0, 200),
@@ -195,10 +227,6 @@ def test_substep_rule_meets_rtol(atom, pump, control, t_end, n):
         half, _, state = propagator._solve_flow(builder, x0, times, rtol)
         assert _sector_error(half, reference) <= rtol * scale
         assert np.max(np.abs(state - reference @ x0)) <= rtol * scale
-
-
-DETUNING = st.floats(-60.0, 60.0)
-CHIRP = st.floats(-300.0, 300.0)
 
 
 @settings(max_examples=60, deadline=None,
@@ -433,3 +461,19 @@ def test_build_validation():
         build_propagator_grid(atom, off(), off(), -1.0, 100)
     with pytest.raises(ConfigError):
         build_propagator_grid(atom, off(), off(), 1.0, 1)
+
+
+def test_api_default_tolerance_is_the_scenario_default():
+    """build_propagator_grid at its default rtol takes the flow run_scenario takes.
+
+    fig3b at Omega 30 on 200 intervals needs many substeps, and their number
+    moves with rtol.
+    """
+    cfg = replace(apply_override(preset("fig3b").scan, "both.omega_peak", 30.0), grid_points=200)
+    builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
+    times = np.linspace(0.0, cfg.t_end, cfg.grid_points + 1)
+    assert _substeps(builder, times, cfg.rtol) != _substeps(builder, times, 0.1 * cfg.rtol)
+    default = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, cfg.grid_points)
+    scenario = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, cfg.grid_points,
+                                     rtol=cfg.rtol)
+    assert np.array_equal(default.state_traj, scenario.state_traj)
