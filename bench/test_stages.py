@@ -10,12 +10,23 @@ the diffusion map, the moment assembly, the observables, the scenario CSV
 write, and the whole ``run_scenario``.  Every such stage runs on fig2a
 (constant drives, exact flow), fig2b (Gaussian pulses, Magnus step maps) and
 fig4c (opposite chirps), at the presets' 1600 intervals; the grid build runs
-also on fig6b's strongest scan point, Rabi frequency 50.  Three stages stand
-outside a scenario run: ``import ramanpairs.cli`` in a fresh interpreter, one
-oracle run (fig2b on the thinned grid of ``run_verification`` under the default
-``[verify]``), and one serial scan (fig6b at 200 intervals).  The tier-1 suite
-does not collect this directory (``testpaths`` in pyproject.toml);
-``pytest bench/ --benchmark-disable`` runs every stage once, as a smoke test.
+also on fig6b's strongest scan point, Rabi frequency 50.  Inside the grid
+build, the Magnus substep sizing (the weights of every interval, then
+``_substeps``) is timed on its own on the three time-dependent drives fig2b,
+fig4c and fig6b at 50.  Three stages stand outside a scenario run:
+``import ramanpairs.cli`` in a fresh interpreter, one oracle run (fig2b on the
+thinned grid of ``run_verification`` under the default ``[verify]``), and one
+serial scan (fig6b at 200 intervals).  The tier-1 suite does not collect this
+directory (``testpaths`` in pyproject.toml); ``pytest bench/
+--benchmark-disable`` runs every stage once, as a smoke test.
+
+To compare two builds, run this file on each checkout in turn, alternating
+them (parent, change, parent, change, ...) for five or more runs a side, and
+compare each stage's minimum as well as its median over the runs.  On a
+shared host the medians of one unchanged tree spread up to 1.75x from run to
+run, so a saving of a few milliseconds shows in the minima, which noise can
+only raise, before it shows in the medians; alternating spreads a slow spell
+of the host over both sides.
 """
 
 from __future__ import annotations
@@ -31,6 +42,8 @@ import numpy as np
 import pytest
 
 import ramanpairs
+from ramanpairs import propagator
+from ramanpairs.atom import DriftBuilder
 from ramanpairs.config import apply_override
 from ramanpairs.moments import compute_moments
 from ramanpairs.noise import diffusion_table
@@ -48,9 +61,20 @@ def _config(name):
     return preset(name).scenarios[0]
 
 
+@functools.cache
+def _strong_drive():
+    """fig6b at Rabi frequency 50, the scan point whose flow was the costliest."""
+    return apply_override(preset("fig6b").scan, "both.omega_peak", 50.0)
+
+
 def _grid(cfg):
     return build_propagator_grid(cfg.atom, cfg.pump, cfg.control, t_end=cfg.t_end,
                                  n_intervals=cfg.grid_points, rtol=cfg.rtol)
+
+
+def _substep_sizing(builder, times, rtol):
+    weights = propagator._magnus_weights(builder, times[:-1], times[1] - times[0])
+    return propagator._substeps(weights, builder.generators, rtol)
 
 
 def test_import(benchmark):
@@ -71,11 +95,19 @@ def test_grid_build(benchmark, name):
 
 
 def test_grid_build_strong_drive(benchmark):
-    """fig6b at Rabi frequency 50, the scan point whose flow was the costliest."""
     benchmark.group = "grid build"
-    cfg = apply_override(preset("fig6b").scan, "both.omega_peak", 50.0)
-    grid = benchmark(_grid, cfg)
-    assert len(grid.times) == cfg.grid_points + 1
+    grid = benchmark(_grid, _strong_drive())
+    assert len(grid.times) == _strong_drive().grid_points + 1
+
+
+@pytest.mark.parametrize("name", ["fig2b", "fig4c", "fig6b-50"])
+def test_substep_sizing(benchmark, name):
+    """The Magnus weights of every grid interval, then the substeps they give."""
+    benchmark.group = "substep sizing"
+    cfg = _strong_drive() if name == "fig6b-50" else _config(name)
+    builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
+    times = np.linspace(0.0, cfg.t_end, cfg.grid_points + 1)
+    assert benchmark(_substep_sizing, builder, times, cfg.rtol) >= 1
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

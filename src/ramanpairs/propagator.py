@@ -81,9 +81,6 @@ _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _COMMUTATOR = math.sqrt(3.0) / 12.0
 # Magnus substeps per block of the grid pass: a (64, 2, 8, 8) float block is 64 KiB
 _BLOCK_STEPS = 64
-# relative slack on the triangle-inequality bound of _largest_product: an exact
-# norm can pass its bound only by rounding, about 1e-15 of it
-_BOUND_MARGIN = 1e-6
 
 
 def _cumulative_trapezoid(v: np.ndarray, step: float, carry: list | None = None) -> np.ndarray:
@@ -186,59 +183,27 @@ def _magnus_weights(builder: DriftBuilder, starts: np.ndarray, step: float) -> n
                           axis=1)
 
 
-def _largest_product(weights: np.ndarray, generators: np.ndarray) -> float:
-    """max_i |Omega_i|_1 |C_i|_1 over the intervals with Magnus weights `weights` (n, 15).
-
-    Omega_i is the one-step generator of interval i as a 16x16 matrix on the
-    operators, C_i its commutator term; the 1-norm of either is the larger of
-    those of its sector half A (the conjugate half has the same) and its
-    complement block.  The exact norms go by row blocks of _BLOCK_STEPS
-    intervals, and most blocks cannot hold the maximum: by the triangle
-    inequality every column sum of |sum_k w_k G_k| is at most
-    sum_k |w_k| times that column sum of |G_k|, so one (n, 15) product per
-    factor bounds each interval's product from above.  The blocks go in
-    decreasing order of their largest bound, and once that bound, raised by
-    _BOUND_MARGIN, is no more than the largest exact product so far, no
-    later block can pass it.  Each block the pass does take is the row slice
-    that a pass over all blocks multiplies, so the maximum is that pass's to
-    the bit.
-    """
-    blocks = np.concatenate(
-        (generators[:, algebra.SECTOR_HALF0[:, None], algebra.SECTOR_HALF0].reshape(15, 16),
-         generators[:, algebra.COMPLEMENT0[:, None], algebra.COMPLEMENT0].reshape(15, 64)), axis=1)
-    # the column sums of |G_k| on both blocks, (15, 12)
-    columns = np.concatenate((np.abs(blocks[:, :16]).reshape(15, 4, 4).sum(axis=1),
-                              np.abs(blocks[:, 16:]).reshape(15, 8, 8).sum(axis=1)), axis=1)
-    # real and imaginary parts interleaved, so that a real product views as complex
-    blocks = np.stack((blocks.real, blocks.imag), axis=-1).reshape(15, 160)
-
-    def norm(w, first):  # of sum_k w_k generators[first + k], w real
-        modulus = np.abs((w @ blocks[first:]).view(complex))
-        return np.maximum(np.einsum("nij->nj", modulus[:, :16].reshape(-1, 4, 4)).max(axis=1),
-                          np.einsum("nij->nj", modulus[:, 16:].reshape(-1, 8, 8)).max(axis=1))
-
-    # the bound of each interval's product, then its largest over each block
-    magnitude = np.abs(weights)
-    starts = np.arange(0, len(weights), _BLOCK_STEPS)
-    bounds = np.maximum.reduceat((magnitude @ columns).max(axis=1)
-                                 * (magnitude[:, 5:] @ columns[5:]).max(axis=1), starts)
-    worst = 0.0
-    for i in np.argsort(bounds)[::-1]:
-        if bounds[i] * (1.0 + _BOUND_MARGIN) <= worst:
-            break
-        w = weights[starts[i]:starts[i] + _BLOCK_STEPS]
-        worst = max(worst, float(np.max(norm(w, 0) * norm(w[:, 5:], 5))))
-    return worst
-
-
 def _substeps(weights: np.ndarray, generators: np.ndarray, rtol: float) -> int:
-    """Magnus substeps per grid interval, m = ceil((0.1 max_i |Omega_i|_1 |C_i|_1 / rtol)^(1/4)).
+    """Magnus substeps per grid interval, m = ceil((0.1 X / rtol)^(1/4)).
 
-    The step's local error goes as |Omega| |C| ~ h^5 (_largest_product); over
-    twenty drives the error of the whole flow stayed below
-    0.07 max_i |Omega_i| |C_i|, and m substeps divide it by about m^4.
+    X bounds max_i |Omega_i|_1 |C_i|_1 over the intervals with Magnus weights
+    `weights` (n, 15), Omega_i the one-step generator of interval i as a 16x16
+    matrix on the operators and C_i its commutator term.  The 1-norm of either
+    is the larger of those of its sector half A (the conjugate half has the
+    same) and its complement block, and by the triangle inequality every
+    column sum of |sum_k w_k G_k| is at most sum_k |w_k| times that column sum
+    of |G_k|: one (n, 15) product per factor.  The step's local error goes as
+    |Omega| |C| ~ h^5; over twenty drives the error of the whole flow stayed
+    below 0.07 max_i |Omega_i| |C_i|, and m substeps divide it by about m^4.
     """
-    return max(1, math.ceil((0.1 * _largest_product(weights, generators) / rtol) ** 0.25))
+    # the column sums of |G_k| on the sector half and on the complement block, (15, 12)
+    columns = np.concatenate(
+        (np.abs(generators[:, algebra.SECTOR_HALF0[:, None], algebra.SECTOR_HALF0]).sum(axis=1),
+         np.abs(generators[:, algebra.COMPLEMENT0[:, None], algebra.COMPLEMENT0]).sum(axis=1)),
+        axis=1)
+    magnitude = np.abs(weights)
+    bound = np.max((magnitude @ columns).max(axis=1) * (magnitude[:, 5:] @ columns[5:]).max(axis=1))
+    return max(1, math.ceil((0.1 * float(bound) / rtol) ** 0.25))
 
 
 def _prefix_products(maps: np.ndarray) -> np.ndarray:

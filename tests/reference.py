@@ -6,8 +6,8 @@ them: index tables for conjugation and populations, the density matrix of a
 state vector, the normally ordered noise table, the whole-sector views of
 the grid's 4x4 half, the explicit two-time kernel, the oracle's own build of
 the atomic generator, the oracle's generator built from sparse Kronecker
-products, the Lindblad lifts from np.kron, the Magnus substep sizing over
-every interval, the full 16x16 flow started at an arbitrary grid point, with
+products, the Lindblad lifts from np.kron, the exact maximum that the Magnus
+substep bound caps, the full 16x16 flow started at an arbitrary grid point, with
 the two-time kernels it gives, and the kernel quadrature and moment tables
 over the whole sector and the whole grid at once, which the library forms on
 the half and streams in row blocks.
@@ -213,10 +213,11 @@ def dissipator(rate: float, jump: np.ndarray) -> np.ndarray:
 
 
 def largest_product(weights: np.ndarray, generators: np.ndarray) -> float:
-    """propagator._largest_product with no bound: the exact norms of every interval.
+    """The exact max_i |Omega_i|_1 |C_i|_1, the X that propagator._substeps bounds.
 
-    Taken, as the bounded pass takes each block it keeps, over consecutive
-    row blocks of 64 intervals.
+    Omega_i is interval i's Magnus generator with weights `weights` (n, 15),
+    C_i its commutator term; each norm is the larger of those of the sector
+    half and the complement block.  Taken over row blocks of 64 intervals.
     """
     blocks = np.concatenate(
         (generators[:, SECTOR_HALF0[:, None], SECTOR_HALF0].reshape(15, 16),

@@ -180,26 +180,51 @@ DRIVE = st.one_of(
               detuning=DETUNING, chirp=st.one_of(st.just(0.0), CHIRP)))
 
 
+def _exact_rule(weights, generators, rtol):
+    """The substeps of the rule m = ceil((0.1 X / rtol)^(1/4)) at the exact maximum X."""
+    return max(1, math.ceil((0.1 * largest_product(weights, generators) / rtol) ** 0.25))
+
+
 @settings(max_examples=60, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
 @given(rates=st.tuples(RATE, RATE, RATE, RATE, RATE), pump=DRIVE, control=DRIVE,
        t_end=st.floats(0.1, 3.0), n=st.integers(2, 400), rtol=st.floats(1e-12, 1e-4))
 @example(rates=(1.0, 1.0, 1.0, 1.0, 0.0), pump=PulseSpec("cw", 5.0, detuning=-2.0),
          control=gauss_pulse(omega=0.0), t_end=3.0, n=1600, rtol=1e-8)  # every product is 0
-def test_pruned_substep_maximum_is_the_exhaustive_one(rates, pump, control, t_end, n, rtol):
-    """The bounded pass of _largest_product finds the largest exact product bit for bit.
+def test_substep_bound_is_at_least_the_exact_maximum(rates, pump, control, t_end, n, rtol):
+    """The triangle-inequality bound of _substeps is no less than the exact maximum X.
 
-    Also on the weights repeated, so that the maximum ties between two
-    intervals in two row blocks.
+    An exact norm passes its bound only by rounding, so the test allows a
+    relative 1e-12.  _substeps returns 2 or more exactly when its bound
+    exceeds 10 rtol, so at rtol = 0.1 X (1 - 1e-12) it returns at least 2
+    when the bound is at least X (1 - 1e-12).  Then it never takes fewer
+    substeps than the exact rule.
     """
     builder = DriftBuilder(AtomConfig(*rates), pump, control)
     times = np.linspace(0.0, t_end, n + 1)
     weights = propagator._magnus_weights(builder, times[:-1], times[1] - times[0])
-    for w in (weights, np.concatenate((weights, weights))):
-        exhaustive = largest_product(w, builder.generators)
-        assert propagator._largest_product(w, builder.generators) == exhaustive
-        assert (propagator._substeps(w, builder.generators, rtol)
-                == max(1, math.ceil((0.1 * exhaustive / rtol) ** 0.25)))
+    exact = largest_product(weights, builder.generators)
+    if exact > 0.0:
+        assert propagator._substeps(weights, builder.generators, 0.1 * exact * (1 - 1e-12)) >= 2
+    assert (propagator._substeps(weights, builder.generators, rtol)
+            >= _exact_rule(weights, builder.generators, rtol))
+
+
+def test_substep_bound_gives_the_exact_rule_on_every_preset():
+    """On all 26 time-dependent preset points at their 1600 intervals, m is the exact rule's.
+
+    So the bound changes no preset's flow, and no output, against the exact maximum.
+    """
+    points = [cfg for cfg in _preset_configs()
+              if not DriftBuilder(cfg.atom, cfg.pump, cfg.control).constant]
+    assert len(points) == 26
+    for cfg in points:
+        builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
+        times = np.linspace(0.0, cfg.t_end, cfg.grid_points + 1)
+        weights = propagator._magnus_weights(builder, times[:-1], times[1] - times[0])
+        assert cfg.grid_points == 1600
+        assert (propagator._substeps(weights, builder.generators, cfg.rtol)
+                == _exact_rule(weights, builder.generators, cfg.rtol)), cfg.label
 
 
 @pytest.mark.parametrize("atom, pump, control, t_end, n", [
@@ -237,40 +262,48 @@ def test_substep_rule_meets_rtol(atom, pump, control, t_end, n):
        control=st.builds(PulseSpec, shape=st.just("cw"), omega_peak=st.floats(0.0, 50.0),
                          detuning=DETUNING, chirp=CHIRP),
        t=st.floats(0.0, 3.0))
+@example(rates=(0.0, 0.0, 0.0, 2.2250738585e-313, 0.0), pump=gauss_pulse(omega=0.0),
+         control=PulseSpec("cw", 0.0), t=0.0)  # real_form is one subnormal ulp off
 def test_sector_halves_are_conjugate(rates, pump, control, t):
     """M_S = blockdiag(A, conj A) on (SECTOR_HALF0, SECTOR_CONJ0), exactly, for any drive.
 
     The Magnus flow chains only the half A and takes the other half as the
     conjugate; in the Hermitian coordinates M is real and block diagonal.
+    The two rounded comparisons allow 1e-12 max|M|, but never less than the
+    smallest subnormal: with subnormal rates that product underflows below
+    the spacing of the entries, which rounding can miss by one ulp.
     """
     builder = DriftBuilder(AtomConfig(*rates), pump, control)
     m = builder.entries(t)
     half, conj = SECTOR_HALF0, SECTOR_CONJ0
     assert np.array_equal(m[np.ix_(conj, conj)], m[np.ix_(half, half)].conj())
     assert not m[np.ix_(half, conj)].any() and not m[np.ix_(conj, half)].any()
+    atol = max(1e-12 * np.max(np.abs(m)), np.finfo(float).smallest_subnormal)
     real = real_form(m)
     a = m[np.ix_(half, half)]
     assert np.allclose(real[:8, :8], np.block([[a.real, -a.imag], [a.imag, a.real]]),
-                       rtol=0.0, atol=1e-12 * np.max(np.abs(m)))
+                       rtol=0.0, atol=atol)
     assert not real[:8, 8:].any() and not real[8:, :8].any()
     # the drive decomposition the Magnus steps weigh gives the same M
     weights = builder.coefficients(np.array([t]))[0]
-    assert np.allclose(np.tensordot(weights, builder.generators[:5], 1), m,
-                       rtol=0.0, atol=1e-12 * np.max(np.abs(m)))
+    assert np.allclose(np.tensordot(weights, builder.generators[:5], 1), m, rtol=0.0, atol=atol)
 
 
-def test_constant_drive_presets():
-    """A wrong classification would write a silently wrong CSV."""
-    constant = set()
+def _preset_configs():
+    """Every scenario of every preset, each scan point as its own scenario."""
     for name in PRESET_NAMES:
         chosen = preset(name)
         if chosen.kind == "scan":
             scan = chosen.scan.scan
-            cfgs = [apply_override(chosen.scan, scan.parameter, v) for v in scan.values]
+            yield from (apply_override(chosen.scan, scan.parameter, v) for v in scan.values)
         else:
-            cfgs = chosen.scenarios
-        constant.update(cfg.label for cfg in cfgs
-                        if DriftBuilder(cfg.atom, cfg.pump, cfg.control).constant)
+            yield from chosen.scenarios
+
+
+def test_constant_drive_presets():
+    """A wrong classification would write a silently wrong CSV."""
+    constant = {cfg.label for cfg in _preset_configs()
+                if DriftBuilder(cfg.atom, cfg.pump, cfg.control).constant}
     assert constant == {"fig2a", "fig5_cw", "fig7a", "fig7c", "fig7d"}
 
 
