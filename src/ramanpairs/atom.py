@@ -100,16 +100,15 @@ class DriftBuilder:
     M(t) = static + Omega_p(t) P + conj(Omega_p(t)) P* part
                   + Omega_c(t) C + conj(Omega_c(t)) C* part,
     where the four drive matrices come from lifting the unit coupling
-    operators.  Only the complex Rabi amplitudes vary with time.  The
-    time-independent part (detunings, decay, dephasing) is the read-only
-    array ``static``.  `entries` evaluates M at one time.
+    operators and the static part holds the detunings, decay and dephasing.
+    Only the complex Rabi amplitudes vary with time.
 
     The same sum over the real `coefficients` (1, Re Omega_p, Im Omega_p,
     Re Omega_c, Im Omega_c) has five pieces G_k that each preserve
     Hermiticity (real in the coordinates of algebra.HERMITIAN).
     ``generators`` holds them, then their ten commutators [G_k, G_l] in the
     order of GENERATOR_PAIRS: every Magnus step of the propagator is a real
-    combination of these fifteen.
+    combination of these fifteen.  `entries` evaluates M at one time.
     """
 
     def __init__(self, atom: AtomConfig, pump: PulseSpec, control: PulseSpec):
@@ -118,13 +117,11 @@ class DriftBuilder:
         self.control = control
         # h = diag(-Delta_c, 0, 0, -Delta_p) over the levels a, b, c, d
         detuning = np.diag([-control.detuning, 0.0, 0.0, -pump.detuning])
-        self.static = algebra.lift(detuning) + dissipation(atom)
-        self.static.flags.writeable = False
-        # rows match the coefficients (1, Omega_p, Omega_c, conj Omega_p, conj Omega_c);
+        static = algebra.lift(detuning) + dissipation(atom)
+        # the parts multiplying Omega_p, Omega_c, conj Omega_p, conj Omega_c;
         # the interaction enters h with a minus sign
-        drives = [algebra.lift(-algebra.op(x, y)) for x, y in ("dc", "ab", "cd", "ba")]
-        self._affine = np.stack([self.static, *drives]).reshape(5, 256)
-        static, pump_p, pump_c, conj_p, conj_c = self._affine.reshape(5, 16, 16)
+        pump_p, pump_c, conj_p, conj_c = (algebra.lift(-algebra.op(x, y))
+                                          for x, y in ("dc", "ab", "cd", "ba"))
         pieces = np.stack([static, pump_p + conj_p, 1j * (pump_p - conj_p),
                            pump_c + conj_c, 1j * (pump_c - conj_c)])
         k, l = GENERATOR_PAIRS
@@ -145,10 +142,7 @@ class DriftBuilder:
 
     def entries(self, t: float) -> np.ndarray:
         """M(t) at a scalar time t, shape (16, 16)."""
-        om_p = rabi(self.pump, t)
-        om_c = rabi(self.control, t)
-        coeffs = np.array([1.0, om_p, om_c, om_p.conjugate(), om_c.conjugate()])
-        return np.dot(coeffs, self._affine).reshape(16, 16)
+        return np.tensordot(self.coefficients(np.asarray(float(t))), self.generators[:5], 1)
 
 
 def state_vector(rho: np.ndarray) -> np.ndarray:

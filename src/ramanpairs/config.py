@@ -52,7 +52,7 @@ import numpy as np
 from .atom import AtomConfig
 from .errors import ConfigError, check_tolerances
 from .oracle import OracleConfig
-from .propagator import DEFAULT_RTOL
+from .propagator import DEFAULT_RTOL, MIN_RTOL
 from .pulses import PulseSpec
 
 OUTPUT_GROUPS = ("gcs", "duan", "moments", "noise_split", "relate")
@@ -94,6 +94,8 @@ class ScenarioConfig:
         if bad:
             raise ConfigError(f"[run] outputs: unknown group(s) {bad}, expected from {OUTPUT_GROUPS}")
         check_tolerances("[run] ", rtol=self.rtol)
+        if self.rtol < MIN_RTOL:
+            raise ConfigError(f"[run] rtol: must be >= {MIN_RTOL:.3g}, got {self.rtol}")
         # the label names the output files, so it must stay inside the output directory
         if self.label in ("", ".", "..") or any(sep in self.label for sep in "/\\"):
             raise ConfigError(f"[run] label: must be a file name without '/' or '\\' and "

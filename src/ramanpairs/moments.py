@@ -16,7 +16,9 @@ slot pairs at once as an (n_points, 4, 4) table:
 
 because initial operators are uncorrelated with later noise and the initial
 modes are statistically independent and unsqueezed.  MomentSeries picks its
-six moments and the two means c_r S(t) X(0) out of these tables.
+three moments and the two means c_r S(t) X(0) out of these tables.  The
+other three, <a_q a_k^dag>, <a_k^2> and <a_q^2>, sit on the conj x conj and
+half x half slot blocks, which the selection rules below leave at exact zero.
 
 The backaction part exists because the atomic operators inside dA_u carry,
 at first order in the couplings, products A_p(0) C_p X of initial field
@@ -122,15 +124,12 @@ class SplitMoment:
 
 @dataclass
 class MomentSeries:
-    """The eight ladder moments on the grid, pair moments carrying their splits."""
+    """The nonzero ladder moments on the grid, pair moments carrying their splits."""
 
     times: np.ndarray
     pair: SplitMoment        # <a_q a_k>
-    cross: SplitMoment       # <a_q a_k^dag>
     n_k: SplitMoment         # <a_k^dag a_k>
     n_q: SplitMoment         # <a_q^dag a_q>
-    square_k: SplitMoment    # <a_k^2>
-    square_q: SplitMoment    # <a_q^2>
     mean_k: np.ndarray       # <a_k>
     mean_q: np.ndarray       # <a_q>
 
@@ -212,11 +211,8 @@ def compute_moments(atom: AtomConfig, grid: PropagatorGrid,
     return MomentSeries(
         times=grid.times,
         pair=split(AQ, AK),
-        cross=split(AQ, AK_DAG),
         n_k=split(AK_DAG, AK),
         n_q=split(AQ_DAG, AQ),
-        square_k=split(AK, AK),
-        square_q=split(AQ, AQ),
         mean_k=means[:, AK],
         mean_q=means[:, AQ],
     )

@@ -6,13 +6,15 @@ matters for a single emitter:
 * The Cauchy-Schwarz correlation comes from the Gaussian decorrelation of
   the fourth-order coincidence products,
 
-      g_cs = (|<a_q a_k>|^2 + |<a_q^dag a_k>|^2 + n_k n_q)
-             / sqrt[(|<a_k^2>|^2 + 2 n_k^2)(|<a_q^2>|^2 + 2 n_q^2)],
+      g_cs = (|<a_q a_k>|^2 + n_k n_q) / sqrt[(2 n_k^2)(2 n_q^2)],
 
   which is justified by the linearity of the operator solutions in their
   Gaussian inputs.  That premise covers exactly the linear (boundary +
   noise + initial) content of each moment, so g_cs, the normalized
-  correlation g2 and the phase relation below consume the `linear` family.
+  correlation g2 and the pair phase consume the `linear` family.  The
+  decorrelation's other terms, |<a_q a_k^dag>|^2 in the numerator and
+  |<a_k^2>|^2, |<a_q^2>|^2 in the denominator, are zero by the selection
+  rules of the moments module.
 
 * The entanglement witness D is a statement about actual quadrature
   variances and is sufficient for any state, so it consumes the full
@@ -49,8 +51,6 @@ class ObservableSeries:
     duan_d_optimized: np.ndarray
     g2: np.ndarray
     phi_kq: np.ndarray
-    relate_residual: np.ndarray
-    relate_certified: np.ndarray
     noise_fraction_k: np.ndarray
     noise_fraction_q: np.ndarray
 
@@ -58,7 +58,7 @@ class ObservableSeries:
 def _linear_family(ms: MomentSeries):
     n_k = ms.n_k.linear.real
     n_q = ms.n_q.linear.real
-    return n_k, n_q, ms.pair.linear, ms.cross.linear, ms.square_k.linear, ms.square_q.linear
+    return n_k, n_q, ms.pair.linear
 
 
 def _centered_total(ms: MomentSeries):
@@ -72,10 +72,9 @@ def _centered_total(ms: MomentSeries):
 
 def cauchy_schwarz(ms: MomentSeries):
     """g_cs series plus the defined-flags where the denominator is above CS_FLOOR."""
-    n_k, n_q, pair, cross, sq_k, sq_q = _linear_family(ms)
-    num = np.abs(pair) ** 2 + np.abs(cross) ** 2 + n_k * n_q
-    den = np.sqrt((np.abs(sq_k) ** 2 + 2.0 * n_k**2)
-                  * (np.abs(sq_q) ** 2 + 2.0 * n_q**2))
+    n_k, n_q, pair = _linear_family(ms)
+    num = np.abs(pair) ** 2 + n_k * n_q
+    den = np.sqrt((2.0 * n_k**2) * (2.0 * n_q**2))
     defined = den > CS_FLOOR
     g = np.full_like(den, np.nan)
     np.divide(num, den, out=g, where=defined)
@@ -89,30 +88,19 @@ def duan(ms: MomentSeries):
     return base + 4.0 * pair.real, base - 4.0 * np.abs(pair)
 
 
-def relate_check(ms: MomentSeries):
-    """Residual of the D <-> g2 phase relation, with its certification mask.
+def g2_phase(ms: MomentSeries):
+    """Normalized correlation g2 = 1 + |<a_q a_k>|^2 / (n_k n_q) and the pair phase phi_kq.
 
-    The relation reconstructs the Gaussian-family D from the normalized
-    correlation and the pair phase; it closes exactly only where the
-    phase-insensitive cross moment <a_q^dag a_k> vanishes, so the residual
-    is certified small on that set and merely reported elsewhere.  The whole
-    identity lives inside the linear family.  g2 and the certificate are
-    decided only where n_k n_q > CS_FLOOR; below it g2 reads NaN and the
-    flag False, so a product at rounding level, which may come out of either
-    sign, decides neither.
+    With them the linear-family D reads
+    2 (1 + n_k + n_q) + 4 sqrt(n_k n_q (g2 - 1)) cos phi_kq.
+    g2 is decided only where n_k n_q > CS_FLOOR; below it g2 reads NaN, so a
+    product at rounding level, which may come out of either sign, decides nothing.
     """
-    n_k, n_q, pair, cross, _, _ = _linear_family(ms)
+    n_k, n_q, pair = _linear_family(ms)
     prod = n_k * n_q
-    defined = prod > CS_FLOOR
     g2 = np.full_like(prod, np.nan)
-    np.divide(np.abs(pair) ** 2 + np.abs(cross) ** 2 + prod, prod, out=g2, where=defined)
-    phi = np.angle(pair)
-    excess = np.sqrt(np.abs(pair) ** 2 + np.abs(cross) ** 2)
-    d_formula = 2.0 * (1.0 + n_k + n_q + 2.0 * excess * np.cos(phi))
-    d_linear = 2.0 + 2.0 * n_k + 2.0 * n_q + 4.0 * pair.real
-    residual = np.abs(d_formula - d_linear)
-    certified = defined & (np.abs(cross) < 1e-10 * np.sqrt(np.abs(prod)))
-    return residual, certified, g2, phi
+    np.divide(np.abs(pair) ** 2 + prod, prod, out=g2, where=prod > CS_FLOOR)
+    return g2, np.angle(pair)
 
 
 def noise_fractions(ms: MomentSeries):
@@ -133,7 +121,7 @@ def noise_fractions(ms: MomentSeries):
 def assemble_observables(ms: MomentSeries) -> ObservableSeries:
     g_cs, cs_defined = cauchy_schwarz(ms)
     duan_d, duan_opt = duan(ms)
-    residual, certified, g2, phi = relate_check(ms)
+    g2, phi = g2_phase(ms)
     frac_k, frac_q = noise_fractions(ms)
     return ObservableSeries(
         times=ms.times,
@@ -145,8 +133,6 @@ def assemble_observables(ms: MomentSeries) -> ObservableSeries:
         duan_d_optimized=duan_opt,
         g2=g2,
         phi_kq=phi,
-        relate_residual=residual,
-        relate_certified=certified,
         noise_fraction_k=frac_k,
         noise_fraction_q=frac_q,
     )

@@ -69,6 +69,9 @@ MAX_CONDITION = 1e11
 # every time-dependent preset point then takes one substep per interval but
 # fig3b's (2-4)
 DEFAULT_RTOL = 1e-8
+# The smallest [run] rtol: 100 float64 eps, SciPy's floor for solve_ivp.  The
+# substeps grow as rtol^(-1/4); at rtol 1e-30 fig2b would take 194,026 per interval.
+MIN_RTOL = 100 * np.finfo(float).eps
 
 # positions in SECTOR_HALF0 of the source rows ac and bd; the other two, ca and
 # db, are their conjugates and sit at the same positions of SECTOR_CONJ0

@@ -95,14 +95,10 @@ def run_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
     return ScanResult(cfg, [_scan_point(job) for job in jobs])
 
 
-_MOMENT_COLUMNS = (
-    ("aq_ak", "pair"), ("aq_akdag", "cross"), ("ak_sq", "square_k"), ("aq_sq", "square_q"),
-)
-
 _GROUP_COLUMNS = {
     "gcs": ("g_cs", "cs_defined"),
     "duan": ("duan_d", "duan_d_optimized"),
-    "relate": ("g2", "phi_kq", "relate_residual", "relate_certified"),
+    "relate": ("g2", "phi_kq"),
 }
 
 
@@ -123,14 +119,10 @@ def scenario_table(result: ScenarioResult) -> dict[str, np.ndarray]:
             table[f"noise_fraction_{name[-1]}"] = getattr(obs, f"noise_fraction_{name[-1]}")
 
     if "moments" in cfg.outputs:
-        for col, attr in _MOMENT_COLUMNS:
-            split = getattr(ms, attr)
-            for suffix, values in (("", split.total), ("_linear", split.linear)):
-                table[f"re_{col}{suffix}"] = values.real
-                table[f"im_{col}{suffix}"] = values.imag
-        for col, mean in (("ak", ms.mean_k), ("aq", ms.mean_q)):
-            table[f"re_{col}_mean"] = mean.real
-            table[f"im_{col}_mean"] = mean.imag
+        for col, values in (("aq_ak", ms.pair.total), ("aq_ak_linear", ms.pair.linear),
+                            ("ak_mean", ms.mean_k), ("aq_mean", ms.mean_q)):
+            table[f"re_{col}"] = values.real
+            table[f"im_{col}"] = values.imag
 
     for group in ("gcs", "duan", "relate"):
         if group in cfg.outputs:

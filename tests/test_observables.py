@@ -4,10 +4,12 @@ import pytest
 from ramanpairs.atom import AtomConfig
 from ramanpairs.moments import MomentSeries, SplitMoment, compute_moments
 from ramanpairs.noise import diffusion_table
-from ramanpairs.observables import (assemble_observables, cauchy_schwarz, duan,
-                                    noise_fractions, relate_check)
+from ramanpairs.observables import (assemble_observables, cauchy_schwarz, duan, g2_phase,
+                                    noise_fractions)
+from ramanpairs.presets import preset
 from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.pulses import PulseSpec
+from ramanpairs.runner import run_scenario
 
 from conftest import gauss_pulse, rho_symmetric
 
@@ -16,17 +18,14 @@ def _series(n, value=0.0):
     return np.full(n, value, dtype=complex)
 
 
-def _manual_moments(n=5, *, pair=0.0, cross=0.0, n_k=0.0, n_q=0.0,
-                    sq_k=0.0, sq_q=0.0, mean_k=0.0, mean_q=0.0):
+def _manual_moments(n=5, *, pair=0.0, n_k=0.0, n_q=0.0, mean_k=0.0, mean_q=0.0):
     def split(total):
         return SplitMoment(boundary=_series(n, total), noise=_series(n),
                            backaction=_series(n), initial=0.0)
 
     return MomentSeries(
         times=np.linspace(0.0, 1.0, n),
-        pair=split(pair), cross=split(cross),
-        n_k=split(n_k), n_q=split(n_q),
-        square_k=split(sq_k), square_q=split(sq_q),
+        pair=split(pair), n_k=split(n_k), n_q=split(n_q),
         mean_k=_series(n, mean_k), mean_q=_series(n, mean_q))
 
 
@@ -97,50 +96,55 @@ def test_duan_cancellation_symbolically():
 
 
 def test_duan_matches_numeric_covariance():
+    """Var(u) + Var(v) from the covariances of x_k, x_q, p_k, p_q, no squeezing or cross moment."""
     rng = np.random.default_rng(11)
     pair = complex(rng.normal(), rng.normal()) * 0.03
-    cross = complex(rng.normal(), rng.normal()) * 0.02
-    sq_k = complex(rng.normal(), rng.normal()) * 0.04
-    sq_q = complex(rng.normal(), rng.normal()) * 0.04
     n_k, n_q = 0.21, 0.13
-    ms = _manual_moments(pair=pair, cross=cross, n_k=n_k, n_q=n_q, sq_k=sq_k, sq_q=sq_q)
-
-    def x_var(n, sq):
-        return 0.5 * (2 * n + 1) + sq.real
-
-    def p_var(n, sq):
-        return 0.5 * (2 * n + 1) - sq.real
-
-    direct = (x_var(n_k, sq_k) + x_var(n_q, sq_q) + 2 * (pair.real + cross.real)
-              + p_var(n_k, sq_k) + p_var(n_q, sq_q) - 2 * (-pair.real + cross.real))
+    ms = _manual_moments(pair=pair, n_k=n_k, n_q=n_q)
+    var_k, var_q = 0.5 * (2 * n_k + 1), 0.5 * (2 * n_q + 1)  # Var x = Var p in each mode
+    cov_x, cov_p = pair.real, -pair.real  # Cov(x_k, x_q), Cov(p_k, p_q)
+    direct = (var_k + var_q + 2 * cov_x) + (var_k + var_q - 2 * cov_p)
     d, _ = duan(ms)
     assert d[0] == pytest.approx(direct, rel=1e-12)
 
 
+def _relate_residual(ms):
+    """|D_linear - 2(1 + n_k + n_q) - 4 sqrt(n_k n_q (g2 - 1)) cos phi_kq|, NaN where g2 is."""
+    n_k, n_q, pair = ms.n_k.linear.real, ms.n_q.linear.real, ms.pair.linear
+    g2, phi = g2_phase(ms)
+    d_linear = 2.0 + 2.0 * n_k + 2.0 * n_q + 4.0 * pair.real
+    return np.abs(2.0 * (1.0 + n_k + n_q) + 4.0 * np.sqrt(n_k * n_q * (g2 - 1.0)) * np.cos(phi)
+                  - d_linear)
+
+
 def test_relate_identity_exact_when_cross_vanishes():
+    """The D <-> g2 relation closes with the cross moment <a_q a_k^dag> at zero, as it always is."""
     ms = _manual_moments(pair=-0.07, n_k=0.2, n_q=0.3)
-    residual, certified, g2, phi = relate_check(ms)
-    assert certified.all()
-    assert np.max(residual) < 1e-8
+    g2, phi = g2_phase(ms)
+    assert np.max(_relate_residual(ms)) < 1e-14
     assert np.allclose(phi, np.pi)
     assert np.allclose(g2, 1.0 + 0.07**2 / (0.2 * 0.3))
 
 
-def test_relate_residual_reported_with_cross_moment():
-    ms = _manual_moments(cross=0.05, n_k=0.2, n_q=0.3)
-    residual, certified, _, _ = relate_check(ms)
-    assert not certified.any()
-    assert np.min(residual) > 0.0
+def test_relate_identity_on_fig2b():
+    """The linear-family D of fig2b is 2(1 + n_k + n_q) + 4 sqrt(n_k n_q (g2 - 1)) cos phi_kq.
+
+    To a few ulp of D ~ 2 (4.4e-16 seen), wherever g2 is defined.
+    """
+    (cfg,) = preset("fig2b").scenarios
+    ms = run_scenario(cfg).moments
+    residual = _relate_residual(ms)
+    assert np.isfinite(residual).sum() > 1000
+    assert np.nanmax(residual) < 1e-14
 
 
 @pytest.mark.parametrize("n_q", [1e-35, -1e-35])
 def test_relate_undecided_at_rounding_level_photon_numbers(n_q):
-    """n_k n_q below CS_FLOOR decides neither g2 nor the flag, whatever the sign of n_q."""
+    """n_k n_q below CS_FLOOR leaves g2 undecided (NaN), whatever the sign of n_q."""
     ms = _manual_moments(n_k=7.7e-13, n_q=n_q)
-    residual, certified, g2, _ = relate_check(ms)
-    assert not certified.any()
+    g2, phi = g2_phase(ms)
     assert np.isnan(g2).all()
-    assert np.isfinite(residual).all()
+    assert np.isfinite(phi).all()
 
 
 def test_noise_fraction_flags_undefined_with_decoupled_modes():
@@ -192,9 +196,8 @@ def test_assembled_series_shapes_consistent(small_driven_run):
     *_, ms, obs = small_driven_run
     n = len(ms.times)
     for name in ("n_k", "n_q", "g_cs", "duan_d", "duan_d_optimized", "g2",
-                 "phi_kq", "relate_residual", "noise_fraction_k", "noise_fraction_q"):
+                 "phi_kq", "noise_fraction_k", "noise_fraction_q"):
         assert getattr(obs, name).shape == (n,)
     assert obs.cs_defined.dtype == bool
-    assert obs.relate_certified.dtype == bool
     assert obs.duan_d.min() >= 0.0
     assert np.all(obs.duan_d_optimized <= obs.duan_d + 1e-14)

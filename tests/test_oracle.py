@@ -124,12 +124,30 @@ def test_joint_trace_and_moment_agreement_small_window():
     sel = slice(None, None, 25)
     for name, pipe, orc in (("n_k", ms.n_k.total[sel], out.n_k),
                             ("n_q", ms.n_q.total[sel], out.n_q),
-                            ("pair", ms.pair.total[sel], out.pair),
-                            ("cross", ms.cross.total[sel], out.cross),
-                            ("square_k", ms.square_k.total[sel], out.square_k),
-                            ("square_q", ms.square_q.total[sel], out.square_q)):
+                            ("pair", ms.pair.total[sel], out.pair)):
         scale = max(np.abs(orc).max(), 1e-12)
         assert np.max(np.abs(pipe - orc)) < 0.02 * scale, name
+
+
+def test_conversion_and_squeezing_moments_vanish_in_the_oracle():
+    """<a_q a_k^dag>, <a_k^2> and <a_q^2>, which the pipeline does not carry, are zero here too.
+
+    A coherent thermal atom with chirped, detuned pulses: rho0 has ab, ac and
+    bd coherences, so the means are live, and both modes start thermal.
+    """
+    rho = np.diag([0.1, 0.4, 0.4, 0.1]).astype(complex)
+    for (i, j), value in (((0, 1), 0.1 + 0.05j), ((0, 2), 0.08j), ((1, 3), 0.1 - 0.04j)):
+        rho[i, j], rho[j, i] = value, np.conj(value)
+    atom = AtomConfig(gamma_ab=0.9, gamma_ac=1.1, gamma_db=1.0, gamma_dc=0.7, gamma_bc=0.4,
+                      n_th_k=0.05, n_th_q=0.02, rho0=rho)
+    pump = gauss_pulse(omega=8.0, center=0.4, width=0.15, detuning=-2.0, chirp=3.0)
+    control = gauss_pulse(omega=5.0, center=0.5, width=0.2, detuning=1.0, chirp=-4.0)
+    out = oracle_moments(atom, pump, control, np.linspace(0.0, 0.8, 9),
+                         OracleConfig(cutoff_k=6, cutoff_q=6, g_k=0.05, g_q=0.05, dim_cap=256))
+    assert np.abs(out.mean_k).max() > 1e-3
+    scale = np.abs(out.n_k).max()
+    for name in ("cross", "square_k", "square_q"):
+        assert np.abs(getattr(out, name)).max() <= 1e-12 * scale, name
 
 
 def _full_space_moments(atom, pump, control, times, cfg):

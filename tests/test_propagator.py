@@ -191,6 +191,13 @@ def _exact_rule(weights, generators, rtol):
        t_end=st.floats(0.1, 3.0), n=st.integers(2, 400), rtol=st.floats(1e-12, 1e-4))
 @example(rates=(1.0, 1.0, 1.0, 1.0, 0.0), pump=PulseSpec("cw", 5.0, detuning=-2.0),
          control=gauss_pulse(omega=0.0), t_end=3.0, n=1600, rtol=1e-8)  # every product is 0
+# subnormal X: a probe at 0.1 X (1 - 1e-12) would round to 0.1 X
+@example(rates=(0.0,) * 5, pump=PulseSpec("cw", 0.0),
+         control=PulseSpec("cw", 1.0, chirp=2.2250738585072014e-308), t_end=0.5, n=3,
+         rtol=8.285490465418656e-06)
+@example(rates=(0.0, 0.0, 0.0, 0.0, 1.0), pump=PulseSpec("cw", 0.0),
+         control=gauss_pulse(omega=2.225073858507e-311, center=0.0, width=1.0), t_end=1.0, n=2,
+         rtol=7.294615119082055e-05)
 def test_substep_bound_is_at_least_the_exact_maximum(rates, pump, control, t_end, n, rtol):
     """The triangle-inequality bound of _substeps is no less than the exact maximum X.
 
@@ -198,13 +205,14 @@ def test_substep_bound_is_at_least_the_exact_maximum(rates, pump, control, t_end
     relative 1e-12.  _substeps returns 2 or more exactly when its bound
     exceeds 10 rtol, so at rtol = 0.1 X (1 - 1e-12) it returns at least 2
     when the bound is at least X (1 - 1e-12).  Then it never takes fewer
-    substeps than the exact rule.
+    substeps than the exact rule.  The probe needs 0.1 X to be a normal
+    float: below that a relative 1e-12 is less than one ulp.
     """
     builder = DriftBuilder(AtomConfig(*rates), pump, control)
     times = np.linspace(0.0, t_end, n + 1)
     weights = propagator._magnus_weights(builder, times[:-1], times[1] - times[0])
     exact = largest_product(weights, builder.generators)
-    if exact > 0.0:
+    if exact >= 10.0 * np.finfo(float).tiny:
         assert propagator._substeps(weights, builder.generators, 0.1 * exact * (1 - 1e-12)) >= 2
     assert (propagator._substeps(weights, builder.generators, rtol)
             >= _exact_rule(weights, builder.generators, rtol))
