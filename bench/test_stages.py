@@ -8,12 +8,13 @@ under perfbench/ pins it:
 Each stage of ``run_scenario`` is timed on its own: the propagator grid build,
 the diffusion map, the moment assembly, the observables, the scenario CSV
 write, and the whole ``run_scenario``.  Every such stage runs on fig2a
-(constant drives, exact flow), fig2b (Gaussian pulses, Magnus step maps) and
-fig4c (opposite chirps), at the presets' 1600 intervals; the grid build runs
-also on fig6b's strongest scan point, Rabi frequency 50.  Inside the grid
-build, the Magnus substep sizing (the weights of every interval, then
-``_substeps``) is timed on its own on the three time-dependent drives fig2b,
-fig4c and fig6b at 50.  Three stages stand outside a scenario run:
+(constant drives, every interval quiet), fig2b (Gaussian pulses, Magnus step
+maps where they act) and fig4c (opposite chirps), at the presets' 1600
+intervals; the grid build runs also on fig6b's strongest scan point, Rabi
+frequency 50 (no quiet interval), and on fig3b's at Rabi frequency 30 (four
+substeps per driven interval).  Inside the grid build, the Magnus substep
+sizing (the weights of every interval, then ``_substeps``) is timed on its
+own on the three time-dependent drives fig2b, fig4c and fig6b at 50.  Three stages stand outside a scenario run:
 ``import ramanpairs.cli`` in a fresh interpreter, one oracle run (fig2b on the
 thinned grid of ``run_verification`` under the default ``[verify]``), and one
 serial scan (fig6b at 200 intervals).  The tier-1 suite does not collect this
@@ -67,6 +68,12 @@ def _strong_drive():
     return apply_override(preset("fig6b").scan, "both.omega_peak", 50.0)
 
 
+@functools.cache
+def _many_substeps():
+    """fig3b at Rabi frequency 30, the preset point that takes the most substeps."""
+    return apply_override(preset("fig3b").scan, "both.omega_peak", 30.0)
+
+
 def _grid(cfg):
     return build_propagator_grid(cfg.atom, cfg.pump, cfg.control, t_end=cfg.t_end,
                                  n_intervals=cfg.grid_points, rtol=cfg.rtol)
@@ -74,7 +81,7 @@ def _grid(cfg):
 
 def _substep_sizing(builder, times, rtol):
     weights = propagator._magnus_weights(builder, times[:-1], times[1] - times[0])
-    return propagator._substeps(weights, builder.generators, rtol)
+    return propagator._substeps(weights, propagator._column_sums(builder.generators), rtol)
 
 
 def test_import(benchmark):
@@ -98,6 +105,12 @@ def test_grid_build_strong_drive(benchmark):
     benchmark.group = "grid build"
     grid = benchmark(_grid, _strong_drive())
     assert len(grid.times) == _strong_drive().grid_points + 1
+
+
+def test_grid_build_many_substeps(benchmark):
+    benchmark.group = "grid build"
+    grid = benchmark(_grid, _many_substeps())
+    assert len(grid.times) == _many_substeps().grid_points + 1
 
 
 @pytest.mark.parametrize("name", ["fig2b", "fig4c", "fig6b-50"])

@@ -127,12 +127,6 @@ class DriftBuilder:
         k, l = GENERATOR_PAIRS
         self.generators = np.concatenate((pieces, pieces[k] @ pieces[l] - pieces[l] @ pieces[k]))
 
-    @property
-    def constant(self) -> bool:
-        """True when M does not depend on time: both drives cw and unchirped."""
-        return all(spec.shape == "cw" and spec.chirp == 0.0
-                   for spec in (self.pump, self.control))
-
     def coefficients(self, t: np.ndarray) -> np.ndarray:
         """Weights of the first five ``generators`` at each time of t, shape (len(t), 5)."""
         om_p = rabi(self.pump, t)

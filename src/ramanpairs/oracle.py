@@ -98,11 +98,9 @@ def _field_ops(dim_k: int, dim_q: int) -> tuple[sparse.csr_array, sparse.csr_arr
     """Annihilators a_k, a_q on the Stokes (dim_k) x anti-Stokes (dim_q) space."""
     from scipy import sparse
 
-    def destroy(dim):
-        return sparse.diags_array(np.sqrt(np.arange(1.0, dim)), offsets=1)
-
-    return (sparse.kron(destroy(dim_k), sparse.eye_array(dim_q), format="csr"),
-            sparse.kron(sparse.eye_array(dim_k), destroy(dim_q), format="csr"))
+    a_k, a_q = (np.diag(np.sqrt(np.arange(1.0, dim)), 1) for dim in (dim_k, dim_q))
+    return (sparse.csr_array(np.kron(a_k, np.eye(dim_q))),
+            sparse.csr_array(np.kron(np.eye(dim_k), a_q)))
 
 
 def _thermal(dim: int, n_th: float) -> np.ndarray:

@@ -26,13 +26,14 @@ Every drive gets the flow from fourth-order Magnus step maps
 (_magnus_chain): each interval's map is the exponential of
 Omega = (h/2)(M_1 + M_2) + (sqrt(3)/12) h^2 [M_2, M_1] at its two Gauss
 nodes, substepped so that the flow meets rtol (_substeps), and the grid
-values are the running products of those maps.  A constant M (both drives
-cw and unchirped) has one map, exp(M h) exactly, and the grid values are its
-powers.  Only U_A is chained, in real arithmetic (algebra.real_form), with
-the complement carrying X(0) alone; V is the batched 4x4 inverse of U_A, and
-the state follows from U_A, its conjugate and the complement.  Every
-exponential comes from _expm, a NumPy scaling-and-squaring Taylor sum, so no
-scenario run loads a scipy module.
+values are the running products of those maps.  A quiet interval, where no
+drive acts, takes the one map of h times M's time-independent part
+(_quiet), so a run of them is its powers; cw unchirped drives leave every
+interval quiet.  Only U_A is chained, in real arithmetic (algebra.real_form),
+with the complement carrying X(0) alone; V is the batched 4x4 inverse of
+U_A, and the state follows from U_A, its conjugate and the complement.
+Every exponential comes from _expm, a NumPy scaling-and-squaring Taylor
+sum, so no scenario run loads a scipy module.
 
 The inverse grows like exp(decay * t), so long windows lose the kernels to
 cancellation without any solver complaint.  The build therefore checks
@@ -186,27 +187,47 @@ def _magnus_weights(builder: DriftBuilder, starts: np.ndarray, step: float) -> n
                           axis=1)
 
 
-def _substeps(weights: np.ndarray, generators: np.ndarray, rtol: float) -> int:
-    """Magnus substeps per grid interval, m = ceil((0.1 X / rtol)^(1/4)).
+def _column_sums(generators: np.ndarray) -> np.ndarray:
+    """Column sums of |G_k| on the sector half and on the complement block, (12, 15).
 
-    X bounds max_i |Omega_i|_1 |C_i|_1 over the intervals with Magnus weights
-    `weights` (n, 15), Omega_i the one-step generator of interval i as a 16x16
-    matrix on the operators and C_i its commutator term.  The 1-norm of either
-    is the larger of those of its sector half A (the conjugate half has the
-    same) and its complement block, and by the triangle inequality every
-    column sum of |sum_k w_k G_k| is at most sum_k |w_k| times that column sum
-    of |G_k|: one (n, 15) product per factor.  The step's local error goes as
-    |Omega| |C| ~ h^5; over twenty drives the error of the whole flow stayed
-    below 0.07 max_i |Omega_i| |C_i|, and m substeps divide it by about m^4.
+    A 1-norm of sum_k w_k G_k is the larger of those of the sector half A (the
+    conjugate half has the same) and the complement block, so by the triangle
+    inequality the column maxima of this table @ |w|^T bound it for each row w
+    of a weight table (n, 15): one product for all n.
     """
-    # the column sums of |G_k| on the sector half and on the complement block, (15, 12)
-    columns = np.concatenate(
+    return np.concatenate(
         (np.abs(generators[:, algebra.SECTOR_HALF0[:, None], algebra.SECTOR_HALF0]).sum(axis=1),
          np.abs(generators[:, algebra.COMPLEMENT0[:, None], algebra.COMPLEMENT0]).sum(axis=1)),
-        axis=1)
-    magnitude = np.abs(weights)
-    bound = np.max((magnitude @ columns).max(axis=1) * (magnitude[:, 5:] @ columns[5:]).max(axis=1))
+        axis=1).T
+
+
+def _substeps(weights: np.ndarray, columns: np.ndarray, rtol: float) -> int:
+    """Magnus substeps per grid interval, m = ceil((0.1 X / rtol)^(1/4)); 1 for no interval.
+
+    X bounds max_i |Omega_i|_1 |C_i|_1 through `columns` (_column_sums) over
+    the intervals with Magnus weights `weights` (n, 15), Omega_i the one-step
+    generator of interval i as a 16x16 matrix and C_i its commutator term.
+    The step's local error goes as |Omega| |C| ~ h^5; over twenty drives the
+    error of the whole flow stayed below 0.07 max_i |Omega_i| |C_i|, and m
+    substeps divide it by about m^4.
+    """
+    magnitude = np.abs(weights).T
+    bound = np.max((columns @ magnitude).max(axis=0) * (columns[:, 5:] @ magnitude[5:]).max(axis=0),
+                   initial=0.0)
     return max(1, math.ceil((0.1 * float(bound) / rtol) ** 0.25))
+
+
+def _quiet(weights: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The steady generator's weights, (15,), and which intervals are quiet, (n,).
+
+    A weight with one value on every interval (the static piece, a cw unchirped
+    drive) keeps it in the steady generator, the others are 0.  An interval is
+    quiet when the _column_sums bound puts its generator within the unit
+    roundoff of the steady one; as |exp(X) - exp(Y)| <= |X - Y| e^max(|X|, |Y|),
+    its map is then exp(steady) to one rounding.
+    """
+    steady = np.where((weights == weights[0]).all(axis=0), weights[0], 0.0)
+    return steady, (columns @ np.abs(weights - steady).T).max(axis=0) <= _ROUNDOFF
 
 
 def _prefix_products(maps: np.ndarray) -> np.ndarray:
@@ -226,13 +247,14 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
                   rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """U_A(t_i, t_0), (n, 4, 4), and the complement y[8:] of HERMITIAN^-1 U(t_i, t_0) x0, (n, 8).
 
-    Each grid interval gets m equal substeps (_substeps), each map the
-    exponential of its Magnus generator in the real coordinates of
-    algebra.HERMITIAN, where it is block diagonal: R(A) on the sector, an
-    8x8 block on the complement.  A block of about _BLOCK_STEPS substeps
-    takes one batched _expm; the m maps of an interval multiply into one, and
-    the block's prefix products carry the chain on from its first point.  A
-    constant drive has one exact map, exp(M h), and the chain is its _orbit.
+    A run of quiet intervals (_quiet) is the _orbit of the one steady map.
+    Each driven interval gets m equal substeps (_substeps over the driven
+    intervals alone), each map the exponential of its Magnus generator in the
+    real coordinates of algebra.HERMITIAN, where it is block diagonal: R(A)
+    on the sector, an 8x8 block on the complement.  A block of about
+    _BLOCK_STEPS substeps takes one batched _expm; the m maps of an interval
+    multiply into one, and the block's prefix products carry the chain on
+    from its first point.
     The chain holds two things per grid point: the first four columns of the
     sector flow, [Re U_A; Im U_A], and the complement of y as its real and
     imaginary columns.  No per-substep table outlives its block.
@@ -246,20 +268,21 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
     chain[0, 0, :4] = np.eye(4)
     y0 = (algebra.HERMITIAN_INV @ x0)[8:]
     chain[0, 1, :, 0], chain[0, 1, :, 1] = y0.real, y0.imag
-    if builder.constant:  # every step map is the same exact exp(M h): no commutator term
-        step_map = _expm((_magnus_weights(builder, times[:1], step) @ basis).reshape(2, 8, 8))
-        _orbit(step_map, chain)
-    else:
-        weights = _magnus_weights(builder, times[:-1], step)
-        m = _substeps(weights, builder.generators, rtol)
-        per_block = max(1, _BLOCK_STEPS // m)
-        for start in range(0, n - 1, per_block):
-            stop = min(start + per_block, n - 1)
-            if m > 1:
-                starts = times[start:stop, None] + (step / m) * np.arange(m)
-                w = _magnus_weights(builder, starts.ravel(), step / m)
-            else:
-                w = weights[start:stop]
+    weights = _magnus_weights(builder, times[:-1], step)
+    columns = _column_sums(builder.generators)
+    steady, quiet = _quiet(weights, columns)
+    steady_map = _expm((steady @ basis).reshape(2, 8, 8)) if quiet.any() else None
+    m = _substeps(weights[~quiet], columns, rtol)
+    per_block = max(1, _BLOCK_STEPS // m)
+    edges = [0, *(np.flatnonzero(quiet[1:] != quiet[:-1]) + 1), n - 1]
+    for first, last in zip(edges[:-1], edges[1:]):
+        if quiet[first]:  # a run of quiet intervals: powers of the one steady map
+            _orbit(steady_map, chain[first:last + 1])
+            continue
+        for start in range(first, last, per_block):
+            stop = min(start + per_block, last)
+            starts = (times[start:stop, None] + (step / m) * np.arange(m)).ravel()
+            w = _magnus_weights(builder, starts, step / m) if m > 1 else weights[start:stop]
             maps = _expm((w @ basis).reshape(stop - start, m, 2, 8, 8))
             interval = _prefix_products(maps.swapaxes(0, 1))[-1]
             chain[start + 1:stop + 1] = _prefix_products(interval) @ chain[start]
@@ -273,10 +296,10 @@ def _solve_flow(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
                 rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """U_A(t_i, times[0]), the flow on algebra.SECTOR_HALF0, its inverse, and the state.
 
-    U_A and the complement come from the Magnus chain (exact for a constant
-    M, substepped to rtol otherwise); the inverse is the batched 4x4 inverse
-    of U_A, and the state is U_A x0 on SECTOR_HALF0, conj(U_A) x0 on
-    SECTOR_CONJ0 and the chained complement.
+    U_A and the complement come from the Magnus chain (exact where M is
+    steady, substepped to rtol where a drive acts); the inverse is the
+    batched 4x4 inverse of U_A, and the state is U_A x0 on SECTOR_HALF0,
+    conj(U_A) x0 on SECTOR_CONJ0 and the chained complement.
     """
     half, rest = _magnus_chain(builder, x0, times, rtol)
     state = np.empty((len(times), 16), dtype=complex)

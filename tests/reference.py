@@ -10,7 +10,9 @@ products, the Lindblad lifts from np.kron, the exact maximum that the Magnus
 substep bound caps, the full 16x16 flow started at an arbitrary grid point, with
 the two-time kernels it gives, and the kernel quadrature and moment tables
 over the whole sector and the whole grid at once, which the library forms on
-the half and streams in row blocks.
+the half and streams in row blocks.  Two Magnus chains restate the
+library's without quiet runs: every interval's own maps, and, for a constant
+drive, the orbit of one step map.
 """
 
 from __future__ import annotations
@@ -19,13 +21,15 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from ramanpairs.algebra import (COMPLEMENT0, LEVELS, SECTOR0, SECTOR_CONJ0, SECTOR_HALF0,
-                               SOURCE_ROWS, dagger, idx, pair_table)
+from ramanpairs.algebra import (COMPLEMENT0, HERMITIAN_INV, LEVELS, SECTOR0, SECTOR_CONJ0,
+                               SECTOR_HALF0, SOURCE_ROWS, dagger, idx, pair_table, real_form)
 from ramanpairs.atom import AtomConfig, DriftBuilder, state_vector
 from ramanpairs.moments import _STRUCTURES, _slot_factors
 from ramanpairs.noise import DiffusionTable
 from ramanpairs.oracle import _coefficients, _decay_ops, _field_ops, _level_op, _liouvillian
-from ramanpairs.propagator import PropagatorGrid, _cumulative_trapezoid
+from ramanpairs.propagator import (_BLOCK_STEPS, PropagatorGrid, _column_sums,
+                                   _cumulative_trapezoid, _expm, _magnus_weights, _orbit,
+                                   _prefix_products, _substeps)
 from ramanpairs.pulses import PulseSpec
 
 # 0-based conjugate index of each operator, and positions of the four populations |x><x|.
@@ -212,25 +216,91 @@ def dissipator(rate: float, jump: np.ndarray) -> np.ndarray:
     return rate * (np.kron(jump.conj(), jump) - 0.5 * (np.kron(n.T, eye) + np.kron(eye, n)))
 
 
+def constant_drive(builder: DriftBuilder) -> bool:
+    """True when M does not depend on time: both drives cw and unchirped."""
+    return all(spec.shape == "cw" and spec.chirp == 0.0 for spec in (builder.pump, builder.control))
+
+
+def generator_norms(weights: np.ndarray, generators: np.ndarray) -> np.ndarray:
+    """The exact 1-norm of sum_k w_k G_k for each row w of `weights` (n, k), over the first k.
+
+    The norm of the 16x16 matrix is the larger of those of its sector half
+    and its complement block.
+    """
+    first = generators.shape[0] - weights.shape[1]
+    blocks = np.concatenate(
+        (generators[first:, SECTOR_HALF0[:, None], SECTOR_HALF0].reshape(-1, 16),
+         generators[first:, COMPLEMENT0[:, None], COMPLEMENT0].reshape(-1, 64)), axis=1)
+    blocks = np.stack((blocks.real, blocks.imag), axis=-1).reshape(-1, 160)
+    modulus = np.abs((weights @ blocks).view(complex))
+    return np.maximum(np.einsum("nij->nj", modulus[:, :16].reshape(-1, 4, 4)).max(axis=1),
+                      np.einsum("nij->nj", modulus[:, 16:].reshape(-1, 8, 8)).max(axis=1))
+
+
 def largest_product(weights: np.ndarray, generators: np.ndarray) -> float:
     """The exact max_i |Omega_i|_1 |C_i|_1, the X that propagator._substeps bounds.
 
     Omega_i is interval i's Magnus generator with weights `weights` (n, 15),
-    C_i its commutator term; each norm is the larger of those of the sector
-    half and the complement block.  Taken over row blocks of 64 intervals.
+    C_i its commutator term, each norm from generator_norms.  Taken over row
+    blocks of 64 intervals.
     """
-    blocks = np.concatenate(
-        (generators[:, SECTOR_HALF0[:, None], SECTOR_HALF0].reshape(15, 16),
-         generators[:, COMPLEMENT0[:, None], COMPLEMENT0].reshape(15, 64)), axis=1)
-    blocks = np.stack((blocks.real, blocks.imag), axis=-1).reshape(15, 160)
-
-    def norm(w, first):
-        modulus = np.abs((w @ blocks[first:]).view(complex))
-        return np.maximum(np.einsum("nij->nj", modulus[:, :16].reshape(-1, 4, 4)).max(axis=1),
-                          np.einsum("nij->nj", modulus[:, 16:].reshape(-1, 8, 8)).max(axis=1))
-
-    return max(float(np.max(norm(w, 0) * norm(w[:, 5:], 5)))
+    return max(float(np.max(generator_norms(w, generators) * generator_norms(w[:, 5:], generators)))
                for w in np.split(weights, range(64, len(weights), 64)))
+
+
+def _chain_start(x0: np.ndarray, n: int) -> np.ndarray:
+    """The Magnus chain's (n, 2, 8, 4) table, filled at t_0 alone."""
+    chain = np.zeros((n, 2, 8, 4))
+    chain[0, 0, :4] = np.eye(4)
+    y0 = (HERMITIAN_INV @ x0)[8:]
+    chain[0, 1, :, 0], chain[0, 1, :, 1] = y0.real, y0.imag
+    return chain
+
+
+def _chain_flow(chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U_A and the complement of y from the chain's table, as _magnus_chain returns them."""
+    half = np.empty((len(chain), 4, 4), dtype=complex)
+    rest = np.empty((len(chain), 8), dtype=complex)
+    half.real, half.imag = chain[:, 0, :4], chain[:, 0, 4:]
+    rest.real, rest.imag = chain[:, 1, :, 0], chain[:, 1, :, 1]
+    return half, rest
+
+
+def _basis(builder: DriftBuilder) -> np.ndarray:
+    """The generators' real sector and complement blocks, one row of 128 each."""
+    real = real_form(builder.generators)
+    return np.stack((real[:, :8, :8], real[:, 8:, 8:]), axis=1).reshape(15, 128)
+
+
+def interval_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
+                   rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """propagator._magnus_chain with no quiet runs: every interval takes its own Magnus maps.
+
+    The m substeps come from every interval's weights, and the blocks of
+    about _BLOCK_STEPS substeps start at t_0.
+    """
+    n = len(times)
+    step = (times[-1] - times[0]) / (n - 1)
+    basis, chain = _basis(builder), _chain_start(x0, n)
+    weights = _magnus_weights(builder, times[:-1], step)
+    m = _substeps(weights, _column_sums(builder.generators), rtol)
+    per_block = max(1, _BLOCK_STEPS // m)
+    for start in range(0, n - 1, per_block):
+        stop = min(start + per_block, n - 1)
+        starts = (times[start:stop, None] + (step / m) * np.arange(m)).ravel()
+        w = _magnus_weights(builder, starts, step / m) if m > 1 else weights[start:stop]
+        maps = _expm((w @ basis).reshape(stop - start, m, 2, 8, 8))
+        interval = _prefix_products(maps.swapaxes(0, 1))[-1]
+        chain[start + 1:stop + 1] = _prefix_products(interval) @ chain[start]
+    return _chain_flow(chain)
+
+
+def orbit_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
+                rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Magnus chain of a constant M: the _orbit of the first interval's map exp(M h)."""
+    step = (times[-1] - times[0]) / (len(times) - 1)
+    step_map = _expm((_magnus_weights(builder, times[:1], step) @ _basis(builder)).reshape(2, 8, 8))
+    return _chain_flow(_orbit(step_map, _chain_start(x0, len(times))))
 
 
 def savetxt_csv(path, header: list[str], table: dict[str, np.ndarray]) -> None:

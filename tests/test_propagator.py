@@ -12,13 +12,16 @@ from ramanpairs.algebra import SECTOR0, SECTOR_CONJ0, SECTOR_HALF0, SOURCE_ROWS,
 from ramanpairs.atom import AtomConfig, DriftBuilder, evolve_state, state_vector
 from ramanpairs.config import apply_override
 from ramanpairs.errors import ConfigError
+from ramanpairs.moments import _moment_tables
+from ramanpairs.noise import diffusion_table
 from ramanpairs.presets import PRESET_NAMES, preset
 from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.pulses import PulseSpec, off
 from ramanpairs.runner import run_scenario
 
 from conftest import gauss_pulse, rho_symmetric
-from reference import DAGGER0, full_kernel, kernel, largest_product, propagate_from
+from reference import (DAGGER0, constant_drive, full_kernel, generator_norms, interval_chain,
+                       kernel, largest_product, orbit_chain, propagate_from)
 
 BLOCK = np.ix_(SECTOR0, SECTOR0)
 HALF = np.ix_(SECTOR_HALF0, SECTOR_HALF0)
@@ -36,7 +39,7 @@ def test_constant_drive_matches_matrix_exponential():
     pump = PulseSpec(shape="cw", omega_peak=6.0, detuning=2.0)
     control = PulseSpec(shape="cw", omega_peak=3.0, detuning=-1.0)
     builder = DriftBuilder(atom, pump, control)
-    assert builder.constant
+    assert constant_drive(builder)
     times = np.linspace(0.0, 1.2, 25)
     x0 = state_vector(atom.rho0)
     u, v, state = propagator._solve_flow(builder, x0, times, 1e-9)
@@ -94,10 +97,10 @@ def _tight_flow(builder, times):
 def test_constant_drive_grid_matches_tight_solve(name):
     cfg = preset(name).scenarios[0]
     builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
-    assert builder.constant
+    assert constant_drive(builder)
     grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, 200)
     x0 = state_vector(cfg.atom.rho0)
-    # the exact path: half block and state from powers of the one step map exp(M h)
+    # every interval is quiet: half block and state from powers of the one step map exp(M h)
     half, _, state = propagator._solve_flow(builder, x0, grid.times, 1e-9)
     reference = _tight_flow(builder, grid.times)
     scale = np.max(np.abs(reference))
@@ -127,7 +130,7 @@ def _fig6b_drives(omega):
 def test_time_dependent_drive_grid_matches_tight_solve(pump, control):
     atom = AtomConfig(rho0=rho_symmetric())
     builder = DriftBuilder(atom, pump, control)
-    assert not builder.constant
+    assert not constant_drive(builder)
     grid = build_propagator_grid(atom, pump, control, 3.0, 200, rtol=1e-9)
     u_from0 = propagate_from(0, atom, pump, control, grid.times)
     reference = _tight_flow(builder, grid.times)
@@ -150,7 +153,7 @@ def _chirped_pulses():
 def _substeps(builder, times, rtol):
     """The substeps per interval that the Magnus flow takes on this grid."""
     weights = propagator._magnus_weights(builder, times[:-1], times[1] - times[0])
-    return propagator._substeps(weights, builder.generators, rtol)
+    return propagator._substeps(weights, propagator._column_sums(builder.generators), rtol)
 
 
 def test_magnus_flow_is_fourth_order():
@@ -212,27 +215,33 @@ def test_substep_bound_is_at_least_the_exact_maximum(rates, pump, control, t_end
     times = np.linspace(0.0, t_end, n + 1)
     weights = propagator._magnus_weights(builder, times[:-1], times[1] - times[0])
     exact = largest_product(weights, builder.generators)
+    columns = propagator._column_sums(builder.generators)
     if exact >= 10.0 * np.finfo(float).tiny:
-        assert propagator._substeps(weights, builder.generators, 0.1 * exact * (1 - 1e-12)) >= 2
-    assert (propagator._substeps(weights, builder.generators, rtol)
-            >= _exact_rule(weights, builder.generators, rtol))
+        assert propagator._substeps(weights, columns, 0.1 * exact * (1 - 1e-12)) >= 2
+    exact_rule = _exact_rule(weights, builder.generators, rtol)
+    assert propagator._substeps(weights, columns, rtol) >= exact_rule
 
 
 def test_substep_bound_gives_the_exact_rule_on_every_preset():
     """On all 26 time-dependent preset points at their 1600 intervals, m is the exact rule's.
 
-    So the bound changes no preset's flow, and no output, against the exact maximum.
+    So the bound changes no preset's flow, and no output, against the exact
+    maximum.  The chain takes m from the driven intervals alone, and that is
+    the same m.
     """
     points = [cfg for cfg in _preset_configs()
-              if not DriftBuilder(cfg.atom, cfg.pump, cfg.control).constant]
+              if not constant_drive(DriftBuilder(cfg.atom, cfg.pump, cfg.control))]
     assert len(points) == 26
     for cfg in points:
         builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
         times = np.linspace(0.0, cfg.t_end, cfg.grid_points + 1)
         weights = propagator._magnus_weights(builder, times[:-1], times[1] - times[0])
+        columns = propagator._column_sums(builder.generators)
+        quiet = propagator._quiet(weights, columns)[1]
         assert cfg.grid_points == 1600
-        assert (propagator._substeps(weights, builder.generators, cfg.rtol)
-                == _exact_rule(weights, builder.generators, cfg.rtol)), cfg.label
+        exact = _exact_rule(weights, builder.generators, cfg.rtol)
+        assert propagator._substeps(weights, columns, cfg.rtol) == exact, cfg.label
+        assert propagator._substeps(weights[~quiet], columns, cfg.rtol) == exact, cfg.label
 
 
 @pytest.mark.parametrize("atom, pump, control, t_end, n", [
@@ -311,7 +320,7 @@ def _preset_configs():
 def test_constant_drive_presets():
     """A wrong classification would write a silently wrong CSV."""
     constant = {cfg.label for cfg in _preset_configs()
-                if DriftBuilder(cfg.atom, cfg.pump, cfg.control).constant}
+                if constant_drive(DriftBuilder(cfg.atom, cfg.pump, cfg.control))}
     assert constant == {"fig2a", "fig5_cw", "fig7a", "fig7c", "fig7d"}
 
 
@@ -321,7 +330,7 @@ def test_composition_residual_small():
     pump = gauss_pulse(omega=10.0, center=0.5, width=1.0 / 15.0)
     control = gauss_pulse(omega=10.0, center=0.5, width=1.0 / 15.0)
     builder = DriftBuilder(atom, pump, control)
-    assert not builder.constant
+    assert not constant_drive(builder)
     times = np.linspace(0.0, 2.0, 81)
     u_full, _, state = propagator._solve_flow(builder, state_vector(atom.rho0), times, 1e-9)
     rng = np.random.default_rng(3)
@@ -383,17 +392,136 @@ def test_pipeline_drift_evaluations_ode_solves_and_inversions(monkeypatch, name)
 
 @pytest.mark.parametrize("name", ["fig2a", "fig7d"])
 def test_constant_drive_shortcut_is_the_chain(monkeypatch, name):
-    """The one exact step map's powers are the Magnus chain's running products, to rounding."""
+    """The one exact step map's powers are the Magnus chain's running products, to rounding.
+
+    The reference chain takes every interval's own Magnus map and no quiet run.
+    """
     cfg = preset(name).scenarios[0]
     builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
-    assert builder.constant
+    assert constant_drive(builder)
     times = np.linspace(0.0, cfg.t_end, cfg.grid_points + 1)
     x0 = state_vector(cfg.atom.rho0)
     shortcut = propagator._solve_flow(builder, x0, times, cfg.rtol)
-    monkeypatch.setattr(DriftBuilder, "constant", False)
+    monkeypatch.setattr(propagator, "_magnus_chain", interval_chain)
     chained = propagator._solve_flow(builder, x0, times, cfg.rtol)
     for want, got in zip(shortcut, chained):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _scenario(label):
+    """The preset scenario of that label, or the scan point <preset>-<Rabi frequency>."""
+    name, _, omega = label.partition("-")
+    if omega:
+        return apply_override(preset(name).scan, "both.omega_peak", float(omega))
+    return next(cfg for cfg in _preset_configs() if cfg.label == label)
+
+
+def _flows(atom, pump, control, t_end, n, rtol, chain):
+    """U_A, the grid and its moment tables, from the library's chain and from `chain`.
+
+    Each side is a tuple (U_A, grid, (boundary, noise, backaction)).
+    """
+    builder = DriftBuilder(atom, pump, control)
+    times = np.linspace(0.0, t_end, n + 1)
+
+    def side():
+        half = propagator._magnus_chain(builder, state_vector(atom.rho0), times, rtol)[0]
+        grid = build_propagator_grid(atom, pump, control, t_end, n, rtol=rtol)
+        return half, grid, _moment_tables(atom, grid, diffusion_table(atom))[:3]
+
+    ours = side()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propagator, "_magnus_chain", chain)
+        return ours, side()
+
+
+def _preset_flows(label, chain):
+    cfg = _scenario(label)
+    return _flows(cfg.atom, cfg.pump, cfg.control, cfg.t_end, cfg.grid_points, cfg.rtol, chain)
+
+
+def _assert_same_flow(ours, reference, tol):
+    """U_A, the grid's state, inverse and row integrals, and the three moment tables agree.
+
+    Each within tol of its largest modulus, so tol 0 asks for the same values.
+    """
+    def arrays(side):
+        half, grid, tables = side
+        return half, grid.state_traj, grid.v_inverse, grid.source_cumint, *tables
+
+    for want, got in zip(arrays(reference), arrays(ours)):
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("label", ["fig2a", "fig5_cw", "fig7a", "fig7c", "fig7d"])
+def test_cw_presets_take_the_orbit_of_one_step_map(label):
+    """Every cw preset's chain is the _orbit of one _expm step map, bit for bit."""
+    cfg = _scenario(label)
+    assert constant_drive(DriftBuilder(cfg.atom, cfg.pump, cfg.control))
+    _assert_same_flow(*_preset_flows(label, orbit_chain), 0.0)
+
+
+PULSED = ["fig2b", "fig4c", "fig7b", "fig3b-30"]
+
+
+@pytest.mark.parametrize("label", PULSED)
+def test_quiet_intervals_are_within_roundoff_of_the_steady_generator(label):
+    """Each quiet interval's generator is within 2^-53 of the steady one in the exact 1-norm.
+
+    Both drives are pulses, so the steady generator is the static piece
+    times h; the quiet intervals are the two drive-free stretches either side
+    of the pulses, about three quarters of the window.
+    """
+    cfg = _scenario(label)
+    builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
+    times = np.linspace(0.0, cfg.t_end, cfg.grid_points + 1)
+    step = times[1] - times[0]
+    weights = propagator._magnus_weights(builder, times[:-1], step)
+    steady, quiet = propagator._quiet(weights, propagator._column_sums(builder.generators))
+    assert np.array_equal(steady, np.eye(15)[0] * step)
+    assert quiet.mean() > 0.7
+    assert quiet[0] and quiet[-1] and np.count_nonzero(np.diff(quiet)) == 2
+    assert np.max(generator_norms(weights[quiet] - steady, builder.generators)) <= 2.0 ** -53
+
+
+@pytest.mark.parametrize("label", PULSED)
+def test_quiet_runs_match_the_per_interval_chain(label):
+    """Orbits over the quiet runs move U_A, the state and the moment tables by rounding alone."""
+    _assert_same_flow(*_preset_flows(label, interval_chain), 1e-11)
+
+
+FIG6B = [f"fig6b-{omega:g}" for omega in preset("fig6b").scan.scan.values]
+
+
+@pytest.mark.parametrize("label", ["fig5_coincident", "fig5_intuitive", "fig5_counterintuitive",
+                                   *FIG6B])
+def test_drives_without_quiet_intervals_take_the_per_interval_chain(label):
+    """Where no interval is quiet, the chain is the per-interval reference bit for bit."""
+    cfg = _scenario(label)
+    builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
+    times = np.linspace(0.0, cfg.t_end, cfg.grid_points + 1)
+    weights = propagator._magnus_weights(builder, times[:-1], times[1] - times[0])
+    assert not propagator._quiet(weights, propagator._column_sums(builder.generators))[1].any()
+    _assert_same_flow(*_preset_flows(label, interval_chain), 0.0)
+
+
+# pulses as the presets chirp them, about their centre, up to fig4's strongest chirp
+GAUSSIAN = st.builds(lambda center, **kw: gauss_pulse(center=center, chirp_origin=center, **kw),
+                     omega=st.floats(0.0, 30.0), center=st.floats(0.0, 3.0),
+                     width=st.floats(0.02, 0.5), detuning=DETUNING, chirp=st.floats(-225.0, 225.0))
+
+
+@settings(max_examples=20, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(pump=GAUSSIAN, control=st.one_of(GAUSSIAN, CW), rtol=st.sampled_from([1e-8, 1e-10]))
+def test_quiet_runs_match_the_per_interval_chain_for_any_pulse(pump, control, rtol):
+    """Random Gaussian pulses, against a pulse or a cw drive: the agreement of the presets.
+
+    A cw drive stays in the steady generator, so the quiet intervals there
+    carry it too.
+    """
+    atom = AtomConfig(rho0=rho_symmetric())
+    _assert_same_flow(*_flows(atom, pump, control, 3.0, 400, rtol, interval_chain), 1e-11)
 
 
 def test_state_traj_matches_evolve_state():
