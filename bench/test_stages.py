@@ -14,7 +14,10 @@ intervals; the grid build runs also on fig6b's strongest scan point, Rabi
 frequency 50 (no quiet interval), and on fig3b's at Rabi frequency 30 (four
 substeps per driven interval).  Inside the grid build, the Magnus substep
 sizing (the weights of every interval, then ``_substeps``) is timed on its
-own on the three time-dependent drives fig2b, fig4c and fig6b at 50.  Three stages stand outside a scenario run:
+own on the three time-dependent drives fig2b, fig4c and fig6b at 50.  A long
+window, fig2b stretched to t_end 20 on 2000 intervals (18 blocks, each in
+its own flow frame), times the grid build and the moment pass together.
+Three stages stand outside a scenario run:
 ``import ramanpairs.cli`` in a fresh interpreter, one oracle run (fig2b on the
 thinned grid of ``run_verification`` under the default ``[verify]``), and one
 serial scan (fig6b at 200 intervals).  The tier-1 suite does not collect this
@@ -72,6 +75,12 @@ def _strong_drive():
 def _many_substeps():
     """fig3b at Rabi frequency 30, the preset point that takes the most substeps."""
     return apply_override(preset("fig3b").scan, "both.omega_peak", 30.0)
+
+
+@functools.cache
+def _long_window():
+    """fig2b at t_end 20 on 2000 intervals: its flow from 0 has condition e^40."""
+    return replace(_config("fig2b"), t_end=20.0, grid_points=2000)
 
 
 def _grid(cfg):
@@ -137,6 +146,14 @@ def test_moment_assembly(benchmark, name):
     grid = _grid(cfg)
     moments = benchmark(compute_moments, cfg.atom, grid, diffusion_table(cfg.atom))
     assert moments.n_k.total.shape == grid.times.shape
+
+
+def test_long_window(benchmark):
+    """The grid build and the moment pass of the long window."""
+    benchmark.group = "long window"
+    cfg = _long_window()
+    moments = benchmark(lambda: compute_moments(cfg.atom, _grid(cfg), diffusion_table(cfg.atom)))
+    assert moments.n_k.total.shape == (2001,)
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

@@ -19,11 +19,7 @@ class ConfigError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """A numerical failure, carrying the time where it happened.
-
-    The oracle's ODE integrator gave up, or the propagator's flow grew too
-    ill-conditioned to invert over the window.
-    """
+    """A numerical failure, carrying the time where it happened: the oracle's ODE integrator gave up."""
 
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)

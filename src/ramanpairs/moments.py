@@ -34,24 +34,30 @@ leading order, which the Fock-space verifier resolves unambiguously.
 
 Every s-integral is a kernel sum on the propagator grid (trapezoid rule),
 
-    h sum_{s_j <= t_i} w_j K(t_i, s_j) y_j = S_i T(V y)_i - T(S V y)_i,
+    h sum_{s_j <= t_i} w_j K(t_i, s_j) y_j = [S_i, -1] R_i,
+    R_i = h sum_{j <= i} w_j [V_j; S_j V_j] y_j,
 
-with K = (S_i - S_j) V_j and T the cumulative trapezoid.  The grid holds the
-half kernel K_h of the slots AQ_DAG, AK on algebra.SECTOR_HALF0; AQ and
-AK_DAG have conj(K_h) on SECTOR_CONJ0.  Three selection rules hold exactly
-for every atom: the pair table and the Einstein map vanish on half x half
-and conj x conj, each C_p X lies on slot p's own half, and F[r, u] = 0
-unless u = DAGGER_SLOT[r].  So every part lives on the half x conj and
-conj x half slot blocks, the second read off by conjugation, and one sum of
-K_h over 16 columns gives them all: y_k and y_k conj(S)^T for
-y_k = 2D_k conj(V)^T, 2D_0 = 2D_HC and 2D_1 = conj(2D_CH), whose sums give
-the noise K 2D K^T, then C_p X on each slot's half (conjugated for AQ,
-AK_DAG), the back-action integrals, gathered at DAGGER_SLOT.
-2D(s) = X(s) . Lambda (noise.diffusion_table) and C_p X come from one
-product of X with both maps.  The sum is causal, so the assembly makes one
-pass over the grid in blocks of _BLOCK_ROWS rows, each carrying its running
-sums into the next (propagator._cumulative_trapezoid): no full-grid
-temporary is formed, and the sums do not depend on the block size.
+in the frame of t_i's block (propagator.PropagatorGrid): K = (S_i - S_j) V_j
+for s_j in the block, S its trapezoid from the block's first row and V the
+inverse of its flow.  The row's own half weight drops out, [S_i, -1] [V_i;
+S_i V_i] = 0, so R is a plain running sum.  An earlier s_j enters R as
+[U_A(t_b, s_j); -K(t_b, s_j)], and at a block's end every column of R turns
+to the next frame by R -> [[U_e, 0], [-S_e, 1]] R, quadratic ones also by
+its conjugate transpose on the right.  The boundary and the means take the
+same form with the s = 0 factor [U_A(t_b, 0); -K(t_b, 0)], carried as more
+columns of R.  The grid holds the half kernel K_h of the slots AQ_DAG, AK on
+algebra.SECTOR_HALF0; AQ and AK_DAG have conj(K_h) on SECTOR_CONJ0.  Three
+selection rules hold exactly for every atom: the pair table and the Einstein
+map vanish on half x half and conj x conj, each C_p X lies on slot p's own
+half, and F[r, u] = 0 unless u = DAGGER_SLOT[r].  So every part lives on the
+half x conj and conj x half slot blocks, the second read off by
+conjugation, and one sum of K_h over 16 columns gives them all: y_k and
+y_k conj(S)^T for y_k = 2D_k conj(V)^T, 2D_0 = 2D_HC and 2D_1 =
+conj(2D_CH), whose sums give the noise K 2D K^T, then C_p X on each slot's
+half (conjugated for AQ, AK_DAG), the back-action integrals, gathered at
+DAGGER_SLOT.  2D(s) = X(s) . Lambda (noise.diffusion_table) and C_p X come
+from one product of X with both maps.  The sum is causal, so the assembly
+makes one pass over the grid's blocks: no full-grid temporary is formed.
 """
 
 from __future__ import annotations
@@ -87,16 +93,13 @@ _STRUCTURES = np.stack([-1j * algebra.lift(algebra.op(*algebra.levels(algebra.da
                         for row in algebra.SOURCE_ROWS])
 
 _HALF, _CONJ = algebra.SECTOR_HALF0, algebra.SECTOR_CONJ0
+# positions 0 and 3 of SECTOR_HALF0, the source rows ac and bd, as a slice that views
+# them; ca and db are their conjugates at the same positions of SECTOR_CONJ0
+_SOURCE = slice(0, 4, 3)
 _HC, _CH = np.ix_(_HALF, _CONJ), np.ix_(_CONJ, _HALF)
 # X -> C_p X on slot p's own half, column i * 4 + p
 _STRUCTURE_FEED = np.stack([_STRUCTURES[p, half] for p, half in
                             enumerate((_HALF, _HALF, _CONJ, _CONJ))]).transpose(2, 1, 0)
-
-# Grid rows per pass of the moment assembly.  The quadrature is causal, so
-# each block carries its prefix sums into the next and no full-grid
-# temporary is formed; the (128, 6, 16) complex prefix sums are 192 KiB and stay in L2.
-_BLOCK_ROWS = 128
-
 
 @dataclass
 class SplitMoment:
@@ -143,7 +146,7 @@ def _scatter(table: np.ndarray, pairs: np.ndarray) -> None:
 def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionTable):
     """Boundary, noise and backaction (n_points, 4, 4) tables, F and the (n_points, 4) means.
 
-    One pass over the grid in blocks of _BLOCK_ROWS rows; see the module docstring.
+    One pass over the grid's blocks, each in its own frame; see the module docstring.
     """
     g, c, field = _slot_factors(atom)
     cc = np.outer(c, c)
@@ -151,27 +154,31 @@ def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionT
     fd = field[range(4), DAGGER_SLOT]
     back_r, back_u = np.outer(fd, c), np.outer(c, fd[list(DAGGER_SLOT)])
     coupling = -1j * g.reshape(2, 2) * [[1], [-1]]  # -i g_p, conjugated on AQ, AK_DAG
-    s, v, x, step = grid.source_cumint, grid.v_inverse, grid.state_traj, grid.step
-    n = len(s)
+    u, x, step, k = grid.flow, grid.state_traj, grid.step, grid.block
+    v = np.linalg.inv(u)
+    n = len(u)
+    frame = np.eye(6, dtype=complex)
     x0 = state_vector(atom.rho0)
-    means = (s.reshape(2 * n, 4) @ np.stack((x0[_HALF], x0[_CONJ].conj()), axis=1)).reshape(n, 2, 2)
-    means = c * np.concatenate((means[..., 0], means[..., 1].conj()), axis=1)
     pairs0 = algebra.pair_table(x0)
-    pairs0 = np.concatenate((pairs0[_HC], pairs0[_CH].conj()), axis=1)
-    # X -> [2D_HC, 2D_CH] as [i, k, j] | C_p X as [i, p]
+    # h X -> [2D_HC, 2D_CH] as [i, k, j] | C_p X as [i, p]
     diff_feed = np.stack([diffusion.einstein[:, i, j] for i, j in (_HC, _CH)], axis=2)
-    feed = np.concatenate((diff_feed.reshape(16, 32), _STRUCTURE_FEED.reshape(16, 16)), axis=1)
+    feed = step * np.concatenate((diff_feed.reshape(16, 32), _STRUCTURE_FEED.reshape(16, 16)),
+                                 axis=1)
+    # R of one frame, columns [x0 | P0 | y_0 | y_1 | C_p X]: the first 14 are the s = 0
+    # factor [U_A(t_b, 0); -K_h(t_b, 0)] times x0 and P0, the rest the running sums
+    # h sum_j w_j [V_j; S_j V_j] cols_j over the earlier rows
+    carry = np.zeros((6, 30), dtype=complex)
+    carry[:4, 0], carry[:4, 1] = x0[_HALF], x0[_CONJ].conj()
+    carry[:4, 2:6], carry[:4, 8:12] = pairs0[_HC], pairs0[_CH].conj()
     boundary, noise, backaction = (np.zeros((n, 4, 4), dtype=complex) for _ in range(3))
-    carry = []
-    # a last block of one row joins the one before: numpy would take that
-    # row's feed as a vector product, which rounds differently
-    edges = [*range(0, n - 1, _BLOCK_ROWS), n]
-    for start, stop in zip(edges, edges[1:]):
-        rows = slice(start, stop)
-        s_b = s[rows]
-        m = len(s_b)
+    means = np.empty((n, 4), dtype=complex)
+    for block, start in enumerate(range(0, n, k)):
+        rows = slice(start, start + k)
+        v_b = v[rows]
+        m = len(v_b)
+        s_b = _cumulative_trapezoid(u[rows, _SOURCE], step)
         # K_h(t_i, s_j) = S_i V_j - (S V)_j, from the factors [V; S V]
-        factors = np.concatenate((v[rows], s_b @ v[rows]), axis=1)
+        factors = np.concatenate((v_b, s_b @ v_b), axis=1)
         fed = x[rows] @ feed
         d2 = fed[:, :32].reshape(m, 4, 2, 4)  # [i, k, j]: 2D_0 = 2D_HC, 2D_1 = conj(2D_CH)
         np.conjugate(d2[:, :, 1], out=d2[:, :, 1])
@@ -179,24 +186,37 @@ def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionT
         y = d2.reshape(m, 8, 4) @ factors.conj().transpose(0, 2, 1)
         cols = np.concatenate((y.reshape(m, 4, 12), fed[:, 32:].reshape(m, 4, 4)), axis=2)
         np.conjugate(cols[..., 14:], out=cols[..., 14:])
-        # h sum_{j <= i} w_j K_h(t_i, s_j) cols_j = S_i T(V cols)_i - T(S V cols)_i
-        sums = _cumulative_trapezoid(factors @ cols, step, carry)
+        sums = factors @ cols
+        if not start:
+            sums[0] *= 0.5  # the trapezoid's half weight at s = 0
+        sums[0] += carry[:, 14:]
+        np.cumsum(sums, axis=0, out=sums)
+        # [S_i, -1] R: K_h(t_i, 0) x0, K_h(t_i, 0) P0 and the kernel sums; the row's own
+        # trapezoid half weight drops out, as [S_i, -1] [V_i; S_i V_i] = 0
+        fixed = (s_b.reshape(2 * m, 4) @ carry[:4, :14]).reshape(m, 2, 14) - carry[4:, :14]
         ks = s_b @ sums[:, :4] - sums[:, 4:]
-        ys = ks[..., :12].reshape(m, 2, 2, 6)
-        # boundary S P(0) conj(S)^T and the noise's kernel sums of y times conj(S_i)^T
-        left = np.concatenate(((s_b.reshape(2 * m, 4) @ pairs0).reshape(m, 4, 4),
-                               ys[..., :4].reshape(m, 4, 4)), axis=1)
-        right = (left @ s_b.conj().transpose(0, 2, 1)).reshape(m, 2, 2, 2, 2)
-        _scatter(boundary[rows], right[:, 0])
-        _scatter(noise[rows], right[:, 1] - ys[..., 4:])
+        means[rows, :2], means[rows, 2:] = fixed[..., 0], fixed[..., 1].conj()
+        # boundary K P(0) K^T and noise K 2D K^T, [i, r, (part, k), column] times [S_i, -1]^T
+        quad = np.concatenate((fixed[..., 2:], ks[..., :12]), axis=2).reshape(m, 2, 4, 6)
+        right = (quad[..., :4].reshape(m, 8, 4) @ s_b.conj().transpose(0, 2, 1)).reshape(m, 2, 4, 2)
+        right -= quad[..., 4:]
+        _scatter(boundary[rows], right[:, :, :2])
+        _scatter(noise[rows], right[:, :, 2:])
         # T[u, p] times -i g_p, non-zero only with u and p on one half
         gathered = np.zeros((m, 4, 4), dtype=complex)
         _scatter(gathered, ks[..., 12:].reshape(m, 2, 2, 2) * coupling)
         np.multiply(gathered.transpose(0, 2, 1), back_r, out=backaction[rows])
         backaction[rows] += back_u * gathered
+        if block < len(grid.ends):
+            # the next frame: [U_A(t_b+1, 0); -K_h(t_b+1, 0)] = [[U_e, 0], [-S_e, 1]] times this
+            # one's, on the left of every column and on the right of the quadratic parts
+            frame[:4, :4] = grid.ends[block]
+            frame[4:, :4] = -s_b[-1] - 0.5 * step * (u[start + m - 1] + grid.ends[block])[_SOURCE]
+            carry = frame @ np.concatenate((carry[:, :14], sums[-1]), axis=1)
+            carry[:, 2:26] = (carry[:, 2:26].reshape(6, 4, 6) @ frame.conj().T).reshape(6, 24)
     boundary *= cc
     noise *= cc
-    return boundary, noise, backaction, field, means
+    return boundary, noise, backaction, field, c * means
 
 
 def compute_moments(atom: AtomConfig, grid: PropagatorGrid,

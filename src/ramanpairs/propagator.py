@@ -1,4 +1,4 @@
-"""Two-time propagator of the drift system and the kernel quadrature on its grid.
+"""Two-time propagator of the drift system, in one flow frame per block of grid rows.
 
 The field-operator solutions need K_r,m(t, s) = int_s^t U_{r,m}(tau, s) dtau
 for the four source rows r in algebra.SOURCE_ROWS and every grid pair
@@ -7,20 +7,24 @@ the other eight operators (see its docstring for the charge argument), and
 on the sector it is blockdiag(A, conj A) over algebra.SECTOR_HALF0 and
 SECTOR_CONJ0.  The source rows ac and bd lie in the half and ca, db are
 their conjugates, so everything below stores only the 4x4 flow U_A of A.
-Materializing the two-time store scales as O(N^2); instead the build
-exploits the exact flow identity U_A(t, s) = U_A(t, 0) V(s) with
-V(s) = U_A(s, 0)^{-1}.  The kernel rows ac and bd then factor as
+Materializing the two-time store scales as O(N^2); instead the grid is cut
+into blocks of rows, each in its own frame: U_A(t, t_b) from its first row
+t_b.  In a block U_A(t, s) = U_A(t, t_b) U_A(s, t_b)^{-1}, so the kernel rows
+ac and bd factor as
 
-    K_h(t_i, s_j) = (S_h(t_i) - S_h(s_j)) V(s_j),
+    K_h(t_i, s_j) = (S_h(t_i) - S_h(s_j)) U_A(s_j, t_b)^{-1},
 
-with S_h the cumulative trapezoid of those rows of U_A(., 0), and the rows
-ca and db are conj(K_h) on SECTOR_CONJ0.  Every s-integral is then a prefix
-sum over s_j <= t_i of these factors, O(N) in all: the moment assembly takes
-them in row blocks, and _cumulative_trapezoid, the one trapezoid rule,
-carries each running sum from block to block.  One flow per scenario feeds
-everything, and the expectation trajectory is U(t, 0) X(0); it also carries
-the noise, since the moment assembly forms the diffusion blocks as that
-trajectory times the atom's constant Einstein map (noise.diffusion_table).
+with S_h the cumulative trapezoid of those rows of U_A(., t_b), and the rows
+ca and db are conj(K_h) on SECTOR_CONJ0.  An earlier s_j enters through
+K(t, s) = K(t_b, s) + S_h(t) U_A(t_b, s), so the moment assembly carries its
+running sums from block to block by each block's end map.  Drives, chirps
+and detunings are anti-Hermitian on the half, so the atom's dissipator
+alone bounds how fast a frame's condition grows, and _block_rows keeps it
+at most 10 for any window.  One flow per scenario feeds everything, and the
+expectation trajectory U(t, 0) X(0) runs on across the frames; it also
+carries the noise, since the moment assembly forms the diffusion blocks as
+that trajectory times the atom's constant Einstein map
+(noise.diffusion_table).
 
 Every drive gets the flow from fourth-order Magnus step maps
 (_magnus_chain): each interval's map is the exponential of
@@ -29,17 +33,9 @@ nodes, substepped so that the flow meets rtol (_substeps), and the grid
 values are the running products of those maps.  A quiet interval, where no
 drive acts, takes the one map of h times M's time-independent part
 (_quiet), so a run of them is its powers; cw unchirped drives leave every
-interval quiet.  Only U_A is chained, in real arithmetic (algebra.real_form),
-with the complement carrying X(0) alone; V is the batched 4x4 inverse of
-U_A, and the state follows from U_A, its conjugate and the complement.
-Every exponential comes from _expm, a NumPy scaling-and-squaring Taylor
-sum, so no scenario run loads a scipy module.
-
-The inverse grows like exp(decay * t), so long windows lose the kernels to
-cancellation without any solver complaint.  The build therefore checks
-the condition number of U_A(t_end, 0), which has the singular values of the
-sector block the kernels invert, and raises IntegrationError past
-MAX_CONDITION.
+interval quiet.  Only U_A and the state are chained, in real arithmetic
+(algebra.real_form).  Every exponential comes from _expm, a NumPy
+scaling-and-squaring Taylor sum, so no scenario run loads a scipy module.
 """
 
 from __future__ import annotations
@@ -52,19 +48,9 @@ import numpy as np
 from . import algebra
 from .atom import GENERATOR_PAIRS, AtomConfig, DriftBuilder, state_vector
 from .atom import evolve_state  # noqa: F401  (perfbench/tracing.py wraps propagator.evolve_state)
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError
 from .errors import solve_ivp  # noqa: F401  (perfbench/tracing.py wraps propagator.solve_ivp)
 from .pulses import PulseSpec
-
-# Largest condition number of the sector block U_S(t_end, 0), the block the
-# kernels invert, that the factorization trusts; its half U_A(t_end, 0) has the
-# same.  Preset scenarios stay below 1e3.  fig2b stretched to t_end 10 reaches 1.1e8 and still meets the Fock
-# oracle to 1.5e-3 in n_k; at t_end 20 it reaches 5.5e16 and n_k comes out
-# tens of times off.  The block reads 6-7x below the full 16x16 flow, which
-# passes 1e12 at t_end 13.6; the limit 1e11, passed at 13.4 (1.9e11 at 13.7,
-# 3.4e11 at 14, 2.5e12 at 15), admits no window a 1e12 guard on the full
-# flow would refuse.
-MAX_CONDITION = 1e11
 
 # Default relative tolerance of the Magnus flow, for the API and for [run] rtol;
 # every time-dependent preset point then takes one substep per interval but
@@ -74,44 +60,29 @@ DEFAULT_RTOL = 1e-8
 # substeps grow as rtol^(-1/4); at rtol 1e-30 fig2b would take 194,026 per interval.
 MIN_RTOL = 100 * np.finfo(float).eps
 
-# positions in SECTOR_HALF0 of the source rows ac and bd; the other two, ca and
-# db, are their conjugates and sit at the same positions of SECTOR_CONJ0
-_SOURCE = [list(algebra.SECTOR_HALF0).index(row - 1) for row in algebra.SOURCE_ROWS[:2]]
 _ROUNDOFF = 2.0 ** -53
 # Gauss-Legendre nodes of a step, as fractions of it, and the weight of the
 # commutator term of the fourth-order Magnus generator (Blanes, Casas, Oteo &
 # Ros, Phys. Rep. 470, 151 (2009))
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _COMMUTATOR = math.sqrt(3.0) / 12.0
-# Magnus substeps per block of the grid pass: a (64, 2, 8, 8) float block is 64 KiB
+# Magnus substeps per batch of the chain: a (64, 2, 8, 8) float batch is 64 KiB
 _BLOCK_STEPS = 64
+# Most grid rows per block, each block in its own flow frame (_block_rows); the
+# moment assembly streams the blocks, and its (128, 6, 16) complex running sums
+# are 192 KiB
+_BLOCK_ROWS = 128
 
 
-def _cumulative_trapezoid(v: np.ndarray, step: float, carry: list | None = None) -> np.ndarray:
-    """Trapezoid integral of v over the grid axis from t_0 to every row of v.
+def _cumulative_trapezoid(v: np.ndarray, step: float) -> np.ndarray:
+    """Trapezoid integral of v over the first axis from its first row to every row.
 
     (2 sum_{j <= i} v_j - v_0 - v_i) h / 2, formed in place on the cumsum.
-    Without `carry`, v is the whole grid.  A grid streamed in consecutive row
-    blocks passes one list as `carry`, empty before the first block; each
-    block reads from it and leaves in it [sum of v through the block's last
-    row, v_0].  The running sum enters the block's first row ahead of the
-    cumsum, so the additions associate as in one cumsum over the whole grid
-    and blocks of any size give the same bits.  The rule reads no row beyond
-    the block; a wider one would need a halo row at each block edge.
     """
-    if carry:
-        out = v.copy()
-        out[0] += carry[0]
-        np.cumsum(out, axis=0, out=out)
-        first = carry[1]
-    else:
-        out = np.cumsum(v, axis=0)
-        first = v[0].copy()
-    if carry is not None:
-        carry[:] = out[-1].copy(), first
+    out = np.cumsum(v, axis=0)
     out *= 2.0
     out -= v
-    out -= first
+    out -= v[0]
     out *= 0.5 * step
     return out
 
@@ -243,111 +214,116 @@ def _prefix_products(maps: np.ndarray) -> np.ndarray:
     return maps
 
 
-def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
-                  rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """U_A(t_i, t_0), (n, 4, 4), and the complement y[8:] of HERMITIAN^-1 U(t_i, t_0) x0, (n, 8).
+def _block_rows(builder: DriftBuilder, step: float) -> int:
+    """Rows per block: at most _BLOCK_ROWS, spanning at most ln 10 / (mu(D) + mu(-D)) in time.
 
-    A run of quiet intervals (_quiet) is the _orbit of the one steady map.
+    mu(X) is the top eigenvalue of X's Hermitian part.  On the sector half A(t)
+    has the Hermitian part of the atom's dissipator D alone, so
+    |U_A(t, t_b)| <= e^{mu(D)(t - t_b)} and |U_A(t, t_b)^-1| <= e^{mu(-D)(t - t_b)}:
+    a frame of that span has condition at most 10.  A block takes at least
+    one interval.
+    """
+    static = builder.generators[0, algebra.SECTOR_HALF0[:, None], algebra.SECTOR_HALF0]
+    eigenvalues = np.linalg.eigvalsh(0.5 * (static + static.conj().T))
+    spread = float(eigenvalues[-1] - eigenvalues[0]) * step  # a subnormal one gives inf, no warning
+    return max(1, int(min(_BLOCK_ROWS, math.log(10.0) / spread if spread > 0 else math.inf)))
+
+
+def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol: float,
+                  block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U_A(t_i, t_b) of each row's block, (n, 4, 4), the end maps, and U(t_i, t_0) x0, (n, 16).
+
+    Blocks of `block` rows each restart U_A on algebra.SECTOR_HALF0 at the
+    identity on their first row t_b; end map b is U_A(t_b + block h, t_b),
+    (n_blocks - 1, 4, 4), and the state runs on.
+    A run of quiet intervals (_quiet) takes the powers of the one steady map.
     Each driven interval gets m equal substeps (_substeps over the driven
     intervals alone), each map the exponential of its Magnus generator in the
     real coordinates of algebra.HERMITIAN, where it is block diagonal: R(A)
-    on the sector, an 8x8 block on the complement.  A block of about
-    _BLOCK_STEPS substeps takes one batched _expm; the m maps of an interval
-    multiply into one, and the block's prefix products carry the chain on
+    on the sector, an 8x8 block on the complement.  A batch of about
+    _BLOCK_STEPS substeps takes one _expm; the m maps of an interval
+    multiply into one, and the batch's prefix products carry the chain on
     from its first point.
-    The chain holds two things per grid point: the first four columns of the
-    sector flow, [Re U_A; Im U_A], and the complement of y as its real and
-    imaginary columns.  No per-substep table outlives its block.
+    The chain holds per grid point the first four columns of the sector flow,
+    [Re U_A; Im U_A], and the state's coordinates y = HERMITIAN^-1 X as real
+    and imaginary columns.  No per-substep table outlives its batch.
     """
     n = len(times)
     step = (times[-1] - times[0]) / (n - 1)
     real = algebra.real_form(builder.generators)
     basis = np.stack((real[:, :8, :8], real[:, 8:, 8:]), axis=1).reshape(15, 128)
-    # per grid point: [Re U_A; Im U_A] and [Re y_C, Im y_C, 0, 0]
-    chain = np.zeros((n, 2, 8, 4))
-    chain[0, 0, :4] = np.eye(4)
-    y0 = (algebra.HERMITIAN_INV @ x0)[8:]
-    chain[0, 1, :, 0], chain[0, 1, :, 1] = y0.real, y0.imag
+    # per grid point: [Re U_A; Im U_A | Re y_S, Im y_S] and [0 | Re y_C, Im y_C]
+    chain = np.zeros((n, 2, 8, 6))
+    chain[0, 0, :4, :4] = np.eye(4)
+    y0 = (algebra.HERMITIAN_INV @ x0).reshape(2, 8)
+    chain[0, :, :, 4], chain[0, :, :, 5] = y0.real, y0.imag
     weights = _magnus_weights(builder, times[:-1], step)
     columns = _column_sums(builder.generators)
     steady, quiet = _quiet(weights, columns)
-    steady_map = _expm((steady @ basis).reshape(2, 8, 8)) if quiet.any() else None
+    if quiet.any():  # the steady map's powers, up to a frame's length
+        powers = np.empty((min(block, n - 1) + 1, 2, 8, 8))
+        powers[0] = np.eye(8)
+        _orbit(_expm((steady @ basis).reshape(2, 8, 8)), powers)
     m = _substeps(weights[~quiet], columns, rtol)
     per_block = max(1, _BLOCK_STEPS // m)
-    edges = [0, *(np.flatnonzero(quiet[1:] != quiet[:-1]) + 1), n - 1]
+    # quiet runs and frames cut the grid; a frame starts on every block's first row
+    edges = np.union1d(np.flatnonzero(quiet[1:] != quiet[:-1]) + 1,
+                       [0, *range(block, n, block), n - 1])
+    ends = []
     for first, last in zip(edges[:-1], edges[1:]):
         if quiet[first]:  # a run of quiet intervals: powers of the one steady map
-            _orbit(steady_map, chain[first:last + 1])
-            continue
-        for start in range(first, last, per_block):
-            stop = min(start + per_block, last)
-            starts = (times[start:stop, None] + (step / m) * np.arange(m)).ravel()
-            w = _magnus_weights(builder, starts, step / m) if m > 1 else weights[start:stop]
-            maps = _expm((w @ basis).reshape(stop - start, m, 2, 8, 8))
-            interval = _prefix_products(maps.swapaxes(0, 1))[-1]
-            chain[start + 1:stop + 1] = _prefix_products(interval) @ chain[start]
-    half, rest = np.empty((n, 4, 4), dtype=complex), np.empty((n, 8), dtype=complex)
-    half.real, half.imag = chain[:, 0, :4], chain[:, 0, 4:]
-    rest.real, rest.imag = chain[:, 1, :, 0], chain[:, 1, :, 1]
-    return half, rest
-
-
-def _solve_flow(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
-                rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U_A(t_i, times[0]), the flow on algebra.SECTOR_HALF0, its inverse, and the state.
-
-    U_A and the complement come from the Magnus chain (exact where M is
-    steady, substepped to rtol where a drive acts); the inverse is the
-    batched 4x4 inverse of U_A, and the state is U_A x0 on SECTOR_HALF0,
-    conj(U_A) x0 on SECTOR_CONJ0 and the chained complement.
-    """
-    half, rest = _magnus_chain(builder, x0, times, rtol)
-    state = np.empty((len(times), 16), dtype=complex)
-    state[:, algebra.SECTOR_HALF0] = half @ x0[algebra.SECTOR_HALF0]
-    state[:, algebra.SECTOR_CONJ0] = (half @ x0[algebra.SECTOR_CONJ0].conj()).conj()
-    state[:, algebra.COMPLEMENT0] = rest @ algebra.HERMITIAN[algebra.COMPLEMENT0, 8:].T
-    return half, np.linalg.inv(half), state
+            chain[first + 1:last + 1] = powers[1:last - first + 1] @ chain[first]
+        else:
+            for start in range(first, last, per_block):
+                stop = min(start + per_block, last)
+                starts = (times[start:stop, None] + (step / m) * np.arange(m)).ravel()
+                w = _magnus_weights(builder, starts, step / m) if m > 1 else weights[start:stop]
+                maps = _expm((w @ basis).reshape(stop - start, m, 2, 8, 8))
+                interval = _prefix_products(maps.swapaxes(0, 1))[-1]
+                chain[start + 1:stop + 1] = _prefix_products(interval) @ chain[start]
+        if last % block == 0:  # a frame starts at last: keep this one's end map
+            ends.append(chain[last, 0, :, :4].copy())
+            chain[last, 0, :, :4] = chain[0, 0, :, :4]
+    ends = np.reshape(ends, (-1, 8, 4))
+    y = (chain[..., 4] + 1j * chain[..., 5]).reshape(n, 16)
+    half = chain[:, 0, :4, :4] + 1j * chain[:, 0, 4:, :4]
+    return half, ends[:, :4] + 1j * ends[:, 4:], y @ algebra.HERMITIAN.T
 
 
 @dataclass
 class PropagatorGrid:
     """Uniform-grid propagator data consumed by the moment assembly.
 
-    times is the uniform grid.  Everything derives from the one solved flow
-    U(t_i, 0), whose sector block is blockdiag(U_A, conj U_A) over
-    algebra.SECTOR_HALF0 and SECTOR_CONJ0.  v_inverse[j] is U_A(s_j, 0)^-1,
-    one batched 4x4 inversion, state_traj[i] = U(t_i, 0) X(0) the
-    16-component expectation trajectory, and source_cumint[i, r] the
-    cumulative trapezoid S_h of the source rows ac (r = 0) and bd (r = 1) of
-    U_A(., 0); ca and db have conj(S_h).
+    times is the uniform grid, cut into blocks of `block` rows.  flow[i] =
+    U_A(t_i, t_b) is the sector half's flow from the first row t_b of row
+    i's block, its frame, with condition at most 10 (_block_rows); the sector
+    block of U(t_i, t_b) is blockdiag(U_A, conj U_A) over
+    algebra.SECTOR_HALF0 and SECTOR_CONJ0.  ends[b] = U_A(t_b + block h, t_b)
+    takes block b's frame to the next block's first row, and state_traj[i] =
+    U(t_i, 0) X(0) is the 16-component expectation trajectory.
     """
 
     times: np.ndarray
     step: float
-    state_traj: np.ndarray   # (n_points, 16)
-    v_inverse: np.ndarray    # (n_points, 4, 4)
-    source_cumint: np.ndarray  # (n_points, 2, 4)
+    state_traj: np.ndarray  # (n_points, 16)
+    flow: np.ndarray        # (n_points, 4, 4)
+    ends: np.ndarray        # (n_blocks - 1, 4, 4)
+    block: int
 
 
 def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                           t_end: float, n_intervals: int,
                           rtol: float = DEFAULT_RTOL) -> PropagatorGrid:
-    """Solve the flow from 0 on a uniform grid and derive the inverse, state and row integrals."""
+    """Solve the flow from 0 on a uniform grid, in one frame per block, and the state."""
     if t_end <= 0:
         raise ConfigError(f"t_end must be > 0, got {t_end}")
     if n_intervals < 2:
         raise ConfigError(f"need at least 2 grid intervals, got {n_intervals}")
 
     times = np.linspace(0.0, float(t_end), int(n_intervals) + 1)
-    half, v_inverse, state_traj = _solve_flow(DriftBuilder(atom, pump, control),
-                                              state_vector(atom.rho0), times, rtol)
-    # blockdiag(U_A, conj U_A) has the singular values of U_A, each twice
-    condition = np.linalg.cond(half[-1])
-    if condition > MAX_CONDITION:
-        raise IntegrationError(
-            f"propagator U(t_end, 0) has condition number {condition:.3g} on its "
-            f"sector block (limit {MAX_CONDITION:.0e}); its inverse cannot carry the "
-            f"kernels over this window, shorten t_end", time=float(times[-1]))
     step = float(times[1] - times[0])
-    return PropagatorGrid(times=times, step=step, state_traj=state_traj, v_inverse=v_inverse,
-                          source_cumint=_cumulative_trapezoid(half[:, _SOURCE, :], step))
+    builder = DriftBuilder(atom, pump, control)
+    block = _block_rows(builder, step)
+    flow, ends, state_traj = _magnus_chain(builder, state_vector(atom.rho0), times, rtol, block)
+    return PropagatorGrid(times=times, step=step, state_traj=state_traj, flow=flow, ends=ends,
+                          block=block)

@@ -9,10 +9,11 @@ the atomic generator, the oracle's generator built from sparse Kronecker
 products, the Lindblad lifts from np.kron, the exact maximum that the Magnus
 substep bound caps, the full 16x16 flow started at an arbitrary grid point, with
 the two-time kernels it gives, and the kernel quadrature and moment tables
-over the whole sector and the whole grid at once, which the library forms on
-the half and streams in row blocks.  Two Magnus chains restate the
+over the whole sector and the whole window at once, from U(t, 0) rebuilt
+out of the grid's frames, which the library forms on the half and streams
+in row blocks, one frame each.  Two Magnus chains restate the
 library's without quiet runs: every interval's own maps, and, for a constant
-drive, the orbit of one step map.
+drive, the powers of one step map.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import cumulative_trapezoid, solve_ivp
 
-from ramanpairs.algebra import (COMPLEMENT0, HERMITIAN_INV, LEVELS, SECTOR0, SECTOR_CONJ0,
-                               SECTOR_HALF0, SOURCE_ROWS, dagger, idx, pair_table, real_form)
+from ramanpairs.algebra import (COMPLEMENT0, HERMITIAN, HERMITIAN_INV, LEVELS, SECTOR0,
+                               SECTOR_CONJ0, SECTOR_HALF0, SOURCE_ROWS, dagger, idx, pair_table,
+                               real_form)
 from ramanpairs.atom import AtomConfig, DriftBuilder, state_vector
-from ramanpairs.moments import _STRUCTURES, _slot_factors
+from ramanpairs.moments import _SOURCE, _STRUCTURES, _slot_factors
 from ramanpairs.noise import DiffusionTable
 from ramanpairs.oracle import _coefficients, _decay_ops, _field_ops, _level_op, _liouvillian
 from ramanpairs.propagator import (_BLOCK_STEPS, PropagatorGrid, _column_sums,
@@ -47,23 +49,36 @@ def normal_ordered(d2: np.ndarray) -> np.ndarray:
     return 0.5 * d2[DAGGER0, :]
 
 
-def sector_views(grid: PropagatorGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The grid's half views widened to the whole sector, in SECTOR0 order.
+def whole_flow(grid: PropagatorGrid) -> np.ndarray:
+    """U_A(t_i, 0), (n_points, 4, 4): each row's frame flow after the earlier blocks' end maps."""
+    bases = [np.eye(4)]
+    for end in grid.ends:
+        bases.append(end @ bases[-1])
+    return grid.flow @ np.repeat(bases, grid.block, axis=0)[:len(grid.times)]
 
-    Returns S, the trapezoid of the four source rows over the eight sector
-    columns, (n_points, 4, 8), and the inverse of the sector flow,
-    blockdiag(V_A, conj V_A), (n_points, 8, 8): the rows ac, bd and V_A on
-    SECTOR_HALF0, the rows ca, db and conj(V_A) on SECTOR_CONJ0.
+
+def sector_views(grid: PropagatorGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The whole-window kernel factors from the grid's frames, on the sector, in SECTOR0 order.
+
+    Returns S, the trapezoid from t_0 of the four source rows of U(t, 0)
+    over the eight sector columns, (n_points, 4, 8), and the inverse of the
+    sector flow U(t, 0), blockdiag(V_A, conj V_A), (n_points, 8, 8): the
+    rows ac, bd and V_A on SECTOR_HALF0, the rows ca, db and conj(V_A) on
+    SECTOR_CONJ0.  Over long windows V_A loses its digits; the pipeline's
+    frames never form it.
     """
     n = len(grid.times)
     half = np.searchsorted(SECTOR0, SECTOR_HALF0)
     conj = np.searchsorted(SECTOR0, SECTOR_CONJ0)
+    flow = whole_flow(grid)
+    cumint = _cumulative_trapezoid(flow[:, _SOURCE], grid.step)
+    v_inverse = np.linalg.inv(flow)
     source = np.zeros((n, 4, 8), dtype=complex)
-    source[:, :2, half] = grid.source_cumint
-    source[:, 2:, conj] = grid.source_cumint.conj()
+    source[:, :2, half] = cumint
+    source[:, 2:, conj] = cumint.conj()
     inverse = np.zeros((n, 8, 8), dtype=complex)
-    inverse[:, half[:, None], half] = grid.v_inverse
-    inverse[:, conj[:, None], conj] = grid.v_inverse.conj()
+    inverse[:, half[:, None], half] = v_inverse
+    inverse[:, conj[:, None], conj] = v_inverse.conj()
     return source, inverse
 
 
@@ -249,21 +264,30 @@ def largest_product(weights: np.ndarray, generators: np.ndarray) -> float:
 
 
 def _chain_start(x0: np.ndarray, n: int) -> np.ndarray:
-    """The Magnus chain's (n, 2, 8, 4) table, filled at t_0 alone."""
-    chain = np.zeros((n, 2, 8, 4))
-    chain[0, 0, :4] = np.eye(4)
-    y0 = (HERMITIAN_INV @ x0)[8:]
-    chain[0, 1, :, 0], chain[0, 1, :, 1] = y0.real, y0.imag
+    """The Magnus chain's (n, 2, 8, 6) table, filled at t_0 alone."""
+    chain = np.zeros((n, 2, 8, 6))
+    chain[0, 0, :4, :4] = np.eye(4)
+    y0 = (HERMITIAN_INV @ x0).reshape(2, 8)
+    chain[0, :, :, 4], chain[0, :, :, 5] = y0.real, y0.imag
     return chain
 
 
-def _chain_flow(chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U_A and the complement of y from the chain's table, as _magnus_chain returns them."""
-    half = np.empty((len(chain), 4, 4), dtype=complex)
-    rest = np.empty((len(chain), 8), dtype=complex)
-    half.real, half.imag = chain[:, 0, :4], chain[:, 0, 4:]
-    rest.real, rest.imag = chain[:, 1, :, 0], chain[:, 1, :, 1]
-    return half, rest
+def _framed(chain: np.ndarray, block: int, fill) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """fill(first, last) on each block of intervals, U_A restarted at every block's first row.
+
+    Returns U_A, the end maps and the state as _magnus_chain does.
+    """
+    ends = []
+    for first in range(0, len(chain) - 1, block):
+        last = min(first + block, len(chain) - 1)
+        fill(first, last)
+        if last % block == 0:
+            ends.append(chain[last, 0, :, :4].copy())
+            chain[last, 0, :, :4] = chain[0, 0, :, :4]
+    sector = chain[:, 0, :, :4]
+    ends = np.reshape(ends, (-1, 8, 4))
+    y = (chain[..., 4] + 1j * chain[..., 5]).reshape(len(chain), 16)
+    return sector[:, :4] + 1j * sector[:, 4:], ends[:, :4] + 1j * ends[:, 4:], y @ HERMITIAN.T
 
 
 def _basis(builder: DriftBuilder) -> np.ndarray:
@@ -272,12 +296,12 @@ def _basis(builder: DriftBuilder) -> np.ndarray:
     return np.stack((real[:, :8, :8], real[:, 8:, 8:]), axis=1).reshape(15, 128)
 
 
-def interval_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
-                   rtol: float) -> tuple[np.ndarray, np.ndarray]:
+def interval_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol: float,
+                   block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """propagator._magnus_chain with no quiet runs: every interval takes its own Magnus maps.
 
-    The m substeps come from every interval's weights, and the blocks of
-    about _BLOCK_STEPS substeps start at t_0.
+    The m substeps come from every interval's weights, and the batches of
+    about _BLOCK_STEPS substeps start at each block's first row.
     """
     n = len(times)
     step = (times[-1] - times[0]) / (n - 1)
@@ -285,22 +309,37 @@ def interval_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
     weights = _magnus_weights(builder, times[:-1], step)
     m = _substeps(weights, _column_sums(builder.generators), rtol)
     per_block = max(1, _BLOCK_STEPS // m)
-    for start in range(0, n - 1, per_block):
-        stop = min(start + per_block, n - 1)
-        starts = (times[start:stop, None] + (step / m) * np.arange(m)).ravel()
-        w = _magnus_weights(builder, starts, step / m) if m > 1 else weights[start:stop]
-        maps = _expm((w @ basis).reshape(stop - start, m, 2, 8, 8))
-        interval = _prefix_products(maps.swapaxes(0, 1))[-1]
-        chain[start + 1:stop + 1] = _prefix_products(interval) @ chain[start]
-    return _chain_flow(chain)
+
+    def fill(first, last):
+        for start in range(first, last, per_block):
+            stop = min(start + per_block, last)
+            starts = (times[start:stop, None] + (step / m) * np.arange(m)).ravel()
+            w = _magnus_weights(builder, starts, step / m) if m > 1 else weights[start:stop]
+            maps = _expm((w @ basis).reshape(stop - start, m, 2, 8, 8))
+            interval = _prefix_products(maps.swapaxes(0, 1))[-1]
+            chain[start + 1:stop + 1] = _prefix_products(interval) @ chain[start]
+
+    return _framed(chain, block, fill)
 
 
-def orbit_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray,
-                rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Magnus chain of a constant M: the _orbit of the first interval's map exp(M h)."""
+def orbit_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol: float,
+                block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Magnus chain of a constant M: the powers of the first interval's map exp(M h).
+
+    The powers are the _orbit of the map from the identity; each block's rows
+    are those powers times its first row.
+    """
     step = (times[-1] - times[0]) / (len(times) - 1)
-    step_map = _expm((_magnus_weights(builder, times[:1], step) @ _basis(builder)).reshape(2, 8, 8))
-    return _chain_flow(_orbit(step_map, _chain_start(x0, len(times))))
+    powers = np.empty((block + 1, 2, 8, 8))
+    powers[0] = np.eye(8)
+    _orbit(_expm((_magnus_weights(builder, times[:1], step) @ _basis(builder)).reshape(2, 8, 8)),
+           powers)
+    chain = _chain_start(x0, len(times))
+
+    def fill(first, last):
+        chain[first + 1:last + 1] = powers[1:last - first + 1] @ chain[first]
+
+    return _framed(chain, block, fill)
 
 
 def savetxt_csv(path, header: list[str], table: dict[str, np.ndarray]) -> None:

@@ -7,12 +7,13 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from ramanpairs.algebra import (SECTOR0, SECTOR_CONJ0, SECTOR_HALF0, SOURCE_ROWS, idx, levels, op,
                                pair_table)
 from ramanpairs.atom import AtomConfig, state_vector
-from ramanpairs.moments import (AK, AK_DAG, AQ, AQ_DAG, DAGGER_SLOT, _BLOCK_ROWS, _STRUCTURES,
+from ramanpairs import propagator
+from ramanpairs.moments import (AK, AK_DAG, AQ, AQ_DAG, DAGGER_SLOT, _SOURCE, _STRUCTURES,
                                 _moment_tables, _slot_factors, compute_moments)
 from ramanpairs.noise import diffusion_table
 from ramanpairs.observables import duan
 from ramanpairs.presets import preset
-from ramanpairs.propagator import build_propagator_grid
+from ramanpairs.propagator import _BLOCK_ROWS, build_propagator_grid
 from ramanpairs.pulses import PulseSpec, off
 
 from conftest import gauss_pulse, rho_symmetric
@@ -32,6 +33,7 @@ def test_initial_pair_table_examples():
 def test_slot_table():
     """Slot r is the ladder fed by SOURCE_ROWS[r]: a_q^dag (3), a_k (8), a_q (9), a_k^dag (14)."""
     assert SOURCE_ROWS == (3, 8, 9, 14)
+    assert list(SECTOR_HALF0[_SOURCE] + 1) == [3, 8] and list(SECTOR_CONJ0[_SOURCE] + 1) == [9, 14]
     assert (AQ_DAG, AK, AQ, AK_DAG) == (0, 1, 2, 3)
     assert DAGGER_SLOT == (2, 3, 0, 1)
     atom = AtomConfig(g_k=0.3, g_q=0.7, n_th_k=0.2, n_th_q=0.05, rho0=rho_symmetric())
@@ -234,12 +236,18 @@ COUPLING = st.floats(min_value=0.0, max_value=0.3)
           phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
 @given(rates=RATES, g=st.tuples(COUPLING, COUPLING), n_th=st.tuples(N_TH, N_TH),
        seed=st.integers(0, 2**32 - 1), pump=DRIVE, control=DRIVE, t_end=st.floats(0.5, 1.5))
+@example(rates=(0.0, 0.0, 3.0, 3.0, 1.0), g=(0.25, 0.0), n_th=(0.0, 0.0), seed=0,
+         pump=gauss_pulse(omega=0.0, center=1.0, width=0.5),
+         control=gauss_pulse(omega=1.0, center=1.0, width=0.5), t_end=1.5)
 def test_mirror_relabelling_permutes_the_moment_tables(rates, g, n_th, seed, pump, control, t_end):
     """a<->d, b<->c with pump<->control, k<->q: every (n, 4, 4) table permutes its slots.
 
     gamma_ab<->gamma_dc, gamma_ac<->gamma_db, g_k<->g_q, n_th_k<->n_th_q, and
     rho0 is relabelled the same way.  The mirror takes the source rows
     |a><c|, |b><d| onto |d><b|, |c><a|, so slot r goes to MIRROR_SLOT[r].
+    The example's flow from 0 has condition 81 at t_end, and its noise table
+    missed the gate by cond^2 eps when the kernels inverted that flow; its
+    grid now takes two frames.
     """
     ab, ac, db, dc, bc = rates
     rho = _random_state_atom(rates, seed).rho0
@@ -344,6 +352,24 @@ def test_streamed_tables_match_the_whole_grid_assembly(pump, control, n):
         scale = np.max(np.abs(ref))
         assert scale > 0.0, name
         assert np.max(np.abs(table - ref)) <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("name", ["fig2b", "fig4c", "fig7d"])
+def test_short_blocks_give_the_same_tables(monkeypatch, name):
+    """Frames of 7 rows rather than 128 move every table by at most 1e-12 of its maximum."""
+    cfg = preset(name).scenarios[0]
+
+    def tables():
+        grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, cfg.grid_points,
+                                     rtol=cfg.rtol)
+        return grid.block, _moment_tables(cfg.atom, grid, diffusion_table(cfg.atom))
+
+    block, want = tables()
+    monkeypatch.setattr(propagator, "_BLOCK_ROWS", 7)
+    short, got = tables()
+    assert (block, short) == (_BLOCK_ROWS, 7)
+    for name, table, ref in zip(("boundary", "noise", "backaction", "field", "means"), got, want):
+        assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
 
 def test_moment_assembly_working_memory():

@@ -9,7 +9,7 @@ from scipy.linalg import expm
 
 from ramanpairs import propagator
 from ramanpairs.algebra import SECTOR0, SECTOR_CONJ0, SECTOR_HALF0, SOURCE_ROWS, idx, real_form
-from ramanpairs.atom import AtomConfig, DriftBuilder, evolve_state, state_vector
+from ramanpairs.atom import AtomConfig, DriftBuilder, dissipation, evolve_state, state_vector
 from ramanpairs.config import apply_override
 from ramanpairs.errors import ConfigError
 from ramanpairs.moments import _moment_tables
@@ -21,7 +21,8 @@ from ramanpairs.runner import run_scenario
 
 from conftest import gauss_pulse, rho_symmetric
 from reference import (DAGGER0, constant_drive, full_kernel, generator_norms, interval_chain,
-                       kernel, largest_product, orbit_chain, propagate_from)
+                       kernel, largest_product, orbit_chain, propagate_from, sector_views,
+                       whole_flow)
 
 BLOCK = np.ix_(SECTOR0, SECTOR0)
 HALF = np.ix_(SECTOR_HALF0, SECTOR_HALF0)
@@ -34,7 +35,7 @@ def _sector_error(half, reference):
 
 
 def test_constant_drive_matches_matrix_exponential():
-    """The exact path's half flow, inverse and state are expm(M t) and its inverse."""
+    """The exact path's flow, frames, end maps and state are expm(M t) and its pieces."""
     atom = AtomConfig(rho0=rho_symmetric())
     pump = PulseSpec(shape="cw", omega_peak=6.0, detuning=2.0)
     control = PulseSpec(shape="cw", omega_peak=3.0, detuning=-1.0)
@@ -42,14 +43,20 @@ def test_constant_drive_matches_matrix_exponential():
     assert constant_drive(builder)
     times = np.linspace(0.0, 1.2, 25)
     x0 = state_vector(atom.rho0)
-    u, v, state = propagator._solve_flow(builder, x0, times, 1e-9)
+    u, _, state = propagator._magnus_chain(builder, x0, times, 1e-9, len(times))  # one frame
     m = builder.entries(0.0)
     for i in (8, 16, 24):
         assert np.max(np.abs(u[i] - expm(m * times[i])[HALF])) < 1e-8
-        assert np.max(np.abs(v[i] - expm(-m * times[i])[HALF])) < 1e-8
         assert np.max(np.abs(state[i] - expm(m * times[i]) @ x0)) < 1e-8
+    # frames of 8 rows: rows 0, 8, 16 and 24 restart at the identity, the state runs on
+    frames, ends, framed_state = propagator._magnus_chain(builder, x0, times, 1e-9, 8)
+    for i in range(25):
+        assert np.max(np.abs(frames[i] - expm(m * (times[i] - times[i - i % 8]))[HALF])) < 1e-8
+    assert ends.shape == (3, 4, 4)
+    assert np.max(np.abs(ends - expm(m * times[8])[HALF])) < 1e-8
+    assert np.max(np.abs(framed_state - state)) < 1e-12
     # time-translation invariance of the cw flow: started at t_12 it steps as from 0
-    u_mid, _, _ = propagator._solve_flow(builder, state[12], times[12:], 1e-9)
+    u_mid, _, _ = propagator._magnus_chain(builder, state[12], times[12:], 1e-9, 13)
     assert np.max(np.abs(u_mid[8] - u[8])) < 1e-8
     assert np.max(np.abs(u_mid[8] @ u[12] - u[20])) < 1e-8
 
@@ -100,17 +107,17 @@ def test_constant_drive_grid_matches_tight_solve(name):
     assert constant_drive(builder)
     grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, 200)
     x0 = state_vector(cfg.atom.rho0)
-    # every interval is quiet: half block and state from powers of the one step map exp(M h)
-    half, _, state = propagator._solve_flow(builder, x0, grid.times, 1e-9)
+    # every interval is quiet: frames and state from powers of the one step map exp(M h)
+    frames, ends, state = propagator._magnus_chain(builder, x0, grid.times, 1e-9, grid.block)
     reference = _tight_flow(builder, grid.times)
     scale = np.max(np.abs(reference))
-    assert _sector_error(half, reference) < 1e-9 * scale
+    # frames of at most ln 10 / (mu(D) + mu(-D)) = ln 10 / 2 in time, 76 intervals of 0.015,
+    # chained by their end maps, are the flow from 0
+    assert (grid.block, len(ends)) == (76, 2)
+    assert _sector_error(whole_flow(grid), reference) < 1e-9 * scale
     assert np.max(np.abs(state - reference @ x0)) < 1e-9 * scale
     assert np.array_equal(grid.state_traj, state)
-    # v_inverse inverts the forward flow's half block
-    worst = max(np.max(np.abs(grid.v_inverse[j] @ half[j] - np.eye(4)))
-                for j in (10, 100, 200))
-    assert worst < 1e-7
+    assert np.array_equal(grid.flow, frames) and np.array_equal(grid.ends, ends)
     for j in (0, 80, 200):
         assert np.max(np.abs(kernel(grid, j)[j])) < 1e-12
 
@@ -136,10 +143,10 @@ def test_time_dependent_drive_grid_matches_tight_solve(pump, control):
     reference = _tight_flow(builder, grid.times)
     scale = np.max(np.abs(reference))
     assert np.max(np.abs(u_from0 - reference)) < 1e-7 * scale
-    # the build's half block and state, chained together
+    # the build's frames and state, chained together
     x0 = state_vector(atom.rho0)
-    half, _, state = propagator._solve_flow(builder, x0, grid.times, 1e-9)
-    assert _sector_error(half, reference) < 1e-7 * scale
+    state = propagator._magnus_chain(builder, x0, grid.times, 1e-9, grid.block)[2]
+    assert _sector_error(whole_flow(grid), reference) < 1e-7 * scale
     assert np.max(np.abs(state - reference @ x0)) < 1e-7 * scale
     assert np.array_equal(grid.state_traj, state)
 
@@ -167,7 +174,7 @@ def test_magnus_flow_is_fourth_order():
     for n in (800, 1600):
         times = np.linspace(0.0, t_end, n + 1)
         assert _substeps(builder, times, 1e-2) == 1
-        half, _, _ = propagator._solve_flow(builder, x0, times, 1e-2)
+        half, _, _ = propagator._magnus_chain(builder, x0, times, 1e-2, len(times))
         errors.append(_sector_error(half[::n // 800], reference))
     # far above the tight solve's error
     assert errors[1] > 1e-10 * np.max(np.abs(reference[:, BLOCK[0], BLOCK[1]]))
@@ -266,7 +273,7 @@ def test_substep_rule_meets_rtol(atom, pump, control, t_end, n):
     scale = np.max(np.abs(reference))
     x0 = state_vector(atom.rho0)
     for rtol in (1e-8, 1e-10):
-        half, _, state = propagator._solve_flow(builder, x0, times, rtol)
+        half, _, state = propagator._magnus_chain(builder, x0, times, rtol, len(times))
         assert _sector_error(half, reference) <= rtol * scale
         assert np.max(np.abs(state - reference @ x0)) <= rtol * scale
 
@@ -332,12 +339,12 @@ def test_composition_residual_small():
     builder = DriftBuilder(atom, pump, control)
     assert not constant_drive(builder)
     times = np.linspace(0.0, 2.0, 81)
-    u_full, _, state = propagator._solve_flow(builder, state_vector(atom.rho0), times, 1e-9)
+    u_full, _, state = propagator._magnus_chain(builder, state_vector(atom.rho0), times, 1e-9, 81)
     rng = np.random.default_rng(3)
     for _ in range(4):
         j = int(rng.integers(5, 60))
         i = int(rng.integers(j + 5, 80))
-        u_tail, _, state_tail = propagator._solve_flow(builder, state[j], times[j:], 1e-9)
+        u_tail, _, state_tail = propagator._magnus_chain(builder, state[j], times[j:], 1e-9, 81)
         assert np.max(np.abs(u_full[i] - u_tail[i - j] @ u_full[j])) < 1e-8
         assert np.max(np.abs(state[i] - state_tail[i - j])) < 1e-8
 
@@ -352,10 +359,9 @@ def test_grid_build_invariants():
     assert np.allclose(u_from0[0], np.eye(16))
     # X is solved together with the half block, so it matches U X(0) to the solve's accuracy
     assert np.max(np.abs(grid.state_traj - u_from0 @ state_vector(atom.rho0))) < 1e-8
-    # v_inverse really inverts the forward flow's half block
-    worst = max(np.max(np.abs(grid.v_inverse[j] @ u_from0[j][HALF] - np.eye(4)))
-                for j in (10, 75, 150))
-    assert worst < 1e-7
+    # the frames restart at each block's first row and chain back to the flow from 0
+    assert np.array_equal(grid.flow[::grid.block], np.broadcast_to(np.eye(4), (2, 4, 4)))
+    assert np.max(np.abs(whole_flow(grid) - u_from0[:, SECTOR_HALF0[:, None], SECTOR_HALF0])) < 1e-8
     # kernels vanish on the diagonal
     for j in (0, 60, 150):
         assert np.max(np.abs(kernel(grid, j)[j])) < 1e-12
@@ -401,9 +407,10 @@ def test_constant_drive_shortcut_is_the_chain(monkeypatch, name):
     assert constant_drive(builder)
     times = np.linspace(0.0, cfg.t_end, cfg.grid_points + 1)
     x0 = state_vector(cfg.atom.rho0)
-    shortcut = propagator._solve_flow(builder, x0, times, cfg.rtol)
+    block = propagator._block_rows(builder, times[1])
+    shortcut = propagator._magnus_chain(builder, x0, times, cfg.rtol, block)
     monkeypatch.setattr(propagator, "_magnus_chain", interval_chain)
-    chained = propagator._solve_flow(builder, x0, times, cfg.rtol)
+    chained = propagator._magnus_chain(builder, x0, times, cfg.rtol, block)
     for want, got in zip(shortcut, chained):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -425,7 +432,8 @@ def _flows(atom, pump, control, t_end, n, rtol, chain):
     times = np.linspace(0.0, t_end, n + 1)
 
     def side():
-        half = propagator._magnus_chain(builder, state_vector(atom.rho0), times, rtol)[0]
+        half = propagator._magnus_chain(builder, state_vector(atom.rho0), times, rtol,
+                                        propagator._block_rows(builder, times[1]))[0]
         grid = build_propagator_grid(atom, pump, control, t_end, n, rtol=rtol)
         return half, grid, _moment_tables(atom, grid, diffusion_table(atom))[:3]
 
@@ -441,13 +449,13 @@ def _preset_flows(label, chain):
 
 
 def _assert_same_flow(ours, reference, tol):
-    """U_A, the grid's state, inverse and row integrals, and the three moment tables agree.
+    """U_A, the grid's state, frames and end maps, and the three moment tables agree.
 
     Each within tol of its largest modulus, so tol 0 asks for the same values.
     """
     def arrays(side):
         half, grid, tables = side
-        return half, grid.state_traj, grid.v_inverse, grid.source_cumint, *tables
+        return half, grid.state_traj, grid.flow, grid.ends, *tables
 
     for want, got in zip(arrays(reference), arrays(ours)):
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
@@ -455,7 +463,7 @@ def _assert_same_flow(ours, reference, tol):
 
 @pytest.mark.parametrize("label", ["fig2a", "fig5_cw", "fig7a", "fig7c", "fig7d"])
 def test_cw_presets_take_the_orbit_of_one_step_map(label):
-    """Every cw preset's chain is the _orbit of one _expm step map, bit for bit."""
+    """Every cw preset's chain is the powers of one _expm step map in each frame, bit for bit."""
     cfg = _scenario(label)
     assert constant_drive(DriftBuilder(cfg.atom, cfg.pump, cfg.control))
     _assert_same_flow(*_preset_flows(label, orbit_chain), 0.0)
@@ -604,24 +612,51 @@ def test_kernel_quadrature_richardson_ratio():
     for n in (120, 240):
         grid = build_propagator_grid(atom, pump, control, 1.5, n, rtol=1e-11)
         step = 960 // n
-        errors[n] = np.abs(grid.source_cumint - ref.source_cumint[::step]).max()
+        errors[n] = np.abs(sector_views(grid)[0] - sector_views(ref)[0][::step]).max()
     ratio = errors[120] / errors[240]
     assert 2.7 < ratio < 5.5
 
 
 @pytest.mark.parametrize("sizes", [(1, 1, 1), (3, 4, 2, 1), (5, 5), (2, 7, 1)])
-def test_streamed_trapezoid_is_bitwise_the_whole_grid_rule(sizes):
-    """Row blocks sharing one carry give the whole-grid cumulative trapezoid bit for bit."""
+def test_segment_trapezoids_add_up_to_the_whole_grid_rule(sizes):
+    """Each segment's trapezoid, after the sum of those before it, is the whole grid's rule.
+
+    The segments share their edge rows, as the blocks of the moment assembly do.
+    """
     rng = np.random.default_rng(len(sizes))
-    v = rng.normal(size=(sum(sizes), 3, 2)) + 1j * rng.normal(size=(sum(sizes), 3, 2))
+    v = rng.normal(size=(sum(sizes) + 1, 3, 2)) + 1j * rng.normal(size=(sum(sizes) + 1, 3, 2))
     whole = propagator._cumulative_trapezoid(v, 0.1)
-    carry, blocks, start = [], [], 0
+    total, start = 0.0, 0
     for size in sizes:
-        blocks.append(propagator._cumulative_trapezoid(v[start:start + size], 0.1, carry))
-        start += size
-    assert np.array_equal(np.concatenate(blocks), whole)
-    assert np.array_equal(carry[0], np.cumsum(v, axis=0)[-1])
-    assert np.array_equal(carry[1], v[0])
+        segment = total + propagator._cumulative_trapezoid(v[start:start + size + 1], 0.1)
+        error = np.max(np.abs(segment - whole[start:start + size + 1]))
+        assert error <= 1e-15 * len(v) * np.max(np.abs(whole))
+        total, start = segment[-1], start + size
+
+
+@settings(max_examples=30, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(rates=st.tuples(RATE, RATE, RATE, RATE, RATE), pump=DRIVE, control=DRIVE,
+       t_end=st.floats(0.5, 20.0))
+@example(rates=(0.0, 0.0, 0.0, 0.0, 1.1125369292536007e-308), pump=gauss_pulse(omega=0.0),
+         control=gauss_pulse(omega=0.0), t_end=1.0)  # ln 10 over a subnormal spread
+def test_every_frame_has_condition_at_most_ten(rates, pump, control, t_end):
+    """Each block's flow U_A(t, t_b), which the kernels invert, and its end map: condition <= 10.
+
+    On the sector half only the dissipator has a Hermitian part: the four drive
+    pieces, with their chirps, and the detunings in the static piece are
+    anti-Hermitian there, so the atom alone sizes the blocks (_block_rows).
+    """
+    atom = AtomConfig(*rates)
+    builder = DriftBuilder(atom, pump, control)
+    pieces = builder.generators[:5].copy()
+    pieces[0] -= dissipation(atom)
+    scale = np.max(np.abs(builder.generators[0]))
+    for piece in pieces[:, SECTOR_HALF0[:, None], SECTOR_HALF0]:
+        assert np.max(np.abs(piece + piece.conj().T)) <= 1e-15 * scale
+    grid = build_propagator_grid(atom, pump, control, t_end, 1000)
+    assert np.linalg.cond(grid.flow).max() <= 10.0
+    assert np.linalg.cond(grid.ends).max(initial=1.0) <= 10.0
 
 
 def test_build_validation():
