@@ -267,8 +267,8 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol
     m = _substeps(weights[~quiet], columns, rtol)
     per_block = max(1, _BLOCK_STEPS // m)
     # quiet runs and frames cut the grid; a frame starts on every block's first row
-    edges = np.union1d(np.flatnonzero(quiet[1:] != quiet[:-1]) + 1,
-                       [0, *range(block, n, block), n - 1])
+    edges = sorted({0, *range(block, n, block), n - 1,
+                    *(np.flatnonzero(quiet[1:] != quiet[:-1]) + 1).tolist()})
     ends = []
     for first, last in zip(edges[:-1], edges[1:]):
         if quiet[first]:  # a run of quiet intervals: powers of the one steady map
@@ -285,9 +285,10 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol
             ends.append(chain[last, 0, :, :4].copy())
             chain[last, 0, :, :4] = chain[0, 0, :, :4]
     ends = np.reshape(ends, (-1, 8, 4))
-    y = (chain[..., 4] + 1j * chain[..., 5]).reshape(n, 16)
-    half = chain[:, 0, :4, :4] + 1j * chain[:, 0, 4:, :4]
-    return half, ends[:, :4] + 1j * ends[:, 4:], y @ algebra.HERMITIAN.T
+    half, y = np.empty((n, 4, 4), dtype=complex), np.empty((n, 2, 8), dtype=complex)
+    half.real, half.imag = chain[:, 0, :4, :4], chain[:, 0, 4:, :4]
+    y.real, y.imag = chain[..., 4], chain[..., 5]
+    return half, ends[:, :4] + 1j * ends[:, 4:], y.reshape(n, 16) @ algebra.HERMITIAN.T
 
 
 @dataclass
