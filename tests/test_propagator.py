@@ -361,7 +361,8 @@ def test_grid_build_invariants():
     assert np.max(np.abs(grid.state_traj - u_from0 @ state_vector(atom.rho0))) < 1e-8
     # the frames restart at each block's first row and chain back to the flow from 0
     assert np.array_equal(grid.flow[::grid.block], np.broadcast_to(np.eye(4), (2, 4, 4)))
-    assert np.max(np.abs(whole_flow(grid) - u_from0[:, SECTOR_HALF0[:, None], SECTOR_HALF0])) < 1e-8
+    u_half = u_from0[:, SECTOR_HALF0[:, None], SECTOR_HALF0]
+    assert np.max(np.abs(whole_flow(grid) - u_half)) < 1e-8
     # kernels vanish on the diagonal
     for j in (0, 60, 150):
         assert np.max(np.abs(kernel(grid, j)[j])) < 1e-12
