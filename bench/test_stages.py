@@ -8,19 +8,21 @@ under perfbench/ pins it:
 Each stage of ``run_scenario`` is timed on its own: the propagator grid build,
 the diffusion map, the moment assembly, the observables, the scenario CSV
 write, and the whole ``run_scenario``.  Every such stage runs on fig2a
-(constant drives, every interval quiet), fig2b (Gaussian pulses, Magnus step
-maps where they act) and fig4c (opposite chirps), at the presets' 1600
-intervals; the grid build runs also on fig6b's strongest scan point, Rabi
-frequency 50 (no quiet interval), and on fig3b's at Rabi frequency 30 (four
-substeps per driven interval).  Inside the grid build, the Magnus substep
+(constant drives, every interval quiet), fig7d (constant drives with both
+drives on), fig2b (Gaussian pulses, Magnus step maps where they act) and
+fig4c (opposite chirps), at the presets' 1600 intervals; the grid build
+runs also on fig6b's strongest scan point, Rabi frequency 50 (no quiet
+interval), and on fig3b's at Rabi frequency 30 (four substeps per driven
+interval).  Inside the grid build, the Magnus substep
 sizing (the weights of every interval, then ``_substeps``) is timed on its
 own on the three time-dependent drives fig2b, fig4c and fig6b at 50.  A long
 window, fig2b stretched to t_end 20 on 2000 intervals (18 blocks, each in
 its own flow frame), times the grid build and the moment pass together.
 Three stages stand outside a scenario run:
 ``import ramanpairs.cli`` in a fresh interpreter, one oracle run (fig2b on the
-thinned grid of ``run_verification`` under the default ``[verify]``), and one
-serial scan (fig6b at 200 intervals).  The tier-1 suite does not collect this
+thinned grid of ``run_verification`` under the default ``[verify]``), and
+fig6b's scan at 200 intervals, once serial and once on a pool of two
+workers.  The tier-1 suite does not collect this
 directory (``testpaths`` in pyproject.toml); ``pytest bench/
 --benchmark-disable`` runs every stage once, as a smoke test.
 
@@ -57,7 +59,7 @@ from ramanpairs.presets import preset
 from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.runner import run_scan, run_scenario, write_scenario_csv
 
-SCENARIOS = ["fig2a", "fig2b", "fig4c"]
+SCENARIOS = ["fig2a", "fig7d", "fig2b", "fig4c"]
 
 
 @functools.cache
@@ -192,9 +194,13 @@ def test_oracle_run(benchmark):
     assert oracle.n_k.shape == times.shape
 
 
-def test_scan(benchmark):
-    """fig6b's five Rabi points at 200 intervals, run one after another."""
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan(benchmark, workers):
+    """fig6b's five Rabi points at 200 intervals, serial or on a fork pool of two workers.
+
+    The pool's start-up and its pickled results count in the two-worker time.
+    """
     benchmark.group = "scan"
     cfg = replace(preset("fig6b").scan, grid_points=200)
-    scan = benchmark(run_scan, cfg, 1)
+    scan = benchmark(run_scan, cfg, workers)
     assert len(scan.rows) == len(cfg.scan.values)

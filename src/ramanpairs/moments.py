@@ -39,7 +39,11 @@ Every s-integral is a kernel sum on the propagator grid (trapezoid rule),
 
 in the frame of t_i's block (propagator.PropagatorGrid): K = (S_i - S_j) V_j
 for s_j in the block, S its trapezoid from the block's first row and V the
-inverse of its flow.  The row's own half weight drops out, [S_i, -1] [V_i;
+inverse of its flow.  V comes from one batched inversion over the rows of
+the distinct frames alone: a block whose frame is another's
+(PropagatorGrid.shares), as in every drive-free stretch, reads that block's
+S, V and [V; S V], a prefix of them if it is shorter, and forms none of its
+own.  The row's own half weight drops out, [S_i, -1] [V_i;
 S_i V_i] = 0, so R is a plain running sum.  An earlier s_j enters R as
 [U_A(t_b, s_j); -K(t_b, s_j)], and at a block's end every column of R turns
 to the next frame by R -> [[U_e, 0], [-S_e, 1]] R, quadratic ones also by
@@ -155,8 +159,12 @@ def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionT
     back_r, back_u = np.outer(fd, c), np.outer(c, fd[list(DAGGER_SLOT)])
     coupling = -1j * g.reshape(2, 2) * [[1], [-1]]  # -i g_p, conjugated on AQ, AK_DAG
     u, x, step, k = grid.flow, grid.state_traj, grid.step, grid.block
-    v = np.linalg.inv(u)
     n = len(u)
+    # one inversion over the rows of the distinct frames; a block that shares one reads the
+    # factors of its partner's, kept from when that block was assembled
+    own = grid.shares == np.arange(len(grid.shares))
+    v = np.linalg.inv(u if own.all() else u[np.repeat(own, k)[:n]])
+    kept, partners, offset = {}, set(grid.shares[~own].tolist()), 0
     frame = np.eye(6, dtype=complex)
     x0 = state_vector(atom.rho0)
     pairs0 = algebra.pair_table(x0)
@@ -174,16 +182,25 @@ def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionT
     means = np.empty((n, 4), dtype=complex)
     for block, start in enumerate(range(0, n, k)):
         rows = slice(start, start + k)
-        v_b = v[rows]
-        m = len(v_b)
-        s_b = _cumulative_trapezoid(u[rows, _SOURCE], step)
-        # K_h(t_i, s_j) = S_i V_j - (S V)_j, from the factors [V; S V]
-        factors = np.concatenate((v_b, s_b @ v_b), axis=1)
+        m = min(k, n - start)
+        if own[block]:
+            v_b = v[offset:offset + m]
+            offset += m
+            s_b = _cumulative_trapezoid(u[rows, _SOURCE], step)
+            # K_h(t_i, s_j) = S_i V_j - (S V)_j, from the factors [V; S V]
+            factors = np.concatenate((v_b, s_b @ v_b), axis=1)
+            frame_b = (s_b, factors, factors.conj().transpose(0, 2, 1),
+                       s_b.conj().transpose(0, 2, 1))
+            if block in partners:
+                kept[block] = frame_b
+        else:  # a sharing block reads its partner's factors, the short last block a prefix
+            frame_b = tuple(a[:m] for a in kept[grid.shares[block]])
+        s_b, factors, factors_h, s_h = frame_b
         fed = x[rows] @ feed
         d2 = fed[:, :32].reshape(m, 4, 2, 4)  # [i, k, j]: 2D_0 = 2D_HC, 2D_1 = conj(2D_CH)
         np.conjugate(d2[:, :, 1], out=d2[:, :, 1])
         # the 16 columns [y_0, y_0 conj(S)^T, y_1, y_1 conj(S)^T, C_p X], one stacked kernel sum
-        y = d2.reshape(m, 8, 4) @ factors.conj().transpose(0, 2, 1)
+        y = d2.reshape(m, 8, 4) @ factors_h
         cols = np.concatenate((y.reshape(m, 4, 12), fed[:, 32:].reshape(m, 4, 4)), axis=2)
         np.conjugate(cols[..., 14:], out=cols[..., 14:])
         sums = factors @ cols
@@ -198,7 +215,7 @@ def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionT
         means[rows, :2], means[rows, 2:] = fixed[..., 0], fixed[..., 1].conj()
         # boundary K P(0) K^T and noise K 2D K^T, [i, r, (part, k), column] times [S_i, -1]^T
         quad = np.concatenate((fixed[..., 2:], ks[..., :12]), axis=2).reshape(m, 2, 4, 6)
-        right = (quad[..., :4].reshape(m, 8, 4) @ s_b.conj().transpose(0, 2, 1)).reshape(m, 2, 4, 2)
+        right = (quad[..., :4].reshape(m, 8, 4) @ s_h).reshape(m, 2, 4, 2)
         right -= quad[..., 4:]
         _scatter(boundary[rows], right[:, :, :2])
         _scatter(noise[rows], right[:, :, 2:])

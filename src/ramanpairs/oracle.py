@@ -27,9 +27,10 @@ a coherent rho0 or a thermal seed adds what it reaches.  One run on the 41
 verifier points takes about 0.06 s (fig2b) to 0.14-0.17 s (fig7c) on a 2-core
 host.
 
-Moments come out by direct trace of the reduced field and atom states, with no
-kernel machinery or noise tables in this code path, so agreement with the
-moments pipeline certifies the whole kernel construction.
+Moments come out as direct traces Tr(rho op), each one weight row on the
+solved entries of vec(rho), with no kernel machinery or noise tables in this
+code path, so agreement with the moments pipeline certifies the whole kernel
+construction.
 """
 
 from __future__ import annotations
@@ -246,20 +247,19 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     sol = solve_ivp(rhs, (times[0], times[-1]), rho0[keep], method="DOP853",
                     t_eval=times, rtol=cfg.rtol, atol=cfg.atol)
     check_solution(sol, "oracle", times[0])
-    vec_rho = np.zeros((rho0.size, len(times)), dtype=complex)
-    vec_rho[keep] = sol.y
-    rhos = vec_rho.T.reshape(len(times), 4, dim_f, 4, dim_f)
-    rho_atom = np.einsum("tifjf->tij", rhos)
-    rho_field = np.einsum("tiaib->tab", rhos)
-
-    def expect(op):
-        return np.einsum("tij,ji->t", rho_field, op)
-
-    a_k, a_q = (a.toarray() for a in _field_ops(dim_k, dim_q))
-    n_k = expect(a_k.T @ a_k).real
-    n_q = expect(a_q.T @ a_q).real
-    top_k = expect(np.kron(np.diag(np.eye(dim_k)[-1]), np.eye(dim_q))).real
-    top_q = expect(np.kron(np.eye(dim_k), np.diag(np.eye(dim_q)[-1]))).real
+    # <op> = Tr(rho op) = vec(op^T) . vec(rho).  On the kept entry (i, a, j, b) of vec(rho),
+    # kron(1_atom, op)^T weighs delta_ij op[b, a], and kron(|x><y|, 1_field)^T weighs
+    # delta_ab at i = y, j = x: one weight row per moment, all applied in one product
+    i, a, j, b = np.unravel_index(keep, (4, dim_f, 4, dim_f))
+    a_k, a_q = (x.toarray() for x in _field_ops(dim_k, dim_q))
+    last = [np.diag(np.eye(dim)[-1]) for dim in (dim_k, dim_q)]  # projectors on the top layers
+    field_ops = np.stack([a_k.T @ a_k, a_q.T @ a_q, np.kron(last[0], np.eye(dim_q)),
+                          np.kron(np.eye(dim_k), last[1]), a_q @ a_k, a_q @ a_k.T, a_k @ a_k,
+                          a_q @ a_q, a_k, a_q])
+    rows = np.concatenate((field_ops[:, b, a] * (i == j),
+                           np.equal.outer(np.arange(16), 4 * j + i) & (a == b)))
+    n_k, n_q, top_k, top_q, pair, cross, square_k, square_q, mean_k, mean_q, *atom = rows @ sol.y
+    n_k, n_q, top_k, top_q = n_k.real, n_q.real, top_k.real, top_q.real
 
     for label, top, n in (("Stokes", top_k, n_k), ("anti-Stokes", top_q, n_q)):
         scale = max(float(np.max(n)), 1e-300)
@@ -272,16 +272,15 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
 
     return OracleMoments(
         times=times,
-        pair=expect(a_q @ a_k),
-        cross=expect(a_q @ a_k.T),
+        pair=pair,
+        cross=cross,
         n_k=n_k.astype(complex),
         n_q=n_q.astype(complex),
-        square_k=expect(a_k @ a_k),
-        square_q=expect(a_q @ a_q),
-        mean_k=expect(a_k),
-        mean_q=expect(a_q),
-        atom_traj=rho_atom.transpose(0, 2, 1).reshape(len(times), 16),  # <sigma_xy> = rho[y, x]
+        square_k=square_k,
+        square_q=square_q,
+        mean_k=mean_k,
+        mean_q=mean_q,
+        atom_traj=np.transpose(atom),  # <sigma_xy> = rho[y, x], column 4 x + y
         top_layer_k=top_k,
         top_layer_q=top_q,
     )
-

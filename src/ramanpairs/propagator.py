@@ -33,7 +33,13 @@ nodes, substepped so that the flow meets rtol (_substeps), and the grid
 values are the running products of those maps.  A quiet interval, where no
 drive acts, takes the one map of h times M's time-independent part
 (_quiet), so a run of them is its powers; cw unchirped drives leave every
-interval quiet.  Only U_A and the state are chained, in real arithmetic
+interval quiet, and their specs say so (_steady_drives), so one interval's
+weights serve them all.  A quiet run from a block's first row is the powers
+themselves: its frame is a copy of them and only the state is multiplied.
+So every block quiet over all its rows holds the same frame, bit for bit,
+and PropagatorGrid.shares names the first such block for the moment
+assembly, which inverts and integrates that frame once.  Only U_A and the
+state are chained, in real arithmetic
 (algebra.real_form).  Every exponential comes from _expm, a NumPy
 scaling-and-squaring Taylor sum, so no scenario run loads a scipy module.
 """
@@ -229,14 +235,25 @@ def _block_rows(builder: DriftBuilder, step: float) -> int:
     return max(1, int(min(_BLOCK_ROWS, math.log(10.0) / spread if spread > 0 else math.inf)))
 
 
+def _steady_drives(builder: DriftBuilder) -> bool:
+    """True when both drives are cw and unchirped, so that M and every step map are constant."""
+    return all(spec.shape == "cw" and spec.chirp == 0 for spec in (builder.pump, builder.control))
+
+
 def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol: float,
-                  block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """U_A(t_i, t_b) of each row's block, (n, 4, 4), the end maps, and U(t_i, t_0) x0, (n, 16).
+                  block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """U_A(t_i, t_b) of each row's block, (n, 4, 4), the end maps, U(t_i, t_0) x0, (n, 16), and
+    the block whose frame each block shares, (n_blocks,).
 
     Blocks of `block` rows each restart U_A on algebra.SECTOR_HALF0 at the
     identity on their first row t_b; end map b is U_A(t_b + block h, t_b),
     (n_blocks - 1, 4, 4), and the state runs on.
-    A run of quiet intervals (_quiet) takes the powers of the one steady map.
+    A run of quiet intervals (_quiet) takes the powers of the one steady map;
+    cw unchirped drives (_steady_drives) make every interval quiet from the
+    weights of the first alone.  Where a run starts on a block's first row,
+    the frame is the powers themselves, copied, and only the state is
+    multiplied; a block quiet over every interval of its rows therefore holds
+    a prefix of the first such block's frame, bit for bit, and shares it.
     Each driven interval gets m equal substeps (_substeps over the driven
     intervals alone), each map the exponential of its Magnus generator in the
     real coordinates of algebra.HERMITIAN, where it is block diagonal: R(A)
@@ -257,9 +274,13 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol
     chain[0, 0, :4, :4] = np.eye(4)
     y0 = (algebra.HERMITIAN_INV @ x0).reshape(2, 8)
     chain[0, :, :, 4], chain[0, :, :, 5] = y0.real, y0.imag
-    weights = _magnus_weights(builder, times[:-1], step)
     columns = _column_sums(builder.generators)
-    steady, quiet = _quiet(weights, columns)
+    if _steady_drives(builder):  # every interval has the first one's weights: all are quiet
+        weights = np.broadcast_to(_magnus_weights(builder, times[:1], step), (n - 1, 15))
+        steady, quiet = weights[0], np.ones(n - 1, dtype=bool)
+    else:
+        weights = _magnus_weights(builder, times[:-1], step)
+        steady, quiet = _quiet(weights, columns)
     if quiet.any():  # the steady map's powers, up to a frame's length
         powers = np.empty((min(block, n - 1) + 1, 2, 8, 8))
         powers[0] = np.eye(8)
@@ -271,7 +292,13 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol
                     *(np.flatnonzero(quiet[1:] != quiet[:-1]) + 1).tolist()})
     ends = []
     for first, last in zip(edges[:-1], edges[1:]):
-        if quiet[first]:  # a run of quiet intervals: powers of the one steady map
+        if quiet[first] and first % block == 0:  # the frame is the powers: copy them
+            # powers @ I gives them to the bit: their zeros are the +0.0 of np.eye and of
+            # matmul sums, never a -0.0 that the copy would keep and %.17g write as "-0"
+            chain[first + 1:last + 1, 0, :, :4] = powers[1:last - first + 1, 0, :, :4]
+            np.matmul(powers[1:last - first + 1], chain[first, ..., 4:],
+                      out=chain[first + 1:last + 1, ..., 4:])
+        elif quiet[first]:  # a run of quiet intervals: powers of the one steady map
             chain[first + 1:last + 1] = powers[1:last - first + 1] @ chain[first]
         else:
             for start in range(first, last, per_block):
@@ -285,10 +312,16 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol
             ends.append(chain[last, 0, :, :4].copy())
             chain[last, 0, :, :4] = chain[0, 0, :, :4]
     ends = np.reshape(ends, (-1, 8, 4))
+    # a block whose frame rows all come from quiet intervals shares the first such block's
+    firsts = np.arange(0, n, block)
+    steady_blocks = [quiet[first:first + block - 1].all() for first in firsts]
+    shares = np.arange(len(firsts))
+    if any(steady_blocks):
+        shares[steady_blocks] = steady_blocks.index(True)
     half, y = np.empty((n, 4, 4), dtype=complex), np.empty((n, 2, 8), dtype=complex)
     half.real, half.imag = chain[:, 0, :4, :4], chain[:, 0, 4:, :4]
     y.real, y.imag = chain[..., 4], chain[..., 5]
-    return half, ends[:, :4] + 1j * ends[:, 4:], y.reshape(n, 16) @ algebra.HERMITIAN.T
+    return half, ends[:, :4] + 1j * ends[:, 4:], y.reshape(n, 16) @ algebra.HERMITIAN.T, shares
 
 
 @dataclass
@@ -301,7 +334,10 @@ class PropagatorGrid:
     block of U(t_i, t_b) is blockdiag(U_A, conj U_A) over
     algebra.SECTOR_HALF0 and SECTOR_CONJ0.  ends[b] = U_A(t_b + block h, t_b)
     takes block b's frame to the next block's first row, and state_traj[i] =
-    U(t_i, 0) X(0) is the 16-component expectation trajectory.
+    U(t_i, 0) X(0) is the 16-component expectation trajectory.  Block b's
+    frame rows are the first rows of block shares[b]'s, bit for bit: the
+    first block quiet over all its rows for each such block, b itself for
+    the others.
     """
 
     times: np.ndarray
@@ -310,6 +346,7 @@ class PropagatorGrid:
     flow: np.ndarray        # (n_points, 4, 4)
     ends: np.ndarray        # (n_blocks - 1, 4, 4)
     block: int
+    shares: np.ndarray      # (n_blocks,)
 
 
 def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
@@ -325,6 +362,7 @@ def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     step = float(times[1] - times[0])
     builder = DriftBuilder(atom, pump, control)
     block = _block_rows(builder, step)
-    flow, ends, state_traj = _magnus_chain(builder, state_vector(atom.rho0), times, rtol, block)
+    flow, ends, state_traj, shares = _magnus_chain(builder, state_vector(atom.rho0), times, rtol,
+                                                   block)
     return PropagatorGrid(times=times, step=step, state_traj=state_traj, flow=flow, ends=ends,
-                          block=block)
+                          block=block, shares=shares)

@@ -11,9 +11,11 @@ substep bound caps, the full 16x16 flow started at an arbitrary grid point, with
 the two-time kernels it gives, and the kernel quadrature and moment tables
 over the whole sector and the whole window at once, from U(t, 0) rebuilt
 out of the grid's frames, which the library forms on the half and streams
-in row blocks, one frame each.  Two Magnus chains restate the
-library's without quiet runs: every interval's own maps, and, for a constant
-drive, the powers of one step map.
+in row blocks, one frame each, and that streamed pass with every block's
+frame inverted and integrated on its own, where the library shares them.
+Two Magnus chains restate the library's without quiet runs: every
+interval's own maps, and, for a constant drive, the powers of one step map
+times each block's first row.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from ramanpairs.algebra import (COMPLEMENT0, HERMITIAN, HERMITIAN_INV, LEVELS, S
                                SECTOR_CONJ0, SECTOR_HALF0, SOURCE_ROWS, dagger, idx, pair_table,
                                real_form)
 from ramanpairs.atom import AtomConfig, DriftBuilder, state_vector
-from ramanpairs.moments import _SOURCE, _STRUCTURES, _slot_factors
+from ramanpairs.moments import (_CH, _CONJ, _HALF, _HC, _SOURCE, _STRUCTURE_FEED, _STRUCTURES,
+                                DAGGER_SLOT, _scatter, _slot_factors)
 from ramanpairs.noise import DiffusionTable
 from ramanpairs.oracle import _coefficients, _decay_ops, _field_ops, _level_op, _liouvillian
 from ramanpairs.propagator import (_BLOCK_STEPS, PropagatorGrid, _column_sums,
@@ -139,6 +142,83 @@ def moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionTa
     return boundary, noise, backaction, field, means
 
 
+def block_moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionTable):
+    """moments._moment_tables with every block's frame inverted and integrated on its own.
+
+    One inversion of the whole grid's frames, and V, S and the factors [V; S V]
+    formed anew in each block, as the assembly did before blocks shared frames.
+    """
+    g, c, field = _slot_factors(atom)
+    cc = np.outer(c, c)
+    # backaction = back_r * B^T + back_u * B with B[u, r] = T[u, DAGGER_SLOT[r]]
+    fd = field[range(4), DAGGER_SLOT]
+    back_r, back_u = np.outer(fd, c), np.outer(c, fd[list(DAGGER_SLOT)])
+    coupling = -1j * g.reshape(2, 2) * [[1], [-1]]  # -i g_p, conjugated on AQ, AK_DAG
+    u, x, step, k = grid.flow, grid.state_traj, grid.step, grid.block
+    v = np.linalg.inv(u)
+    n = len(u)
+    frame = np.eye(6, dtype=complex)
+    x0 = state_vector(atom.rho0)
+    pairs0 = pair_table(x0)
+    # h X -> [2D_HC, 2D_CH] as [i, k, j] | C_p X as [i, p]
+    diff_feed = np.stack([diffusion.einstein[:, i, j] for i, j in (_HC, _CH)], axis=2)
+    feed = step * np.concatenate((diff_feed.reshape(16, 32), _STRUCTURE_FEED.reshape(16, 16)),
+                                 axis=1)
+    # R of one frame, columns [x0 | P0 | y_0 | y_1 | C_p X]: the first 14 are the s = 0
+    # factor [U_A(t_b, 0); -K_h(t_b, 0)] times x0 and P0, the rest the running sums
+    # h sum_j w_j [V_j; S_j V_j] cols_j over the earlier rows
+    carry = np.zeros((6, 30), dtype=complex)
+    carry[:4, 0], carry[:4, 1] = x0[_HALF], x0[_CONJ].conj()
+    carry[:4, 2:6], carry[:4, 8:12] = pairs0[_HC], pairs0[_CH].conj()
+    boundary, noise, backaction = (np.zeros((n, 4, 4), dtype=complex) for _ in range(3))
+    means = np.empty((n, 4), dtype=complex)
+    for block, start in enumerate(range(0, n, k)):
+        rows = slice(start, start + k)
+        v_b = v[rows]
+        m = len(v_b)
+        s_b = _cumulative_trapezoid(u[rows, _SOURCE], step)
+        # K_h(t_i, s_j) = S_i V_j - (S V)_j, from the factors [V; S V]
+        factors = np.concatenate((v_b, s_b @ v_b), axis=1)
+        fed = x[rows] @ feed
+        d2 = fed[:, :32].reshape(m, 4, 2, 4)  # [i, k, j]: 2D_0 = 2D_HC, 2D_1 = conj(2D_CH)
+        np.conjugate(d2[:, :, 1], out=d2[:, :, 1])
+        # the 16 columns [y_0, y_0 conj(S)^T, y_1, y_1 conj(S)^T, C_p X], one stacked kernel sum
+        y = d2.reshape(m, 8, 4) @ factors.conj().transpose(0, 2, 1)
+        cols = np.concatenate((y.reshape(m, 4, 12), fed[:, 32:].reshape(m, 4, 4)), axis=2)
+        np.conjugate(cols[..., 14:], out=cols[..., 14:])
+        sums = factors @ cols
+        if not start:
+            sums[0] *= 0.5  # the trapezoid's half weight at s = 0
+        sums[0] += carry[:, 14:]
+        np.cumsum(sums, axis=0, out=sums)
+        # [S_i, -1] R: K_h(t_i, 0) x0, K_h(t_i, 0) P0 and the kernel sums; the row's own
+        # trapezoid half weight drops out, as [S_i, -1] [V_i; S_i V_i] = 0
+        fixed = (s_b.reshape(2 * m, 4) @ carry[:4, :14]).reshape(m, 2, 14) - carry[4:, :14]
+        ks = s_b @ sums[:, :4] - sums[:, 4:]
+        means[rows, :2], means[rows, 2:] = fixed[..., 0], fixed[..., 1].conj()
+        # boundary K P(0) K^T and noise K 2D K^T, [i, r, (part, k), column] times [S_i, -1]^T
+        quad = np.concatenate((fixed[..., 2:], ks[..., :12]), axis=2).reshape(m, 2, 4, 6)
+        right = (quad[..., :4].reshape(m, 8, 4) @ s_b.conj().transpose(0, 2, 1)).reshape(m, 2, 4, 2)
+        right -= quad[..., 4:]
+        _scatter(boundary[rows], right[:, :, :2])
+        _scatter(noise[rows], right[:, :, 2:])
+        # T[u, p] times -i g_p, non-zero only with u and p on one half
+        gathered = np.zeros((m, 4, 4), dtype=complex)
+        _scatter(gathered, ks[..., 12:].reshape(m, 2, 2, 2) * coupling)
+        np.multiply(gathered.transpose(0, 2, 1), back_r, out=backaction[rows])
+        backaction[rows] += back_u * gathered
+        if block < len(grid.ends):
+            # the next frame: [U_A(t_b+1, 0); -K_h(t_b+1, 0)] = [[U_e, 0], [-S_e, 1]] times this
+            # one's, on the left of every column and on the right of the quadratic parts
+            frame[:4, :4] = grid.ends[block]
+            frame[4:, :4] = -s_b[-1] - 0.5 * step * (u[start + m - 1] + grid.ends[block])[_SOURCE]
+            carry = frame @ np.concatenate((carry[:, :14], sums[-1]), axis=1)
+            carry[:, 2:26] = (carry[:, 2:26].reshape(6, 4, 6) @ frame.conj().T).reshape(6, 24)
+    boundary *= cc
+    noise *= cc
+    return boundary, noise, backaction, field, c * means
+
+
 def atomic_liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                        t: float) -> np.ndarray:
     """Generator of d<sigma_xy>/dt at time t, g = 0: the oracle's build at cutoff 0.
@@ -231,11 +311,6 @@ def dissipator(rate: float, jump: np.ndarray) -> np.ndarray:
     return rate * (np.kron(jump.conj(), jump) - 0.5 * (np.kron(n.T, eye) + np.kron(eye, n)))
 
 
-def constant_drive(builder: DriftBuilder) -> bool:
-    """True when M does not depend on time: both drives cw and unchirped."""
-    return all(spec.shape == "cw" and spec.chirp == 0.0 for spec in (builder.pump, builder.control))
-
-
 def generator_norms(weights: np.ndarray, generators: np.ndarray) -> np.ndarray:
     """The exact 1-norm of sum_k w_k G_k for each row w of `weights` (n, k), over the first k.
 
@@ -272,10 +347,12 @@ def _chain_start(x0: np.ndarray, n: int) -> np.ndarray:
     return chain
 
 
-def _framed(chain: np.ndarray, block: int, fill) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _framed(chain: np.ndarray, block: int, fill
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """fill(first, last) on each block of intervals, U_A restarted at every block's first row.
 
-    Returns U_A, the end maps and the state as _magnus_chain does.
+    Returns U_A, the end maps and the state as _magnus_chain does, and every
+    block as sharing its own frame alone, so the moment assembly forms each.
     """
     ends = []
     for first in range(0, len(chain) - 1, block):
@@ -287,7 +364,8 @@ def _framed(chain: np.ndarray, block: int, fill) -> tuple[np.ndarray, np.ndarray
     sector = chain[:, 0, :, :4]
     ends = np.reshape(ends, (-1, 8, 4))
     y = (chain[..., 4] + 1j * chain[..., 5]).reshape(len(chain), 16)
-    return sector[:, :4] + 1j * sector[:, 4:], ends[:, :4] + 1j * ends[:, 4:], y @ HERMITIAN.T
+    return (sector[:, :4] + 1j * sector[:, 4:], ends[:, :4] + 1j * ends[:, 4:], y @ HERMITIAN.T,
+            np.arange(len(range(0, len(chain), block))))
 
 
 def _basis(builder: DriftBuilder) -> np.ndarray:
@@ -297,7 +375,7 @@ def _basis(builder: DriftBuilder) -> np.ndarray:
 
 
 def interval_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol: float,
-                   block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """propagator._magnus_chain with no quiet runs: every interval takes its own Magnus maps.
 
     The m substeps come from every interval's weights, and the batches of
@@ -323,7 +401,7 @@ def interval_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rto
 
 
 def orbit_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol: float,
-                block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Magnus chain of a constant M: the powers of the first interval's map exp(M h).
 
     The powers are the _orbit of the map from the identity; each block's rows

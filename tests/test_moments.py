@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from ramanpairs.algebra import (SECTOR0, SECTOR_CONJ0, SECTOR_HALF0, SOURCE_ROWS, idx, levels, op,
                                pair_table)
 from ramanpairs.atom import AtomConfig, state_vector
+from ramanpairs.config import apply_override
 from ramanpairs import propagator
 from ramanpairs.moments import (AK, AK_DAG, AQ, AQ_DAG, DAGGER_SLOT, _SOURCE, _STRUCTURES,
                                 _moment_tables, _slot_factors, compute_moments)
@@ -17,7 +19,7 @@ from ramanpairs.propagator import _BLOCK_ROWS, build_propagator_grid
 from ramanpairs.pulses import PulseSpec, off
 
 from conftest import gauss_pulse, rho_symmetric
-from reference import kernel, moment_tables
+from reference import block_moment_tables, kernel, moment_tables
 
 
 def test_initial_pair_table_examples():
@@ -370,6 +372,30 @@ def test_short_blocks_give_the_same_tables(monkeypatch, name):
     assert (block, short) == (_BLOCK_ROWS, 7)
     for name, table, ref in zip(("boundary", "noise", "backaction", "field", "means"), got, want):
         assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+@pytest.mark.parametrize("label, intervals", [
+    ("fig2a", None), ("fig7d", None), ("fig2b", None), ("fig4c", None), ("fig7b", None),
+    ("fig6b", None), ("fig2a", 12 * _BLOCK_ROWS), ("fig2b", 12 * _BLOCK_ROWS)])
+def test_shared_frames_give_the_per_block_tables_bit_for_bit(label, intervals):
+    """Blocks that share a frame read its factors, and every table keeps its bits.
+
+    The reference inverts the whole grid and integrates every block's frame
+    itself.  fig6b at Rabi frequency 50 shares no frame; a grid of a whole
+    number of blocks ends in a block of one row.
+    """
+    chosen = preset(label)
+    cfg = (chosen.scenarios[0] if chosen.scenarios
+           else apply_override(chosen.scan, "both.omega_peak", 50.0))
+    cfg = replace(cfg, grid_points=intervals or cfg.grid_points)
+    grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, cfg.grid_points,
+                                 rtol=cfg.rtol)
+    diffusion = diffusion_table(cfg.atom)
+    assert (grid.shares != np.arange(len(grid.shares))).any() == (label != "fig6b")
+    assert intervals is None or len(grid.times) % grid.block == 1
+    for got, want in zip(_moment_tables(cfg.atom, grid, diffusion),
+                         block_moment_tables(cfg.atom, grid, diffusion)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_moment_assembly_working_memory():

@@ -20,7 +20,7 @@ from ramanpairs.pulses import PulseSpec, off
 from ramanpairs.runner import run_scenario
 
 from conftest import gauss_pulse, rho_symmetric
-from reference import (DAGGER0, constant_drive, full_kernel, generator_norms, interval_chain,
+from reference import (DAGGER0, full_kernel, generator_norms, interval_chain,
                        kernel, largest_product, orbit_chain, propagate_from, sector_views,
                        whole_flow)
 
@@ -40,23 +40,23 @@ def test_constant_drive_matches_matrix_exponential():
     pump = PulseSpec(shape="cw", omega_peak=6.0, detuning=2.0)
     control = PulseSpec(shape="cw", omega_peak=3.0, detuning=-1.0)
     builder = DriftBuilder(atom, pump, control)
-    assert constant_drive(builder)
+    assert propagator._steady_drives(builder)
     times = np.linspace(0.0, 1.2, 25)
     x0 = state_vector(atom.rho0)
-    u, _, state = propagator._magnus_chain(builder, x0, times, 1e-9, len(times))  # one frame
+    u, _, state, _ = propagator._magnus_chain(builder, x0, times, 1e-9, len(times))  # one frame
     m = builder.entries(0.0)
     for i in (8, 16, 24):
         assert np.max(np.abs(u[i] - expm(m * times[i])[HALF])) < 1e-8
         assert np.max(np.abs(state[i] - expm(m * times[i]) @ x0)) < 1e-8
     # frames of 8 rows: rows 0, 8, 16 and 24 restart at the identity, the state runs on
-    frames, ends, framed_state = propagator._magnus_chain(builder, x0, times, 1e-9, 8)
+    frames, ends, framed_state, _ = propagator._magnus_chain(builder, x0, times, 1e-9, 8)
     for i in range(25):
         assert np.max(np.abs(frames[i] - expm(m * (times[i] - times[i - i % 8]))[HALF])) < 1e-8
     assert ends.shape == (3, 4, 4)
     assert np.max(np.abs(ends - expm(m * times[8])[HALF])) < 1e-8
     assert np.max(np.abs(framed_state - state)) < 1e-12
     # time-translation invariance of the cw flow: started at t_12 it steps as from 0
-    u_mid, _, _ = propagator._magnus_chain(builder, state[12], times[12:], 1e-9, 13)
+    u_mid = propagator._magnus_chain(builder, state[12], times[12:], 1e-9, 13)[0]
     assert np.max(np.abs(u_mid[8] - u[8])) < 1e-8
     assert np.max(np.abs(u_mid[8] @ u[12] - u[20])) < 1e-8
 
@@ -104,11 +104,11 @@ def _tight_flow(builder, times):
 def test_constant_drive_grid_matches_tight_solve(name):
     cfg = preset(name).scenarios[0]
     builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
-    assert constant_drive(builder)
+    assert propagator._steady_drives(builder)
     grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, 200)
     x0 = state_vector(cfg.atom.rho0)
     # every interval is quiet: frames and state from powers of the one step map exp(M h)
-    frames, ends, state = propagator._magnus_chain(builder, x0, grid.times, 1e-9, grid.block)
+    frames, ends, state, _ = propagator._magnus_chain(builder, x0, grid.times, 1e-9, grid.block)
     reference = _tight_flow(builder, grid.times)
     scale = np.max(np.abs(reference))
     # frames of at most ln 10 / (mu(D) + mu(-D)) = ln 10 / 2 in time, 76 intervals of 0.015,
@@ -137,7 +137,7 @@ def _fig6b_drives(omega):
 def test_time_dependent_drive_grid_matches_tight_solve(pump, control):
     atom = AtomConfig(rho0=rho_symmetric())
     builder = DriftBuilder(atom, pump, control)
-    assert not constant_drive(builder)
+    assert not propagator._steady_drives(builder)
     grid = build_propagator_grid(atom, pump, control, 3.0, 200, rtol=1e-9)
     u_from0 = propagate_from(0, atom, pump, control, grid.times)
     reference = _tight_flow(builder, grid.times)
@@ -174,7 +174,7 @@ def test_magnus_flow_is_fourth_order():
     for n in (800, 1600):
         times = np.linspace(0.0, t_end, n + 1)
         assert _substeps(builder, times, 1e-2) == 1
-        half, _, _ = propagator._magnus_chain(builder, x0, times, 1e-2, len(times))
+        half = propagator._magnus_chain(builder, x0, times, 1e-2, len(times))[0]
         errors.append(_sector_error(half[::n // 800], reference))
     # far above the tight solve's error
     assert errors[1] > 1e-10 * np.max(np.abs(reference[:, BLOCK[0], BLOCK[1]]))
@@ -237,7 +237,7 @@ def test_substep_bound_gives_the_exact_rule_on_every_preset():
     the same m.
     """
     points = [cfg for cfg in _preset_configs()
-              if not constant_drive(DriftBuilder(cfg.atom, cfg.pump, cfg.control))]
+              if not propagator._steady_drives(DriftBuilder(cfg.atom, cfg.pump, cfg.control))]
     assert len(points) == 26
     for cfg in points:
         builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
@@ -273,7 +273,7 @@ def test_substep_rule_meets_rtol(atom, pump, control, t_end, n):
     scale = np.max(np.abs(reference))
     x0 = state_vector(atom.rho0)
     for rtol in (1e-8, 1e-10):
-        half, _, state = propagator._magnus_chain(builder, x0, times, rtol, len(times))
+        half, _, state, _ = propagator._magnus_chain(builder, x0, times, rtol, len(times))
         assert _sector_error(half, reference) <= rtol * scale
         assert np.max(np.abs(state - reference @ x0)) <= rtol * scale
 
@@ -327,7 +327,7 @@ def _preset_configs():
 def test_constant_drive_presets():
     """A wrong classification would write a silently wrong CSV."""
     constant = {cfg.label for cfg in _preset_configs()
-                if constant_drive(DriftBuilder(cfg.atom, cfg.pump, cfg.control))}
+                if propagator._steady_drives(DriftBuilder(cfg.atom, cfg.pump, cfg.control))}
     assert constant == {"fig2a", "fig5_cw", "fig7a", "fig7c", "fig7d"}
 
 
@@ -337,14 +337,16 @@ def test_composition_residual_small():
     pump = gauss_pulse(omega=10.0, center=0.5, width=1.0 / 15.0)
     control = gauss_pulse(omega=10.0, center=0.5, width=1.0 / 15.0)
     builder = DriftBuilder(atom, pump, control)
-    assert not constant_drive(builder)
+    assert not propagator._steady_drives(builder)
     times = np.linspace(0.0, 2.0, 81)
-    u_full, _, state = propagator._magnus_chain(builder, state_vector(atom.rho0), times, 1e-9, 81)
+    u_full, _, state, _ = propagator._magnus_chain(builder, state_vector(atom.rho0), times, 1e-9,
+                                                   81)
     rng = np.random.default_rng(3)
     for _ in range(4):
         j = int(rng.integers(5, 60))
         i = int(rng.integers(j + 5, 80))
-        u_tail, _, state_tail = propagator._magnus_chain(builder, state[j], times[j:], 1e-9, 81)
+        u_tail, _, state_tail, _ = propagator._magnus_chain(builder, state[j], times[j:], 1e-9,
+                                                            81)
         assert np.max(np.abs(u_full[i] - u_tail[i - j] @ u_full[j])) < 1e-8
         assert np.max(np.abs(state[i] - state_tail[i - j])) < 1e-8
 
@@ -381,12 +383,15 @@ def _record_calls(monkeypatch, owner, attr):
     return results
 
 
-@pytest.mark.parametrize("name", ["fig2a", "fig2b"])
-def test_pipeline_drift_evaluations_ode_solves_and_inversions(monkeypatch, name):
-    """No scenario solves an ODE or evaluates M; each inverts U_A once, over the whole grid.
+@pytest.mark.parametrize("name, rows", [("fig2a", 38), ("fig2b", 76)], ids=["fig2a", "fig2b"])
+def test_pipeline_drift_evaluations_ode_solves_and_inversions(monkeypatch, name, rows):
+    """No scenario solves an ODE or evaluates M; each inverts U_A once, over its distinct frames.
 
     The Magnus chain, the one flow for constant and time-dependent drives
-    alike, reads the drives through DriftBuilder.coefficients.
+    alike, reads the drives through DriftBuilder.coefficients.  At 100
+    intervals the frames have 38 rows: fig2a's three blocks share the
+    first's frame and fig2b's last shares its second's, so the one batched
+    inversion takes 38 and 76 rows of the grid's 101.
     """
     cfg = replace(preset(name).scenarios[0], grid_points=100)
     calls = {attr: _record_calls(monkeypatch, owner, attr)
@@ -394,7 +399,7 @@ def test_pipeline_drift_evaluations_ode_solves_and_inversions(monkeypatch, name)
                                  (np.linalg, "inv"))}
     run_scenario(cfg)
     assert not calls["solve_ivp"] and not calls["entries"]
-    assert [v.shape for v in calls["inv"]] == [(101, 4, 4)]
+    assert [v.shape for v in calls["inv"]] == [(rows, 4, 4)]
 
 
 @pytest.mark.parametrize("name", ["fig2a", "fig7d"])
@@ -405,14 +410,14 @@ def test_constant_drive_shortcut_is_the_chain(monkeypatch, name):
     """
     cfg = preset(name).scenarios[0]
     builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
-    assert constant_drive(builder)
+    assert propagator._steady_drives(builder)
     times = np.linspace(0.0, cfg.t_end, cfg.grid_points + 1)
     x0 = state_vector(cfg.atom.rho0)
     block = propagator._block_rows(builder, times[1])
     shortcut = propagator._magnus_chain(builder, x0, times, cfg.rtol, block)
     monkeypatch.setattr(propagator, "_magnus_chain", interval_chain)
     chained = propagator._magnus_chain(builder, x0, times, cfg.rtol, block)
-    for want, got in zip(shortcut, chained):
+    for want, got in zip(shortcut[:3], chained[:3]):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -452,7 +457,7 @@ def _preset_flows(label, chain):
 def _assert_same_flow(ours, reference, tol):
     """U_A, the grid's state, frames and end maps, and the three moment tables agree.
 
-    Each within tol of its largest modulus, so tol 0 asks for the same values.
+    Each within tol of its largest modulus; tol 0 asks for the same bits, signed zeros too.
     """
     def arrays(side):
         half, grid, tables = side
@@ -460,13 +465,18 @@ def _assert_same_flow(ours, reference, tol):
 
     for want, got in zip(arrays(reference), arrays(ours)):
         assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+        assert tol or _same_bits(got, want)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("label", ["fig2a", "fig5_cw", "fig7a", "fig7c", "fig7d"])
 def test_cw_presets_take_the_orbit_of_one_step_map(label):
     """Every cw preset's chain is the powers of one _expm step map in each frame, bit for bit."""
     cfg = _scenario(label)
-    assert constant_drive(DriftBuilder(cfg.atom, cfg.pump, cfg.control))
+    assert propagator._steady_drives(DriftBuilder(cfg.atom, cfg.pump, cfg.control))
     _assert_same_flow(*_preset_flows(label, orbit_chain), 0.0)
 
 
@@ -512,6 +522,60 @@ def test_drives_without_quiet_intervals_take_the_per_interval_chain(label):
     weights = propagator._magnus_weights(builder, times[:-1], times[1] - times[0])
     assert not propagator._quiet(weights, propagator._column_sums(builder.generators))[1].any()
     _assert_same_flow(*_preset_flows(label, interval_chain), 0.0)
+
+
+@pytest.mark.parametrize("label", ["fig2a", "fig7d", "fig2b", "fig4c"])
+def test_blocks_quiet_over_their_rows_share_the_first_such_frame(label):
+    """A block whose rows follow from quiet intervals alone shares the first such block's frame.
+
+    Its flow rows are that frame's first rows, bit for bit; every other
+    block has its own, which differs.  The cw presets share one frame in
+    all 13 blocks, the pulsed ones from the fifth block on, in the
+    drive-free tail.
+    """
+    cfg = _scenario(label)
+    grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, cfg.grid_points,
+                                 rtol=cfg.rtol)
+    builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
+    weights = propagator._magnus_weights(builder, grid.times[:-1], grid.step)
+    quiet = propagator._quiet(weights, propagator._column_sums(builder.generators))[1]
+    firsts = range(0, len(grid.times), grid.block)
+    steady = [b for b, first in enumerate(firsts) if quiet[first:first + grid.block - 1].all()]
+    assert list(grid.shares) == [steady[0] if b in steady else b for b in range(len(firsts))]
+    assert steady == list(range(0 if propagator._steady_drives(builder) else 4, 13))
+    frame = grid.flow[steady[0] * grid.block:][:grid.block]
+    for b, first in enumerate(firsts):
+        rows = grid.flow[first:first + grid.block]
+        assert _same_bits(rows, frame[:len(rows)]) == (b in steady)
+
+
+@pytest.mark.parametrize("label", ["fig2a", "fig5_cw", "fig7a", "fig7c", "fig7d"])
+def test_cw_unchirped_drives_take_the_weights_of_one_interval(monkeypatch, label):
+    """Every interval of a cw unchirped drive has the first one's Magnus weights.
+
+    The build evaluates them on that interval alone, and gives the grid that
+    every interval's own weights give, bit for bit.
+    """
+    cfg = _scenario(label)
+    calls = []
+    weights = propagator._magnus_weights
+
+    def recorded(builder, starts, step):
+        calls.append(len(starts))
+        return weights(builder, starts, step)
+
+    def grid():
+        return build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, cfg.grid_points,
+                                     rtol=cfg.rtol)
+
+    monkeypatch.setattr(propagator, "_magnus_weights", recorded)
+    ours = grid()
+    assert calls == [1]
+    monkeypatch.setattr(propagator, "_steady_drives", lambda builder: False)
+    forced = grid()
+    assert calls == [1, cfg.grid_points]
+    for name in ("times", "state_traj", "flow", "ends", "shares"):
+        assert _same_bits(getattr(ours, name), getattr(forced, name)), name
 
 
 # pulses as the presets chirp them, about their centre, up to fig4's strongest chirp
