@@ -43,6 +43,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from typing import get_type_hints
@@ -88,6 +89,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not np.isfinite(self.t_end) or self.t_end <= 0:
             raise ConfigError(f"[run] t_end: must be > 0, got {self.t_end}")
+        if not isinstance(self.grid_points, numbers.Integral):  # the grid would truncate it
+            raise ConfigError(f"[run] grid_points: must be an integer, got {self.grid_points}")
         if self.grid_points < 50:
             raise ConfigError(f"[run] grid_points: must be >= 50, got {self.grid_points}")
         bad = [o for o in self.outputs if o not in OUTPUT_GROUPS]

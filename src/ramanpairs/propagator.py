@@ -34,13 +34,12 @@ values are the running products of those maps.  A quiet interval, where no
 drive acts, takes the one map of h times M's time-independent part
 (_quiet), so a run of them is its powers; cw unchirped drives leave every
 interval quiet, and their specs say so (_steady_drives), so one interval's
-weights serve them all.  A quiet run from a block's first row is the powers
-themselves: its frame is a copy of them and only the state is multiplied.
-So every block quiet over all its rows holds the same frame, bit for bit,
-and PropagatorGrid.shares names the first such block for the moment
-assembly, which inverts and integrates that frame once.  Only U_A and the
-state are chained, in real arithmetic
-(algebra.real_form).  Every exponential comes from _expm, a NumPy
+weights serve them all.  Every block frame restarts at the same identity
+columns, so every block quiet over all its rows forms the same frame, the
+same powers times the same identity, bit for bit, and PropagatorGrid.shares
+names the first such block for the moment assembly, which inverts and
+integrates that frame once.  Only U_A and the state are chained, in real
+arithmetic (algebra.real_form).  Every exponential comes from _expm, a NumPy
 scaling-and-squaring Taylor sum, so no scenario run loads a scipy module.
 """
 
@@ -250,10 +249,10 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol
     (n_blocks - 1, 4, 4), and the state runs on.
     A run of quiet intervals (_quiet) takes the powers of the one steady map;
     cw unchirped drives (_steady_drives) make every interval quiet from the
-    weights of the first alone.  Where a run starts on a block's first row,
-    the frame is the powers themselves, copied, and only the state is
-    multiplied; a block quiet over every interval of its rows therefore holds
-    a prefix of the first such block's frame, bit for bit, and shares it.
+    weights of the first alone.  A block quiet over every interval of its
+    rows takes the same product of the same powers with the same restarted
+    identity columns as the first such block, so it holds a prefix of that
+    block's frame, bit for bit, and shares it.
     Each driven interval gets m equal substeps (_substeps over the driven
     intervals alone), each map the exponential of its Magnus generator in the
     real coordinates of algebra.HERMITIAN, where it is block diagonal: R(A)
@@ -292,13 +291,7 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol
                     *(np.flatnonzero(quiet[1:] != quiet[:-1]) + 1).tolist()})
     ends = []
     for first, last in zip(edges[:-1], edges[1:]):
-        if quiet[first] and first % block == 0:  # the frame is the powers: copy them
-            # powers @ I gives them to the bit: their zeros are the +0.0 of np.eye and of
-            # matmul sums, never a -0.0 that the copy would keep and %.17g write as "-0"
-            chain[first + 1:last + 1, 0, :, :4] = powers[1:last - first + 1, 0, :, :4]
-            np.matmul(powers[1:last - first + 1], chain[first, ..., 4:],
-                      out=chain[first + 1:last + 1, ..., 4:])
-        elif quiet[first]:  # a run of quiet intervals: powers of the one steady map
+        if quiet[first]:  # a run of quiet intervals: powers of the one steady map
             chain[first + 1:last + 1] = powers[1:last - first + 1] @ chain[first]
         else:
             for start in range(first, last, per_block):
@@ -353,8 +346,8 @@ def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                           t_end: float, n_intervals: int,
                           rtol: float = DEFAULT_RTOL) -> PropagatorGrid:
     """Solve the flow from 0 on a uniform grid, in one frame per block, and the state."""
-    if t_end <= 0:
-        raise ConfigError(f"t_end must be > 0, got {t_end}")
+    if not 0 < t_end < math.inf:
+        raise ConfigError(f"t_end must be finite and > 0, got {t_end}")
     if n_intervals < 2:
         raise ConfigError(f"need at least 2 grid intervals, got {n_intervals}")
 

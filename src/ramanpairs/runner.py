@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,7 +80,8 @@ def run_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
     Points execute concurrently when workers > 1; rows always come back in
     the order of the configured values.  A scenario run loads no scipy
     module (the flow takes Magnus step maps, propagator._magnus_chain), so
-    neither the parent nor a worker imports one.
+    neither the parent nor a worker imports one; the process pool, with
+    multiprocessing, loads only when a scan starts one.
     """
     if cfg.scan is None:
         raise ConfigError("run_scan needs a [scan] section")
@@ -90,6 +90,8 @@ def run_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
     jobs = [(cfg, value) for value in cfg.scan.values]
     workers = min(workers, len(jobs))  # a fork pool starts every worker at once
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return ScanResult(cfg, list(pool.map(_scan_point, jobs)))
     return ScanResult(cfg, [_scan_point(job) for job in jobs])

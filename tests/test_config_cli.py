@@ -19,6 +19,7 @@ from ramanpairs.errors import ConfigError
 from ramanpairs.oracle import OracleConfig
 from ramanpairs.pulses import PulseSpec
 from ramanpairs.presets import PRESET_NAMES, preset
+from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.runner import (_CHUNK_ROWS, _write_csv, run_scan, run_scenario, run_verification,
                                scenario_table, write_scenario_csv)
 
@@ -111,6 +112,28 @@ def test_run_validation():
     for label in ("../../escape", "", ".", "..", "runs/demo", "runs\\demo"):
         with pytest.raises(ConfigError, match=r"\[run\] label"):
             parse_config(GOOD_CONFIG.replace("label = demo", f"label = {label}"))
+
+
+def test_run_rejects_a_grid_the_header_would_misstate(tmp_path):
+    """A fractional grid_points or a nan or infinite t_end is a configuration error.
+
+    The grid would truncate 100.5 to 100 intervals under a header that says
+    100.5, and the flow would fail on nan or inf times with a bare ValueError.
+    """
+    with pytest.raises(ConfigError, match=r"\[run\] grid_points: must be an integer"):
+        ScenarioConfig(grid_points=100.5)
+    assert ScenarioConfig(grid_points=np.int64(100)).grid_points == 100
+    for t_end in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="t_end"):
+            build_propagator_grid(AtomConfig(), PulseSpec(), PulseSpec(), t_end, 100)
+    config = tmp_path / "demo.cfg"
+    for old, new in (("grid_points = 120", "grid_points = 100.5"),
+                     ("t_end = 1.0", "t_end = nan"), ("t_end = 1.0", "t_end = inf")):
+        config.write_text(GOOD_CONFIG.replace(old, new))
+        assert main(["run", str(config), "--out", str(tmp_path)]) == 2, new
+    config.write_text(GOOD_CONFIG.replace("grid_points = 120", "grid_points = 100"))
+    assert main(["run", str(config), "--out", str(tmp_path), "--grid-points", "60"]) == 0
+    assert "# grid_points = 60\n" in (tmp_path / "demo.csv").read_text()
 
 
 def test_scan_section_validation():
@@ -316,7 +339,7 @@ def test_run_scan_rejects_workers_below_one():
 
 def test_run_scan_caps_pool_at_scan_values(monkeypatch):
     """A fork pool starts all its workers at once; two values need no more than two."""
-    from ramanpairs import runner
+    import concurrent.futures
 
     sizes = []
 
@@ -333,7 +356,7 @@ def test_run_scan_caps_pool_at_scan_values(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = parse_config(GOOD_CONFIG + "\n[scan]\nparameter = both.width\nvalues = 0.2, 0.1\n")
     assert len(run_scan(cfg, workers=64).rows) == 2
     assert sizes == [2]
@@ -406,8 +429,8 @@ def test_cli_quiet_on_closed_stdout(tmp_path, argv):
         assert (tmp_path / "out" / "fig2a.csv").exists()
 
 
-def _scipy_modules_after(code: str, cwd) -> list[str]:
-    """scipy and its subpackages that a fresh interpreter holds after running code, sorted.
+def _scipy_modules_after(code: str, cwd, package: str = "scipy") -> list[str]:
+    """The modules of package, scipy by default, that a fresh interpreter holds after code, sorted.
 
     The test process itself has imported scipy, so only a new interpreter
     shows what the package loads.  Each module counts as its top two name
@@ -415,7 +438,7 @@ def _scipy_modules_after(code: str, cwd) -> list[str]:
     """
     probe = (f"{code}\nimport sys\n"
              "print(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules"
-             " if m.split('.')[0] == 'scipy'}))")
+             f" if m.split('.')[0] == {package!r}}}))")
     done = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -445,6 +468,15 @@ def test_ode_solver_loaded_at_first_solve(tmp_path, argv, status, needed):
         assert set(needed) <= set(modules), modules
     else:
         assert modules == [], modules
+
+
+def test_preset_run_loads_no_process_pool(tmp_path):
+    """Only a scan on more than one worker imports the process pool and multiprocessing."""
+    code = ("import ramanpairs.cli\n"
+            "assert ramanpairs.cli.main(['preset', 'fig2a', '--grid-points', '100',"
+            " '--out', 'out']) == 0")
+    for package in ("multiprocessing", "concurrent"):
+        assert _scipy_modules_after(code, tmp_path, package) == [], package
 
 
 def test_scan_pool_loads_no_scipy(tmp_path):
