@@ -19,8 +19,9 @@ own on the three time-dependent drives fig2b, fig4c and fig6b at 50.  A long
 window, fig2b stretched to t_end 20 on 2000 intervals (18 blocks, each in
 its own flow frame), times the grid build and the moment pass together.
 Three stages stand outside a scenario run:
-``import ramanpairs.cli`` in a fresh interpreter, one oracle run (fig2b on the
-thinned grid of ``run_verification`` under the default ``[verify]``), and
+``import ramanpairs.cli`` in a fresh interpreter, one oracle run (fig2b, two
+pulses, and fig7c, a cw pump alone, each on the thinned grid of
+``run_verification`` under the default ``[verify]``), and
 fig6b's scan at 200 intervals, once serial and once on a pool of two
 workers.  The tier-1 suite does not collect this
 directory (``testpaths`` in pyproject.toml); ``pytest bench/
@@ -182,10 +183,15 @@ def test_run_scenario(benchmark, name):
     assert result.peak_n_k() > 0.0
 
 
-def test_oracle_run(benchmark):
-    """The Fock oracle alone, on the points and couplings `run_verification` gives it."""
+@pytest.mark.parametrize("name", ["fig2b", "fig7c"])
+def test_oracle_run(benchmark, name):
+    """The Fock oracle alone, on the points and couplings `run_verification` gives it.
+
+    fig2b weights both drives' pieces at every call; fig7c's cw pump folds
+    into the static piece and its switched-off control drops out.
+    """
     benchmark.group = "oracle"
-    cfg, oracle_cfg = _config("fig2b"), OracleConfig()
+    cfg, oracle_cfg = _config(name), OracleConfig()
     atom = replace(cfg.atom, g_k=oracle_cfg.g_k, g_q=oracle_cfg.g_q)
     times = np.linspace(0.0, cfg.t_end, cfg.grid_points + 1)[::max(1, cfg.grid_points // 40)]
     # the oracle is the only stage that loads scipy: one untimed call imports and warms it

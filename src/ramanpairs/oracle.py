@@ -17,15 +17,19 @@ assembled from the outer products of their nonzeros in one CSR conversion.
 scipy.sparse is imported inside the functions that build these pieces, so it
 loads at the first build, not with the CLI that reads OracleConfig.
 
-H conserves Q = n_k - n_q - [level in {a, b}], and every jump shifts Q by the
-same amount on both sides of rho, so L never couples entries of rho with
-different Q(x) - Q(y).  The run does not hard-code that charge: it integrates
-only the entries of vec(rho) reachable from the support of vec(rho0) through
-the union sparsity pattern of the five pieces, and every other entry stays
-exactly zero.  From a diagonal rho0 at cutoff 3 that is 672 of 4096 entries;
-a coherent rho0 or a thermal seed adds what it reaches.  One run on the 41
-verifier points takes about 0.06 s (fig2b) to 0.14-0.17 s (fig7c) on a 2-core
-host.
+A steady drive (pulses.is_steady) folds into L0 once, with its one amplitude,
+and a switched-off one adds nothing, so each right-hand side call weights only
+the pieces of the drives that vary in time.  H conserves Q = n_k - n_q -
+[level in {a, b}], and every jump shifts Q by the same amount on both sides of
+rho, so L never couples entries of rho with different Q(x) - Q(y).  The run
+does not hard-code that charge: it integrates only the entries of vec(rho)
+reachable from the support of vec(rho0) through the union sparsity pattern of
+the pieces left, and every other entry stays exactly zero.  From a diagonal
+rho0 at cutoff 3 that is 672 of 4096 entries when both drives act (fig2b,
+fig7d) and 10 on fig7c, whose control is off; a coherent rho0 or a thermal
+seed adds what it reaches.  One run on the 41 verifier points takes about
+25 ms (fig2b), 30 ms (fig7c) and 46 ms (fig7d) on a 2-core host, one BLAS
+thread.
 
 Moments come out as direct traces Tr(rho op), each one weight row on the
 solved entries of vec(rho), with no kernel machinery or noise tables in this
@@ -42,7 +46,7 @@ import numpy as np
 
 from .atom import AtomConfig
 from .errors import ConfigError, CutoffError, check_solution, check_tolerances, solve_ivp
-from .pulses import PulseSpec, rabi
+from .pulses import PulseSpec, is_steady, rabi
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -195,11 +199,13 @@ def _liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, dim_k: i
     return [_kron_sum(terms, diagonal.ravel()), *drives]
 
 
-def _coefficients(pump: PulseSpec, control: PulseSpec, t: float) -> tuple[complex, ...]:
-    """Weights of the `_liouvillian` pieces at time t."""
-    om_p = rabi(pump, t)
-    om_c = rabi(control, t)
-    return 1.0, om_p, np.conj(om_p), om_c, np.conj(om_c)
+def _weights(specs: tuple[PulseSpec, ...], t: float) -> list[complex]:
+    """Weights at time t of L0 and of each drive's two pieces: 1, then Omega, Omega* per spec."""
+    weights = [1.0]
+    for spec in specs:
+        omega = rabi(spec, t)
+        weights += [omega, omega.conjugate()]
+    return weights
 
 
 def _reachable(pieces: list[sparse.csr_array], y0: np.ndarray) -> np.ndarray:
@@ -234,7 +240,14 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     dim_k = cfg.cutoff_k + 1
     dim_q = cfg.cutoff_q + 1
     dim_f = dim_k * dim_q
-    pieces = _liouvillian(atom, pump, control, dim_k, dim_q, cfg.g_k, cfg.g_q)
+    static, *drives = _liouvillian(atom, pump, control, dim_k, dim_q, cfg.g_k, cfg.g_q)
+    varying, pieces = [], [static]
+    for spec, piece, conj_piece in ((pump, *drives[:2]), (control, *drives[2:])):
+        if not is_steady(spec):
+            varying.append(spec)
+            pieces += [piece, conj_piece]
+        elif (omega := rabi(spec, 0.0)) != 0:
+            pieces[0] = pieces[0] + omega * piece + omega.conjugate() * conj_piece
     rho0 = np.kron(np.kron(atom.rho0, _thermal(dim_k, atom.n_th_k)),
                    _thermal(dim_q, atom.n_th_q)).reshape(-1)
     keep = _reachable(pieces, rho0)
@@ -242,7 +255,10 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     stacked = sparse.vstack([piece[keep][:, keep] for piece in pieces])
 
     def rhs(t, y):
-        return np.asarray(_coefficients(pump, control, t)) @ (stacked @ y).reshape(5, -1)
+        flows = stacked @ y
+        if not varying:
+            return flows
+        return np.asarray(_weights(varying, t)) @ flows.reshape(len(pieces), -1)
 
     sol = solve_ivp(rhs, (times[0], times[-1]), rho0[keep], method="DOP853",
                     t_eval=times, rtol=cfg.rtol, atol=cfg.atol)

@@ -46,6 +46,7 @@ scaling-and-squaring Taylor sum, so no scenario run loads a scipy module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ from .atom import GENERATOR_PAIRS, AtomConfig, DriftBuilder, state_vector
 from .atom import evolve_state  # noqa: F401  (perfbench/tracing.py wraps propagator.evolve_state)
 from .errors import ConfigError
 from .errors import solve_ivp  # noqa: F401  (perfbench/tracing.py wraps propagator.solve_ivp)
-from .pulses import PulseSpec
+from .pulses import PulseSpec, is_steady
 
 # Default relative tolerance of the Magnus flow, for the API and for [run] rtol;
 # every time-dependent preset point then takes one substep per interval but
@@ -236,7 +237,7 @@ def _block_rows(builder: DriftBuilder, step: float) -> int:
 
 def _steady_drives(builder: DriftBuilder) -> bool:
     """True when both drives are cw and unchirped, so that M and every step map are constant."""
-    return all(spec.shape == "cw" and spec.chirp == 0 for spec in (builder.pump, builder.control))
+    return is_steady(builder.pump) and is_steady(builder.control)
 
 
 def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol: float,
@@ -348,10 +349,12 @@ def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     """Solve the flow from 0 on a uniform grid, in one frame per block, and the state."""
     if not 0 < t_end < math.inf:
         raise ConfigError(f"t_end must be finite and > 0, got {t_end}")
+    if not isinstance(n_intervals, numbers.Integral):  # linspace would truncate it
+        raise ConfigError(f"n_intervals must be an integer, got {n_intervals!r}")
     if n_intervals < 2:
         raise ConfigError(f"need at least 2 grid intervals, got {n_intervals}")
 
-    times = np.linspace(0.0, float(t_end), int(n_intervals) + 1)
+    times = np.linspace(0.0, float(t_end), n_intervals + 1)
     step = float(times[1] - times[0])
     builder = DriftBuilder(atom, pump, control)
     block = _block_rows(builder, step)

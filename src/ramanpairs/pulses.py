@@ -70,6 +70,11 @@ def off() -> PulseSpec:
     return PulseSpec(shape="cw", omega_peak=0.0)
 
 
+def is_steady(spec: PulseSpec) -> bool:
+    """True for a cw unchirped drive, whose Rabi amplitude is the same at every time."""
+    return spec.shape == "cw" and spec.chirp == 0
+
+
 def envelope(spec: PulseSpec, t):
     """Real envelope in [0, 1] at a float time or an array of times: 1 for cw, else the Gaussian."""
     if spec.shape == "cw":

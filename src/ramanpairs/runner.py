@@ -81,7 +81,8 @@ def run_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
     the order of the configured values.  A scenario run loads no scipy
     module (the flow takes Magnus step maps, propagator._magnus_chain), so
     neither the parent nor a worker imports one; the process pool, with
-    multiprocessing, loads only when a scan starts one.
+    multiprocessing, loads only when a scan starts one.  It forks where it can:
+    a forkserver or spawned worker would import NumPy and the package again.
     """
     if cfg.scan is None:
         raise ConfigError("run_scan needs a [scan] section")
@@ -91,8 +92,10 @@ def run_scan(cfg: ScenarioConfig, workers: int = 1) -> ScanResult:
     workers = min(workers, len(jobs))  # a fork pool starts every worker at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_all_start_methods, get_context
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        context = get_context("fork" if "fork" in get_all_start_methods() else None)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             return ScanResult(cfg, list(pool.map(_scan_point, jobs)))
     return ScanResult(cfg, [_scan_point(job) for job in jobs])
 

@@ -31,7 +31,7 @@ from ramanpairs.atom import AtomConfig, DriftBuilder, state_vector
 from ramanpairs.moments import (_CH, _CONJ, _HALF, _HC, _SOURCE, _STRUCTURE_FEED, _STRUCTURES,
                                 DAGGER_SLOT, _scatter, _slot_factors)
 from ramanpairs.noise import DiffusionTable
-from ramanpairs.oracle import _coefficients, _decay_ops, _field_ops, _level_op, _liouvillian
+from ramanpairs.oracle import _decay_ops, _field_ops, _level_op, _liouvillian, _weights
 from ramanpairs.propagator import (_BLOCK_STEPS, PropagatorGrid, _column_sums,
                                    _cumulative_trapezoid, _expm, _magnus_weights, _orbit,
                                    _prefix_products, _substeps)
@@ -227,7 +227,7 @@ def atomic_liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     so the generator on vec(rho) is conjugated by the transpose permutation.
     """
     pieces = _liouvillian(atom, pump, control, 1, 1, 0.0, 0.0)
-    gen = sum(c * piece for c, piece in zip(_coefficients(pump, control, t), pieces))
+    gen = sum(c * piece for c, piece in zip(_weights((pump, control), t), pieces))
     perm = np.arange(16).reshape(4, 4).T.reshape(-1)
     return gen.toarray()[np.ix_(perm, perm)]
 

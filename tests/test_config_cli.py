@@ -337,15 +337,15 @@ def test_run_scan_rejects_workers_below_one():
             run_scan(cfg, workers=workers)
 
 
-def test_run_scan_caps_pool_at_scan_values(monkeypatch):
-    """A fork pool starts all its workers at once; two values need no more than two."""
+def _serial_pool(monkeypatch) -> list[dict]:
+    """Replace the process pool by a serial one; returns the keyword arguments it receives."""
     import concurrent.futures
 
-    sizes = []
+    calls = []
 
     class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, **kwargs):
+            calls.append(kwargs)
 
         def __enter__(self):
             return self
@@ -357,9 +357,27 @@ def test_run_scan_caps_pool_at_scan_values(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return calls
+
+
+def test_run_scan_caps_pool_at_scan_values(monkeypatch):
+    """A fork pool starts all its workers at once; two values need no more than two."""
+    calls = _serial_pool(monkeypatch)
     cfg = parse_config(GOOD_CONFIG + "\n[scan]\nparameter = both.width\nvalues = 0.2, 0.1\n")
     assert len(run_scan(cfg, workers=64).rows) == 2
-    assert sizes == [2]
+    assert [call["max_workers"] for call in calls] == [2]
+
+
+def test_run_scan_pool_forks_where_it_can(monkeypatch):
+    """The pool gets the fork context, not the default (forkserver on Linux from Python 3.14)."""
+    import multiprocessing
+
+    calls = _serial_pool(monkeypatch)
+    cfg = parse_config(GOOD_CONFIG + "\n[scan]\nparameter = both.width\nvalues = 0.2, 0.1\n")
+    run_scan(cfg, workers=2)
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    want = "fork" if fork else multiprocessing.get_context().get_start_method()
+    assert [call["mp_context"].get_start_method() for call in calls] == [want]
 
 
 def test_cli_run_and_manifest(tmp_path):

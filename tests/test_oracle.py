@@ -13,8 +13,8 @@ from ramanpairs.config import apply_override
 from ramanpairs.errors import ConfigError, CutoffError
 from ramanpairs.moments import compute_moments
 from ramanpairs.noise import diffusion_table
-from ramanpairs.oracle import (OracleConfig, _coefficients, _field_ops, _liouvillian,
-                               _thermal, oracle_moments)
+from ramanpairs.oracle import (OracleConfig, _field_ops, _liouvillian, _thermal, _weights,
+                               oracle_moments)
 from ramanpairs.presets import PRESET_NAMES, preset
 from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.pulses import PulseSpec, rabi
@@ -160,7 +160,7 @@ def _full_space_moments(atom, pump, control, times, cfg):
     stacked = sparse.vstack(_liouvillian(atom, pump, control, dim_k, dim_q, cfg.g_k, cfg.g_q))
 
     def rhs(t, y):
-        return np.asarray(_coefficients(pump, control, t)) @ (stacked @ y).reshape(5, -1)
+        return np.asarray(_weights((pump, control), t)) @ (stacked @ y).reshape(5, -1)
 
     rho0 = np.kron(np.kron(atom.rho0, _thermal(dim_k, atom.n_th_k)), _thermal(dim_q, atom.n_th_q))
     sol = solve_ivp(rhs, (times[0], times[-1]), rho0.reshape(-1), method="DOP853",
@@ -199,13 +199,27 @@ def _coherent_thermal_case():
     return atom, pump, control, np.linspace(0.0, 1.2, 25), cfg
 
 
-def _fig2b_case():
-    cfg = preset("fig2b").scenarios[0]
+def _preset_case(name):
+    cfg = preset(name).scenarios[0]
     oracle_cfg = OracleConfig(cutoff_k=3, cutoff_q=3, g_k=0.01, g_q=0.01, rtol=1e-11, atol=1e-14)
     return cfg.atom, cfg.pump, cfg.control, np.linspace(0.0, cfg.t_end, 41), oracle_cfg
 
 
-@pytest.mark.parametrize("case", [_fig2b_case, _coherent_thermal_case])
+def _fig2b_case():
+    return _preset_case("fig2b")
+
+
+def _fig7c_case():
+    """The control is off and the pump cw: L0 alone, with the pump folded in."""
+    return _preset_case("fig7c")
+
+
+def _fig7d_case():
+    """Both drives cw, both folded into L0."""
+    return _preset_case("fig7d")
+
+
+@pytest.mark.parametrize("case", [_fig2b_case, _coherent_thermal_case, _fig7c_case, _fig7d_case])
 def test_reachable_sector_matches_full_space(case):
     atom, pump, control, times, cfg = case()
     out = oracle_moments(atom, pump, control, times, cfg)
@@ -235,6 +249,26 @@ def test_diagonal_start_solves_only_the_charge_conserving_block(monkeypatch):
     pairs = int(np.sum(charge[:, None] == charge[None, :]))
     assert pairs == 672
     assert lengths == [pairs]
+
+
+@pytest.mark.parametrize("name, length", [("fig7c", 10), ("fig2b", 672)])
+def test_only_drives_that_act_widen_the_solved_set(monkeypatch, name, length):
+    """fig7c's switched-off control adds no piece, so its solve keeps 10 entries, not 672.
+
+    From |c><c| the cw pump reaches |d,0,0>, g_k then |b,1,0>, and the decay
+    d -> b |b,0,0><b,0,0|: nine entries among three kets, and one more.
+    fig2b's two pulses reach the whole charge-conserving block.
+    """
+    lengths = []
+
+    def recording_solve(fun, t_span, y0, *args, **kwargs):
+        lengths.append(len(y0))
+        return solve_ivp(fun, t_span, y0, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_ivp", recording_solve)
+    cfg = preset(name).scenarios[0]
+    oracle_moments(cfg.atom, cfg.pump, cfg.control, np.linspace(0.0, cfg.t_end, 11), OracleConfig())
+    assert lengths == [length]
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

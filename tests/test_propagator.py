@@ -732,6 +732,14 @@ def test_build_validation():
         build_propagator_grid(atom, off(), off(), 1.0, 1)
 
 
+def test_build_rejects_a_fractional_grid_size():
+    """100.5 used to run on 100 intervals; an integer of any type still runs."""
+    for n_intervals in (100.5, 100.0):
+        with pytest.raises(ConfigError, match="n_intervals must be an integer"):
+            build_propagator_grid(AtomConfig(), off(), off(), 1.0, n_intervals)
+    assert len(build_propagator_grid(AtomConfig(), off(), off(), 1.0, np.int64(100)).times) == 101
+
+
 def test_api_default_tolerance_is_the_scenario_default():
     """build_propagator_grid at its default rtol takes the flow run_scenario takes.
 
