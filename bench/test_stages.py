@@ -20,8 +20,9 @@ window, fig2b stretched to t_end 20 on 2000 intervals (18 blocks, each in
 its own flow frame), times the grid build and the moment pass together.
 Three stages stand outside a scenario run:
 ``import ramanpairs.cli`` in a fresh interpreter, one oracle run (fig2b, two
-pulses, and fig7c, a cw pump alone, each on the thinned grid of
-``run_verification`` under the default ``[verify]``), and
+pulses of one envelope, fig7c, a cw pump alone, and fig4c, two chirped
+pulses, each on the thinned grid of ``run_verification`` under the default
+``[verify]``), and
 fig6b's scan at 200 intervals, once serial and once on a pool of two
 workers.  The tier-1 suite does not collect this
 directory (``testpaths`` in pyproject.toml); ``pytest bench/
@@ -183,12 +184,14 @@ def test_run_scenario(benchmark, name):
     assert result.peak_n_k() > 0.0
 
 
-@pytest.mark.parametrize("name", ["fig2b", "fig7c"])
+@pytest.mark.parametrize("name", ["fig2b", "fig7c", "fig4c"])
 def test_oracle_run(benchmark, name):
     """The Fock oracle alone, on the points and couplings `run_verification` gives it.
 
-    fig2b weights both drives' pieces at every call; fig7c's cw pump folds
-    into the static piece and its switched-off control drops out.
+    fig2b's two pulses share one envelope-weighted piece; fig7c's cw pump
+    folds into the static piece, its switched-off control drops out, and
+    the 10 solved entries run on a dense generator; fig4c's two chirped
+    pulses keep two pieces each, weighted by Omega and Omega*.
     """
     benchmark.group = "oracle"
     cfg, oracle_cfg = _config(name), OracleConfig()

@@ -8,28 +8,35 @@ rotating-frame Hamiltonian
     H = -Delta_c |a><a| - Delta_p |d><d|
         - [Omega_p(t)|d><c| + Omega_c(t)|a><b| + g_k a_k |d><b| + g_q a_q |a><c| + h.c.]
 
-plus the same radiative Lindblad channels as the drift matrix.  `_liouvillian`
+plus the same radiative Lindblad channels as the drift matrix.  `_generator`
 builds this generator once, from raw level projectors (the drift-matrix lift is
-not reused), as five sparse superoperators on vec(rho) that are affine in the
-drives: L(t) = L0 + Omega_p L_p + Omega_p* L_p' + Omega_c L_c + Omega_c* L_c'.
-Each piece is a sum of Kronecker products of dense joint-space operators,
-assembled from the outer products of their nonzeros in one CSR conversion.
-scipy.sparse is imported inside the functions that build these pieces, so it
-loads at the first build, not with the CLI that reads OracleConfig.
+not reused), as sparse superoperators on vec(rho), one per time dependence:
+L(t) = L0 + sum_i w_i(t) L_i.  An unchirped drive has Omega(t) = c E(t), a
+constant times its real envelope, so its term is one operator weighted by E.
+A steady drive (pulses.is_steady, E = 1) folds into L0; unchirped pulses with
+one envelope share one piece, so fig2b's two pulses give L0 and one piece; a
+chirped drive keeps two, weighted by Omega(t) and Omega*(t); and a drive with
+omega_peak 0 adds nothing.  Each piece is a sum of Kronecker products of dense
+joint-space operators, assembled from the outer products of their nonzeros in
+one CSR conversion (`_liouvillian`): the pieces of fig2b or fig4c take
+1.6-1.9 ms at cutoff 3.  scipy.sparse is imported inside the functions that
+build these pieces, so it loads at the first build, not with the CLI that
+reads OracleConfig.
 
-A steady drive (pulses.is_steady) folds into L0 once, with its one amplitude,
-and a switched-off one adds nothing, so each right-hand side call weights only
-the pieces of the drives that vary in time.  H conserves Q = n_k - n_q -
-[level in {a, b}], and every jump shifts Q by the same amount on both sides of
-rho, so L never couples entries of rho with different Q(x) - Q(y).  The run
-does not hard-code that charge: it integrates only the entries of vec(rho)
-reachable from the support of vec(rho0) through the union sparsity pattern of
-the pieces left, and every other entry stays exactly zero.  From a diagonal
-rho0 at cutoff 3 that is 672 of 4096 entries when both drives act (fig2b,
-fig7d) and 10 on fig7c, whose control is off; a coherent rho0 or a thermal
-seed adds what it reaches.  One run on the 41 verifier points takes about
-25 ms (fig2b), 30 ms (fig7c) and 46 ms (fig7d) on a 2-core host, one BLAS
-thread.
+H conserves Q = n_k - n_q - [level in {a, b}], and every jump shifts Q by the
+same amount on both sides of rho, so L never couples entries of rho with
+different Q(x) - Q(y).  The run does not hard-code that charge: it integrates
+only the entries of vec(rho) reachable from the support of vec(rho0) through
+the union sparsity pattern of the pieces, and every other entry stays exactly
+zero.  From a diagonal rho0 at cutoff 3 that is 672 of 4096 entries when both
+drives act (fig2b, fig7d) and 10 on fig7a-c, whose control is off; a coherent
+rho0 or a thermal seed adds what it reaches.  The restricted pieces are stacked
+into one matrix, so that each right-hand side is one product `stacked @ y` and
+a weighted sum of its row blocks; it is stored dense when it has at most
+_DENSE_ENTRIES (8192) entries, as fig7a-c's 10 x 10 does, and sparse otherwise,
+as every two-drive run's 672 columns are.  One run on the 41 verifier points
+takes about 20 ms (fig2b), 21 ms (fig7c), 28 ms (fig4c) and 39 ms (fig7d) on a
+2-core host, one BLAS thread.
 
 Moments come out as direct traces Tr(rho op), each one weight row on the
 solved entries of vec(rho), with no kernel machinery or noise tables in this
@@ -46,12 +53,19 @@ import numpy as np
 
 from .atom import AtomConfig
 from .errors import ConfigError, CutoffError, check_solution, check_tolerances, solve_ivp
-from .pulses import PulseSpec, is_steady, rabi
+from .pulses import PulseSpec, envelope, is_steady, rabi
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from scipy import sparse
 
 _RANK = {"a": 0, "b": 1, "c": 2, "d": 3}
+# A stacked generator of at most this many entries (rows x cols) is stored dense.  A sparse
+# mat-vec costs about 3 us whatever its size; on sub-blocks of the fig2b and fig4c generators
+# (2-core host, one BLAS thread) the dense one was faster up to 8192 entries (2.7 against
+# 3.1 us), level near 11500 and slower from 18000 on.
+_DENSE_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -158,21 +172,20 @@ def _kron_sum(terms: list[tuple[np.ndarray, np.ndarray]], diagonal: np.ndarray |
     return sparse.csr_array((vals, (rows, cols)), shape=(dim * dim, dim * dim))
 
 
-def _liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, dim_k: int,
-                 dim_q: int, g_k: float, g_q: float) -> list[sparse.csr_array]:
-    """[L0, L_p, L_p', L_c, L_c'], weighted by 1, Omega_p, Omega_p*, Omega_c, Omega_c*.
+def _liouvillian(atom: AtomConfig, levels: list[np.ndarray], dim_k: int, dim_q: int,
+                 g_k: float, g_q: float) -> list[sparse.csr_array]:
+    """[L0, L_1, ...]: one superoperator for each 4x4 level Hamiltonian term in `levels`.
 
     Superoperators on the row-major vec(rho) of atom x Stokes (dim_k) x
     anti-Stokes (dim_q), through vec(A rho B) = (A kron B^T) vec(rho), each
     built by `_kron_sum` from dense operators on the joint space.  L0 holds
-    the detunings, the g_k, g_q couplings and every Lindblad channel; its
-    diagonal is summed channel by channel, in the order of `_decay_ops`.
+    levels[0] (the detunings, and any drive folded in), the g_k, g_q
+    couplings and every Lindblad channel; its diagonal is summed channel by
+    channel, in the order of `_decay_ops`.  Each later L_i is the commutator
+    rho -> -i [levels[i] kron 1_field, rho].
     """
     eye_f = np.eye(dim_k * dim_q)
     eye = np.eye(4 * dim_k * dim_q)
-
-    def sig(x, y):
-        return np.kron(_level_op(x, y), eye_f)
 
     def plus_hc(op):
         return op + op.conj().T
@@ -182,8 +195,7 @@ def _liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, dim_k: i
 
     # joint operators as level x field Kronecker products: a_k sigma_db = sigma_db kron a_k
     a_k, a_q = (a.toarray() for a in _field_ops(dim_k, dim_q))
-    h = (np.kron(-control.detuning * _level_op("a", "a") - pump.detuning * _level_op("d", "d"),
-                 eye_f)
+    h = (np.kron(levels[0], eye_f)
          - g_k * plus_hc(np.kron(_level_op("d", "b"), a_k))
          - g_q * plus_hc(np.kron(_level_op("a", "c"), a_q)))
     terms = commutator(h)
@@ -195,17 +207,49 @@ def _liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, dim_k: i
         # J^dag J is diagonal for every channel, so -(1/2){J^dag J, rho} lies on the diagonal
         j, n = np.diag(jump), np.diag(np.kron(op.conj().T @ op, eye_f))
         diagonal = diagonal + rate * (np.multiply.outer(j, j.conj()) - 0.5 * np.add.outer(n, n))
-    drives = [_kron_sum(commutator(-sig(x, y))) for x, y in ("dc", "cd", "ab", "ba")]
+    drives = [_kron_sum(commutator(np.kron(level, eye_f))) for level in levels[1:]]
     return [_kron_sum(terms, diagonal.ravel()), *drives]
 
 
-def _weights(specs: tuple[PulseSpec, ...], t: float) -> list[complex]:
-    """Weights at time t of L0 and of each drive's two pieces: 1, then Omega, Omega* per spec."""
-    weights = [1.0]
-    for spec in specs:
-        omega = rabi(spec, t)
-        weights += [omega, omega.conjugate()]
-    return weights
+def _generator(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, dim_k: int, dim_q: int,
+               g_k: float, g_q: float
+               ) -> tuple[list[sparse.csr_array], Callable[[float], list[complex]]]:
+    """The pieces L_i of L(t) = sum_i w_i(t) L_i, one per time dependence, and t -> [w_i(t)].
+
+    The drive term of H is -(Omega sigma_xy + Omega* sigma_yx), with xy = dc
+    for the pump and ab for the control.  An unchirped drive has
+    Omega(t) = c E(t), c = Omega(center) and E the real `envelope`, so its
+    term is one level operator weighted by E(t): a steady drive's E is 1
+    and its term joins L0, and pulses with one envelope (shape, center,
+    width) share a piece.  A chirped drive keeps two pieces, weighted by
+    Omega(t) and Omega*(t), and a drive with omega_peak 0 adds nothing.
+    """
+    groups = {None: -control.detuning * _level_op("a", "a") - pump.detuning * _level_op("d", "d")}
+    shaped, chirped, split = [], [], []
+    for spec, (x, y) in ((pump, "dc"), (control, "ab")):
+        if spec.omega_peak == 0:
+            continue
+        if spec.chirp:
+            chirped.append(spec)
+            split += [-_level_op(x, y), -_level_op(y, x)]
+            continue
+        key = None if is_steady(spec) else (spec.shape, spec.center, spec.width)
+        if key not in groups:
+            shaped.append(spec)
+        c = rabi(spec, spec.center)
+        groups[key] = groups.get(key, 0.0) - (c * _level_op(x, y) + c.conjugate() * _level_op(y, x))
+    pieces = _liouvillian(atom, [*groups.values(), *split], dim_k, dim_q, g_k, g_q)
+
+    def weights(t):
+        w = [1.0]
+        for spec in shaped:
+            w.append(envelope(spec, t))
+        for spec in chirped:
+            omega = rabi(spec, t)
+            w += [omega, omega.conjugate()]
+        return w
+
+    return pieces, weights
 
 
 def _reachable(pieces: list[sparse.csr_array], y0: np.ndarray) -> np.ndarray:
@@ -224,6 +268,18 @@ def _reachable(pieces: list[sparse.csr_array], y0: np.ndarray) -> np.ndarray:
         mask = grown
 
 
+def _stacked(pieces: list[sparse.csr_array], keep: np.ndarray) -> sparse.csr_array | np.ndarray:
+    """The pieces restricted to the kept entries and stacked row-wise, one mat-vec for all.
+
+    Dense when it has at most _DENSE_ENTRIES entries, where a sparse
+    product's fixed dispatch cost outweighs the dense product's work.
+    """
+    from scipy import sparse
+
+    stacked = sparse.vstack([piece[keep][:, keep] for piece in pieces])
+    return stacked.toarray() if np.prod(stacked.shape) <= _DENSE_ENTRIES else stacked
+
+
 def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                    times: np.ndarray, cfg: OracleConfig | None = None) -> OracleMoments:
     """Integrate the joint master equation (DOP853) and trace out the listed moments.
@@ -233,32 +289,22 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     Raises CutoffError when the top Fock layer of either mode accumulates
     more than leak_tol of that mode's peak photon number.
     """
-    from scipy import sparse
-
     cfg = cfg or OracleConfig()
     times = np.asarray(times, dtype=float)
     dim_k = cfg.cutoff_k + 1
     dim_q = cfg.cutoff_q + 1
     dim_f = dim_k * dim_q
-    static, *drives = _liouvillian(atom, pump, control, dim_k, dim_q, cfg.g_k, cfg.g_q)
-    varying, pieces = [], [static]
-    for spec, piece, conj_piece in ((pump, *drives[:2]), (control, *drives[2:])):
-        if not is_steady(spec):
-            varying.append(spec)
-            pieces += [piece, conj_piece]
-        elif (omega := rabi(spec, 0.0)) != 0:
-            pieces[0] = pieces[0] + omega * piece + omega.conjugate() * conj_piece
+    pieces, weights = _generator(atom, pump, control, dim_k, dim_q, cfg.g_k, cfg.g_q)
     rho0 = np.kron(np.kron(atom.rho0, _thermal(dim_k, atom.n_th_k)),
                    _thermal(dim_q, atom.n_th_q)).reshape(-1)
     keep = _reachable(pieces, rho0)
-    # one mat-vec with the restricted pieces stacked row-wise, then their weighted sum
-    stacked = sparse.vstack([piece[keep][:, keep] for piece in pieces])
+    stacked = _stacked(pieces, keep)
 
     def rhs(t, y):
         flows = stacked @ y
-        if not varying:
+        if len(pieces) == 1:
             return flows
-        return np.asarray(_weights(varying, t)) @ flows.reshape(len(pieces), -1)
+        return np.asarray(weights(t)) @ flows.reshape(len(pieces), -1)
 
     sol = solve_ivp(rhs, (times[0], times[-1]), rho0[keep], method="DOP853",
                     t_eval=times, rtol=cfg.rtol, atol=cfg.atol)

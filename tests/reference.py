@@ -4,18 +4,19 @@ None of these feed the pipeline.  They restate what the library computes in
 another form, so that the tests can check the pipeline's structures against
 them: index tables for conjugation and populations, the density matrix of a
 state vector, the normally ordered noise table, the whole-sector views of
-the grid's 4x4 half, the explicit two-time kernel, the oracle's own build of
-the atomic generator, the oracle's generator built from sparse Kronecker
-products, the Lindblad lifts from np.kron, the exact maximum that the Magnus
-substep bound caps, the full 16x16 flow started at an arbitrary grid point, with
-the two-time kernels it gives, and the kernel quadrature and moment tables
-over the whole sector and the whole window at once, from U(t, 0) rebuilt
-out of the grid's frames, which the library forms on the half and streams
-in row blocks, one frame each, and that streamed pass with every block's
-frame inverted and integrated on its own, where the library shares them.
-Two Magnus chains restate the library's without quiet runs: every
-interval's own maps, and, for a constant drive, the powers of one step map
-times each block's first row.
+the grid's 4x4 half, the explicit two-time kernel, the oracle's generator
+with one piece per Omega and per Omega*, its build of the atomic generator,
+the same pieces from sparse Kronecker products, the Lindblad lifts from
+np.kron, the exact maximum that the Magnus substep bound caps, the full
+16x16 flow started at an arbitrary grid point, with the two-time kernels it
+gives, and the kernel quadrature and moment tables over the whole sector and
+the whole window at once, from U(t, 0) rebuilt out of the grid's frames,
+which the library forms on the half and streams in row blocks, one frame
+each, and that streamed pass with every block's frame inverted and
+integrated on its own, where the library shares them.  Two Magnus chains
+restate the library's without quiet runs: every interval's own maps, and,
+for a constant drive, the powers of one step map times each block's first
+row.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from ramanpairs.atom import AtomConfig, DriftBuilder, state_vector
 from ramanpairs.moments import (_CH, _CONJ, _HALF, _HC, _SOURCE, _STRUCTURE_FEED, _STRUCTURES,
                                 DAGGER_SLOT, _scatter, _slot_factors)
 from ramanpairs.noise import DiffusionTable
-from ramanpairs.oracle import _decay_ops, _field_ops, _level_op, _liouvillian, _weights
+from ramanpairs.oracle import _decay_ops, _field_ops, _level_op, _liouvillian
 from ramanpairs.propagator import (_BLOCK_STEPS, PropagatorGrid, _column_sums,
                                    _cumulative_trapezoid, _expm, _magnus_weights, _orbit,
                                    _prefix_products, _substeps)
-from ramanpairs.pulses import PulseSpec
+from ramanpairs.pulses import PulseSpec, rabi
 
 # 0-based conjugate index of each operator, and positions of the four populations |x><x|.
 DAGGER0 = np.array([dagger(m) - 1 for m in range(1, 17)], dtype=np.intp)
@@ -219,6 +220,27 @@ def block_moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: Diffu
     return boundary, noise, backaction, field, c * means
 
 
+def drive_liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, dim_k: int,
+                      dim_q: int, g_k: float, g_q: float) -> list[sparse.csr_array]:
+    """[L0, L_p, L_p', L_c, L_c'], weighted by 1, Omega_p, Omega_p*, Omega_c, Omega_c*.
+
+    The oracle's builder with one level term per Omega and per Omega*, so no
+    drive is folded or grouped; L0 holds the detunings alone.
+    """
+    detunings = -control.detuning * _level_op("a", "a") - pump.detuning * _level_op("d", "d")
+    drives = [-_level_op(x, y) for x, y in ("dc", "cd", "ab", "ba")]
+    return _liouvillian(atom, [detunings, *drives], dim_k, dim_q, g_k, g_q)
+
+
+def drive_weights(specs: tuple[PulseSpec, ...], t: float) -> list[complex]:
+    """Weights at time t of drive_liouvillian's pieces: 1, then Omega, Omega* per spec."""
+    weights = [1.0]
+    for spec in specs:
+        omega = rabi(spec, t)
+        weights += [omega, omega.conjugate()]
+    return weights
+
+
 def atomic_liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
                        t: float) -> np.ndarray:
     """Generator of d<sigma_xy>/dt at time t, g = 0: the oracle's build at cutoff 0.
@@ -226,15 +248,15 @@ def atomic_liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     Shares no code with the drift-matrix lift.  X_m = <sigma_xy> = rho[y, x],
     so the generator on vec(rho) is conjugated by the transpose permutation.
     """
-    pieces = _liouvillian(atom, pump, control, 1, 1, 0.0, 0.0)
-    gen = sum(c * piece for c, piece in zip(_weights((pump, control), t), pieces))
+    pieces = drive_liouvillian(atom, pump, control, 1, 1, 0.0, 0.0)
+    gen = sum(c * piece for c, piece in zip(drive_weights((pump, control), t), pieces))
     perm = np.arange(16).reshape(4, 4).T.reshape(-1)
     return gen.toarray()[np.ix_(perm, perm)]
 
 
 def kron_liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, dim_k: int,
                      dim_q: int, g_k: float, g_q: float) -> list[sparse.csr_array]:
-    """The pieces of oracle._liouvillian from sparse Kronecker products and sparse adds.
+    """The pieces of drive_liouvillian from sparse Kronecker products and sparse adds.
 
     Same arguments and order [L0, L_p, L_p', L_c, L_c'].  L0's channels are
     added one at a time, in the order of oracle._decay_ops.

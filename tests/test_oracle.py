@@ -13,15 +13,14 @@ from ramanpairs.config import apply_override
 from ramanpairs.errors import ConfigError, CutoffError
 from ramanpairs.moments import compute_moments
 from ramanpairs.noise import diffusion_table
-from ramanpairs.oracle import (OracleConfig, _field_ops, _liouvillian, _thermal, _weights,
-                               oracle_moments)
+from ramanpairs.oracle import OracleConfig, _field_ops, _generator, _thermal, oracle_moments
 from ramanpairs.presets import PRESET_NAMES, preset
 from ramanpairs.propagator import build_propagator_grid
 from ramanpairs.pulses import PulseSpec, rabi
 from ramanpairs.runner import run_verification
 
 from conftest import gauss_pulse, rho_symmetric
-from reference import kron_liouvillian
+from reference import drive_liouvillian, drive_weights, kron_liouvillian
 
 
 def test_dimension_cap_enforced():
@@ -157,10 +156,10 @@ def _full_space_moments(atom, pump, control, times, cfg):
     not through the oracle's partial traces.
     """
     dim_k, dim_q = cfg.cutoff_k + 1, cfg.cutoff_q + 1
-    stacked = sparse.vstack(_liouvillian(atom, pump, control, dim_k, dim_q, cfg.g_k, cfg.g_q))
+    stacked = sparse.vstack(drive_liouvillian(atom, pump, control, dim_k, dim_q, cfg.g_k, cfg.g_q))
 
     def rhs(t, y):
-        return np.asarray(_weights((pump, control), t)) @ (stacked @ y).reshape(5, -1)
+        return np.asarray(drive_weights((pump, control), t)) @ (stacked @ y).reshape(5, -1)
 
     rho0 = np.kron(np.kron(atom.rho0, _thermal(dim_k, atom.n_th_k)), _thermal(dim_q, atom.n_th_q))
     sol = solve_ivp(rhs, (times[0], times[-1]), rho0.reshape(-1), method="DOP853",
@@ -251,13 +250,20 @@ def test_diagonal_start_solves_only_the_charge_conserving_block(monkeypatch):
     assert lengths == [pairs]
 
 
-@pytest.mark.parametrize("name, length", [("fig7c", 10), ("fig2b", 672)])
-def test_only_drives_that_act_widen_the_solved_set(monkeypatch, name, length):
+@pytest.mark.parametrize("name, control, length", [
+    pytest.param("fig7c", None, 10, id="fig7c-10"),
+    pytest.param("fig2b", None, 672, id="fig2b-672"),
+    pytest.param("fig7b", PulseSpec("gaussian", omega_peak=0.0), 10, id="fig7b-zero-pulse-10"),
+    pytest.param("fig7b", PulseSpec("gaussian", omega_peak=0.0, chirp=3.0), 10,
+                 id="fig7b-zero-chirped-pulse-10")])
+def test_only_drives_that_act_widen_the_solved_set(monkeypatch, name, control, length):
     """fig7c's switched-off control adds no piece, so its solve keeps 10 entries, not 672.
 
     From |c><c| the cw pump reaches |d,0,0>, g_k then |b,1,0>, and the decay
     d -> b |b,0,0><b,0,0|: nine entries among three kets, and one more.
-    fig2b's two pulses reach the whole charge-conserving block.
+    fig2b's two pulses reach the whole charge-conserving block.  A Gaussian
+    control of zero amplitude, chirped or not, acts no more than an off()
+    one: fig7b's pulsed pump alone reaches fig7c's 10 entries.
     """
     lengths = []
 
@@ -267,8 +273,56 @@ def test_only_drives_that_act_widen_the_solved_set(monkeypatch, name, length):
 
     monkeypatch.setattr(oracle, "solve_ivp", recording_solve)
     cfg = preset(name).scenarios[0]
-    oracle_moments(cfg.atom, cfg.pump, cfg.control, np.linspace(0.0, cfg.t_end, 11), OracleConfig())
+    oracle_moments(cfg.atom, cfg.pump, control or cfg.control, np.linspace(0.0, cfg.t_end, 11),
+                   OracleConfig())
     assert lengths == [length]
+
+
+@pytest.mark.parametrize("name, label, count", [
+    ("fig2b", "fig2b", 2), ("fig5", "fig5_coincident", 2), ("fig5", "fig5_intuitive", 3),
+    ("fig7c", "fig7c", 1), ("fig7d", "fig7d", 1), ("fig4c", "fig4c", 5)])
+def test_one_piece_per_time_dependence(name, label, count):
+    """L0 with the steady drives, one piece per envelope of the unchirped pulses, two per chirp.
+
+    fig2b's and fig5 coincident's pulses share one envelope; fig5
+    intuitive's are displaced; fig7c and fig7d hold only steady drives;
+    fig4c's two chirped pulses keep Omega and Omega* apart.
+    """
+    (cfg,) = [c for c in preset(name).scenarios if c.label == label]
+    pieces, weights = _generator(cfg.atom, cfg.pump, cfg.control, 4, 4, 0.01, 0.01)
+    assert len(pieces) == count
+    assert len(weights(0.3)) == count
+
+
+def test_small_generator_is_stored_dense(monkeypatch):
+    """fig7c's 10 solved entries run on a dense generator, and give the sparse run's moments.
+
+    fig2b's 672 entries stay sparse.
+    """
+    dense = []
+    stacked = oracle._stacked
+
+    def recording_stacked(pieces, keep):
+        out = stacked(pieces, keep)
+        dense.append(isinstance(out, np.ndarray))
+        return out
+
+    monkeypatch.setattr(oracle, "_stacked", recording_stacked)
+    runs = []
+    for name in ("fig7c", "fig2b"):
+        cfg = preset(name).scenarios[0]
+        runs.append(oracle_moments(cfg.atom, cfg.pump, cfg.control,
+                                   np.linspace(0.0, cfg.t_end, 41), OracleConfig()))
+    monkeypatch.setattr(oracle, "_DENSE_ENTRIES", 0)
+    cfg = preset("fig7c").scenarios[0]
+    runs.append(oracle_moments(cfg.atom, cfg.pump, cfg.control, np.linspace(0.0, cfg.t_end, 41),
+                               OracleConfig()))
+    assert dense == [True, False, False]
+    ours, theirs = runs[0], runs[2]
+    for name in ("n_k", "n_q", "pair", "mean_k", "mean_q", "atom_traj", "top_layer_k",
+                 "top_layer_q"):
+        want = getattr(theirs, name)
+        assert np.max(np.abs(getattr(ours, name) - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -305,7 +359,8 @@ def test_liouvillian_keeps_trace_and_hermiticity(rates, detunings, chirps, phase
     control = PulseSpec(shape="cw", omega_peak=5.0, detuning=detunings[1],
                         chirp=chirps[1], phase0=phases[1])
     dim_k, dim_q = cutoffs[0] + 1, cutoffs[1] + 1
-    l0, l_p, l_p_conj, l_c, l_c_conj = _liouvillian(atom, pump, control, dim_k, dim_q, *couplings)
+    l0, l_p, l_p_conj, l_c, l_c_conj = drive_liouvillian(atom, pump, control, dim_k, dim_q,
+                                                          *couplings)
     om_p, om_c = rabi(pump, t), rabi(control, t)
     gen = l0 + om_p * l_p + np.conj(om_p) * l_p_conj + om_c * l_c + np.conj(om_c) * l_c_conj
 
@@ -331,9 +386,52 @@ def test_liouvillian_matches_sparse_kron_build(rates, detunings, couplings, cuto
     pump = PulseSpec(shape="cw", omega_peak=8.0, detuning=detunings[0])
     control = PulseSpec(shape="cw", omega_peak=5.0, detuning=detunings[1])
     args = (AtomConfig(*rates), pump, control, cutoffs[0] + 1, cutoffs[1] + 1, *couplings)
-    for ours, ref in zip(_liouvillian(*args), kron_liouvillian(*args), strict=True):
+    for ours, ref in zip(drive_liouvillian(*args), kron_liouvillian(*args), strict=True):
         ref.sort_indices()
         assert np.array_equal(ours.indptr, ref.indptr)
         assert np.array_equal(ours.indices, ref.indices)
         np.testing.assert_array_max_ulp(ours.data.real, ref.data.real, maxulp=1)
         np.testing.assert_array_max_ulp(ours.data.imag, ref.data.imag, maxulp=1)
+
+
+DRIVE_KINDS = {"cw": ("cw", False), "pulse": ("gaussian", False),
+               "chirped pulse": ("gaussian", True), "chirped cw": ("cw", True)}
+CHIRP = REAL.filter(lambda x: x != 0)
+
+
+# no explain phase, as above
+@pytest.mark.parametrize("kinds, shared", [
+    (("pulse", "pulse"), "center width"), (("pulse", "pulse"), ""),
+    (("pulse", "pulse"), "center"), (("pulse", "pulse"), "width"),
+    (("chirped pulse", "pulse"), ""), (("cw", "chirped cw"), ""),
+    (("chirped cw", "chirped pulse"), "center width")])
+@settings(max_examples=15, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
+@given(rates=st.tuples(RATE, RATE, RATE, RATE, RATE), detunings=st.tuples(REAL, REAL),
+       chirps=st.tuples(CHIRP, CHIRP), phases=st.tuples(REAL, REAL),
+       couplings=st.tuples(RATE, RATE), cutoffs=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       centers=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+       widths=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+       t=st.floats(min_value=0.0, max_value=2.0))
+def test_oracle_pieces_sum_to_the_per_drive_generator(kinds, shared, rates, detunings, chirps,
+                                                      phases, couplings, cutoffs, centers,
+                                                      widths, t):
+    """The oracle's folded and grouped pieces, weighted at t, give L(t) of one piece per Omega.
+
+    The control takes the pump's center, width or both as `shared` names
+    them: two unchirped pulses share one envelope only when both match.
+    """
+    specs = []
+    for i, kind in enumerate(kinds):
+        shape, chirped = DRIVE_KINDS[kind]
+        center = centers[0 if "center" in shared else i]
+        width = widths[0 if "width" in shared else i]
+        specs.append(PulseSpec(shape, omega_peak=(8.0, 5.0)[i], center=center,
+                               width=width, detuning=detunings[i],
+                               chirp=chirps[i] if chirped else 0.0, phase0=phases[i]))
+    args = (AtomConfig(*rates), *specs, cutoffs[0] + 1, cutoffs[1] + 1, *couplings)
+    pieces, weights = _generator(*args)
+    ours = sum(w * piece for w, piece in zip(weights(t), pieces, strict=True))
+    theirs = sum(w * piece for w, piece in zip(drive_weights(tuple(specs), t),
+                                               drive_liouvillian(*args), strict=True))
+    assert abs(ours - theirs).max() <= 1e-12 * abs(theirs).max()
