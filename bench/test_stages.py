@@ -197,7 +197,8 @@ def test_oracle_run(benchmark, name):
     cfg, oracle_cfg = _config(name), OracleConfig()
     atom = replace(cfg.atom, g_k=oracle_cfg.g_k, g_q=oracle_cfg.g_q)
     times = np.linspace(0.0, cfg.t_end, cfg.grid_points + 1)[::max(1, cfg.grid_points // 40)]
-    # the oracle is the only stage that loads scipy: one untimed call imports and warms it
+    # the oracle is the only stage that loads scipy, scipy.sparse for its build (its DOP853
+    # solve is ramanpairs.dop853): one untimed call imports and warms it
     oracle_moments(atom, cfg.pump, cfg.control, times, oracle_cfg)
     oracle = benchmark(oracle_moments, atom, cfg.pump, cfg.control, times, oracle_cfg)
     assert oracle.n_k.shape == times.shape

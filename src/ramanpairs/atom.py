@@ -27,7 +27,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import algebra
-from .errors import ConfigError, check_solution, solve_ivp
+from .dop853 import solve_ivp
+from .errors import ConfigError, check_solution
 from .pulses import PulseSpec, rabi
 
 # (k, l) with k < l, the order of the commutators [G_k, G_l] in DriftBuilder.generators

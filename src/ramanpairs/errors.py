@@ -1,12 +1,7 @@
-"""Exception types, the checks on tolerances and solver results, and the one ODE entry point.
+"""Exception types, and the checks on tolerances and solver results.
 
-`solve_ivp` imports scipy.integrate at its first call.  That import, with the
-scipy.sparse, scipy.linalg, scipy.special and scipy.optimize it pulls in,
-takes 0.54-0.67 s, against 0.14-0.32 s for the whole package with NumPy, and
-raises the resident size from 34 to 80 MB (fresh interpreter, 2-core host,
-one BLAS thread).  Only the Fock oracle (the verify command) and the
-reference solve atom.evolve_state call it; a scenario run, with constant
-or pulsed drives, solves no ODE and never loads it.
+The one ODE solver is `dop853.solve_ivp`; `check_solution` turns its failed
+result into an IntegrationError that carries the time where it stopped.
 """
 
 from __future__ import annotations
@@ -24,18 +19,6 @@ class IntegrationError(RuntimeError):
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)
         self.time = time
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported at the first call.
-
-    `atom` and `oracle` each bind this name, so each module's solve can be
-    wrapped on its own (perfbench/tracing.py does); `propagator` still binds
-    it for that wrapper, and calls it nowhere.
-    """
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
 
 
 def check_solution(sol, what: str, t_start: float) -> None:

@@ -1,7 +1,8 @@
 """Brute-force verifier: full master equation with quantized field modes.
 
 The atom is joined to one truncated Stokes mode and one truncated anti-Stokes
-mode and the joint density matrix is integrated by DOP853, an adaptive
+mode and the joint density matrix is integrated by DOP853 (`dop853.solve_ivp`,
+the package's own NumPy stepper, which takes SciPy's steps), an adaptive
 solve that shares no step rule with the pipeline's Magnus flow, under the
 rotating-frame Hamiltonian
 
@@ -21,7 +22,7 @@ joint-space operators, assembled from the outer products of their nonzeros in
 one CSR conversion (`_liouvillian`): the pieces of fig2b or fig4c take
 1.6-1.9 ms at cutoff 3.  scipy.sparse is imported inside the functions that
 build these pieces, so it loads at the first build, not with the CLI that
-reads OracleConfig.
+reads OracleConfig; it is the only SciPy module a verify run loads.
 
 H conserves Q = n_k - n_q - [level in {a, b}], and every jump shifts Q by the
 same amount on both sides of rho, so L never couples entries of rho with
@@ -35,8 +36,9 @@ into one matrix, so that each right-hand side is one product `stacked @ y` and
 a weighted sum of its row blocks; it is stored dense when it has at most
 _DENSE_ENTRIES (8192) entries, as fig7a-c's 10 x 10 does, and sparse otherwise,
 as every two-drive run's 672 columns are.  One run on the 41 verifier points
-takes about 20 ms (fig2b), 21 ms (fig7c), 28 ms (fig4c) and 39 ms (fig7d) on a
-2-core host, one BLAS thread.
+takes about 21 ms (fig2b), 20 ms (fig7c), 28 ms (fig4c) and 44 ms (fig7d) on a
+2-core host, one BLAS thread.  rtol must be at least propagator.MIN_RTOL
+(100 eps), since the stepper takes rtol as given.
 
 Moments come out as direct traces Tr(rho op), each one weight row on the
 solved entries of vec(rho), with no kernel machinery or noise tables in this
@@ -52,7 +54,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .atom import AtomConfig
-from .errors import ConfigError, CutoffError, check_solution, check_tolerances, solve_ivp
+from .dop853 import solve_ivp
+from .errors import ConfigError, CutoffError, check_solution, check_tolerances
+from .propagator import MIN_RTOL
 from .pulses import PulseSpec, envelope, is_steady, rabi
 
 if TYPE_CHECKING:
@@ -89,6 +93,9 @@ class OracleConfig:
             raise ConfigError(f"joint dimension {dim} exceeds cap {self.dim_cap}")
         # a NaN leak_tol would switch the truncation guard off (every comparison is False)
         check_tolerances(rtol=self.rtol, atol=self.atol, leak_tol=self.leak_tol)
+        # the stepper takes rtol as given: below this floor it would run to tiny steps
+        if self.rtol < MIN_RTOL:
+            raise ConfigError(f"rtol: must be >= {MIN_RTOL:.3g}, got {self.rtol}")
         for key in ("g_k", "g_q"):
             value = getattr(self, key)
             if not np.isfinite(value) or value < 0:

@@ -54,16 +54,17 @@ import numpy as np
 from . import algebra
 from .atom import GENERATOR_PAIRS, AtomConfig, DriftBuilder, state_vector
 from .atom import evolve_state  # noqa: F401  (perfbench/tracing.py wraps propagator.evolve_state)
+from .dop853 import solve_ivp  # noqa: F401  (perfbench/tracing.py wraps propagator.solve_ivp)
 from .errors import ConfigError
-from .errors import solve_ivp  # noqa: F401  (perfbench/tracing.py wraps propagator.solve_ivp)
 from .pulses import PulseSpec, is_steady
 
 # Default relative tolerance of the Magnus flow, for the API and for [run] rtol;
 # every time-dependent preset point then takes one substep per interval but
 # fig3b's (2-4)
 DEFAULT_RTOL = 1e-8
-# The smallest [run] rtol: 100 float64 eps, SciPy's floor for solve_ivp.  The
-# substeps grow as rtol^(-1/4); at rtol 1e-30 fig2b would take 194,026 per interval.
+# The smallest [run] and [verify] rtol: 100 float64 eps, the floor SciPy's solve_ivp
+# clamps to.  The substeps grow as rtol^(-1/4); at rtol 1e-30 fig2b would take
+# 194,026 per interval.
 MIN_RTOL = 100 * np.finfo(float).eps
 
 _ROUNDOFF = 2.0 ** -53

@@ -104,8 +104,8 @@ def test_run_validation():
     for line in ("atol = 1e-12", "atol = -1"):
         with pytest.raises(ConfigError, match=r"\[run\] atol: unknown key"):
             parse_config(GOOD_CONFIG + line + "\n")
-    for line in ("atol = -1", "rtol = nan", "leak_tol = nan", "leak_tol = -1", "leak_tol = 0",
-                 "g_k = nan", "g_q = -0.5", "g_q = inf"):
+    for line in ("atol = -1", "rtol = nan", "rtol = 1e-20", "leak_tol = nan", "leak_tol = -1",
+                 "leak_tol = 0", "g_k = nan", "g_q = -0.5", "g_q = inf"):
         key = line.split()[0]
         with pytest.raises(ConfigError, match=rf"\[verify\] {key}"):
             parse_config(GOOD_CONFIG + "\n[verify]\n" + line + "\n")
@@ -469,13 +469,15 @@ def _scipy_modules_after(code: str, cwd, package: str = "scipy") -> list[str]:
     (["run", "missing.ini", "--out", "out"], 2, ()),  # a configuration error
     (["preset", "fig2a", "--grid-points", "100", "--out", "out"], 0, ()),
     (["preset", "fig2b", "--grid-points", "100", "--out", "out"], 0, ()),
-    (["verify", "cw.ini", "--out", "out"], 0, ("scipy.integrate", "scipy.sparse")),
+    (["verify", "cw.ini", "--out", "out"], 0, ("scipy.sparse",)),
 ], ids=["import", "list", "config-error", "fig2a", "fig2b", "verify"])
 def test_ode_solver_loaded_at_first_solve(tmp_path, argv, status, needed):
-    """Only verify loads scipy: the oracle's ODE solver and its sparse build.
+    """Only verify loads scipy, for the oracle's sparse build; its DOP853 solve loads none.
 
     Importing the CLI, a config error and a preset run, with constant
-    (fig2a) or pulsed (fig2b) drives, load no scipy module at all.
+    (fig2a) or pulsed (fig2b) drives, load no scipy module at all.  The
+    oracle's solve runs on ramanpairs.dop853, so verify loads neither
+    scipy.integrate nor what that import would bring with it.
     """
     (tmp_path / "cw.ini").write_text(GOOD_CONFIG.replace("shape = gaussian", "shape = cw"))
     code = "import ramanpairs.cli"
@@ -484,6 +486,8 @@ def test_ode_solver_loaded_at_first_solve(tmp_path, argv, status, needed):
     modules = _scipy_modules_after(code, tmp_path)
     if needed:
         assert set(needed) <= set(modules), modules
+        assert not {"scipy.integrate", "scipy.optimize", "scipy.special",
+                    "scipy.linalg"} & set(modules), modules
     else:
         assert modules == [], modules
 
@@ -531,7 +535,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text(GOOD_CONFIG + "atol = 1e-12\n")
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
     assert "[run] atol: unknown key" in capsys.readouterr().err
-    for line in ("leak_tol = nan", "g_k = -0.5"):
+    for line in ("leak_tol = nan", "g_k = -0.5", "rtol = 1e-20"):
         bad.write_text(GOOD_CONFIG + "\n[verify]\n" + line + "\n")
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == 2
     nested = tmp_path / "a" / "b"
@@ -585,6 +589,21 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     config_path = tmp_path / "demo.cfg"
     config_path.write_text(GOOD_CONFIG)
     assert main(["run", str(config_path), "--out", str(tmp_path)]) == 3
+
+
+def test_cli_verify_exits_3_when_the_oracle_solve_fails(tmp_path, monkeypatch, capsys):
+    """An oracle drive that turns NaN at t = 0.5 stops its DOP853 solve: exit 3, no CSV."""
+    from ramanpairs import oracle
+
+    envelope = oracle.envelope
+    monkeypatch.setattr(oracle, "envelope",
+                        lambda spec, t: envelope(spec, t) if t < 0.5 else float("nan"))
+    config_path = tmp_path / "demo.cfg"
+    config_path.write_text(GOOD_CONFIG)
+    out_dir = tmp_path / "out"
+    assert main(["verify", str(config_path), "--out", str(out_dir)]) == 3
+    assert "oracle integration failed" in capsys.readouterr().err
+    assert not (out_dir / "demo_verify.csv").exists()
 
 
 def _fig2b_window(t_end: float, grid_points: int):
