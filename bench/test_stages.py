@@ -11,11 +11,12 @@ write, and the whole ``run_scenario``.  Every such stage runs on fig2a
 (constant drives, every interval quiet), fig7d (constant drives with both
 drives on), fig2b (Gaussian pulses, Magnus step maps where they act) and
 fig4c (opposite chirps), at the presets' 1600 intervals; the grid build
-runs also on fig6b's strongest scan point, Rabi frequency 50 (no quiet
-interval), and on fig3b's at Rabi frequency 30 (four substeps per driven
-interval).  Inside the grid build, the Magnus substep
-sizing (the weights of every interval, then ``_substeps``) is timed on its
-own on the three time-dependent drives fig2b, fig4c and fig6b at 50.  A long
+and the moment assembly run also on fig6b's strongest scan point, Rabi
+frequency 50 (no quiet interval, no shared flow frame), and the grid build
+on fig3b's at Rabi frequency 30 (four substeps per driven interval).
+Inside the grid build, the Magnus substep sizing (the weights of every
+interval, then ``_substeps``) is timed on its own on the three
+time-dependent drives fig2b, fig4c and fig6b at 50.  A long
 window, fig2b stretched to t_end 20 on 2000 intervals (18 blocks, each in
 its own flow frame), times the grid build and the moment pass together.
 Three stages stand outside a scenario run:
@@ -143,10 +144,11 @@ def test_diffusion_map(benchmark, name):
     assert diffusion.einstein.shape == (16, 16, 16)
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("name", [*SCENARIOS, "fig6b-50"])
 def test_moment_assembly(benchmark, name):
+    """fig6b at 50 shares no flow frame: every block builds its own factors."""
     benchmark.group = "moment assembly"
-    cfg = _config(name)
+    cfg = _strong_drive() if name == "fig6b-50" else _config(name)
     grid = _grid(cfg)
     moments = benchmark(compute_moments, cfg.atom, grid, diffusion_table(cfg.atom))
     assert moments.n_k.total.shape == grid.times.shape

@@ -8,7 +8,9 @@ interpolant at the output times.  On the verifier's preset points the two make
 the same number of right-hand-side evaluations and agree to rounding.  Only
 the order of the floating-point sums differs: a stage sum is one product
 (h A[s, :s]) @ K[:s], both error estimates come from one stacked product, and
-a complex K enters every product through its float view.
+a complex K enters every product through its float view.  Where SciPy rejects
+a step whose stages are not finite and shrinks it towards the point where the
+right-hand side turned non-finite, this solver stops at that step.
 
 Importing this module costs NumPy alone, where scipy.integrate brings
 scipy.sparse, scipy.linalg, scipy.special and scipy.optimize with it.  The
@@ -216,6 +218,7 @@ MIN_FACTOR = 0.2  # ...cut by at most 5x after a rejection...
 MAX_FACTOR = 10  # ...and grown by at most 10x after an acceptance
 _EXPONENT = -1 / 8  # the controlled error estimate is of order 7
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+NOT_FINITE = "The right-hand side returned a value that is not finite."
 FINISHED = "The solver successfully reached the end of the integration interval."
 
 
@@ -278,8 +281,9 @@ def solve_ivp(fun, t_span, y0, method: str = "DOP853", *, t_eval, rtol: float = 
     must increase strictly within t_span; a point at t_span[0] is taken from
     the first step's interpolant, which reproduces y0 exactly.  rtol is used
     as given (SciPy raises one below 100 eps to that floor).  The run fails,
-    with status -1 and the outputs reached so far, once a step would fall
-    below 10 ulp of t, as it does when fun turns non-finite.
+    with status -1 and the outputs reached so far, at the first step whose
+    stages are not finite, which from a finite state means that fun has
+    turned non-finite, or once a step would fall below 10 ulp of t.
     """
     if method != "DOP853":
         raise ValueError(f"method: only 'DOP853' is implemented, got {method!r}")
@@ -329,9 +333,10 @@ def solve_ivp(fun, t_span, y0, method: str = "DOP853", *, t_eval, rtol: float = 
             for s in range(1, 13):
                 dy = (ha[s, :s] @ K_re[:s]).view(dtype)
                 K[s] = f(tc[s], y + dy)
+            if not np.isfinite(K_re[:13]).all():
+                return result(-1, NOT_FINITE)
             y_new = y + dy  # row 12 of A holds the order-8 weights B, and C[12] = 1
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            # divided as real numbers: a NaN stage then raises no invalid-value warning
             err = (_ERRORS @ K_re[:13]).reshape(2, y.size, -1) / scale[:, None]
             err5, err3 = np.linalg.norm(err.reshape(2, -1), axis=1) ** 2
             if err5 == 0 and err3 == 0:

@@ -42,13 +42,14 @@ for s_j in the block, S its trapezoid from the block's first row and V the
 inverse of its flow.  V comes from one batched inversion over the rows of
 the distinct frames alone: a block whose frame is another's
 (PropagatorGrid.shares), as in every drive-free stretch, reads that block's
-S, V and [V; S V], a prefix of them if it is shorter, and forms none of its
-own.  The row's own half weight drops out, [S_i, -1] [V_i;
-S_i V_i] = 0, so R is a plain running sum.  An earlier s_j enters R as
-[U_A(t_b, s_j); -K(t_b, s_j)], and at a block's end every column of R turns
-to the next frame by R -> [[U_e, 0], [-S_e, 1]] R, quadratic ones also by
-its conjugate transpose on the right.  The boundary and the means take the
-same form with the s = 0 factor [U_A(t_b, 0); -K(t_b, 0)], carried as more
+S and the real forms of S^T and [V; S V]^T (below), a prefix of them if it
+is shorter, and forms none of its own.  The row's own half weight drops
+out, [S_i, -1] [V_i; S_i V_i] = 0, so R is a plain running sum.  An
+earlier s_j enters R as [U_A(t_b, s_j); -K(t_b, s_j)], and at a block's
+end every column of R turns to the next frame by R -> [[U_e, 0], [-S_e, 1]]
+R, quadratic ones also by its conjugate transpose on the right.  The
+boundary and the means take the same form with the s = 0 factor
+[U_A(t_b, 0); -K(t_b, 0)], carried as more
 columns of R.  The grid holds the half kernel K_h of the slots AQ_DAG, AK on
 algebra.SECTOR_HALF0; AQ and AK_DAG have conj(K_h) on SECTOR_CONJ0.  Three
 selection rules hold exactly for every atom: the pair table and the Einstein
@@ -62,6 +63,11 @@ half (conjugated for AQ, AK_DAG), the back-action integrals, gathered at
 DAGGER_SLOT.  2D(s) = X(s) . Lambda (noise.diffusion_table) and C_p X come
 from one product of X with both maps.  The sum is causal, so the assembly
 makes one pass over the grid's blocks: no full-grid temporary is formed.
+The per-row products take the frame factor F = [V; S V] or [S_i, -1] on
+the right, transposed (the sums as cols^T F^T, the boundary and noise tables
+as their conjugates), and run as float64 products X.view(float) @ real(F^T),
+the real 2 x 2-block form built once per frame, because a stacked complex128
+matmul calls BLAS once per tiny matrix, at several times a float64 one's cost.
 """
 
 from __future__ import annotations
@@ -141,6 +147,17 @@ class MomentSeries:
     mean_q: np.ndarray       # <a_q>
 
 
+def _real_blocks(b: np.ndarray, out: np.ndarray) -> None:
+    """Write B and iB, broadcast, into complex out (..., p, 2, q) for B (..., p, q).
+
+    The float view of out, reshaped to (..., 2p, 2q), is then real(B), each
+    entry b written as [[Re b, Im b], [-Im b, Re b]]: for complex X with a
+    contiguous last axis, X.view(float) @ real(B) is (X @ B).view(float).
+    """
+    out[..., 0, :] = b
+    np.multiply(b, 1j, out=out[..., 1, :])
+
+
 def _scatter(table: np.ndarray, pairs: np.ndarray) -> None:
     """Half x conj block of (m, 4, 4) tables from pairs[:, :, 0], conj x half from the conjugate."""
     table[:, :2, 2:] = pairs[:, :, 0]
@@ -187,41 +204,55 @@ def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionT
             v_b = v[offset:offset + m]
             offset += m
             s_b = _cumulative_trapezoid(u[rows, _SOURCE], step)
-            # K_h(t_i, s_j) = S_i V_j - (S V)_j, from the factors [V; S V]
-            factors = np.concatenate((v_b, s_b @ v_b), axis=1)
-            frame_b = (s_b, factors, factors.conj().transpose(0, 2, 1),
-                       s_b.conj().transpose(0, 2, 1))
+            # real([S, -1]^T) and real(F^T), F = [V; S V]: K_h(t_i, s_j) = S_i V_j - (S V)_j
+            s_t = np.empty((m, 6, 2, 2), dtype=complex)
+            _real_blocks(s_b.transpose(0, 2, 1), s_t[:, :4])
+            _real_blocks(-np.eye(2), s_t[:, 4:])
+            s_t = s_t.view(float).reshape(m, 12, 4)
+            f_t = np.empty((m, 4, 2, 6), dtype=complex)
+            _real_blocks(v_b.transpose(0, 2, 1), f_t[..., :4])
+            f_t = f_t.view(float).reshape(m, 8, 12)
+            np.matmul(f_t[..., :8], s_t[:, :8], out=f_t[..., 8:])
+            frame_b = (s_b, f_t, s_t)
             if block in partners:
                 kept[block] = frame_b
         else:  # a sharing block reads its partner's factors, the short last block a prefix
             frame_b = tuple(a[:m] for a in kept[grid.shares[block]])
-        s_b, factors, factors_h, s_h = frame_b
+        s_b, f_t, s_t = frame_b
         fed = x[rows] @ feed
-        d2 = fed[:, :32].reshape(m, 4, 2, 4)  # [i, k, j]: 2D_0 = 2D_HC, 2D_1 = conj(2D_CH)
-        np.conjugate(d2[:, :, 1], out=d2[:, :, 1])
-        # the 16 columns [y_0, y_0 conj(S)^T, y_1, y_1 conj(S)^T, C_p X], one stacked kernel sum
-        y = d2.reshape(m, 8, 4) @ factors_h
-        cols = np.concatenate((y.reshape(m, 4, 12), fed[:, 32:].reshape(m, 4, 4)), axis=2)
-        np.conjugate(cols[..., 14:], out=cols[..., 14:])
-        sums = factors @ cols
+        # conj of [2D_0, 2D_1] = [2D_HC, conj(2D_CH)] as [i, k, j]
+        d2 = fed[:, :32].reshape(m, 4, 2, 4)
+        np.conjugate(d2[:, :, 0], out=d2[:, :, 0])
+        # the 16 columns [y_0, y_0 conj(S)^T, y_1, y_1 conj(S)^T, C_p X] as rows, y from
+        # conj(y) = conj(2D) F^T, then one stacked kernel sum (F cols)^T = cols^T F^T
+        y = (d2.reshape(m, 8, 4).view(float) @ f_t).view(complex)
+        cols = np.empty((m, 16, 4), dtype=complex)
+        cols[:, :12] = y.reshape(m, 4, 12).transpose(0, 2, 1)
+        structure = fed[:, 32:].reshape(m, 4, 4).transpose(0, 2, 1)
+        np.conjugate(structure[:, :2], out=cols[:, 12:14])
+        cols[:, 14:] = structure[:, 2:]
+        np.conjugate(cols, out=cols)
+        sums = (cols.view(float) @ f_t).view(complex)
         if not start:
             sums[0] *= 0.5  # the trapezoid's half weight at s = 0
-        sums[0] += carry[:, 14:]
+        sums[0] += carry[:, 14:].T
         np.cumsum(sums, axis=0, out=sums)
         # [S_i, -1] R: K_h(t_i, 0) x0, K_h(t_i, 0) P0 and the kernel sums; the row's own
         # trapezoid half weight drops out, as [S_i, -1] [V_i; S_i V_i] = 0
         fixed = (s_b.reshape(2 * m, 4) @ carry[:4, :14]).reshape(m, 2, 14) - carry[4:, :14]
-        ks = s_b @ sums[:, :4] - sums[:, 4:]
+        ks = (sums.view(float) @ s_t).view(complex)  # ([S_i, -1] R)^T
         means[rows, :2], means[rows, 2:] = fixed[..., 0], fixed[..., 1].conj()
-        # boundary K P(0) K^T and noise K 2D K^T, [i, r, (part, k), column] times [S_i, -1]^T
-        quad = np.concatenate((fixed[..., 2:], ks[..., :12]), axis=2).reshape(m, 2, 4, 6)
-        right = (quad[..., :4].reshape(m, 8, 4) @ s_h).reshape(m, 2, 4, 2)
-        right -= quad[..., 4:]
+        # conj of the boundary K P(0) K^T and the noise K 2D K^T, [i, r, (part, k), column]
+        # times [S_i, -1]^T
+        quad = np.empty((m, 2, 24), dtype=complex)
+        np.conjugate(fixed[..., 2:], out=quad[..., :12])
+        np.conjugate(ks[:, :12].transpose(0, 2, 1), out=quad[..., 12:])
+        right = (quad.reshape(m, 8, 6).view(float) @ s_t).view(complex).reshape(m, 2, 4, 2)
         _scatter(boundary[rows], right[:, :, :2])
         _scatter(noise[rows], right[:, :, 2:])
         # T[u, p] times -i g_p, non-zero only with u and p on one half
         gathered = np.zeros((m, 4, 4), dtype=complex)
-        _scatter(gathered, ks[..., 12:].reshape(m, 2, 2, 2) * coupling)
+        _scatter(gathered, ks[:, 12:].transpose(0, 2, 1).reshape(m, 2, 2, 2) * coupling)
         np.multiply(gathered.transpose(0, 2, 1), back_r, out=backaction[rows])
         backaction[rows] += back_u * gathered
         if block < len(grid.ends):
@@ -229,10 +260,12 @@ def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionT
             # one's, on the left of every column and on the right of the quadratic parts
             frame[:4, :4] = grid.ends[block]
             frame[4:, :4] = -s_b[-1] - 0.5 * step * (u[start + m - 1] + grid.ends[block])[_SOURCE]
-            carry = frame @ np.concatenate((carry[:, :14], sums[-1]), axis=1)
+            carry = frame @ np.concatenate((carry[:, :14], sums[-1].T), axis=1)
             carry[:, 2:26] = (carry[:, 2:26].reshape(6, 4, 6) @ frame.conj().T).reshape(6, 24)
-    boundary *= cc
-    noise *= cc
+    # the blocks filled in the conjugates of the boundary and noise tables
+    for table in boundary, noise:
+        np.conjugate(table, out=table)
+        table *= cc
     return boundary, noise, backaction, field, c * means
 
 

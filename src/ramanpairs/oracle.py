@@ -120,13 +120,10 @@ class OracleMoments:
     top_layer_q: np.ndarray
 
 
-def _field_ops(dim_k: int, dim_q: int) -> tuple[sparse.csr_array, sparse.csr_array]:
-    """Annihilators a_k, a_q on the Stokes (dim_k) x anti-Stokes (dim_q) space."""
-    from scipy import sparse
-
+def _field_ops(dim_k: int, dim_q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Annihilators a_k, a_q on the Stokes (dim_k) x anti-Stokes (dim_q) space, dense."""
     a_k, a_q = (np.diag(np.sqrt(np.arange(1.0, dim)), 1) for dim in (dim_k, dim_q))
-    return (sparse.csr_array(np.kron(a_k, np.eye(dim_q))),
-            sparse.csr_array(np.kron(np.eye(dim_k), a_q)))
+    return np.kron(a_k, np.eye(dim_q)), np.kron(np.eye(dim_k), a_q)
 
 
 def _thermal(dim: int, n_th: float) -> np.ndarray:
@@ -201,7 +198,7 @@ def _liouvillian(atom: AtomConfig, levels: list[np.ndarray], dim_k: int, dim_q: 
         return [(-1j * h, eye), (eye, 1j * h.T)]
 
     # joint operators as level x field Kronecker products: a_k sigma_db = sigma_db kron a_k
-    a_k, a_q = (a.toarray() for a in _field_ops(dim_k, dim_q))
+    a_k, a_q = _field_ops(dim_k, dim_q)
     h = (np.kron(levels[0], eye_f)
          - g_k * plus_hc(np.kron(_level_op("d", "b"), a_k))
          - g_q * plus_hc(np.kron(_level_op("a", "c"), a_q)))
@@ -320,7 +317,7 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     # kron(1_atom, op)^T weighs delta_ij op[b, a], and kron(|x><y|, 1_field)^T weighs
     # delta_ab at i = y, j = x: one weight row per moment, all applied in one product
     i, a, j, b = np.unravel_index(keep, (4, dim_f, 4, dim_f))
-    a_k, a_q = (x.toarray() for x in _field_ops(dim_k, dim_q))
+    a_k, a_q = _field_ops(dim_k, dim_q)
     last = [np.diag(np.eye(dim)[-1]) for dim in (dim_k, dim_q)]  # projectors on the top layers
     field_ops = np.stack([a_k.T @ a_k, a_q.T @ a_q, np.kron(last[0], np.eye(dim_q)),
                           np.kron(np.eye(dim_k), last[1]), a_q @ a_k, a_q @ a_k.T, a_k @ a_k,

@@ -30,7 +30,7 @@ from ramanpairs.algebra import (COMPLEMENT0, HERMITIAN, HERMITIAN_INV, LEVELS, S
                                real_form)
 from ramanpairs.atom import AtomConfig, DriftBuilder, state_vector
 from ramanpairs.moments import (_CH, _CONJ, _HALF, _HC, _SOURCE, _STRUCTURE_FEED, _STRUCTURES,
-                                DAGGER_SLOT, _scatter, _slot_factors)
+                                DAGGER_SLOT, _real_blocks, _scatter, _slot_factors)
 from ramanpairs.noise import DiffusionTable
 from ramanpairs.oracle import _decay_ops, _field_ops, _level_op, _liouvillian
 from ramanpairs.propagator import (_BLOCK_STEPS, PropagatorGrid, _column_sums,
@@ -146,8 +146,9 @@ def moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionTa
 def block_moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionTable):
     """moments._moment_tables with every block's frame inverted and integrated on its own.
 
-    One inversion of the whole grid's frames, and V, S and the factors [V; S V]
-    formed anew in each block, as the assembly did before blocks shared frames.
+    One inversion of the whole grid's frames, and V, S and the real forms of
+    S^T and of the factors [V; S V]^T formed anew in each block, as the
+    assembly did before blocks shared frames.
     """
     g, c, field = _slot_factors(atom)
     cc = np.outer(c, c)
@@ -178,34 +179,49 @@ def block_moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: Diffu
         v_b = v[rows]
         m = len(v_b)
         s_b = _cumulative_trapezoid(u[rows, _SOURCE], step)
-        # K_h(t_i, s_j) = S_i V_j - (S V)_j, from the factors [V; S V]
-        factors = np.concatenate((v_b, s_b @ v_b), axis=1)
+        # real([S, -1]^T) and real(F^T), F = [V; S V]: K_h(t_i, s_j) = S_i V_j - (S V)_j
+        s_t = np.empty((m, 6, 2, 2), dtype=complex)
+        _real_blocks(s_b.transpose(0, 2, 1), s_t[:, :4])
+        _real_blocks(-np.eye(2), s_t[:, 4:])
+        s_t = s_t.view(float).reshape(m, 12, 4)
+        f_t = np.empty((m, 4, 2, 6), dtype=complex)
+        _real_blocks(v_b.transpose(0, 2, 1), f_t[..., :4])
+        f_t = f_t.view(float).reshape(m, 8, 12)
+        np.matmul(f_t[..., :8], s_t[:, :8], out=f_t[..., 8:])
         fed = x[rows] @ feed
-        d2 = fed[:, :32].reshape(m, 4, 2, 4)  # [i, k, j]: 2D_0 = 2D_HC, 2D_1 = conj(2D_CH)
-        np.conjugate(d2[:, :, 1], out=d2[:, :, 1])
-        # the 16 columns [y_0, y_0 conj(S)^T, y_1, y_1 conj(S)^T, C_p X], one stacked kernel sum
-        y = d2.reshape(m, 8, 4) @ factors.conj().transpose(0, 2, 1)
-        cols = np.concatenate((y.reshape(m, 4, 12), fed[:, 32:].reshape(m, 4, 4)), axis=2)
-        np.conjugate(cols[..., 14:], out=cols[..., 14:])
-        sums = factors @ cols
+        # conj of [2D_0, 2D_1] = [2D_HC, conj(2D_CH)] as [i, k, j]
+        d2 = fed[:, :32].reshape(m, 4, 2, 4)
+        np.conjugate(d2[:, :, 0], out=d2[:, :, 0])
+        # the 16 columns [y_0, y_0 conj(S)^T, y_1, y_1 conj(S)^T, C_p X] as rows, y from
+        # conj(y) = conj(2D) F^T, then one stacked kernel sum (F cols)^T = cols^T F^T
+        y = (d2.reshape(m, 8, 4).view(float) @ f_t).view(complex)
+        cols = np.empty((m, 16, 4), dtype=complex)
+        cols[:, :12] = y.reshape(m, 4, 12).transpose(0, 2, 1)
+        structure = fed[:, 32:].reshape(m, 4, 4).transpose(0, 2, 1)
+        np.conjugate(structure[:, :2], out=cols[:, 12:14])
+        cols[:, 14:] = structure[:, 2:]
+        np.conjugate(cols, out=cols)
+        sums = (cols.view(float) @ f_t).view(complex)
         if not start:
             sums[0] *= 0.5  # the trapezoid's half weight at s = 0
-        sums[0] += carry[:, 14:]
+        sums[0] += carry[:, 14:].T
         np.cumsum(sums, axis=0, out=sums)
         # [S_i, -1] R: K_h(t_i, 0) x0, K_h(t_i, 0) P0 and the kernel sums; the row's own
         # trapezoid half weight drops out, as [S_i, -1] [V_i; S_i V_i] = 0
         fixed = (s_b.reshape(2 * m, 4) @ carry[:4, :14]).reshape(m, 2, 14) - carry[4:, :14]
-        ks = s_b @ sums[:, :4] - sums[:, 4:]
+        ks = (sums.view(float) @ s_t).view(complex)  # ([S_i, -1] R)^T
         means[rows, :2], means[rows, 2:] = fixed[..., 0], fixed[..., 1].conj()
-        # boundary K P(0) K^T and noise K 2D K^T, [i, r, (part, k), column] times [S_i, -1]^T
-        quad = np.concatenate((fixed[..., 2:], ks[..., :12]), axis=2).reshape(m, 2, 4, 6)
-        right = (quad[..., :4].reshape(m, 8, 4) @ s_b.conj().transpose(0, 2, 1)).reshape(m, 2, 4, 2)
-        right -= quad[..., 4:]
+        # conj of the boundary K P(0) K^T and the noise K 2D K^T, [i, r, (part, k), column]
+        # times [S_i, -1]^T
+        quad = np.empty((m, 2, 24), dtype=complex)
+        np.conjugate(fixed[..., 2:], out=quad[..., :12])
+        np.conjugate(ks[:, :12].transpose(0, 2, 1), out=quad[..., 12:])
+        right = (quad.reshape(m, 8, 6).view(float) @ s_t).view(complex).reshape(m, 2, 4, 2)
         _scatter(boundary[rows], right[:, :, :2])
         _scatter(noise[rows], right[:, :, 2:])
         # T[u, p] times -i g_p, non-zero only with u and p on one half
         gathered = np.zeros((m, 4, 4), dtype=complex)
-        _scatter(gathered, ks[..., 12:].reshape(m, 2, 2, 2) * coupling)
+        _scatter(gathered, ks[:, 12:].transpose(0, 2, 1).reshape(m, 2, 2, 2) * coupling)
         np.multiply(gathered.transpose(0, 2, 1), back_r, out=backaction[rows])
         backaction[rows] += back_u * gathered
         if block < len(grid.ends):
@@ -213,10 +229,12 @@ def block_moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: Diffu
             # one's, on the left of every column and on the right of the quadratic parts
             frame[:4, :4] = grid.ends[block]
             frame[4:, :4] = -s_b[-1] - 0.5 * step * (u[start + m - 1] + grid.ends[block])[_SOURCE]
-            carry = frame @ np.concatenate((carry[:, :14], sums[-1]), axis=1)
+            carry = frame @ np.concatenate((carry[:, :14], sums[-1].T), axis=1)
             carry[:, 2:26] = (carry[:, 2:26].reshape(6, 4, 6) @ frame.conj().T).reshape(6, 24)
-    boundary *= cc
-    noise *= cc
+    # the blocks filled in the conjugates of the boundary and noise tables
+    for table in boundary, noise:
+        np.conjugate(table, out=table)
+        table *= cc
     return boundary, noise, backaction, field, c * means
 
 

@@ -11,7 +11,7 @@ from ramanpairs.atom import AtomConfig, state_vector
 from ramanpairs.config import apply_override
 from ramanpairs import propagator
 from ramanpairs.moments import (AK, AK_DAG, AQ, AQ_DAG, DAGGER_SLOT, _SOURCE, _STRUCTURES,
-                                _moment_tables, _slot_factors, compute_moments)
+                                _moment_tables, _real_blocks, _slot_factors, compute_moments)
 from ramanpairs.noise import diffusion_table
 from ramanpairs.observables import duan
 from ramanpairs.presets import preset
@@ -422,6 +422,50 @@ def test_shared_frames_give_the_per_block_tables_bit_for_bit(label, intervals):
     for got, want in zip(_moment_tables(cfg.atom, grid, diffusion),
                          block_moment_tables(cfg.atom, grid, diffusion)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_real_block_products_match_the_complex_ones():
+    """X.view(float) @ real(B) is (X @ B).view(float) to rounding, on the assembly's views.
+
+    X is a column slice of a block of fed rows reshaped to (m, 8, 4), as the
+    assembly passes it, or a last-axis slice of stacked sums; B a transposed
+    stack, as S^T and V^T are, so real(B) is written from strided entries.
+    real(V^T) real(S^T) is real((S V)^T), the factor that completes
+    real(F^T), and [S^T; -1] written in two parts, the -1 broadcast over the
+    stack, multiplies the whole sums as [S_i, -1] does.
+    """
+    rng = np.random.default_rng(34)
+    m = 5
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def real(b):
+        *lead, p, q = b.shape
+        out = np.empty((*lead, p, 2, q), dtype=complex)
+        _real_blocks(b, out)
+        return out.view(float).reshape(*lead, 2 * p, 2 * q)
+
+    def assert_rounding(got, want, bound):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 32 * np.finfo(float).eps * bound)
+
+    fed, sums = draw(m, 48), draw(m, 16, 6)
+    v_t, s_t = draw(m, 4, 4).transpose(0, 2, 1), draw(m, 2, 4).transpose(0, 2, 1)
+    for x in (fed[:, :32].reshape(m, 8, 4), sums[..., :4]):
+        assert not x.flags.c_contiguous
+        for b in (v_t, s_t):
+            got = (x.view(float) @ real(b)).view(complex)
+            assert_rounding(got, x @ b, np.abs(x) @ np.abs(b))
+    product = real(v_t) @ real(s_t)
+    want = real(v_t @ s_t)
+    assert_rounding(product, want, np.abs(want).max(axis=(1, 2), keepdims=True))
+    frame = np.empty((m, 6, 2, 2), dtype=complex)
+    _real_blocks(s_t, frame[:, :4])
+    _real_blocks(-np.eye(2), frame[:, 4:])
+    got = (sums.view(float) @ frame.view(float).reshape(m, 12, 4)).view(complex)
+    want = sums[..., :4] @ s_t - sums[..., 4:]
+    assert_rounding(got, want, np.abs(sums[..., :4]) @ np.abs(s_t) + np.abs(sums[..., 4:]))
 
 
 def test_moment_assembly_working_memory():

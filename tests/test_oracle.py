@@ -171,7 +171,7 @@ def _full_space_moments(atom, pump, control, times, cfg):
     def expect(op):
         return np.einsum("tij,ji->t", rhos, op)
 
-    a_k, a_q = (np.kron(np.eye(4), a.toarray()) for a in _field_ops(dim_k, dim_q))
+    a_k, a_q = (np.kron(np.eye(4), a) for a in _field_ops(dim_k, dim_q))
     top_k = np.kron(np.eye(4), np.kron(np.diag(np.eye(dim_k)[-1]), np.eye(dim_q)))
     top_q = np.kron(np.eye(4 * dim_k), np.diag(np.eye(dim_q)[-1]))
     sigma = [np.kron(np.outer(np.eye(4)[x], np.eye(4)[y]), np.eye(dim_f))
