@@ -12,7 +12,7 @@ write, and the whole ``run_scenario``.  Every such stage runs on fig2a
 drives on), fig2b (Gaussian pulses, Magnus step maps where they act) and
 fig4c (opposite chirps), at the presets' 1600 intervals; the grid build
 and the moment assembly run also on fig6b's strongest scan point, Rabi
-frequency 50 (no quiet interval, no shared flow frame), and the grid build
+frequency 50 (no quiet interval, no repeated flow frame), and the grid build
 on fig3b's at Rabi frequency 30 (four substeps per driven interval).
 Inside the grid build, the Magnus substep sizing (the weights of every
 interval, then ``_substeps``) is timed on its own on the three
@@ -146,7 +146,7 @@ def test_diffusion_map(benchmark, name):
 
 @pytest.mark.parametrize("name", [*SCENARIOS, "fig6b-50"])
 def test_moment_assembly(benchmark, name):
-    """fig6b at 50 shares no flow frame: every block builds its own factors."""
+    """fig6b at 50 repeats no block's flow rows: every block builds its own factors."""
     benchmark.group = "moment assembly"
     cfg = _strong_drive() if name == "fig6b-50" else _config(name)
     grid = _grid(cfg)

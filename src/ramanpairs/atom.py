@@ -160,7 +160,6 @@ def evolve_state(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     def rhs(t, x):
         return builder.entries(t) @ x
 
-    sol = solve_ivp(rhs, (times[0], times[-1]), x0, method="DOP853",
-                    t_eval=times, rtol=rtol, atol=atol)
-    check_solution(sol, "state", times[0])
+    sol = solve_ivp(rhs, (times[0], times[-1]), x0, t_eval=times, rtol=rtol, atol=atol)
+    check_solution(sol, "state")
     return sol.y.T.copy()

@@ -223,10 +223,15 @@ FINISHED = "The solver successfully reached the end of the integration interval.
 
 
 class OdeResult:
-    """A solve_ivp run: y[:, i] is the state at t[i]; status 0 reached t_span[1], -1 failed."""
+    """A solve_ivp run: y[:, i] is the state at t[i]; status 0 reached t_span[1], -1 failed.
 
-    def __init__(self, t: np.ndarray, y: np.ndarray, nfev: int, status: int, message: str):
+    t_reached is where the last accepted step ended: t_span[1], or where a failed run stopped.
+    """
+
+    def __init__(self, t: np.ndarray, y: np.ndarray, nfev: int, status: int, message: str,
+                 t_reached: float):
         self.t, self.y, self.nfev, self.status, self.message = t, y, nfev, status, message
+        self.t_reached = t_reached
         self.success = status >= 0
 
 
@@ -273,20 +278,18 @@ def _dense(f, K_re: np.ndarray, ha: np.ndarray, tc: np.ndarray, h: float, y: np.
     return out + y
 
 
-def solve_ivp(fun, t_span, y0, method: str = "DOP853", *, t_eval, rtol: float = 1e-3,
-              atol: float = 1e-6) -> OdeResult:
+def solve_ivp(fun, t_span, y0, *, t_eval, rtol: float = 1e-3, atol: float = 1e-6) -> OdeResult:
     """Integrate dy/dt = fun(t, y) over t_span, forward, and give y at the times t_eval.
 
     y0 is a real or complex vector and the state keeps its kind.  t_eval
     must increase strictly within t_span; a point at t_span[0] is taken from
     the first step's interpolant, which reproduces y0 exactly.  rtol is used
     as given (SciPy raises one below 100 eps to that floor).  The run fails,
-    with status -1 and the outputs reached so far, at the first step whose
-    stages are not finite, which from a finite state means that fun has
-    turned non-finite, or once a step would fall below 10 ulp of t.
+    with status -1, the outputs reached so far and the start t_reached of the
+    failing step, at the first step whose stages are not finite, which from a
+    finite state means that fun has turned non-finite, or once a step would
+    fall below 10 ulp of t.
     """
-    if method != "DOP853":
-        raise ValueError(f"method: only 'DOP853' is implemented, got {method!r}")
     t, t_end = map(float, t_span)
     y = np.asarray(y0)
     dtype = complex if np.iscomplexobj(y) else float
@@ -318,7 +321,7 @@ def solve_ivp(fun, t_span, y0, method: str = "DOP853", *, t_eval, rtol: float = 
     def result(status, message):
         return OdeResult(np.concatenate(ts) if ts else np.empty(0),
                          np.concatenate(ys).T if ys else np.empty((y.size, 0), dtype=dtype),
-                         nfev, status, message)
+                         nfev, status, message, float(t))
 
     while t < t_end:
         min_step = 10 * (np.nextafter(t, np.inf) - t)

@@ -1,7 +1,9 @@
 """Exception types, and the checks on tolerances and solver results.
 
 The one ODE solver is `dop853.solve_ivp`; `check_solution` turns its failed
-result into an IntegrationError that carries the time where it stopped.
+result into an IntegrationError that carries the time where it stopped.  The
+Magnus flow raises one without a time when a drive needs more substeps per
+grid interval than it allows.
 """
 
 from __future__ import annotations
@@ -14,19 +16,18 @@ class ConfigError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """A numerical failure, carrying the time where it happened: the oracle's ODE integrator gave up."""
+    """A numerical failure: an ODE solve gave up at `time`, or the flow needs too many substeps."""
 
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)
         self.time = time
 
 
-def check_solution(sol, what: str, t_start: float) -> None:
-    """Raise IntegrationError at the last output time (t_start if none) unless sol succeeded."""
+def check_solution(sol, what: str) -> None:
+    """Raise IntegrationError at the time the solve stopped unless sol succeeded."""
     if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else float(t_start)
-        raise IntegrationError(f"{what} integration failed near t = {t_fail:.6g}: {sol.message}",
-                               time=t_fail)
+        raise IntegrationError(f"{what} integration failed near t = {sol.t_reached:.6g}: "
+                               f"{sol.message}", time=sol.t_reached)
 
 
 class CutoffError(RuntimeError):

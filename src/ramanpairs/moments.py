@@ -39,12 +39,12 @@ Every s-integral is a kernel sum on the propagator grid (trapezoid rule),
 
 in the frame of t_i's block (propagator.PropagatorGrid): K = (S_i - S_j) V_j
 for s_j in the block, S its trapezoid from the block's first row and V the
-inverse of its flow.  V comes from one batched inversion over the rows of
-the distinct frames alone: a block whose frame is another's
-(PropagatorGrid.shares), as in every drive-free stretch, reads that block's
-S and the real forms of S^T and [V; S V]^T (below), a prefix of them if it
-is shorter, and forms none of its own.  The row's own half weight drops
-out, [S_i, -1] [V_i; S_i V_i] = 0, so R is a plain running sum.  An
+inverse of its flow, one np.linalg.inv of the block's rows.  A block whose
+flow rows repeat the previous block's byte for byte, as in every drive-free
+stretch (propagator), forms none of these: it reads that block's S and the
+real forms of S^T and [V; S V]^T (below), a prefix of them if it is
+shorter.  The row's own half weight drops out, [S_i, -1] [V_i; S_i V_i]
+= 0, so R is a plain running sum.  An
 earlier s_j enters R as [U_A(t_b, s_j); -K(t_b, s_j)], and at a block's
 end every column of R turns to the next frame by R -> [[U_e, 0], [-S_e, 1]]
 R, quadratic ones also by its conjugate transpose on the right.  The
@@ -164,6 +164,11 @@ def _scatter(table: np.ndarray, pairs: np.ndarray) -> None:
     np.conjugate(pairs[:, :, 1], out=table[:, 2:, :2])
 
 
+def _repeats(rows: np.ndarray, previous: np.ndarray) -> bool:
+    """True when rows are the first len(rows) of previous, byte for byte (so -0.0 != 0.0)."""
+    return rows.tobytes() == previous[:len(rows)].tobytes()
+
+
 def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionTable):
     """Boundary, noise and backaction (n_points, 4, 4) tables, F and the (n_points, 4) means.
 
@@ -177,11 +182,6 @@ def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionT
     coupling = -1j * g.reshape(2, 2) * [[1], [-1]]  # -i g_p, conjugated on AQ, AK_DAG
     u, x, step, k = grid.flow, grid.state_traj, grid.step, grid.block
     n = len(u)
-    # one inversion over the rows of the distinct frames; a block that shares one reads the
-    # factors of its partner's, kept from when that block was assembled
-    own = grid.shares == np.arange(len(grid.shares))
-    v = np.linalg.inv(u if own.all() else u[np.repeat(own, k)[:n]])
-    kept, partners, offset = {}, set(grid.shares[~own].tolist()), 0
     frame = np.eye(6, dtype=complex)
     x0 = state_vector(atom.rho0)
     pairs0 = algebra.pair_table(x0)
@@ -200,9 +200,10 @@ def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionT
     for block, start in enumerate(range(0, n, k)):
         rows = slice(start, start + k)
         m = min(k, n - start)
-        if own[block]:
-            v_b = v[offset:offset + m]
-            offset += m
+        if start and _repeats(u[rows], u[start - k:start]):
+            # the previous block's frame again: its factors, a prefix for the short last block
+            s_b, f_t, s_t = s_b[:m], f_t[:m], s_t[:m]
+        else:
             s_b = _cumulative_trapezoid(u[rows, _SOURCE], step)
             # real([S, -1]^T) and real(F^T), F = [V; S V]: K_h(t_i, s_j) = S_i V_j - (S V)_j
             s_t = np.empty((m, 6, 2, 2), dtype=complex)
@@ -210,15 +211,9 @@ def _moment_tables(atom: AtomConfig, grid: PropagatorGrid, diffusion: DiffusionT
             _real_blocks(-np.eye(2), s_t[:, 4:])
             s_t = s_t.view(float).reshape(m, 12, 4)
             f_t = np.empty((m, 4, 2, 6), dtype=complex)
-            _real_blocks(v_b.transpose(0, 2, 1), f_t[..., :4])
+            _real_blocks(np.linalg.inv(u[rows]).transpose(0, 2, 1), f_t[..., :4])
             f_t = f_t.view(float).reshape(m, 8, 12)
             np.matmul(f_t[..., :8], s_t[:, :8], out=f_t[..., 8:])
-            frame_b = (s_b, f_t, s_t)
-            if block in partners:
-                kept[block] = frame_b
-        else:  # a sharing block reads its partner's factors, the short last block a prefix
-            frame_b = tuple(a[:m] for a in kept[grid.shares[block]])
-        s_b, f_t, s_t = frame_b
         fed = x[rows] @ feed
         # conj of [2D_0, 2D_1] = [2D_HC, conj(2D_CH)] as [i, k, j]
         d2 = fed[:, :32].reshape(m, 4, 2, 4)

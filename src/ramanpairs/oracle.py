@@ -310,9 +310,9 @@ def oracle_moments(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
             return flows
         return np.asarray(weights(t)) @ flows.reshape(len(pieces), -1)
 
-    sol = solve_ivp(rhs, (times[0], times[-1]), rho0[keep], method="DOP853",
-                    t_eval=times, rtol=cfg.rtol, atol=cfg.atol)
-    check_solution(sol, "oracle", times[0])
+    sol = solve_ivp(rhs, (times[0], times[-1]), rho0[keep], t_eval=times, rtol=cfg.rtol,
+                    atol=cfg.atol)
+    check_solution(sol, "oracle")
     # <op> = Tr(rho op) = vec(op^T) . vec(rho).  On the kept entry (i, a, j, b) of vec(rho),
     # kron(1_atom, op)^T weighs delta_ij op[b, a], and kron(|x><y|, 1_field)^T weighs
     # delta_ab at i = y, j = x: one weight row per moment, all applied in one product

@@ -36,11 +36,11 @@ drive acts, takes the one map of h times M's time-independent part
 interval quiet, and their specs say so (_steady_drives), so one interval's
 weights serve them all.  Every block frame restarts at the same identity
 columns, so every block quiet over all its rows forms the same frame, the
-same powers times the same identity, bit for bit, and PropagatorGrid.shares
-names the first such block for the moment assembly, which inverts and
-integrates that frame once.  Only U_A and the state are chained, in real
-arithmetic (algebra.real_form).  Every exponential comes from _expm, a NumPy
-scaling-and-squaring Taylor sum, so no scenario run loads a scipy module.
+same powers times the same identity, bit for bit, and the moment assembly
+inverts and integrates a run of such repeated rows once.  Only U_A and the
+state are chained, in real arithmetic (algebra.real_form).  Every
+exponential comes from _expm, a NumPy scaling-and-squaring Taylor sum, so
+no scenario run loads a scipy module.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from . import algebra
 from .atom import GENERATOR_PAIRS, AtomConfig, DriftBuilder, state_vector
 from .atom import evolve_state  # noqa: F401  (perfbench/tracing.py wraps propagator.evolve_state)
 from .dop853 import solve_ivp  # noqa: F401  (perfbench/tracing.py wraps propagator.solve_ivp)
-from .errors import ConfigError
+from .errors import ConfigError, IntegrationError
 from .pulses import PulseSpec, is_steady
 
 # Default relative tolerance of the Magnus flow, for the API and for [run] rtol;
@@ -75,6 +75,9 @@ _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _COMMUTATOR = math.sqrt(3.0) / 12.0
 # Magnus substeps per batch of the chain: a (64, 2, 8, 8) float batch is 64 KiB
 _BLOCK_STEPS = 64
+# Most Magnus substeps per grid interval, a 1 MiB batch: every preset point takes at
+# most 4 at DEFAULT_RTOL and 85 at MIN_RTOL (fig3b at Rabi frequency 30)
+_MAX_SUBSTEPS = 1024
 # Most grid rows per block, each block in its own flow frame (_block_rows); the
 # moment assembly streams the blocks, and its (128, 6, 16) complex running sums
 # are 192 KiB
@@ -187,12 +190,19 @@ def _substeps(weights: np.ndarray, columns: np.ndarray, rtol: float) -> int:
     generator of interval i as a 16x16 matrix and C_i its commutator term.
     The step's local error goes as |Omega| |C| ~ h^5; over twenty drives the
     error of the whole flow stayed below 0.07 max_i |Omega_i| |C_i|, and m
-    substeps divide it by about m^4.
+    substeps divide it by about m^4.  An m above _MAX_SUBSTEPS, or a bound
+    that overflows, raises IntegrationError.
     """
     magnitude = np.abs(weights).T
-    bound = np.max((columns @ magnitude).max(axis=0) * (columns[:, 5:] @ magnitude[5:]).max(axis=0),
-                   initial=0.0)
-    return max(1, math.ceil((0.1 * float(bound) / rtol) ** 0.25))
+    with np.errstate(over="ignore"):  # a drive near the float range gives an infinite bound
+        bound = np.max((columns @ magnitude).max(axis=0)
+                       * (columns[:, 5:] @ magnitude[5:]).max(axis=0), initial=0.0)
+    m = (0.1 * float(bound) / rtol) ** 0.25
+    m = math.ceil(m) if math.isfinite(m) else math.inf
+    if m > _MAX_SUBSTEPS:
+        raise IntegrationError(f"the Magnus flow needs {m} substeps per grid interval, more than "
+                               f"{_MAX_SUBSTEPS}: use more grid_points or a looser rtol")
+    return max(1, m)
 
 
 def _quiet(weights: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,9 +252,8 @@ def _steady_drives(builder: DriftBuilder) -> bool:
 
 
 def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol: float,
-                  block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """U_A(t_i, t_b) of each row's block, (n, 4, 4), the end maps, U(t_i, t_0) x0, (n, 16), and
-    the block whose frame each block shares, (n_blocks,).
+                  block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U_A(t_i, t_b) of each row's block, (n, 4, 4), the end maps and U(t_i, t_0) x0, (n, 16).
 
     Blocks of `block` rows each restart U_A on algebra.SECTOR_HALF0 at the
     identity on their first row t_b; end map b is U_A(t_b + block h, t_b),
@@ -254,7 +263,7 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol
     weights of the first alone.  A block quiet over every interval of its
     rows takes the same product of the same powers with the same restarted
     identity columns as the first such block, so it holds a prefix of that
-    block's frame, bit for bit, and shares it.
+    block's frame, bit for bit.
     Each driven interval gets m equal substeps (_substeps over the driven
     intervals alone), each map the exponential of its Magnus generator in the
     real coordinates of algebra.HERMITIAN, where it is block diagonal: R(A)
@@ -307,16 +316,10 @@ def _magnus_chain(builder: DriftBuilder, x0: np.ndarray, times: np.ndarray, rtol
             ends.append(chain[last, 0, :, :4].copy())
             chain[last, 0, :, :4] = chain[0, 0, :, :4]
     ends = np.reshape(ends, (-1, 8, 4))
-    # a block whose frame rows all come from quiet intervals shares the first such block's
-    firsts = np.arange(0, n, block)
-    steady_blocks = [quiet[first:first + block - 1].all() for first in firsts]
-    shares = np.arange(len(firsts))
-    if any(steady_blocks):
-        shares[steady_blocks] = steady_blocks.index(True)
     half, y = np.empty((n, 4, 4), dtype=complex), np.empty((n, 2, 8), dtype=complex)
     half.real, half.imag = chain[:, 0, :4, :4], chain[:, 0, 4:, :4]
     y.real, y.imag = chain[..., 4], chain[..., 5]
-    return half, ends[:, :4] + 1j * ends[:, 4:], y.reshape(n, 16) @ algebra.HERMITIAN.T, shares
+    return half, ends[:, :4] + 1j * ends[:, 4:], y.reshape(n, 16) @ algebra.HERMITIAN.T
 
 
 @dataclass
@@ -329,10 +332,7 @@ class PropagatorGrid:
     block of U(t_i, t_b) is blockdiag(U_A, conj U_A) over
     algebra.SECTOR_HALF0 and SECTOR_CONJ0.  ends[b] = U_A(t_b + block h, t_b)
     takes block b's frame to the next block's first row, and state_traj[i] =
-    U(t_i, 0) X(0) is the 16-component expectation trajectory.  Block b's
-    frame rows are the first rows of block shares[b]'s, bit for bit: the
-    first block quiet over all its rows for each such block, b itself for
-    the others.
+    U(t_i, 0) X(0) is the 16-component expectation trajectory.
     """
 
     times: np.ndarray
@@ -341,7 +341,6 @@ class PropagatorGrid:
     flow: np.ndarray        # (n_points, 4, 4)
     ends: np.ndarray        # (n_blocks - 1, 4, 4)
     block: int
-    shares: np.ndarray      # (n_blocks,)
 
 
 def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
@@ -359,7 +358,6 @@ def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
     step = float(times[1] - times[0])
     builder = DriftBuilder(atom, pump, control)
     block = _block_rows(builder, step)
-    flow, ends, state_traj, shares = _magnus_chain(builder, state_vector(atom.rho0), times, rtol,
-                                                   block)
+    flow, ends, state_traj = _magnus_chain(builder, state_vector(atom.rho0), times, rtol, block)
     return PropagatorGrid(times=times, step=step, state_traj=state_traj, flow=flow, ends=ends,
-                          block=block, shares=shares)
+                          block=block)

@@ -591,6 +591,18 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert main(["run", str(config_path), "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("omega", ["1e8", "1e200"])
+def test_cli_run_exits_3_when_a_drive_needs_too_many_substeps(tmp_path, capsys, omega):
+    """A pump past the Magnus substep cap, or one whose bound overflows: exit 3, no CSV."""
+    config_path = tmp_path / "demo.cfg"
+    config_path.write_text(GOOD_CONFIG.replace("omega_peak = 10", f"omega_peak = {omega}", 1))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(config_path), "--out", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert "substeps per grid interval" in err and "Traceback" not in err
+    assert not (out_dir / "demo.csv").exists()
+
+
 def test_cli_verify_exits_3_when_the_oracle_solve_fails(tmp_path, monkeypatch, capsys):
     """An oracle drive that turns NaN at t = 0.5 stops its DOP853 solve: exit 3, no CSV."""
     from ramanpairs import oracle

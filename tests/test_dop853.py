@@ -1,6 +1,7 @@
 """ramanpairs.dop853 against scipy.integrate.solve_ivp(method="DOP853"), and its failure path."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def test_oracle_matches_scipy_dop853(monkeypatch, name, index):
     solvers agree bit for bit.
     """
     cfg = preset(name).scenarios[index]
-    want, want_nfev = _oracle_run(monkeypatch, cfg, scipy_solve_ivp)
+    want, want_nfev = _oracle_run(monkeypatch, cfg, partial(scipy_solve_ivp, method="DOP853"))
     got, got_nfev = _oracle_run(monkeypatch, cfg, dop853.solve_ivp)
     assert got_nfev == want_nfev
     for field, tol in [(field, 1e-12) for field in MOMENTS] + [("atom_traj", 1e-11)]:
@@ -73,14 +74,16 @@ def test_real_scalar_ode_keeps_y0_and_meets_the_closed_form():
     np.testing.assert_allclose(sol.y, ref.y, rtol=1e-13)
 
 
-@pytest.mark.parametrize("onset, outputs", [(0.5, 1), (0.0, 0)])
-def test_nan_right_hand_side_fails_within_bounded_evaluations(onset, outputs):
+@pytest.mark.parametrize("onset, outputs, reached", [(0.5, 1, 0.0562411587), (0.0, 0, 0.0)],
+                         ids=["0.5-1", "0.0-0"])
+def test_nan_right_hand_side_fails_within_bounded_evaluations(onset, outputs, reached):
     """NaN from t = onset on: the first step whose stages reach it stops the run.
 
-    The run stops with status -1 and the outputs of the steps accepted
-    before it, here t = 0 alone, as the second step already crosses t = 0.5;
-    a NaN derivative at t0 fails the first step.  Neither creeps towards the
-    onset by rejected steps.
+    The run stops with status -1, the outputs of the steps accepted before
+    it and the time where it stopped: here t = 0 alone, as the second step,
+    from t = 0.0562, already crosses t = 0.5; a NaN derivative at t0 fails
+    the first step, at t0.  Neither creeps towards the onset by rejected
+    steps.
     """
     def rhs(t, y):
         return -y if t < onset else np.full_like(y, np.nan)
@@ -91,24 +94,36 @@ def test_nan_right_hand_side_fails_within_bounded_evaluations(onset, outputs):
     assert not sol.success and sol.status == -1
     assert sol.message == dop853.NOT_FINITE
     assert sol.nfev <= 30
+    assert sol.t_reached == pytest.approx(reached, abs=1e-10)
     assert np.array_equal(sol.t, t_eval[:outputs])
     assert np.all(np.isfinite(sol.y)) and sol.y.shape == (3, outputs)
 
 
 def test_oracle_raises_integration_error_where_the_drive_turns_nan(monkeypatch):
-    """A pulse envelope that turns NaN at t = 1 stops the oracle with a time, not a NaN table."""
+    """A pulse envelope that turns NaN at t = 1 stops the oracle with a time, not a NaN table.
+
+    The time is where the solve stopped, past its last output at t = 0.9.
+    """
     envelope = oracle.envelope
     monkeypatch.setattr(oracle, "envelope",
                         lambda spec, t: envelope(spec, t) if t < 1.0 else float("nan"))
+    sols = []
+
+    def recorded(*args, **kwargs):
+        sols.append(dop853.solve_ivp(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(oracle, "solve_ivp", recorded)
     cfg = preset("fig2b").scenarios[0]
     with pytest.raises(IntegrationError, match="oracle integration failed") as caught:
         oracle_moments(cfg.atom, cfg.pump, cfg.control, np.linspace(0.0, cfg.t_end, 31))
-    assert caught.value.time is not None and caught.value.time < 1.0
+    assert caught.value.time == sols[-1].t_reached
+    assert sols[-1].t[-1] == pytest.approx(0.9) and 0.9 < caught.value.time < 1.0
 
 
 def test_bad_arguments_raise():
     rhs = lambda t, y: -y  # noqa: E731
-    for kwargs in (dict(method="RK45"), dict(t_eval=[0.5, 0.2]), dict(t_eval=[1.5])):
+    for kwargs in (dict(t_eval=[0.5, 0.2]), dict(t_eval=[1.5])):
         kwargs = {"t_eval": [0.0, 1.0], **kwargs}
         with pytest.raises(ValueError):
             dop853.solve_ivp(rhs, (0.0, 1.0), [1.0], **kwargs)

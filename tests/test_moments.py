@@ -9,9 +9,10 @@ from ramanpairs.algebra import (SECTOR0, SECTOR_CONJ0, SECTOR_HALF0, SOURCE_ROWS
                                pair_table)
 from ramanpairs.atom import AtomConfig, state_vector
 from ramanpairs.config import apply_override
-from ramanpairs import propagator
+from ramanpairs import moments, propagator
 from ramanpairs.moments import (AK, AK_DAG, AQ, AQ_DAG, DAGGER_SLOT, _SOURCE, _STRUCTURES,
-                                _moment_tables, _real_blocks, _slot_factors, compute_moments)
+                                _moment_tables, _real_blocks, _repeats, _slot_factors,
+                                compute_moments)
 from ramanpairs.noise import diffusion_table
 from ramanpairs.observables import duan
 from ramanpairs.presets import preset
@@ -19,7 +20,7 @@ from ramanpairs.propagator import _BLOCK_ROWS, build_propagator_grid
 from ramanpairs.pulses import PulseSpec, off
 
 from conftest import gauss_pulse, rho_symmetric
-from reference import block_moment_tables, kernel, moment_tables
+from reference import kernel, moment_tables
 
 
 def test_initial_pair_table_examples():
@@ -402,26 +403,45 @@ def test_short_blocks_give_the_same_tables(monkeypatch, name):
 
 @pytest.mark.parametrize("label, intervals", [
     ("fig2a", None), ("fig7d", None), ("fig2b", None), ("fig4c", None), ("fig7b", None),
-    ("fig6b", None), ("fig2a", 12 * _BLOCK_ROWS), ("fig2b", 12 * _BLOCK_ROWS)])
-def test_shared_frames_give_the_per_block_tables_bit_for_bit(label, intervals):
-    """Blocks that share a frame read its factors, and every table keeps its bits.
+    ("fig6b", None), ("fig2a", 12 * _BLOCK_ROWS), ("fig2b", 12 * _BLOCK_ROWS), ("late", None)])
+def test_shared_frames_give_the_per_block_tables_bit_for_bit(monkeypatch, label, intervals):
+    """Blocks that repeat the previous block's flow rows read its factors; no table moves a bit.
 
-    The reference inverts the whole grid and integrates every block's frame
-    itself.  fig6b at Rabi frequency 50 shares no frame; a grid of a whole
-    number of blocks ends in a block of one row.
+    The reference is the same pass with reuse refused, so that every block
+    inverts and integrates its own frame.  fig6b at Rabi frequency 50
+    repeats no frame; a grid of a whole number of blocks ends in a block of
+    one row.  "late" centres fig2b's pulse pair at 1.5, so that blocks 0-3
+    and 8-12 are drive-free: reuse stops at the driven block 4 and starts
+    again at block 9, after the first drive-free block builds its frame.
     """
-    chosen = preset(label)
-    cfg = (chosen.scenarios[0] if chosen.scenarios
-           else apply_override(chosen.scan, "both.omega_peak", 50.0))
+    if label == "late":
+        cfg = apply_override(preset("fig2b").scenarios[0], "both.center", 1.5)
+    else:
+        chosen = preset(label)
+        cfg = (chosen.scenarios[0] if chosen.scenarios
+               else apply_override(chosen.scan, "both.omega_peak", 50.0))
     cfg = replace(cfg, grid_points=intervals or cfg.grid_points)
     grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, cfg.grid_points,
                                  rtol=cfg.rtol)
     diffusion = diffusion_table(cfg.atom)
-    assert (grid.shares != np.arange(len(grid.shares))).any() == (label != "fig6b")
+    reused = []
+
+    def recorded(rows, previous):
+        reused.append(_repeats(rows, previous))
+        return reused[-1]
+
+    def tables(repeats):
+        monkeypatch.setattr(moments, "_repeats", repeats)
+        return _moment_tables(cfg.atom, grid, diffusion)
+
+    got = tables(recorded)
+    want = tables(lambda rows, previous: False)
+    assert any(reused) == (label != "fig6b")
+    assert label != "late" or reused == [True] * 3 + [False] * 5 + [True] * 4
     assert intervals is None or len(grid.times) % grid.block == 1
-    for got, want in zip(_moment_tables(cfg.atom, grid, diffusion),
-                         block_moment_tables(cfg.atom, grid, diffusion)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for got_table, want_table in zip(got, want):
+        assert got_table.shape == want_table.shape
+        assert got_table.tobytes() == want_table.tobytes()
 
 
 def test_real_block_products_match_the_complex_ones():

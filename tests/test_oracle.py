@@ -6,7 +6,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from ramanpairs import oracle
+from ramanpairs import dop853, oracle
 
 from ramanpairs.atom import AtomConfig, evolve_state
 from ramanpairs.config import apply_override
@@ -237,7 +237,7 @@ def test_diagonal_start_solves_only_the_charge_conserving_block(monkeypatch):
 
     def recording_solve(fun, t_span, y0, *args, **kwargs):
         lengths.append(len(y0))
-        return solve_ivp(fun, t_span, y0, *args, **kwargs)
+        return dop853.solve_ivp(fun, t_span, y0, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "solve_ivp", recording_solve)
     cfg = preset("fig2b").scenarios[0]
@@ -269,7 +269,7 @@ def test_only_drives_that_act_widen_the_solved_set(monkeypatch, name, control, l
 
     def recording_solve(fun, t_span, y0, *args, **kwargs):
         lengths.append(len(y0))
-        return solve_ivp(fun, t_span, y0, *args, **kwargs)
+        return dop853.solve_ivp(fun, t_span, y0, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "solve_ivp", recording_solve)
     cfg = preset(name).scenarios[0]

@@ -11,7 +11,7 @@ from ramanpairs import propagator
 from ramanpairs.algebra import SECTOR0, SECTOR_CONJ0, SECTOR_HALF0, SOURCE_ROWS, idx, real_form
 from ramanpairs.atom import AtomConfig, DriftBuilder, dissipation, evolve_state, state_vector
 from ramanpairs.config import apply_override
-from ramanpairs.errors import ConfigError
+from ramanpairs.errors import ConfigError, IntegrationError
 from ramanpairs.moments import _moment_tables
 from ramanpairs.noise import diffusion_table
 from ramanpairs.presets import PRESET_NAMES, preset
@@ -43,13 +43,13 @@ def test_constant_drive_matches_matrix_exponential():
     assert propagator._steady_drives(builder)
     times = np.linspace(0.0, 1.2, 25)
     x0 = state_vector(atom.rho0)
-    u, _, state, _ = propagator._magnus_chain(builder, x0, times, 1e-9, len(times))  # one frame
+    u, _, state = propagator._magnus_chain(builder, x0, times, 1e-9, len(times))  # one frame
     m = builder.entries(0.0)
     for i in (8, 16, 24):
         assert np.max(np.abs(u[i] - expm(m * times[i])[HALF])) < 1e-8
         assert np.max(np.abs(state[i] - expm(m * times[i]) @ x0)) < 1e-8
     # frames of 8 rows: rows 0, 8, 16 and 24 restart at the identity, the state runs on
-    frames, ends, framed_state, _ = propagator._magnus_chain(builder, x0, times, 1e-9, 8)
+    frames, ends, framed_state = propagator._magnus_chain(builder, x0, times, 1e-9, 8)
     for i in range(25):
         assert np.max(np.abs(frames[i] - expm(m * (times[i] - times[i - i % 8]))[HALF])) < 1e-8
     assert ends.shape == (3, 4, 4)
@@ -108,7 +108,7 @@ def test_constant_drive_grid_matches_tight_solve(name):
     grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, 200)
     x0 = state_vector(cfg.atom.rho0)
     # every interval is quiet: frames and state from powers of the one step map exp(M h)
-    frames, ends, state, _ = propagator._magnus_chain(builder, x0, grid.times, 1e-9, grid.block)
+    frames, ends, state = propagator._magnus_chain(builder, x0, grid.times, 1e-9, grid.block)
     reference = _tight_flow(builder, grid.times)
     scale = np.max(np.abs(reference))
     # frames of at most ln 10 / (mu(D) + mu(-D)) = ln 10 / 2 in time, 76 intervals of 0.015,
@@ -234,11 +234,13 @@ def test_substep_bound_gives_the_exact_rule_on_every_preset():
 
     So the bound changes no preset's flow, and no output, against the exact
     maximum.  The chain takes m from the driven intervals alone, and that is
-    the same m.
+    the same m.  At MIN_RTOL the points need at most 85 (fig3b at Rabi
+    frequency 30), well inside the cap.
     """
     points = [cfg for cfg in _preset_configs()
               if not propagator._steady_drives(DriftBuilder(cfg.atom, cfg.pump, cfg.control))]
     assert len(points) == 26
+    at_floor = []
     for cfg in points:
         builder = DriftBuilder(cfg.atom, cfg.pump, cfg.control)
         times = np.linspace(0.0, cfg.t_end, cfg.grid_points + 1)
@@ -249,6 +251,21 @@ def test_substep_bound_gives_the_exact_rule_on_every_preset():
         exact = _exact_rule(weights, builder.generators, cfg.rtol)
         assert propagator._substeps(weights, columns, cfg.rtol) == exact, cfg.label
         assert propagator._substeps(weights[~quiet], columns, cfg.rtol) == exact, cfg.label
+        at_floor.append(propagator._substeps(weights[~quiet], columns, propagator.MIN_RTOL))
+    assert max(at_floor) == 85 < propagator._MAX_SUBSTEPS
+
+
+@pytest.mark.parametrize("omega, needed", [(1e8, "7954"), (1e200, "inf")], ids=["1e8", "1e200"])
+def test_drives_past_the_substep_cap_raise_integration_error(omega, needed):
+    """A Gaussian pump on [0, 1] at 100 intervals needs m growing as the root of its peak.
+
+    1e8 needs 7954 substeps per interval, past _MAX_SUBSTEPS; at 1e200 the
+    bound overflows.  Both stop the build before any substep map is formed.
+    """
+    pump = PulseSpec("gaussian", omega_peak=omega, center=0.5, width=0.1)
+    with pytest.raises(IntegrationError, match=f"needs {needed} substeps per grid interval.*"
+                                               "grid_points or a looser rtol"):
+        build_propagator_grid(AtomConfig(), pump, off(), 1.0, 100)
 
 
 @pytest.mark.parametrize("atom, pump, control, t_end, n", [
@@ -273,7 +290,7 @@ def test_substep_rule_meets_rtol(atom, pump, control, t_end, n):
     scale = np.max(np.abs(reference))
     x0 = state_vector(atom.rho0)
     for rtol in (1e-8, 1e-10):
-        half, _, state, _ = propagator._magnus_chain(builder, x0, times, rtol, len(times))
+        half, _, state = propagator._magnus_chain(builder, x0, times, rtol, len(times))
         assert _sector_error(half, reference) <= rtol * scale
         assert np.max(np.abs(state - reference @ x0)) <= rtol * scale
 
@@ -339,14 +356,14 @@ def test_composition_residual_small():
     builder = DriftBuilder(atom, pump, control)
     assert not propagator._steady_drives(builder)
     times = np.linspace(0.0, 2.0, 81)
-    u_full, _, state, _ = propagator._magnus_chain(builder, state_vector(atom.rho0), times, 1e-9,
-                                                   81)
+    u_full, _, state = propagator._magnus_chain(builder, state_vector(atom.rho0), times, 1e-9,
+                                                81)
     rng = np.random.default_rng(3)
     for _ in range(4):
         j = int(rng.integers(5, 60))
         i = int(rng.integers(j + 5, 80))
-        u_tail, _, state_tail, _ = propagator._magnus_chain(builder, state[j], times[j:], 1e-9,
-                                                            81)
+        u_tail, _, state_tail = propagator._magnus_chain(builder, state[j], times[j:], 1e-9,
+                                                         81)
         assert np.max(np.abs(u_full[i] - u_tail[i - j] @ u_full[j])) < 1e-8
         assert np.max(np.abs(state[i] - state_tail[i - j])) < 1e-8
 
@@ -383,15 +400,15 @@ def _record_calls(monkeypatch, owner, attr):
     return results
 
 
-@pytest.mark.parametrize("name, rows", [("fig2a", 38), ("fig2b", 76)], ids=["fig2a", "fig2b"])
-def test_pipeline_drift_evaluations_ode_solves_and_inversions(monkeypatch, name, rows):
-    """No scenario solves an ODE or evaluates M; each inverts U_A once, over its distinct frames.
+@pytest.mark.parametrize("name, frames", [("fig2a", 1), ("fig2b", 2)], ids=["fig2a", "fig2b"])
+def test_pipeline_drift_evaluations_ode_solves_and_inversions(monkeypatch, name, frames):
+    """No scenario solves an ODE or evaluates M; U_A is inverted once per frame built.
 
     The Magnus chain, the one flow for constant and time-dependent drives
     alike, reads the drives through DriftBuilder.coefficients.  At 100
-    intervals the frames have 38 rows: fig2a's three blocks share the
-    first's frame and fig2b's last shares its second's, so the one batched
-    inversion takes 38 and 76 rows of the grid's 101.
+    intervals the frames have 38 rows: fig2a's second and third blocks
+    repeat the first's rows and fig2b's third repeats its second's, so the
+    moment assembly inverts the 38 rows of one and of two blocks.
     """
     cfg = replace(preset(name).scenarios[0], grid_points=100)
     calls = {attr: _record_calls(monkeypatch, owner, attr)
@@ -399,7 +416,7 @@ def test_pipeline_drift_evaluations_ode_solves_and_inversions(monkeypatch, name,
                                  (np.linalg, "inv"))}
     run_scenario(cfg)
     assert not calls["solve_ivp"] and not calls["entries"]
-    assert [v.shape for v in calls["inv"]] == [(rows, 4, 4)]
+    assert [v.shape for v in calls["inv"]] == [(38, 4, 4)] * frames
 
 
 @pytest.mark.parametrize("name", ["fig2a", "fig7d"])
@@ -526,12 +543,12 @@ def test_drives_without_quiet_intervals_take_the_per_interval_chain(label):
 
 @pytest.mark.parametrize("label", ["fig2a", "fig7d", "fig2b", "fig4c"])
 def test_blocks_quiet_over_their_rows_share_the_first_such_frame(label):
-    """A block whose rows follow from quiet intervals alone shares the first such block's frame.
+    """A block quiet over all its rows after another such block repeats its flow rows bit for bit.
 
-    Its flow rows are that frame's first rows, bit for bit; every other
-    block has its own, which differs.  The cw presets share one frame in
-    all 13 blocks, the pulsed ones from the fifth block on, in the
-    drive-free tail.
+    The moment assembly reuses the previous block's frame factors on such
+    rows; every other block's rows differ from its predecessor's.  The cw
+    presets are quiet in all 13 blocks, the pulsed ones from the fifth
+    block on, in the drive-free tail.
     """
     cfg = _scenario(label)
     grid = build_propagator_grid(cfg.atom, cfg.pump, cfg.control, cfg.t_end, cfg.grid_points,
@@ -541,12 +558,10 @@ def test_blocks_quiet_over_their_rows_share_the_first_such_frame(label):
     quiet = propagator._quiet(weights, propagator._column_sums(builder.generators))[1]
     firsts = range(0, len(grid.times), grid.block)
     steady = [b for b, first in enumerate(firsts) if quiet[first:first + grid.block - 1].all()]
-    assert list(grid.shares) == [steady[0] if b in steady else b for b in range(len(firsts))]
     assert steady == list(range(0 if propagator._steady_drives(builder) else 4, 13))
-    frame = grid.flow[steady[0] * grid.block:][:grid.block]
-    for b, first in enumerate(firsts):
-        rows = grid.flow[first:first + grid.block]
-        assert _same_bits(rows, frame[:len(rows)]) == (b in steady)
+    for b, first in enumerate(firsts[1:], 1):
+        rows, previous = grid.flow[first:first + grid.block], grid.flow[first - grid.block:first]
+        assert _same_bits(rows, previous[:len(rows)]) == (b in steady and b - 1 in steady)
 
 
 @pytest.mark.parametrize("label", ["fig2a", "fig5_cw", "fig7a", "fig7c", "fig7d"])
@@ -574,7 +589,7 @@ def test_cw_unchirped_drives_take_the_weights_of_one_interval(monkeypatch, label
     monkeypatch.setattr(propagator, "_steady_drives", lambda builder: False)
     forced = grid()
     assert calls == [1, cfg.grid_points]
-    for name in ("times", "state_traj", "flow", "ends", "shares"):
+    for name in ("times", "state_traj", "flow", "ends"):
         assert _same_bits(getattr(ours, name), getattr(forced, name)), name
 
 
