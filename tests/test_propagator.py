@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -195,6 +196,16 @@ def _exact_rule(weights, generators, rtol):
     return max(1, math.ceil((0.1 * largest_product(weights, generators) / rtol) ** 0.25))
 
 
+def _substeps_past_cap(weights, columns, rtol):
+    """_substeps, or the m that its IntegrationError names when m is past _MAX_SUBSTEPS."""
+    try:
+        return propagator._substeps(weights, columns, rtol)
+    except IntegrationError as err:
+        needed = float(re.search(r"needs (\d+|inf) substeps", str(err)).group(1))
+        assert needed > propagator._MAX_SUBSTEPS
+        return needed
+
+
 @settings(max_examples=60, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink))
 @given(rates=st.tuples(RATE, RATE, RATE, RATE, RATE), pump=DRIVE, control=DRIVE,
@@ -208,6 +219,10 @@ def _exact_rule(weights, generators, rtol):
 @example(rates=(0.0, 0.0, 0.0, 0.0, 1.0), pump=PulseSpec("cw", 0.0),
          control=gauss_pulse(omega=2.225073858507e-311, center=0.0, width=1.0), t_end=1.0, n=2,
          rtol=7.294615119082055e-05)
+# bound past the cap: 1172 substeps
+@example(rates=(0.0,) * 5, pump=gauss_pulse(omega=0.0, center=0.0, width=1.0),
+         control=gauss_pulse(omega=2.0, center=0.0, width=1.0, detuning=1.0, chirp=1.0),
+         t_end=3.0, n=2, rtol=1.0000000000000002e-12)
 def test_substep_bound_is_at_least_the_exact_maximum(rates, pump, control, t_end, n, rtol):
     """The triangle-inequality bound of _substeps is no less than the exact maximum X.
 
@@ -216,7 +231,8 @@ def test_substep_bound_is_at_least_the_exact_maximum(rates, pump, control, t_end
     exceeds 10 rtol, so at rtol = 0.1 X (1 - 1e-12) it returns at least 2
     when the bound is at least X (1 - 1e-12).  Then it never takes fewer
     substeps than the exact rule.  The probe needs 0.1 X to be a normal
-    float: below that a relative 1e-12 is less than one ulp.
+    float: below that a relative 1e-12 is less than one ulp.  Past
+    _MAX_SUBSTEPS _substeps raises, and the m its message names is compared.
     """
     builder = DriftBuilder(AtomConfig(*rates), pump, control)
     times = np.linspace(0.0, t_end, n + 1)
@@ -224,9 +240,9 @@ def test_substep_bound_is_at_least_the_exact_maximum(rates, pump, control, t_end
     exact = largest_product(weights, builder.generators)
     columns = propagator._column_sums(builder.generators)
     if exact >= 10.0 * np.finfo(float).tiny:
-        assert propagator._substeps(weights, columns, 0.1 * exact * (1 - 1e-12)) >= 2
+        assert _substeps_past_cap(weights, columns, 0.1 * exact * (1 - 1e-12)) >= 2
     exact_rule = _exact_rule(weights, builder.generators, rtol)
-    assert propagator._substeps(weights, columns, rtol) >= exact_rule
+    assert _substeps_past_cap(weights, columns, rtol) >= exact_rule
 
 
 def test_substep_bound_gives_the_exact_rule_on_every_preset():
