@@ -23,7 +23,7 @@ Three stages stand outside a scenario run:
 ``import ramanpairs.cli`` in a fresh interpreter, one oracle run (fig2b, two
 pulses of one envelope, fig7c, a cw pump alone, and fig4c, two chirped
 pulses, each on the thinned grid of ``run_verification`` under the default
-``[verify]``), and
+``[verify]``), the oracle's generator build alone on the same three, and
 fig6b's scan at 200 intervals, once serial and once on a pool of two
 workers.  The tier-1 suite does not collect this
 directory (``testpaths`` in pyproject.toml); ``pytest bench/
@@ -51,7 +51,7 @@ import numpy as np
 import pytest
 
 import ramanpairs
-from ramanpairs import propagator
+from ramanpairs import oracle, propagator
 from ramanpairs.atom import DriftBuilder
 from ramanpairs.config import apply_override
 from ramanpairs.moments import compute_moments
@@ -204,6 +204,19 @@ def test_oracle_run(benchmark, name):
     oracle_moments(atom, cfg.pump, cfg.control, times, oracle_cfg)
     oracle = benchmark(oracle_moments, atom, cfg.pump, cfg.control, times, oracle_cfg)
     assert oracle.n_k.shape == times.shape
+
+
+@pytest.mark.parametrize("name", ["fig2b", "fig7c", "fig4c"])
+def test_oracle_build(benchmark, name):
+    """The oracle's generator pieces alone, at the default cutoffs 3 and 3, as in its run."""
+    benchmark.group = "oracle build"
+    cfg, oracle_cfg = _config(name), OracleConfig()
+    atom = replace(cfg.atom, g_k=oracle_cfg.g_k, g_q=oracle_cfg.g_q)
+    args = (atom, cfg.pump, cfg.control, oracle_cfg.cutoff_k + 1, oracle_cfg.cutoff_q + 1,
+            oracle_cfg.g_k, oracle_cfg.g_q)
+    oracle._generator(*args)  # imports scipy.sparse untimed
+    pieces, _ = benchmark(oracle._generator, *args)
+    assert pieces[0].shape == (4096, 4096)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

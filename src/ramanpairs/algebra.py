@@ -1,15 +1,14 @@
 """Flattening of the sixteen four-level transition operators and their product rules.
 
 The atom has levels a, b, c, d.  Every operator |x><y| is addressed by a single
-1-based index in row-major order (aa, ab, ac, ad, ba, ..., dd), so index 14 is
-|d><b| and index 9 is |c><a|.  All other modules build on the operations here:
-index lookup, Hermitian conjugation, the delta-contraction of operator products,
-the Kronecker lift of 4x4 matrices to 16x16 generators on that basis (`lift`
-for a Hamiltonian, `dissipator` for a Lindblad channel), the eight-operator
-sector SECTOR0 that the drift never couples to the rest, and the Hermitian
-coordinates in which every such generator is a real matrix (`real_form`).
-Internal numpy code uses the 0-based table at the bottom; anything
-user-facing (CSV headers, logs) sticks to the 1-based convention.
+1-based index in row-major order (aa, ab, ac, ad, ba, ..., dd), the paper's row
+numbering, so index 14 is |d><b| and index 9 is |c><a|; internal numpy code
+uses the 0-based table at the bottom.  All other modules build on the
+operations here: index lookup, Hermitian conjugation, the delta-contraction of
+operator products, the Kronecker lift of 4x4 matrices to 16x16 generators on
+that basis (`lift` for a Hamiltonian, `dissipator` for a Lindblad channel), the
+eight-operator sector SECTOR0 that the drift never couples to the rest, and the
+Hermitian coordinates in which every such generator is a real matrix (`real_form`).
 """
 
 from __future__ import annotations

@@ -9,7 +9,11 @@ grid interval than it allows.
 from __future__ import annotations
 
 import math
+import sys
 
+# The smallest rtol of the Magnus flow and of the oracle's stepper: 100 float64 eps, SciPy's
+# solve_ivp floor.  Substeps grow as rtol^(-1/4): at 1e-30 fig2b would take 194,026 per interval.
+MIN_RTOL = 100 * sys.float_info.epsilon
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; message names the offending field."""
@@ -43,3 +47,10 @@ def check_tolerances(prefix: str = "", **tolerances: float) -> None:
     for key, value in tolerances.items():
         if not math.isfinite(value) or value <= 0:
             raise ConfigError(f"{prefix}{key}: must be finite and > 0, got {value}")
+
+
+def check_rtol(rtol: float, prefix: str = "") -> None:
+    """Raise ConfigError unless rtol is finite and >= MIN_RTOL: no integrator clamps it."""
+    check_tolerances(prefix, rtol=rtol)
+    if rtol < MIN_RTOL:
+        raise ConfigError(f"{prefix}rtol: must be >= {MIN_RTOL:.3g}, got {rtol}")

@@ -79,7 +79,7 @@ import numpy as np
 from . import algebra
 from .atom import AtomConfig, state_vector
 from .noise import DiffusionTable
-from .propagator import PropagatorGrid, _cumulative_trapezoid
+from .propagator import PropagatorGrid
 
 # Slots of the ladder operators, in algebra.SOURCE_ROWS order.
 AQ_DAG, AK, AQ, AK_DAG = range(4)
@@ -87,6 +87,19 @@ _CREATES = np.array([True, False, False, True])
 _MODE_K = np.array([False, True, False, True])
 # DAGGER_SLOT[r] is the slot of A_r^dag.
 DAGGER_SLOT = tuple(algebra.SOURCE_ROWS.index(algebra.dagger(row)) for row in algebra.SOURCE_ROWS)
+
+
+def _cumulative_trapezoid(v: np.ndarray, step: float) -> np.ndarray:
+    """Trapezoid integral of v over the first axis from its first row to every row.
+
+    (2 sum_{j <= i} v_j - v_0 - v_i) h / 2, formed in place on the cumsum.
+    """
+    out = np.cumsum(v, axis=0)
+    out *= 2.0
+    out -= v
+    out -= v[0]
+    out *= 0.5 * step
+    return out
 
 
 def _slot_factors(atom: AtomConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

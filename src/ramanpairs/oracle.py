@@ -9,20 +9,21 @@ rotating-frame Hamiltonian
     H = -Delta_c |a><a| - Delta_p |d><d|
         - [Omega_p(t)|d><c| + Omega_c(t)|a><b| + g_k a_k |d><b| + g_q a_q |a><c| + h.c.]
 
-plus the same radiative Lindblad channels as the drift matrix.  `_generator`
-builds this generator once, from raw level projectors (the drift-matrix lift is
-not reused), as sparse superoperators on vec(rho), one per time dependence:
-L(t) = L0 + sum_i w_i(t) L_i.  An unchirped drive has Omega(t) = c E(t), a
-constant times its real envelope, so its term is one operator weighted by E.
-A steady drive (pulses.is_steady, E = 1) folds into L0; unchirped pulses with
-one envelope share one piece, so fig2b's two pulses give L0 and one piece; a
-chirped drive keeps two, weighted by Omega(t) and Omega*(t); and a drive with
-omega_peak 0 adds nothing.  Each piece is a sum of Kronecker products of dense
-joint-space operators, assembled from the outer products of their nonzeros in
-one CSR conversion (`_liouvillian`): the pieces of fig2b or fig4c take
-1.6-1.9 ms at cutoff 3.  scipy.sparse is imported inside the functions that
-build these pieces, so it loads at the first build, not with the CLI that
-reads OracleConfig; it is the only SciPy module a verify run loads.
+plus the same radiative Lindblad channels J as the drift matrix.  `_generator`
+builds it once, from raw level projectors, not the drift-matrix lift, as sparse
+superoperators on vec(rho), one per time dependence: L(t) = L0 + sum_i w_i(t) L_i.
+L0 is rho -> -i (h_eff rho - rho h_eff^dag) plus the jumps rate J rho J^dag,
+h_eff being H's static part less (i/2) sum_J rate J^dag J.  An unchirped drive
+has Omega(t) = c E(t), a constant times its real envelope, so its term is one
+operator weighted by E.  A steady drive (pulses.is_steady, E = 1) folds into
+L0; unchirped pulses with one envelope share one piece, so fig2b's two pulses
+give L0 and one piece; a chirped drive keeps two, weighted by Omega(t) and
+Omega*(t); and a drive with omega_peak 0 adds nothing.  Each piece is a sum of
+Kronecker products of dense joint-space operators, assembled from the outer
+products of their nonzeros in one CSR conversion (`_kron_sum`): the pieces of
+fig2b take 1.9 ms and fig4c's 2.7 at cutoff 3.  scipy.sparse is imported inside
+the functions that build them, so it loads at the first build, not with the
+CLI that reads OracleConfig; it is the only SciPy module a verify run loads.
 
 H conserves Q = n_k - n_q - [level in {a, b}], and every jump shifts Q by the
 same amount on both sides of rho, so L never couples entries of rho with
@@ -37,8 +38,9 @@ a weighted sum of its row blocks; it is stored dense when it has at most
 _DENSE_ENTRIES (8192) entries, as fig7a-c's 10 x 10 does, and sparse otherwise,
 as every two-drive run's 672 columns are.  One run on the 41 verifier points
 takes about 21 ms (fig2b), 20 ms (fig7c), 28 ms (fig4c) and 44 ms (fig7d) on a
-2-core host, one BLAS thread.  rtol must be at least propagator.MIN_RTOL
-(100 eps), since the stepper takes rtol as given.
+2-core host, one BLAS thread.  rtol must be at least errors.MIN_RTOL
+(100 eps), since the stepper takes rtol as given, and 4 (cutoff_k + 1)
+(cutoff_q + 1) at most _MAX_DIM (256).
 
 Moments come out as direct traces Tr(rho op), each one weight row on the
 solved entries of vec(rho), with no kernel machinery or noise tables in this
@@ -55,8 +57,7 @@ import numpy as np
 
 from .atom import AtomConfig
 from .dop853 import solve_ivp
-from .errors import ConfigError, CutoffError, check_solution, check_tolerances
-from .propagator import MIN_RTOL
+from .errors import ConfigError, CutoffError, check_rtol, check_solution, check_tolerances
 from .pulses import PulseSpec, envelope, is_steady, rabi
 
 if TYPE_CHECKING:
@@ -70,6 +71,8 @@ _RANK = {"a": 0, "b": 1, "c": 2, "d": 3}
 # (2-core host, one BLAS thread) the dense one was faster up to 8192 entries (2.7 against
 # 3.1 us), level near 11500 and slower from 18000 on.
 _DENSE_ENTRIES = 8192
+# Largest joint dimension 4 (cutoff_k + 1)(cutoff_q + 1), cutoffs 7 and 7: a 1 MiB rho
+_MAX_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,6 @@ class OracleConfig:
     cutoff_q: int = 3
     g_k: float = 0.01
     g_q: float = 0.01
-    dim_cap: int = 256
     rtol: float = 1e-8
     atol: float = 1e-11
     leak_tol: float = 1e-4
@@ -89,13 +91,11 @@ class OracleConfig:
         if self.cutoff_k < 1 or self.cutoff_q < 1:
             raise ConfigError("Fock cutoffs must be >= 1")
         dim = 4 * (self.cutoff_k + 1) * (self.cutoff_q + 1)
-        if dim > self.dim_cap:
-            raise ConfigError(f"joint dimension {dim} exceeds cap {self.dim_cap}")
+        if dim > _MAX_DIM:
+            raise ConfigError(f"joint dimension {dim} exceeds cap {_MAX_DIM}")
+        check_rtol(self.rtol)
         # a NaN leak_tol would switch the truncation guard off (every comparison is False)
-        check_tolerances(rtol=self.rtol, atol=self.atol, leak_tol=self.leak_tol)
-        # the stepper takes rtol as given: below this floor it would run to tiny steps
-        if self.rtol < MIN_RTOL:
-            raise ConfigError(f"rtol: must be >= {MIN_RTOL:.3g}, got {self.rtol}")
+        check_tolerances(atol=self.atol, leak_tol=self.leak_tol)
         for key in ("g_k", "g_q"):
             value = getattr(self, key)
             if not np.isfinite(value) or value < 0:
@@ -148,14 +148,12 @@ def _decay_ops(atom: AtomConfig) -> list[tuple[float, np.ndarray]]:
     return ops
 
 
-def _kron_sum(terms: list[tuple[np.ndarray, np.ndarray]], diagonal: np.ndarray | None = None
-              ) -> sparse.csr_array:
-    """sum_k kron(a_k, b_k) over dense (dim, dim) factor pairs, as CSR.
+def _kron_sum(terms: list[tuple[np.ndarray, np.ndarray]]) -> sparse.csr_array:
+    """sum_k kron(a_k, b_k) over dense (dim, dim) factor pairs, as CSR without stored zeros.
 
     Entry (r_a dim + r_b, c_a dim + c_b) of kron(a, b) is a[r_a, c_a] b[r_b, c_b],
-    so the nonzeros come out as one outer product per pair.  A given
-    `diagonal` (length dim**2) replaces the products' diagonal: the
-    products overlap there, and the caller forms that sum in a fixed order.
+    so the nonzeros come out as one outer product per pair; the CSR
+    conversion sums the products that overlap.
     """
     from scipy import sparse
 
@@ -168,12 +166,9 @@ def _kron_sum(terms: list[tuple[np.ndarray, np.ndarray]], diagonal: np.ndarray |
         cols.append(np.add.outer(c_a * dim, c_b).ravel())
         vals.append(np.multiply.outer(a[r_a, c_a], b[r_b, c_b]).ravel())
     rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
-    if diagonal is not None:
-        off = rows != cols
-        (on,) = np.nonzero(diagonal)
-        rows, cols = np.concatenate([rows[off], on]), np.concatenate([cols[off], on])
-        vals = np.concatenate([vals[off], diagonal[on]])
-    return sparse.csr_array((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+    out = sparse.csr_array((vals, (rows, cols)), shape=(dim * dim, dim * dim))
+    out.eliminate_zeros()  # sums that cancel, as on a decay-free population's diagonal entry
+    return out
 
 
 def _liouvillian(atom: AtomConfig, levels: list[np.ndarray], dim_k: int, dim_q: int,
@@ -182,37 +177,29 @@ def _liouvillian(atom: AtomConfig, levels: list[np.ndarray], dim_k: int, dim_q: 
 
     Superoperators on the row-major vec(rho) of atom x Stokes (dim_k) x
     anti-Stokes (dim_q), through vec(A rho B) = (A kron B^T) vec(rho), each
-    built by `_kron_sum` from dense operators on the joint space.  L0 holds
-    levels[0] (the detunings, and any drive folded in), the g_k, g_q
-    couplings and every Lindblad channel; its diagonal is summed channel by
-    channel, in the order of `_decay_ops`.  Each later L_i is the commutator
-    rho -> -i [levels[i] kron 1_field, rho].
+    built by `_kron_sum` from dense operators on the joint space.  L0 is
+    rho -> -i (h_eff rho - rho h_eff^dag) + sum_J rate J rho J^dag over the
+    channels of `_decay_ops`, h_eff being levels[0] (the detunings and any
+    drive folded in) plus the g_k, g_q couplings less (i/2) sum_J rate J^dag J.
+    Each later L_i is rho -> -i [levels[i] kron 1_field, rho], a commutator
+    also for a chirped drive, whose levels[i] is not Hermitian.
     """
     eye_f = np.eye(dim_k * dim_q)
     eye = np.eye(4 * dim_k * dim_q)
 
-    def plus_hc(op):
-        return op + op.conj().T
-
-    def commutator(h):  # rho -> -i [h, rho] = -i h rho + i rho h
-        return [(-1j * h, eye), (eye, 1j * h.T)]
-
     # joint operators as level x field Kronecker products: a_k sigma_db = sigma_db kron a_k
     a_k, a_q = _field_ops(dim_k, dim_q)
-    h = (np.kron(levels[0], eye_f)
-         - g_k * plus_hc(np.kron(_level_op("d", "b"), a_k))
-         - g_q * plus_hc(np.kron(_level_op("a", "c"), a_q)))
-    terms = commutator(h)
-    h_diag = np.diag(h)
-    diagonal = -1j * np.subtract.outer(h_diag, h_diag)
+    coupling = g_k * np.kron(_level_op("d", "b"), a_k) + g_q * np.kron(_level_op("a", "c"), a_q)
+    jumps, number = [], 0.0
     for rate, op in _decay_ops(atom):
         jump = np.kron(op, eye_f)
-        terms.append((rate * jump, jump.conj()))
-        # J^dag J is diagonal for every channel, so -(1/2){J^dag J, rho} lies on the diagonal
-        j, n = np.diag(jump), np.diag(np.kron(op.conj().T @ op, eye_f))
-        diagonal = diagonal + rate * (np.multiply.outer(j, j.conj()) - 0.5 * np.add.outer(n, n))
-    drives = [_kron_sum(commutator(np.kron(level, eye_f))) for level in levels[1:]]
-    return [_kron_sum(terms, diagonal.ravel()), *drives]
+        number = number + rate * (jump.conj().T @ jump)
+        jumps.append((rate * jump, jump.conj()))
+    h_eff = np.kron(levels[0], eye_f) - coupling - coupling.conj().T - 0.5j * number
+    # L0: -i h_eff rho + i rho h_eff^dag, and (h_eff^dag)^T = conj(h_eff); L_i: -i [h, rho]
+    l0 = _kron_sum([(-1j * h_eff, eye), (eye, 1j * h_eff.conj()), *jumps])
+    drives = (np.kron(level, eye_f) for level in levels[1:])
+    return [l0, *(_kron_sum([(-1j * h, eye), (eye, 1j * h.T)]) for h in drives)]
 
 
 def _generator(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, dim_k: int, dim_q: int,

@@ -55,17 +55,13 @@ from . import algebra
 from .atom import GENERATOR_PAIRS, AtomConfig, DriftBuilder, state_vector
 from .atom import evolve_state  # noqa: F401  (perfbench/tracing.py wraps propagator.evolve_state)
 from .dop853 import solve_ivp  # noqa: F401  (perfbench/tracing.py wraps propagator.solve_ivp)
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError, IntegrationError, check_rtol
 from .pulses import PulseSpec, is_steady
 
 # Default relative tolerance of the Magnus flow, for the API and for [run] rtol;
 # every time-dependent preset point then takes one substep per interval but
 # fig3b's (2-4)
 DEFAULT_RTOL = 1e-8
-# The smallest [run] and [verify] rtol: 100 float64 eps, the floor SciPy's solve_ivp
-# clamps to.  The substeps grow as rtol^(-1/4); at rtol 1e-30 fig2b would take
-# 194,026 per interval.
-MIN_RTOL = 100 * np.finfo(float).eps
 
 _ROUNDOFF = 2.0 ** -53
 # Gauss-Legendre nodes of a step, as fractions of it, and the weight of the
@@ -76,25 +72,12 @@ _COMMUTATOR = math.sqrt(3.0) / 12.0
 # Magnus substeps per batch of the chain: a (64, 2, 8, 8) float batch is 64 KiB
 _BLOCK_STEPS = 64
 # Most Magnus substeps per grid interval, a 1 MiB batch: every preset point takes at
-# most 4 at DEFAULT_RTOL and 85 at MIN_RTOL (fig3b at Rabi frequency 30)
+# most 4 at DEFAULT_RTOL and 85 at errors.MIN_RTOL (fig3b at Rabi frequency 30)
 _MAX_SUBSTEPS = 1024
 # Most grid rows per block, each block in its own flow frame (_block_rows); the
 # moment assembly streams the blocks, and its (128, 6, 16) complex running sums
 # are 192 KiB
 _BLOCK_ROWS = 128
-
-
-def _cumulative_trapezoid(v: np.ndarray, step: float) -> np.ndarray:
-    """Trapezoid integral of v over the first axis from its first row to every row.
-
-    (2 sum_{j <= i} v_j - v_0 - v_i) h / 2, formed in place on the cumsum.
-    """
-    out = np.cumsum(v, axis=0)
-    out *= 2.0
-    out -= v
-    out -= v[0]
-    out *= 0.5 * step
-    return out
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -159,13 +142,20 @@ def _magnus_weights(builder: DriftBuilder, starts: np.ndarray, step: float) -> n
     Omega = (h/2)(M_1 + M_2) + (sqrt(3)/12) h^2 [M_2, M_1] with M_1, M_2 at the
     two Gauss nodes; over M = sum_k r_k G_k the commutator is
     sum_{k<l} (r2_k r1_l - r2_l r1_k) [G_k, G_l].  Shape (len(starts), 15).
+    A weight that overflows raises IntegrationError at its step's start.
     """
     r1 = builder.coefficients(starts + _GAUSS[0] * step)
     r2 = builder.coefficients(starts + _GAUSS[1] * step)
     k, l = GENERATOR_PAIRS
-    return np.concatenate((0.5 * step * (r1 + r2),
-                           _COMMUTATOR * step * step * (r2[:, k] * r1[:, l] - r2[:, l] * r1[:, k])),
-                          axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        weights = np.concatenate(
+            (0.5 * step * (r1 + r2),
+             _COMMUTATOR * step * step * (r2[:, k] * r1[:, l] - r2[:, l] * r1[:, k])), axis=1)
+    finite = np.isfinite(weights)
+    if not finite.all():  # the flat reduction: one along rows of 15 costs 5x as much
+        t = float(starts[np.argmin(finite.all(axis=1))])
+        raise IntegrationError(f"the Magnus generator from t = {t:.6g} overflows float64", time=t)
+    return weights
 
 
 def _column_sums(generators: np.ndarray) -> np.ndarray:
@@ -353,6 +343,7 @@ def build_propagator_grid(atom: AtomConfig, pump: PulseSpec, control: PulseSpec,
         raise ConfigError(f"n_intervals must be an integer, got {n_intervals!r}")
     if n_intervals < 2:
         raise ConfigError(f"need at least 2 grid intervals, got {n_intervals}")
+    check_rtol(rtol)
 
     times = np.linspace(0.0, float(t_end), n_intervals + 1)
     step = float(times[1] - times[0])

@@ -27,12 +27,11 @@ from ramanpairs.algebra import (COMPLEMENT0, HERMITIAN, HERMITIAN_INV, LEVELS, S
                                SECTOR_CONJ0, SECTOR_HALF0, SOURCE_ROWS, dagger, idx, pair_table,
                                real_form)
 from ramanpairs.atom import AtomConfig, DriftBuilder, state_vector
-from ramanpairs.moments import _SOURCE, _STRUCTURES, _slot_factors
+from ramanpairs.moments import _SOURCE, _STRUCTURES, _cumulative_trapezoid, _slot_factors
 from ramanpairs.noise import DiffusionTable
 from ramanpairs.oracle import _decay_ops, _field_ops, _level_op, _liouvillian
-from ramanpairs.propagator import (_BLOCK_STEPS, PropagatorGrid, _column_sums,
-                                   _cumulative_trapezoid, _expm, _magnus_weights, _orbit,
-                                   _prefix_products, _substeps)
+from ramanpairs.propagator import (_BLOCK_STEPS, PropagatorGrid, _column_sums, _expm,
+                                   _magnus_weights, _orbit, _prefix_products, _substeps)
 from ramanpairs.pulses import PulseSpec, rabi
 
 # 0-based conjugate index of each operator, and positions of the four populations |x><x|.
@@ -178,8 +177,12 @@ def kron_liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, dim_
                      dim_q: int, g_k: float, g_q: float) -> list[sparse.csr_array]:
     """The pieces of drive_liouvillian from sparse Kronecker products and sparse adds.
 
-    Same arguments and order [L0, L_p, L_p', L_c, L_c'].  L0's channels are
-    added one at a time, in the order of oracle._decay_ops.
+    Same arguments and order [L0, L_p, L_p', L_c, L_c'].  L0 is the textbook
+    -i [H, rho] - (1/2){K, rho} + sum_J rate J rho J^dag, with
+    K = sum_J rate J^dag J summed over the channels of oracle._decay_ops in
+    their order and halved before its Kronecker products, as the library's
+    h_eff takes it: added channel by channel, the a-d coherences round 2 ulp
+    off at some rates, and a subnormal rate's halves need not cancel.
     """
     eye_f = sparse.eye_array(dim_k * dim_q)
     eye = sparse.eye_array(4 * dim_k * dim_q)
@@ -196,11 +199,12 @@ def kron_liouvillian(atom: AtomConfig, pump: PulseSpec, control: PulseSpec, dim_
     a_k, a_q = (sparse.kron(sparse.eye_array(4), a) for a in _field_ops(dim_k, dim_q))
     l0 = commutator(-control.detuning * sig("a", "a") - pump.detuning * sig("d", "d")
                     - g_k * plus_hc(a_k @ sig("d", "b")) - g_q * plus_hc(a_q @ sig("a", "c")))
-    for rate, op in _decay_ops(atom):
-        jump = sparse.kron(op, eye_f)
-        number = jump.conj().T @ jump
-        l0 = l0 + rate * (sparse.kron(jump, jump.conj())
-                          - 0.5 * (sparse.kron(number, eye) + sparse.kron(eye, number.T)))
+    jumps = [(rate, sparse.kron(op, eye_f)) for rate, op in _decay_ops(atom)]
+    if jumps:
+        half = 0.5 * sum(rate * (jump.conj().T @ jump) for rate, jump in jumps)
+        l0 = l0 - sparse.kron(half, eye) - sparse.kron(eye, half.T)
+    for rate, jump in jumps:
+        l0 = l0 + rate * sparse.kron(jump, jump.conj())
     drives = [commutator(-sig(x, y)) for x, y in ("dc", "cd", "ab", "ba")]
     return [piece.tocsr() for piece in (l0, *drives)]
 

@@ -242,7 +242,7 @@ def _oracle_comparison(preset_name, g, cutoff, grid_points=None, rtol=None):
     oracle_rtol = min(1e-8, (rtol or 1e-8))
     oracle = oracle_moments(atom, cfg.pump, cfg.control, times,
                             OracleConfig(cutoff_k=cutoff, cutoff_q=cutoff, g_k=g, g_q=g,
-                                         dim_cap=512, rtol=oracle_rtol,
+                                         rtol=oracle_rtol,
                                          atol=oracle_rtol * 1e-3))
     sel = slice(None, None, stride)
     ms = pipeline.moments

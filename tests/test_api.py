@@ -42,6 +42,24 @@ def test_every_public_name_is_read_in_the_package():
     assert sorted(public - read) == sorted(UNCALLED)
 
 
+def test_the_oracle_imports_no_pipeline_module():
+    """The Fock oracle shares the pipeline's inputs and errors but none of its steps.
+
+    Its own DOP853 solve and trace moments check the propagator, moments and
+    noise layers only while it reads nothing from them.
+    """
+    imported = {}
+    for node in ast.walk(ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("ramanpairs") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "ramanpairs"
+                                                   or node.module.startswith("ramanpairs.")):
+            module = (node.module or "").removeprefix("ramanpairs").lstrip(".")
+            imported.setdefault(module, set()).update(alias.name for alias in node.names)
+    assert set(imported) == {"atom", "pulses", "errors", "dop853"}
+    assert imported["atom"] == {"AtomConfig"}
+
+
 def test_public_names_and_benchmark_tracer_hooks_resolve(monkeypatch):
     missing = [name for name in ramanpairs.__all__ if not hasattr(ramanpairs, name)]
     assert not missing

@@ -72,9 +72,11 @@ def test_unknown_key_rejected_with_field_message():
         parse_config(GOOD_CONFIG + "\n[laser]\npower = 1\n")
     with pytest.raises(ConfigError, match=r"\[atom\] rho_xz"):
         parse_config(GOOD_CONFIG.replace("rho_bb", "rho_xz"))
-    for line in ("cutoff_k = 3.7", "dim_cap = 1e3"):
-        with pytest.raises(ConfigError, match=rf"\[verify\] {line.split()[0]}: not an integer"):
-            parse_config(GOOD_CONFIG + "\n[verify]\n" + line + "\n")
+    with pytest.raises(ConfigError, match=r"\[verify\] cutoff_k: not an integer"):
+        parse_config(GOOD_CONFIG + "\n[verify]\ncutoff_k = 3.7\n")
+    # the joint dimension's cap is fixed, at 256 (cutoffs 7 and 7)
+    with pytest.raises(ConfigError, match=r"\[verify\] dim_cap: unknown key"):
+        parse_config(GOOD_CONFIG + "\n[verify]\ndim_cap = 256\n")
 
 
 def test_coherence_keys_fill_hermitian_pair():
@@ -535,7 +537,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad.write_text(GOOD_CONFIG + "atol = 1e-12\n")
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
     assert "[run] atol: unknown key" in capsys.readouterr().err
-    for line in ("leak_tol = nan", "g_k = -0.5", "rtol = 1e-20"):
+    for line in ("leak_tol = nan", "g_k = -0.5", "rtol = 1e-20", "dim_cap = 256"):
         bad.write_text(GOOD_CONFIG + "\n[verify]\n" + line + "\n")
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == 2
     nested = tmp_path / "a" / "b"
@@ -601,6 +603,16 @@ def test_cli_run_exits_3_when_a_drive_needs_too_many_substeps(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "substeps per grid interval" in err and "Traceback" not in err
     assert not (out_dir / "demo.csv").exists()
+
+
+def test_cli_run_exits_3_with_one_line_when_the_magnus_weights_overflow(tmp_path, capsys):
+    """A chirped pump of Rabi frequency 1e300: the error alone on stderr, no NumPy warning."""
+    config_path = tmp_path / "demo.cfg"
+    pump = "omega_peak = 1e300\nchirp = 5"
+    config_path.write_text(GOOD_CONFIG.replace("omega_peak = 10", pump, 1))
+    assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: the Magnus generator from t = 0 overflows float64"]
 
 
 def test_cli_verify_exits_3_when_the_oracle_solve_fails(tmp_path, monkeypatch, capsys):

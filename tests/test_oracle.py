@@ -25,7 +25,7 @@ from reference import drive_liouvillian, drive_weights, kron_liouvillian
 
 def test_dimension_cap_enforced():
     with pytest.raises(ConfigError):
-        OracleConfig(cutoff_k=8, cutoff_q=8, dim_cap=256)
+        OracleConfig(cutoff_k=8, cutoff_q=8)
     with pytest.raises(ConfigError):
         OracleConfig(cutoff_k=0)
 
@@ -142,7 +142,7 @@ def test_conversion_and_squeezing_moments_vanish_in_the_oracle():
     pump = gauss_pulse(omega=8.0, center=0.4, width=0.15, detuning=-2.0, chirp=3.0)
     control = gauss_pulse(omega=5.0, center=0.5, width=0.2, detuning=1.0, chirp=-4.0)
     out = oracle_moments(atom, pump, control, np.linspace(0.0, 0.8, 9),
-                         OracleConfig(cutoff_k=6, cutoff_q=6, g_k=0.05, g_q=0.05, dim_cap=256))
+                         OracleConfig(cutoff_k=6, cutoff_q=6, g_k=0.05, g_q=0.05))
     assert np.abs(out.mean_k).max() > 1e-3
     scale = np.abs(out.n_k).max()
     for name in ("cross", "square_k", "square_q"):

@@ -12,8 +12,8 @@ from ramanpairs import propagator
 from ramanpairs.algebra import SECTOR0, SECTOR_CONJ0, SECTOR_HALF0, SOURCE_ROWS, idx, real_form
 from ramanpairs.atom import AtomConfig, DriftBuilder, dissipation, evolve_state, state_vector
 from ramanpairs.config import apply_override
-from ramanpairs.errors import ConfigError, IntegrationError
-from ramanpairs.moments import _moment_tables
+from ramanpairs.errors import MIN_RTOL, ConfigError, IntegrationError
+from ramanpairs.moments import _cumulative_trapezoid, _moment_tables
 from ramanpairs.noise import diffusion_table
 from ramanpairs.presets import PRESET_NAMES, preset
 from ramanpairs.propagator import build_propagator_grid
@@ -267,7 +267,7 @@ def test_substep_bound_gives_the_exact_rule_on_every_preset():
         exact = _exact_rule(weights, builder.generators, cfg.rtol)
         assert propagator._substeps(weights, columns, cfg.rtol) == exact, cfg.label
         assert propagator._substeps(weights[~quiet], columns, cfg.rtol) == exact, cfg.label
-        at_floor.append(propagator._substeps(weights[~quiet], columns, propagator.MIN_RTOL))
+        at_floor.append(propagator._substeps(weights[~quiet], columns, MIN_RTOL))
     assert max(at_floor) == 85 < propagator._MAX_SUBSTEPS
 
 
@@ -282,6 +282,21 @@ def test_drives_past_the_substep_cap_raise_integration_error(omega, needed):
     with pytest.raises(IntegrationError, match=f"needs {needed} substeps per grid interval.*"
                                                "grid_points or a looser rtol"):
         build_propagator_grid(AtomConfig(), pump, off(), 1.0, 100)
+
+
+def test_overflowing_magnus_weights_raise_integration_error_without_warnings():
+    """A chirped pump of Rabi frequency 1e300 overflows the commutator weights themselves.
+
+    The suite turns every RuntimeWarning into an error, so an overflow or NaN
+    warning on the way would fail this test before the IntegrationError.
+    """
+    pump = PulseSpec("gaussian", omega_peak=1e300, center=0.5, width=0.1, chirp=5.0)
+    with pytest.raises(IntegrationError, match="Magnus generator from t = 0 overflows"):
+        build_propagator_grid(AtomConfig(), pump, off(), 1.0, 100)
+    builder = DriftBuilder(AtomConfig(), pump, off())
+    with pytest.raises(IntegrationError, match="from t = 0.5 overflows") as raised:
+        propagator._magnus_weights(builder, np.array([-5.0, 0.5]), 0.01)  # E(-5) is 0
+    assert raised.value.time == 0.5
 
 
 @pytest.mark.parametrize("atom, pump, control, t_end, n", [
@@ -721,10 +736,10 @@ def test_segment_trapezoids_add_up_to_the_whole_grid_rule(sizes):
     """
     rng = np.random.default_rng(len(sizes))
     v = rng.normal(size=(sum(sizes) + 1, 3, 2)) + 1j * rng.normal(size=(sum(sizes) + 1, 3, 2))
-    whole = propagator._cumulative_trapezoid(v, 0.1)
+    whole = _cumulative_trapezoid(v, 0.1)
     total, start = 0.0, 0
     for size in sizes:
-        segment = total + propagator._cumulative_trapezoid(v[start:start + size + 1], 0.1)
+        segment = total + _cumulative_trapezoid(v[start:start + size + 1], 0.1)
         error = np.max(np.abs(segment - whole[start:start + size + 1]))
         assert error <= 1e-15 * len(v) * np.max(np.abs(whole))
         total, start = segment[-1], start + size
@@ -761,6 +776,11 @@ def test_build_validation():
         build_propagator_grid(atom, off(), off(), -1.0, 100)
     with pytest.raises(ConfigError):
         build_propagator_grid(atom, off(), off(), 1.0, 1)
+    # the floor [run] and [verify] check: 0 would divide by zero in the substep rule,
+    # -1e-8 take a complex root and NaN need inf substeps
+    for rtol in (0.0, -1e-8, float("nan"), 1e-20):
+        with pytest.raises(ConfigError, match="rtol: must be"):
+            build_propagator_grid(atom, gauss_pulse(omega=10.0), off(), 1.0, 100, rtol=rtol)
 
 
 def test_build_rejects_a_fractional_grid_size():
